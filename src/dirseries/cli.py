@@ -89,8 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_coeff(args) -> int:
     ast = parse_expr(args.expr)
     series = eval_expr(ast, max(args.index, 1))
-    if isinstance(series, DirSeries) and args.index < 1:
-        print("composition series have no index-0 coefficient", file=sys.stderr)
+    first = 1 if isinstance(series, DirSeries) else 0
+    if args.index < first:
+        print(f"error: this series has no index {args.index}; indices start at {first}",
+              file=sys.stderr)
         return 2
     print(series[args.index].to_text())
     return 0
@@ -182,12 +184,18 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_factorizations(args) -> int:
+    if args.n < 1 or args.m < 0:
+        print("error: factorizations needs n >= 1 and m >= 0", file=sys.stderr)
+        return 2
     for tup in ordered_factorizations(args.n, args.m):
         print(",".join(str(k) for k in tup))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.bound is not None and args.bound < 1:
+        print("error: verify bound must be >= 1", file=sys.stderr)
+        return 2
     names = [args.suite] if args.suite != "all" else ["all"]
     records, all_ok = run_suites(names, bound=args.bound, jobs=max(args.jobs, 1))
     for record in records:

@@ -57,6 +57,12 @@ class SingularDiagonal(DirAlgebraError):
     """Matrix inversion needs nonzero rational constants on the diagonal."""
 
 
+class SeriesFormatError(DirAlgebraError, ValueError):
+    """A series in JSON form is malformed: an unknown kind, a truncation
+    below the first index, or a coefficient key that is not an index in
+    the series' range."""
+
+
 class PolynomialSyntaxError(DirAlgebraError):
     """Malformed polynomial text; carries the byte offset of the problem."""
 

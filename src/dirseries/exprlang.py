@@ -28,24 +28,38 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArityMismatch, ExprSyntaxError, ExprTypeError, UnknownFunction
+from .errors import (
+    ArityMismatch,
+    ExprSyntaxError,
+    ExprTypeError,
+    SeriesFormatError,
+    TruncationTooSmall,
+    UnknownFunction,
+)
 from .series import (
     DirSeries,
     OrdSeries,
     dir_exp_param,
-    dir_from_fn,
     dir_inverse,
     dir_log,
     dir_mul,
     dir_pow_int,
     dir_pow_param,
     dir_subst_xk,
-    ord_from_fn,
     star_derivative,
     twist_int,
 )
 from .serialize import series_from_json
-from .transforms import eps, lagrange_dir, lagrange_ord, lift_multiplicative, zeta
+from .transforms import (
+    eps,
+    expx,
+    geom2,
+    lagrange_dir,
+    lagrange_ord,
+    lift_multiplicative,
+    onepx,
+    zeta,
+)
 
 Arg = "Call | Fraction | str"
 
@@ -202,21 +216,6 @@ def print_expr(ast) -> str:
     return f'"{ast}"'
 
 
-def _geom2(trunc: int) -> DirSeries:
-    return dir_from_fn(trunc, lambda n: 0 if n == 1 else 1)
-
-
-def _expx(trunc: int) -> OrdSeries:
-    fac = [1]
-    for i in range(1, trunc + 1):
-        fac.append(fac[-1] * i)
-    return ord_from_fn(trunc, lambda n: Fraction(1, fac[n]))
-
-
-def _onepx(trunc: int) -> OrdSeries:
-    return ord_from_fn(trunc, lambda n: 1 if n <= 1 else 0)
-
-
 def _expect_kind(name: str, value, want: str):
     if want == "dir" and not isinstance(value, DirSeries):
         raise ExprTypeError(f"{name} needs a composition series argument")
@@ -237,19 +236,21 @@ def eval_expr(ast: Call, trunc: int) -> DirSeries | OrdSeries:
     if name in ("zeta", "geom"):
         return zeta(trunc)
     if name == "geom2":
-        return _geom2(trunc)
+        return geom2(trunc)
     if name == "eps":
         return eps(trunc)
     if name == "expx":
-        return _expx(trunc)
+        return expx(trunc)
     if name == "onepx":
-        return _onepx(trunc)
+        return onepx(trunc)
     if name == "load":
         with open(args[0], "r", encoding="utf-8") as fh:
-            loaded = series_from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8 text
+                raise SeriesFormatError(f"{args[0]}: {exc}") from None
+        loaded = series_from_json(obj)
         if loaded.trunc < trunc:
-            from .errors import TruncationTooSmall
-
             raise TruncationTooSmall(
                 f"loaded series has trunc {loaded.trunc}, need {trunc}"
             )

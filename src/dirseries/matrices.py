@@ -253,9 +253,10 @@ def rd_action(a: DirSeries, b: DirSeries) -> DirSeries:
 
 
 def rd_multiply(m1: DirMatrix, m2: DirMatrix) -> DirMatrix:
-    """Group-law product of two rd matrices.  The result is built from its
-    base series; with assertions enabled the raw matrix product is checked
-    against it entrywise."""
+    """Group-law product of two rd matrices, built from the base series of
+    the factors without a raw matrix product.  That it equals the raw
+    product ``matmul(m1, m2)`` is the group law, which the verification
+    suite (``thm3.group-law``) and the tests check."""
     if m1.kind != "rd" or m2.kind != "rd" or m1.base is None or m2.base is None:
         raise KindMismatch("rd_multiply needs two rd-kind matrices")
     if (m1.row_hi, m1.col_hi) != (m2.row_hi, m2.col_hi):
@@ -265,9 +266,7 @@ def rd_multiply(m1: DirMatrix, m2: DirMatrix) -> DirMatrix:
     size = m1.row_hi
     new_b = dir_mul(b, rd_action(a, f))
     new_a = dir_mul(a, rd_action(a, g))
-    result = build_rd(new_b, new_a, size)
-    assert matmul(m1, m2) == result, "group law disagrees with raw product"
-    return result
+    return build_rd(new_b, new_a, size)
 
 
 def rd_inverse(m: DirMatrix) -> DirMatrix:
@@ -298,26 +297,19 @@ def rd_inverse(m: DirMatrix) -> DirMatrix:
     return DirMatrix("inverse", 1, size, 1, size, _clean(out))
 
 
-def exp_conjugate(m: DirMatrix, size: int | None = None) -> DirMatrix:
+def exp_conjugate(m: DirMatrix) -> DirMatrix:
     """Conjugate by the diagonal of reciprocal factorials: entry(n, k) goes
     to n! * entry / k!.  Row n of the result, read as a polynomial, is the
-    exponential row polynomial of the matrix."""
-    if size is None:
-        size = m.row_hi
+    exponential row polynomial of the matrix.  Columns beyond the last row
+    are dropped."""
+    size = m.row_hi
     if size > 500:
         raise ValueError("exp_conjugate is capped at size 500")
     entries: dict[tuple[int, int], Polynomial] = {}
     for (n, k), v in m.entries.items():
-        if n <= size and k <= size:
+        if k <= size:
             entries[(n, k)] = v * Fraction(factorial(n), factorial(k))
-    return DirMatrix(
-        m.kind,
-        m.row_lo,
-        min(m.row_hi, size),
-        m.col_lo,
-        min(m.col_hi, size),
-        entries,
-    )
+    return DirMatrix(m.kind, m.row_lo, size, m.col_lo, min(m.col_hi, size), entries)
 
 
 def row_polynomial(m: DirMatrix, n: int, sym: Symbol) -> Polynomial:

@@ -14,7 +14,7 @@ from math import factorial
 from typing import Sequence
 
 from .intfactor import divisors
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, as_poly
 
 
 def partitions_into_parts(n: int, m: int) -> list[tuple[int, ...]]:
@@ -92,17 +92,13 @@ def ordered_factorizations(n: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _as_poly(value: Polynomial | Scalar) -> Polynomial:
-    return value if isinstance(value, Polynomial) else Polynomial.const(value)
-
-
 def bell_B(n: int, m: int, values: Sequence[Polynomial | Scalar]) -> Polynomial:
     """Partition polynomial: sum over partitions of n into m parts of
     m!/(m_1!...m_n!) * prod values[k-1]**m_k.  ``values[k-1]`` is the value
     attached to part size k; at least n values are required."""
     if len(values) < n:
         raise ValueError(f"need {n} values, got {len(values)}")
-    vals = [_as_poly(v) for v in values[:n]]
+    vals = [as_poly(v) for v in values[:n]]
     total = Polynomial.zero()
     for vec in partitions_into_parts(n, m):
         weight = Fraction(factorial(m))
@@ -135,6 +131,6 @@ def bell_btilde(n: int, m: int, values: Sequence[Polynomial | Scalar]) -> Polyno
         term = Polynomial.one()
         for k, mult in mults.items():
             weight /= factorial(mult)
-            term = term * _as_poly(values[k - 2]) ** mult
+            term = term * as_poly(values[k - 2]) ** mult
         total = total + term * weight
     return total

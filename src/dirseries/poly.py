@@ -153,8 +153,7 @@ class Polynomial:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial.const(other)
+        other = as_poly(other)
         if not self._terms:
             return other
         if not other._terms:
@@ -178,9 +177,7 @@ class Polynomial:
         return _wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial.const(other)
-        return self + (-other)
+        return self + (-as_poly(other))
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
         return Polynomial.const(other) + (-self)
@@ -236,8 +233,7 @@ class Polynomial:
 
     def substitute(self, sym: Symbol, replacement: "Polynomial | Scalar") -> "Polynomial":
         """Replace every occurrence of ``sym``, expanding the result."""
-        if not isinstance(replacement, Polynomial):
-            replacement = Polynomial.const(replacement)
+        replacement = as_poly(replacement)
         touched = False
         powers: list[Polynomial] = [_ONE]
         out = _ZERO
@@ -334,6 +330,11 @@ _ONE = _wrap({_UNIT_MONO: Fraction(1)})
 
 ZERO = _ZERO
 ONE = _ONE
+
+
+def as_poly(value: Polynomial | Scalar) -> Polynomial:
+    """A polynomial unchanged, or a scalar as a constant polynomial."""
+    return value if isinstance(value, Polynomial) else Polynomial.const(value)
 
 
 def binom_poly(sym: Symbol, m: int) -> Polynomial:

@@ -13,6 +13,7 @@ import io
 import json
 from typing import Any
 
+from .errors import SeriesFormatError
 from .matrices import DirMatrix
 from .poly import ZERO, parse_polynomial
 from .series import DirSeries, OrdSeries
@@ -32,14 +33,25 @@ def series_to_json(s: DirSeries | OrdSeries) -> dict[str, Any]:
 
 
 def series_from_json(obj: dict[str, Any]) -> DirSeries | OrdSeries:
+    """Rebuild a series from its JSON form.  Every coefficient key must be
+    an index of the series, written as a decimal integer, so that no
+    coefficient is dropped."""
     kind = obj["kind"]
+    if kind not in ("dir", "ord"):
+        raise SeriesFormatError(f"unknown series kind {kind!r}")
+    lo = 1 if kind == "dir" else 0
     trunc = int(obj["trunc"])
-    raw = {int(k): parse_polynomial(v) for k, v in obj["coeffs"].items()}
-    if kind == "dir":
-        return DirSeries(trunc, tuple(raw.get(n, ZERO) for n in range(1, trunc + 1)))
-    if kind == "ord":
-        return OrdSeries(trunc, tuple(raw.get(n, ZERO) for n in range(trunc + 1)))
-    raise ValueError(f"unknown series kind {kind!r}")
+    if trunc < lo:
+        raise SeriesFormatError(f"{kind} series need trunc >= {lo}, got {trunc}")
+    coeffs = [ZERO] * (trunc - lo + 1)
+    for key, text in obj["coeffs"].items():
+        key = str(key)
+        n = int(key) if key.isdecimal() else -1
+        if str(n) != key or not lo <= n <= trunc:
+            raise SeriesFormatError(f"coefficient key {key!r} is not an index in {lo}..{trunc}")
+        coeffs[n - lo] = parse_polynomial(text)
+    series_cls = DirSeries if kind == "dir" else OrdSeries
+    return series_cls(trunc, tuple(coeffs))
 
 
 def series_to_json_text(s: DirSeries | OrdSeries) -> str:

@@ -16,8 +16,9 @@ minimum.  Dirichlet composition at index n never reads indices beyond n,
 so no padding is needed.
 
 All series are immutable values; operations are pure functions.  The
-power ladders built inside parametric operations are per-call, never
-shared.
+parametric power, logarithm and parametric exponential all apply an
+ordinary series to a composition series through ``dir_apply_series``,
+which holds one composition power at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ConstantTermNotOne,
@@ -36,13 +37,9 @@ from .errors import (
     NonUnitLeadingCoefficient,
     TruncationTooSmall,
 )
-from .poly import ONE, PSI, ZERO, Polynomial, Scalar, Symbol, binom_poly, log_n_poly
+from .poly import ONE, PSI, ZERO, Polynomial, Scalar, Symbol, as_poly, binom_poly, log_n_poly
 
 Coeff = Polynomial | Scalar
-
-
-def _as_poly(value: Coeff) -> Polynomial:
-    return value if isinstance(value, Polynomial) else Polynomial.const(value)
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +89,8 @@ class DirSeries:
         return DirSeries(n, self.coeffs[:n])
 
 
-def dir_from_coeffs(coeffs: Iterable[Coeff]) -> DirSeries:
-    tup = tuple(_as_poly(c) for c in coeffs)
-    return DirSeries(len(tup), tup)
-
-
 def dir_from_fn(trunc: int, fn: Callable[[int], Coeff]) -> DirSeries:
-    return DirSeries(trunc, tuple(_as_poly(fn(n)) for n in range(1, trunc + 1)))
+    return DirSeries(trunc, tuple(as_poly(fn(n)) for n in range(1, trunc + 1)))
 
 
 def dir_x(trunc: int) -> DirSeries:
@@ -106,12 +98,8 @@ def dir_x(trunc: int) -> DirSeries:
     return dir_from_fn(trunc, lambda n: 1 if n == 1 else 0)
 
 
-def dir_zero(trunc: int) -> DirSeries:
-    return DirSeries(trunc, (ZERO,) * trunc)
-
-
 def dir_scale(a: DirSeries, c: Coeff) -> DirSeries:
-    c = _as_poly(c)
+    c = as_poly(c)
     return DirSeries(a.trunc, tuple(v * c for v in a.coeffs))
 
 
@@ -186,16 +174,6 @@ def _require_lead(a: DirSeries, value: int) -> None:
         raise LeadingCoefficientNotOne(f"coefficient at index 1 is {lead}")
 
 
-def _power_ladder(u: DirSeries, top: int) -> list[DirSeries]:
-    """[u^(1), ..., u^(top)] by repeated composition."""
-    ladder = []
-    if top >= 1:
-        ladder.append(u)
-        for _ in range(top - 1):
-            ladder.append(dir_mul(ladder[-1], u))
-    return ladder
-
-
 def _max_power(trunc: int) -> int:
     # a series with zero coefficient at index 1 has m-th power supported on
     # indices >= 2**m, so powers beyond log2(trunc) cannot contribute
@@ -204,13 +182,20 @@ def _max_power(trunc: int) -> int:
 
 def dir_apply_series(f: "OrdSeries", a: DirSeries) -> DirSeries:
     """Apply an ordinary series to a composition series with zero leading
-    coefficient: x*f_0 + sum of f_m * a^(m) for m >= 1."""
+    coefficient: x*f_0 + sum of f_m * a^(m) for m >= 1.
+
+    ``dir_pow_param``, ``dir_log`` and ``dir_exp_param`` are this sum for
+    f = (1+t)^psi, log(1+t) and e^(psi*t).  One power a^(m) is held at a
+    time."""
     _require_lead(a, 0)
     top = _max_power(a.trunc)
     if f.trunc < top:
         raise TruncationTooSmall(f"need ordinary trunc >= {top}, have {f.trunc}")
-    out = dir_scale(dir_x(a.trunc), f[0])
-    for m, power in enumerate(_power_ladder(a, top), start=1):
+    out = DirSeries(a.trunc, (f[0],) + (ZERO,) * (a.trunc - 1))  # x * f_0
+    power = a
+    for m in range(1, top + 1):
+        if m > 1:
+            power = dir_mul(power, a)
         fm = f[m]
         if not fm.is_zero():
             out = out + dir_scale(power, fm)
@@ -221,21 +206,15 @@ def dir_pow_param(a: DirSeries) -> DirSeries:
     """The parametric power with exponent ``psi``: the binomial expansion
     of (1 + (a - x))^psi under composition.  Needs leading coefficient 1."""
     _require_lead(a, 1)
-    u = a - dir_x(a.trunc)
-    out = dir_x(a.trunc)
-    for m, power in enumerate(_power_ladder(u, _max_power(a.trunc)), start=1):
-        out = out + dir_scale(power, binom_poly(PSI, m))
-    return out
+    f = ord_from_fn(_max_power(a.trunc), lambda m: binom_poly(PSI, m) if m else 1)
+    return dir_apply_series(f, a - dir_x(a.trunc))
 
 
 def dir_log(a: DirSeries) -> DirSeries:
     """Composition logarithm: the alternating sum of (a - x)^(m) / m."""
     _require_lead(a, 1)
-    u = a - dir_x(a.trunc)
-    out = dir_zero(a.trunc)
-    for m, power in enumerate(_power_ladder(u, _max_power(a.trunc)), start=1):
-        out = out + dir_scale(power, Fraction((-1) ** (m + 1), m))
-    return out
+    f = ord_from_fn(_max_power(a.trunc), lambda m: Fraction((-1) ** (m + 1), m) if m else 0)
+    return dir_apply_series(f, a - dir_x(a.trunc))
 
 
 def dir_exp_param(b: DirSeries) -> DirSeries:
@@ -243,10 +222,10 @@ def dir_exp_param(b: DirSeries) -> DirSeries:
     leading coefficient."""
     _require_lead(b, 0)
     psi = Polynomial.symbol(PSI)
-    out = dir_x(b.trunc)
-    for m, power in enumerate(_power_ladder(b, _max_power(b.trunc)), start=1):
-        out = out + dir_scale(power, psi**m * Fraction(1, factorial(m)))
-    return out
+    f = ord_from_fn(
+        _max_power(b.trunc), lambda m: psi**m * Fraction(1, factorial(m)) if m else 1
+    )
+    return dir_apply_series(f, b)
 
 
 def star_derivative(a: DirSeries) -> DirSeries:
@@ -256,9 +235,13 @@ def star_derivative(a: DirSeries) -> DirSeries:
     )
 
 
-def series_substitute_symbol(a: DirSeries, sym: Symbol, r: Coeff) -> DirSeries:
-    r = _as_poly(r)
-    return DirSeries(a.trunc, tuple(c.substitute(sym, r) for c in a.coeffs))
+def series_substitute_symbol(
+    a: DirSeries | OrdSeries, sym: Symbol, r: Coeff
+) -> DirSeries | OrdSeries:
+    """Replace ``sym`` by ``r`` in every coefficient of a series of either
+    kind; the result has the kind of ``a``."""
+    r = as_poly(r)
+    return type(a)(a.trunc, tuple(c.substitute(sym, r) for c in a.coeffs))
 
 
 def twist_int(a: DirSeries, k: int) -> DirSeries:
@@ -321,7 +304,7 @@ class OrdSeries:
     def __mul__(self, other):
         if isinstance(other, OrdSeries):
             return ord_mul(self, other)
-        c = _as_poly(other)
+        c = as_poly(other)
         return OrdSeries(self.trunc, tuple(v * c for v in self.coeffs))
 
     __rmul__ = __mul__
@@ -332,13 +315,8 @@ class OrdSeries:
         return OrdSeries(n, self.coeffs[: n + 1])
 
 
-def ord_from_coeffs(coeffs: Iterable[Coeff]) -> OrdSeries:
-    tup = tuple(_as_poly(c) for c in coeffs)
-    return OrdSeries(len(tup) - 1, tup)
-
-
 def ord_from_fn(trunc: int, fn: Callable[[int], Coeff]) -> OrdSeries:
-    return OrdSeries(trunc, tuple(_as_poly(fn(n)) for n in range(trunc + 1)))
+    return OrdSeries(trunc, tuple(as_poly(fn(n)) for n in range(trunc + 1)))
 
 
 def ord_one(trunc: int) -> OrdSeries:
@@ -433,7 +411,3 @@ def ord_pow_param(a: OrdSeries) -> OrdSeries:
     psi = Polynomial.symbol(PSI)
     return ord_exp(ord_log(a) * psi)
 
-
-def ord_substitute_symbol(a: OrdSeries, sym: Symbol, r: Coeff) -> OrdSeries:
-    r = _as_poly(r)
-    return OrdSeries(a.trunc, tuple(c.substitute(sym, r) for c in a.coeffs))

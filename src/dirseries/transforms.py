@@ -1,11 +1,12 @@
 """Named constructions on top of the series algebra.
 
 * ``zeta``            the all-ones series, the composition analog of the
-                      geometric series,
+                      geometric series, and ``geom2``, its part from index 2,
 * ``eps_param``       the composition analog of the exponential series,
                       built as the parametric exponential of the prime
                       indicator; its closed coefficient form psi^s(n)/f(n)
                       is used as a test oracle only,
+* ``expx`` / ``onepx``  the ordinary series e^x and 1 + x,
 * ``lift_multiplicative``  turns an ordinary series with constant term 1
                       into the composition series whose coefficient at n is
                       the product over the prime multiplicities m_i of n of
@@ -46,6 +47,7 @@ from .poly import (
     ZERO,
     Polynomial,
     Scalar,
+    as_poly,
     log_n_poly,
     log_symbol,
 )
@@ -60,6 +62,7 @@ from .series import (
     dir_scale,
     dir_subst_xk,
     dir_x,
+    ord_from_fn,
     ord_pow_param,
     series_substitute_symbol,
     star_derivative,
@@ -72,6 +75,24 @@ _beta = Polynomial.symbol(BETA)
 def zeta(trunc: int) -> DirSeries:
     """The all-ones series."""
     return dir_from_fn(trunc, lambda n: 1)
+
+
+def geom2(trunc: int) -> DirSeries:
+    """The all-ones series without its index-1 term."""
+    return dir_from_fn(trunc, lambda n: 0 if n == 1 else 1)
+
+
+def expx(trunc: int) -> OrdSeries:
+    """The ordinary exponential series e^x."""
+    fac = [1]
+    for i in range(1, trunc + 1):
+        fac.append(fac[-1] * i)
+    return ord_from_fn(trunc, lambda n: Fraction(1, fac[n]))
+
+
+def onepx(trunc: int) -> OrdSeries:
+    """The ordinary series 1 + x."""
+    return ord_from_fn(trunc, lambda n: 1 if n <= 1 else 0)
 
 
 def prime_indicator(trunc: int) -> DirSeries:
@@ -117,85 +138,62 @@ def lift_multiplicative(a: OrdSeries, trunc: int) -> DirSeries:
 
 @dataclass(frozen=True)
 class LagrangeFamily:
-    """A base series together with its shifted-power family.
+    """A base series together with its shifted-power family, in either
+    algebra; ``series`` has the kind of ``base``.
 
-    ``series`` carries the derived coefficients: at index 1 it is 1, and at
-    n >= 2 it is phi * q_n(phi + beta*log n), where q_n is the exact
-    quotient by psi of [x^n] of the parametric power of ``base``.  ``beta``
-    is either the symbol beta (symbolic mode) or a fixed rational,
+    ``series`` carries the derived coefficients: at the first index it is
+    1, and at every later index n it is phi * q_n(phi + beta*shift(n)),
+    where q_n is the exact quotient by psi of [x^n] of the parametric power
+    of ``base`` and the shift is log n (composition) or n (ordinary).
+    ``beta`` is either the symbol beta (symbolic mode) or a fixed rational,
     already folded into the coefficients.
     """
 
-    base: DirSeries
+    base: DirSeries | OrdSeries
     beta: Polynomial
-    series: DirSeries
+    series: DirSeries | OrdSeries
 
-    def at_power(self, value: Polynomial | Scalar) -> DirSeries:
+    def at_power(self, value: Polynomial | Scalar) -> DirSeries | OrdSeries:
         """Specialize the power parameter phi to a value."""
         return series_substitute_symbol(self.series, PHI, value)
 
 
-def _beta_poly(beta: Polynomial | Scalar | None) -> Polynomial:
-    if beta is None:
-        return _beta
-    return beta if isinstance(beta, Polynomial) else Polynomial.const(beta)
-
-
-def lagrange_dir(a: DirSeries, trunc: int | None = None, beta=None) -> LagrangeFamily:
+def lagrange_dir(a: DirSeries, beta=None) -> LagrangeFamily:
     """Shifted-power family of a composition series with leading
     coefficient 1.  ``beta=None`` keeps beta symbolic."""
-    if trunc is None:
-        trunc = a.trunc
     if a[1] != ONE:
         raise LeadingCoefficientNotOne(f"coefficient at index 1 is {a[1]}")
-    b = _beta_poly(beta)
-    p = dir_pow_param(a.truncated(trunc))
-    out = [ONE] + [ZERO] * (trunc - 1)
-    for n in range(2, trunc + 1):
+    b = _beta if beta is None else as_poly(beta)
+    p = dir_pow_param(a)
+    out = [ONE] + [ZERO] * (a.trunc - 1)
+    for n in range(2, a.trunc + 1):
         # every term of [x^n] of the parametric power carries psi, so the
         # quotient is exact; a failure here is a structural bug
         q = p[n].divide_by_symbol(PSI)
         out[n - 1] = _phi * q.substitute(PSI, _phi + b * log_n_poly(n))
-    return LagrangeFamily(base=a, beta=b, series=DirSeries(trunc, tuple(out)))
+    return LagrangeFamily(base=a, beta=b, series=DirSeries(a.trunc, tuple(out)))
 
 
-@dataclass(frozen=True)
-class OrdLagrangeFamily:
-    base: OrdSeries
-    beta: Polynomial
-    series: OrdSeries
-
-    def at_power(self, value: Polynomial | Scalar) -> OrdSeries:
-        from .series import ord_substitute_symbol
-
-        return ord_substitute_symbol(self.series, PHI, value)
-
-
-def lagrange_ord(a: OrdSeries, trunc: int | None = None, beta=None) -> OrdLagrangeFamily:
+def lagrange_ord(a: OrdSeries, beta=None) -> LagrangeFamily:
     """Ordinary-algebra counterpart: the shift at index n is beta*n."""
-    if trunc is None:
-        trunc = a.trunc
     if a[0] != ONE:
         raise ConstantTermNotOne(f"constant term is {a[0]}")
-    b = _beta_poly(beta)
-    p = ord_pow_param(a.truncated(trunc))
-    out = [ONE] + [ZERO] * trunc
-    for n in range(1, trunc + 1):
+    b = _beta if beta is None else as_poly(beta)
+    p = ord_pow_param(a)
+    out = [ONE] + [ZERO] * a.trunc
+    for n in range(1, a.trunc + 1):
         q = p[n].divide_by_symbol(PSI)
         out[n] = _phi * q.substitute(PSI, _phi + b * n)
-    return OrdLagrangeFamily(base=a, beta=b, series=OrdSeries(trunc, tuple(out)))
+    return LagrangeFamily(base=a, beta=b, series=OrdSeries(a.trunc, tuple(out)))
 
 
-def lagrange_middle_member(a: DirSeries, trunc: int | None = None, beta=None) -> DirSeries:
+def lagrange_middle_member(a: DirSeries) -> DirSeries:
     """The middle member of the family's defining transform: the series
-    (x - beta*(log o a)*) o a^(psi), kept symbolic in psi.  Substituting
-    psi -> phi + beta*log n into its coefficient at n must reproduce the
-    family coefficient; the verification suite checks exactly that."""
-    if trunc is None:
-        trunc = a.trunc
-    b = _beta_poly(beta)
-    a = a.truncated(trunc)
-    lead = dir_x(trunc) - dir_scale(star_derivative(dir_log(a)), b)
+    (x - beta*(log o a)*) o a^(psi), kept symbolic in psi and beta.
+    Substituting psi -> phi + beta*log n into its coefficient at n must
+    reproduce the family coefficient; the verification suite checks
+    exactly that."""
+    lead = dir_x(a.trunc) - dir_scale(star_derivative(dir_log(a)), _beta)
     return dir_mul(lead, dir_pow_param(a))
 
 

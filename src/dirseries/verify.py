@@ -14,6 +14,7 @@ analogs), ``binomf`` (the f-weighted binomial identities), ``oracle``
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -56,7 +57,6 @@ from .poly import (
 )
 from .randgen import random_dir_series, random_ord_series, random_polynomial
 from .series import (
-    DirSeries,
     dir_apply_series,
     dir_exp_param,
     dir_from_fn,
@@ -84,11 +84,14 @@ from .transforms import (
     eps,
     eps_param,
     expand_over_basis,
+    expx,
+    geom2,
     inverse_pair_check,
     lagrange_dir,
     lagrange_middle_member,
     lagrange_ord,
     lift_multiplicative,
+    onepx,
     reconstruct_from_expansion,
     zeta,
 )
@@ -117,14 +120,6 @@ def _rng(tag: str) -> random.Random:
 
 def _result(ident: str, n: int, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(ident, n, bool(ok), detail)
-
-
-def _geom2(trunc: int) -> DirSeries:
-    return dir_from_fn(trunc, lambda n: 0 if n == 1 else 1)
-
-
-def _expx_ord(trunc: int) -> "OrdSeries":
-    return ord_from_fn(trunc, lambda n: Fraction(1, factorial(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +331,11 @@ def suite_thm1(bound: int | None = None) -> list[CheckResult]:
         _result(
             "thm1.eps-from-exp",
             size,
-            lift_multiplicative(_expx_ord(8), size) == eps_param(size),
+            lift_multiplicative(expx(8), size) == eps_param(size),
         )
     )
 
-    onepx = ord_from_fn(8, lambda n: 1 if n <= 1 else 0)
-    sq = series_substitute_symbol(lift_multiplicative(onepx, size), PSI, 1)
+    sq = series_substitute_symbol(lift_multiplicative(onepx(8), size), PSI, 1)
     ok = all(
         sq[n] == Polynomial.const(1 if all(m == 1 for _, m in factorize(n)) else 0)
         for n in range(1, size + 1)
@@ -442,8 +436,7 @@ def suite_thm2(bound: int | None = None) -> list[CheckResult]:
         out.append(_result(f"thm2.row-shift.{name}", row_size, ok))
 
     ord_size = max(4, min(bound or 24, 24))
-    onepx = ord_from_fn(ord_size, lambda n: 1 if n <= 1 else 0)
-    fam = lagrange_ord(onepx)
+    fam = lagrange_ord(onepx(ord_size))
     ok = True
     for n in range(1, ord_size + 1):
         want = _phi * Fraction(1, factorial(n))
@@ -454,7 +447,7 @@ def suite_thm2(bound: int | None = None) -> list[CheckResult]:
             break
     out.append(_result("thm2.ord-binomial", ord_size, ok))
 
-    fam = lagrange_ord(_expx_ord(ord_size))
+    fam = lagrange_ord(expx(ord_size))
     ok = all(
         fam.series[n] == _phi * (_phi + _beta * n) ** (n - 1) * Fraction(1, factorial(n))
         for n in range(1, ord_size + 1)
@@ -462,7 +455,7 @@ def suite_thm2(bound: int | None = None) -> list[CheckResult]:
     out.append(_result("thm2.ord-exponential", ord_size, ok))
 
     rel_size = max(4, min(bound or 40, 60))
-    report = inverse_pair_check(_expx_ord(8), Fraction(1), rel_size)
+    report = inverse_pair_check(expx(8), Fraction(1), rel_size)
     out.append(_result("thm2.inverse-relations.exp", rel_size, report.ok))
     report = inverse_pair_check(ord_from_fn(8, lambda n: 1), Fraction(1), rel_size)
     out.append(_result("thm2.inverse-relations.geom", rel_size, report.ok))
@@ -625,11 +618,13 @@ def _binomf_records(n: int) -> list[CheckResult]:
 
 
 def _map_maybe_parallel(fn, items, jobs: int):
-    if jobs > 1:
+    # more workers than cores or items only adds start-up cost
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(fn, items, chunksize=8))
-        except (OSError, PermissionError):
+        except OSError:
             pass  # sandboxed environments may forbid process pools
     return [fn(item) for item in items]
 
@@ -757,7 +752,7 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
     out.append(_result("oracle.bell-cauchy", size, ok))
 
     f = ord_from_fn(8, lambda n: 1 if n == 2 else 0)
-    col2 = dir_apply_series(f, _geom2(13))
+    col2 = dir_apply_series(f, geom2(13))
     golden = {4: 1, 6: 2, 8: 2, 9: 1, 10: 2, 12: 4}
     ok = all(col2[n] == Polynomial.const(v) for n, v in golden.items())
     out.append(_result("oracle.apply-series-golden", 13, ok))
@@ -767,7 +762,7 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
         5: (0, 1, 0, 0), 6: (0, 1, 2, 0), 7: (0, 1, 0, 0), 8: (0, 1, 2, 1),
         9: (0, 1, 1, 0), 10: (0, 1, 2, 0), 11: (0, 1, 0, 0), 12: (0, 1, 4, 3),
     }
-    m = build_column(_geom2(13), 13)
+    m = build_column(geom2(13), 13)
     ok = all(
         tuple(c.constant_value() for c in m.row(n)) == want for n, want in rows.items()
     )

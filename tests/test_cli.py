@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from dirseries.cli import main
 from dirseries.poly import PSI, Polynomial, parse_polynomial
 
@@ -113,6 +115,31 @@ def test_expr_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "coeff", "-e", "dlog(nope)", "-n", "4")
     assert code == 2
     assert "unknown" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "argv, file_text",
+    [
+        (["coeff", "-e", "expx", "-n", "-1"], None),
+        (["factorizations", "-n", "0", "-m", "2"], None),
+        (["series", "-e", 'load("{path}")', "-N", "4"], "not json"),
+        (["series", "-e", 'load("{path}")', "-N", "4"],
+         '{"kind": "dir", "trunc": 4, "coeffs": {"1": "1", "9": "1"}}'),
+        (["verify", "-N", "-3"], None),
+        (["verify", "--suite", "pow", "-N", "0"], None),
+    ],
+    ids=["ord-index", "factorizations", "load-not-json", "load-key-range",
+         "verify-negative", "verify-zero"],
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
+    path = tmp_path / "input.json"
+    if file_text is not None:
+        path.write_text(file_text)
+    code, out, err = run_cli(capsys, *(a.replace("{path}", str(path)) for a in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert "FAIL" not in out
 
 
 def test_usage_error_exit_code(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dirseries.errors import DirAlgebraError
 from dirseries.matrices import build_column, build_mult
 from dirseries.randgen import random_dir_series, random_ord_series
 from dirseries.serialize import (
@@ -50,6 +51,24 @@ def test_series_json_text_stable():
 def test_series_json_bad_kind():
     with pytest.raises(ValueError):
         series_from_json({"kind": "weird", "trunc": 2, "coeffs": {}})
+
+
+@pytest.mark.parametrize(
+    "kind, keys",
+    [
+        ("dir", ["1", "0"]),
+        ("dir", ["1", "9"]),
+        ("dir", ["1", "x"]),
+        ("dir", ["1", "02"]),
+        ("ord", ["0", "-1"]),
+        ("ord", ["0", "5"]),
+        ("ord", ["0", "1.0"]),
+    ],
+)
+def test_series_json_rejects_keys_outside_range(kind, keys):
+    obj = {"kind": kind, "trunc": 4, "coeffs": {k: "1" for k in keys}}
+    with pytest.raises(DirAlgebraError):
+        series_from_json(obj)
 
 
 def test_series_csv():

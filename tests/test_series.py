@@ -33,7 +33,6 @@ from dirseries.series import (
     ord_mul,
     ord_one,
     ord_pow_param,
-    ord_substitute_symbol,
     ord_x,
     perfect_power_embed,
     series_substitute_symbol,
@@ -399,7 +398,7 @@ def test_ord_pow_param_binomial():
 def test_ord_pow_param_specializes():
     rng = random.Random(22)
     a = random_ord_series(rng, 24)
-    sq = ord_substitute_symbol(ord_pow_param(a), PSI, 2)
+    sq = series_substitute_symbol(ord_pow_param(a), PSI, 2)
     assert sq == ord_mul(a, a)
 
 

@@ -28,7 +28,6 @@ from dirseries.series import (
     ord_log,
     ord_mul,
     ord_pow_param,
-    ord_substitute_symbol,
     series_substitute_symbol,
 )
 from dirseries.transforms import (
@@ -231,7 +230,7 @@ def test_lagrange_ord_beta_zero():
     rng = random.Random(66)
     a = random_ord_series(rng, 24)
     fam = lagrange_ord(a, beta=0)
-    assert fam.series == ord_substitute_symbol(ord_pow_param(a), PSI, phi)
+    assert fam.series == series_substitute_symbol(ord_pow_param(a), PSI, phi)
 
 
 # -- matrix inverse pairing --------------------------------------------------------

@@ -1,8 +1,9 @@
 import pytest
 
 import dirseries.series
+import dirseries.verify
 from dirseries.poly import Polynomial
-from dirseries.verify import SUITES, CheckResult, run_suites
+from dirseries.verify import SUITES, CheckResult, _map_maybe_parallel, run_suites
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -22,6 +23,33 @@ def test_record_line_format():
     assert CheckResult("abel.identities", 12, True).line() == "PASS abel.identities n=12"
     line = CheckResult("x.y", 3, False, "boom").line()
     assert line.startswith("FAIL x.y n=3") and "boom" in line
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, items, workers",
+    [(64, 4, 10, [4]), (64, 4, 3, [3]), (3, 4, 10, [3]), (64, None, 10, []), (1, 4, 10, [])],
+)
+def test_jobs_clamped_to_cores_and_items(monkeypatch, jobs, cpus, items, workers):
+    started = []
+
+    class FakePool:
+        # records the requested size and maps in process; starts no worker
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values, chunksize=1):
+            return map(fn, values)
+
+    monkeypatch.setattr(dirseries.verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: cpus)
+    assert _map_maybe_parallel(str, range(items), jobs) == [str(i) for i in range(items)]
+    assert started == workers
 
 
 def test_corrupted_kernel_is_reported_not_raised():
