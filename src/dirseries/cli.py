@@ -13,9 +13,15 @@ Subcommands::
     verify         --suite NAME [-N BOUND] [--jobs K]
                                                    run identity suites
 
+Caps: series truncations, ``coeff`` indices and the declared truncation
+of a loaded series file are at most ``SERIES_CAP`` (10000), matrix sizes
+at most 500.
+
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
-2 on usage errors (bad flags, malformed expressions, precondition
-violations).
+2 on usage errors (bad flags, values out of range or over a cap,
+malformed expressions or series files, precondition violations).  Every
+usage error is a ``DirAlgebraError`` or an ``OSError``, printed by
+``main`` as one ``error:`` line on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import json
 import sys
 
 from .errors import DirAlgebraError
-from .exprlang import eval_expr, parse_expr
+from .exprlang import _expect_kind, eval_expr, parse_expr
 from .partitions import bell_B, bell_btilde, ordered_factorizations
 from .poly import Polynomial, coeff_symbol
 from .serialize import (
@@ -34,10 +40,9 @@ from .serialize import (
     series_to_csv,
     series_to_json_text,
 )
-from .series import DirSeries, OrdSeries
+from .series import SERIES_CAP, DirSeries
 from .verify import SUITES, run_suites
 
-SERIES_CAP = 10_000
 MATRIX_CAP = 500
 
 
@@ -87,21 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeff(args) -> int:
-    ast = parse_expr(args.expr)
-    series = eval_expr(ast, max(args.index, 1))
+    if args.index > SERIES_CAP:
+        raise DirAlgebraError(f"coefficient index must be at most {SERIES_CAP}")
+    series = eval_expr(parse_expr(args.expr), max(args.index, 1))
     first = 1 if isinstance(series, DirSeries) else 0
     if args.index < first:
-        print(f"error: this series has no index {args.index}; indices start at {first}",
-              file=sys.stderr)
-        return 2
+        raise DirAlgebraError(
+            f"this series has no index {args.index}; indices start at {first}"
+        )
     print(series[args.index].to_text())
     return 0
 
 
 def _cmd_series(args) -> int:
     if not 1 <= args.trunc <= SERIES_CAP:
-        print(f"series truncation must be in 1..{SERIES_CAP}", file=sys.stderr)
-        return 2
+        raise DirAlgebraError(f"series truncation must be in 1..{SERIES_CAP}")
     series = eval_expr(parse_expr(args.expr), args.trunc)
     if args.csv:
         sys.stdout.write(series_to_csv(series))
@@ -114,25 +119,21 @@ def _cmd_matrix(args) -> int:
     from .matrices import build_column, build_mult, build_rd, build_riordan_ord
 
     if not 1 <= args.size <= MATRIX_CAP:
-        print(f"matrix size must be in 1..{MATRIX_CAP}", file=sys.stderr)
-        return 2
-    first = eval_expr(parse_expr(args.expr), args.size)
+        raise DirAlgebraError(f"matrix size must be in 1..{MATRIX_CAP}")
+    if args.kind in ("rd", "riordan") and not args.expr2:
+        raise DirAlgebraError(f"matrix --kind {args.kind} needs -e and -e2")
+    what = f"matrix --kind {args.kind}"
+    want = "ord" if args.kind == "riordan" else "dir"
+    first = _expect_kind(what, eval_expr(parse_expr(args.expr), args.size), want)
     second = eval_expr(parse_expr(args.expr2), args.size) if args.expr2 else None
 
     if args.kind == "mult":
-        matrix = build_mult(_want_dir(first), args.size)
+        matrix = build_mult(first, args.size)
     elif args.kind == "column":
-        matrix = build_column(_want_dir(first), args.size)
-    elif args.kind == "rd":
-        if second is None:
-            print("matrix --kind rd needs -e (first) and -e2 (second)", file=sys.stderr)
-            return 2
-        matrix = build_rd(_want_dir(first), _want_dir(second), args.size)
-    else:  # riordan
-        if second is None:
-            print("matrix --kind riordan needs -e and -e2", file=sys.stderr)
-            return 2
-        matrix = build_riordan_ord(_want_ord(first), _want_ord(second), args.size)
+        matrix = build_column(first, args.size)
+    else:
+        build = build_rd if args.kind == "rd" else build_riordan_ord
+        matrix = build(first, _expect_kind(what, second, want), args.size)
 
     if args.json:
         print(matrix_to_json_text(matrix))
@@ -141,22 +142,9 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _want_dir(series) -> DirSeries:
-    if not isinstance(series, DirSeries):
-        raise DirAlgebraError("this matrix kind needs a composition series")
-    return series
-
-
-def _want_ord(series) -> OrdSeries:
-    if not isinstance(series, OrdSeries):
-        raise DirAlgebraError("this matrix kind needs an ordinary series")
-    return series
-
-
 def _cmd_bell(args) -> int:
     if not 1 <= args.rows <= SERIES_CAP or args.cols < 1:
-        print("bell needs 1 <= N and 1 <= M", file=sys.stderr)
-        return 2
+        raise DirAlgebraError(f"bell needs 1 <= N <= {SERIES_CAP} and M >= 1")
     lines = []
     if args.tilde:
         values = (
@@ -185,8 +173,7 @@ def _cmd_bell(args) -> int:
 
 def _cmd_factorizations(args) -> int:
     if args.n < 1 or args.m < 0:
-        print("error: factorizations needs n >= 1 and m >= 0", file=sys.stderr)
-        return 2
+        raise DirAlgebraError("factorizations needs n >= 1 and m >= 0")
     for tup in ordered_factorizations(args.n, args.m):
         print(",".join(str(k) for k in tup))
     return 0
@@ -194,8 +181,7 @@ def _cmd_factorizations(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.bound is not None and args.bound < 1:
-        print("error: verify bound must be >= 1", file=sys.stderr)
-        return 2
+        raise DirAlgebraError("verify bound must be >= 1")
     names = [args.suite] if args.suite != "all" else ["all"]
     records, all_ok = run_suites(names, bound=args.bound, jobs=max(args.jobs, 1))
     for record in records:
@@ -228,10 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DirAlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DirAlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

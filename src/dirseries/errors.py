@@ -58,9 +58,10 @@ class SingularDiagonal(DirAlgebraError):
 
 
 class SeriesFormatError(DirAlgebraError, ValueError):
-    """A series in JSON form is malformed: an unknown kind, a truncation
-    below the first index, or a coefficient key that is not an index in
-    the series' range."""
+    """A series in JSON form is malformed: not an object with a kind, a
+    truncation and coefficients, an unknown kind, a truncation that is not
+    an integer in range, a coefficient key that is not an index in the
+    series' range, or coefficient text that is not a string."""
 
 
 class PolynomialSyntaxError(DirAlgebraError):

@@ -16,7 +16,7 @@ from typing import Any
 from .errors import SeriesFormatError
 from .matrices import DirMatrix
 from .poly import ZERO, parse_polynomial
-from .series import DirSeries, OrdSeries
+from .series import SERIES_CAP, DirSeries, OrdSeries
 
 
 def series_to_json(s: DirSeries | OrdSeries) -> dict[str, Any]:
@@ -32,23 +32,31 @@ def series_to_json(s: DirSeries | OrdSeries) -> dict[str, Any]:
     return {"kind": kind, "trunc": s.trunc, "coeffs": coeffs}
 
 
-def series_from_json(obj: dict[str, Any]) -> DirSeries | OrdSeries:
+def series_from_json(obj: Any) -> DirSeries | OrdSeries:
     """Rebuild a series from its JSON form.  Every coefficient key must be
     an index of the series, written as a decimal integer, so that no
-    coefficient is dropped."""
-    kind = obj["kind"]
+    coefficient is dropped; the truncation must be an integer no larger
+    than ``SERIES_CAP``, checked before anything is allocated."""
+    if not isinstance(obj, dict) or not {"kind", "trunc", "coeffs"} <= obj.keys():
+        raise SeriesFormatError('a series is an object with "kind", "trunc" and "coeffs"')
+    kind, trunc, items = obj["kind"], obj["trunc"], obj["coeffs"]
     if kind not in ("dir", "ord"):
         raise SeriesFormatError(f"unknown series kind {kind!r}")
     lo = 1 if kind == "dir" else 0
-    trunc = int(obj["trunc"])
-    if trunc < lo:
-        raise SeriesFormatError(f"{kind} series need trunc >= {lo}, got {trunc}")
+    if type(trunc) is not int or not lo <= trunc <= SERIES_CAP:
+        raise SeriesFormatError(
+            f"{kind} series need an integer trunc in {lo}..{SERIES_CAP}, got {trunc!r}"
+        )
+    if not isinstance(items, dict):
+        raise SeriesFormatError('"coeffs" must be an object')
     coeffs = [ZERO] * (trunc - lo + 1)
-    for key, text in obj["coeffs"].items():
+    for key, text in items.items():
         key = str(key)
         n = int(key) if key.isdecimal() else -1
         if str(n) != key or not lo <= n <= trunc:
             raise SeriesFormatError(f"coefficient key {key!r} is not an index in {lo}..{trunc}")
+        if not isinstance(text, str):
+            raise SeriesFormatError(f"coefficient {key} is {text!r}, not polynomial text")
         coeffs[n - lo] = parse_polynomial(text)
     series_cls = DirSeries if kind == "dir" else OrdSeries
     return series_cls(trunc, tuple(coeffs))

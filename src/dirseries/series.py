@@ -41,6 +41,9 @@ from .poly import ONE, PSI, ZERO, Polynomial, Scalar, Symbol, as_poly, binom_pol
 
 Coeff = Polynomial | Scalar
 
+# the largest truncation, or coefficient index, the CLI and ``load()`` accept
+SERIES_CAP = 10_000
+
 
 # ---------------------------------------------------------------------------
 # Dirichlet-composition series (indices 1..N)
@@ -147,12 +150,18 @@ def dir_inverse(a: DirSeries) -> DirSeries:
 
 
 def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
-    """k-fold composition power; k = 0 gives x, negative k inverts first."""
+    """k-fold composition power; k = 0 gives x, negative k inverts first.
+    Binary powering: at most 2 * k.bit_length() compositions."""
     if k < 0:
         return dir_pow_int(dir_inverse(a), -k)
     out = dir_x(a.trunc)
-    for _ in range(k):
-        out = dir_mul(out, a)
+    square = a
+    while k:
+        if k & 1:
+            out = dir_mul(out, square)
+        k >>= 1
+        if k:
+            square = dir_mul(square, square)
     return out
 
 

@@ -375,10 +375,10 @@ def inverse_pair_check(a: OrdSeries, beta: Scalar, trunc: int) -> InversePairRep
             )
         if fam[n] != rhs_f:
             forward_ok = False
-            failures.append(f"forward relation fails at n={n}")
+            failures.append(f"forward relation fails at n={n}: {fam[n]} != {rhs_f}")
         if power[n] != rhs_b:
             backward_ok = False
-            failures.append(f"backward relation fails at n={n}")
+            failures.append(f"backward relation fails at n={n}: {power[n]} != {rhs_b}")
     return InversePairReport(
         trunc=trunc,
         beta=beta_val,

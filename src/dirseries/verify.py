@@ -31,6 +31,7 @@ from .intfactor import (
     s_of,
 )
 from .matrices import (
+    DirMatrix,
     apply_to_series,
     build_column,
     build_mixed,
@@ -54,9 +55,12 @@ from .poly import (
     Polynomial,
     binom_poly,
     log_n_poly,
+    rising_poly,
 )
 from .randgen import random_dir_series, random_ord_series, random_polynomial
 from .series import (
+    DirSeries,
+    OrdSeries,
     dir_apply_series,
     dir_exp_param,
     dir_from_fn,
@@ -92,6 +96,7 @@ from .transforms import (
     lagrange_ord,
     lift_multiplicative,
     onepx,
+    prime_indicator,
     reconstruct_from_expansion,
     zeta,
 )
@@ -118,8 +123,40 @@ def _rng(tag: str) -> random.Random:
     return random.Random(f"dirseries.verify.{tag}")
 
 
-def _result(ident: str, n: int, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(ident, n, bool(ok), detail)
+def _first_mismatch(got, want) -> str:
+    """Name the first place where ``got`` and ``want`` differ and both values
+    there: the index of two series of one kind, the entry key of two
+    matrices, the key of two dicts, and otherwise the two whole values."""
+    left = right = None
+    absent = "absent"
+    if isinstance(got, (DirSeries, OrdSeries)) and type(got) is type(want):
+        lo = 1 if isinstance(got, DirSeries) else 0
+        left, right = dict(enumerate(got.coeffs, lo)), dict(enumerate(want.coeffs, lo))
+    elif isinstance(got, DirMatrix) and isinstance(want, DirMatrix):
+        left, right, absent = got.entries, want.entries, Polynomial.zero()
+    elif isinstance(got, dict) and isinstance(want, dict):
+        left, right = got, want
+    if left is not None:
+        for key in sorted(left.keys() | right.keys()):
+            g, w = left.get(key, absent), right.get(key, absent)
+            if g != w:
+                return f"first mismatch at {key}: {g} != {w}"
+    return f"first mismatch at whole value: {got} != {want}"
+
+
+def _check(ident: str, n: int, *pairs: tuple[object, object]) -> CheckResult:
+    """One record: it passes when every ``(got, want)`` pair is equal, and
+    otherwise names the first mismatch of the first unequal pair."""
+    for got, want in pairs:
+        if got != want:
+            return CheckResult(ident, n, False, _first_mismatch(got, want))
+    return CheckResult(ident, n, True)
+
+
+def _prime_power_exponent(n: int) -> int:
+    """m when n = p**m for a prime p, and 0 otherwise."""
+    f = factorize(n)
+    return f[0][1] if len(f) == 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +171,7 @@ def suite_pow(bound: int | None = None) -> list[CheckResult]:
 
     a = random_dir_series(rng, size)
     b = random_dir_series(rng, size, lead=Fraction(1, 2))
-    out.append(_result("pow.commutative", size, dir_mul(a, b) == dir_mul(b, a)))
+    out.append(_check("pow.commutative", size, (dir_mul(a, b), dir_mul(b, a))))
 
     for i in range(3):
         s = random_dir_series(rng, size)
@@ -143,8 +180,8 @@ def suite_pow(bound: int | None = None) -> list[CheckResult]:
             series_substitute_symbol(p, PSI, _phi),
             series_substitute_symbol(p, PSI, _beta),
         )
-        ok = lhs == series_substitute_symbol(p, PSI, _phi + _beta)
-        out.append(_result(f"pow.group-law.{i}", size, ok))
+        rhs = series_substitute_symbol(p, PSI, _phi + _beta)
+        out.append(_check(f"pow.group-law.{i}", size, (lhs, rhs)))
 
     half = max(2, min(size, 32))
     s = random_dir_series(rng, half)
@@ -152,51 +189,45 @@ def suite_pow(bound: int | None = None) -> list[CheckResult]:
     for k in (2, 3):
         lhs = dir_pow_param(dir_pow_int(s, k))
         rhs = series_substitute_symbol(p, PSI, _psi * k)
-        out.append(_result(f"pow.iterated.{k}", half, lhs == rhs))
+        out.append(_check(f"pow.iterated.{k}", half, (lhs, rhs)))
 
     mid = max(2, min(size, 48))
     u = random_dir_series(rng, mid)
     v = random_dir_series(rng, mid)
-    ok = dir_pow_param(dir_mul(u, v)) == dir_mul(dir_pow_param(u), dir_pow_param(v))
-    out.append(_result("pow.product-rule", mid, ok))
+    rhs = dir_mul(dir_pow_param(u), dir_pow_param(v))
+    out.append(_check("pow.product-rule", mid, (dir_pow_param(dir_mul(u, v)), rhs)))
 
     p = dir_pow_param(a)
     out.append(
-        _result(
+        _check(
             "pow.int-specialization",
             size,
-            series_substitute_symbol(p, PSI, 3) == dir_pow_int(a, 3)
-            and series_substitute_symbol(p, PSI, 0) == dir_x(size),
+            (series_substitute_symbol(p, PSI, 3), dir_pow_int(a, 3)),
+            (series_substitute_symbol(p, PSI, 0), dir_x(size)),
         )
     )
     w = random_dir_series(rng, mid)
-    ok = series_substitute_symbol(dir_pow_param(w), PSI, -2) == dir_pow_int(w, -2)
-    out.append(_result("pow.negative-paths", mid, ok))
+    lhs = series_substitute_symbol(dir_pow_param(w), PSI, -2)
+    out.append(_check("pow.negative-paths", mid, (lhs, dir_pow_int(w, -2))))
 
     for k in (1, 2, -1):
-        ok = twist_int(dir_mul(a, b), k) == dir_mul(twist_int(a, k), twist_int(b, k))
-        out.append(_result(f"pow.twist-homomorphism.{k}", size, ok))
+        lhs = twist_int(dir_mul(a, b), k)
+        rhs = dir_mul(twist_int(a, k), twist_int(b, k))
+        out.append(_check(f"pow.twist-homomorphism.{k}", size, (lhs, rhs)))
 
     embed_n = max(4, min(bound or 256, 256))
     oa = random_ord_series(rng, 8)
     ob = random_ord_series(rng, 8)
-    ok = dir_mul(
-        perfect_power_embed(oa, 2, embed_n), perfect_power_embed(ob, 2, embed_n)
-    ) == perfect_power_embed(ord_mul(oa, ob), 2, embed_n)
-    out.append(_result("pow.embed-homomorphism", embed_n, ok))
+    lhs = dir_mul(perfect_power_embed(oa, 2, embed_n), perfect_power_embed(ob, 2, embed_n))
+    rhs = perfect_power_embed(ord_mul(oa, ob), 2, embed_n)
+    out.append(_check("pow.embed-homomorphism", embed_n, (lhs, rhs)))
 
     two = dir_from_fn(16, lambda n: 1 if n in (1, 2) else 0)
-    p3 = dir_pow_int(two, 3)
-    ok = all(
-        p3[n] == Polynomial.const(comb(3, n.bit_length() - 1) if n in (1, 2, 4, 8) else 0)
-        for n in range(1, 17)
-    )
-    out.append(_result("pow.binomial-support", 16, ok))
+    want = dir_from_fn(16, lambda n: comb(3, n.bit_length() - 1) if n in (1, 2, 4, 8) else 0)
+    out.append(_check("pow.binomial-support", 16, (dir_pow_int(two, 3), want)))
 
     xk = dir_from_fn(size, lambda n: 1 if n == 5 else 0)
-    out.append(
-        _result("pow.subst-xk", size, dir_subst_xk(a, 5) == dir_mul(xk, a))
-    )
+    out.append(_check("pow.subst-xk", size, (dir_subst_xk(a, 5), dir_mul(xk, a))))
     return out
 
 
@@ -212,56 +243,36 @@ def suite_log(bound: int | None = None) -> list[CheckResult]:
 
     a = random_dir_series(rng, size)
     b = random_dir_series(rng, size)
-    out.append(
-        _result(
-            "log.homomorphism", size, dir_log(dir_mul(a, b)) == dir_log(a) + dir_log(b)
-        )
-    )
-    out.append(
-        _result("log.exp-roundtrip", size, dir_exp_param(dir_log(a)) == dir_pow_param(a))
-    )
+    rhs = dir_log(a) + dir_log(b)
+    out.append(_check("log.homomorphism", size, (dir_log(dir_mul(a, b)), rhs)))
+    rhs = dir_pow_param(a)
+    out.append(_check("log.exp-roundtrip", size, (dir_exp_param(dir_log(a)), rhs)))
 
     half = max(2, min(size, 32))
     s = random_dir_series(rng, half)
-    ok = dir_log(dir_pow_param(s)) == dir_scale(dir_log(s), _psi)
-    out.append(_result("log.power-scaling", half, ok))
+    rhs = dir_scale(dir_log(s), _psi)
+    out.append(_check("log.power-scaling", half, (dir_log(dir_pow_param(s)), rhs)))
 
     span = bound or 200
-    lz = dir_log(zeta(span))
-    ok = True
-    for n in range(1, span + 1):
-        f = factorize(n)
-        want = Polynomial.const(Fraction(1, f[0][1])) if len(f) == 1 else Polynomial.zero()
-        if lz[n] != want:
-            ok = False
-            break
-    out.append(_result("log.zeta-prime-powers", span, ok))
-
-    le = dir_log(eps(span))
-    ok = all(
-        le[n] == Polynomial.const(1 if is_prime(n) else 0) for n in range(1, span + 1)
-    )
-    out.append(_result("log.eps-primes", span, ok))
+    want = dir_from_fn(span, lambda n: Fraction(1, m) if (m := _prime_power_exponent(n)) else 0)
+    out.append(_check("log.zeta-prime-powers", span, (dir_log(zeta(span)), want)))
+    out.append(_check("log.eps-primes", span, (dir_log(eps(span)), prime_indicator(span))))
 
     mid = max(2, min(size, 48))
     u = random_dir_series(rng, mid, lead=Fraction(1, 3))
     v = random_dir_series(rng, mid, lead=Fraction(-2))
-    ok = star_derivative(dir_mul(u, v)) == dir_mul(u, star_derivative(v)) + dir_mul(
-        star_derivative(u), v
-    )
-    out.append(_result("log.star-leibniz", mid, ok))
+    rhs = dir_mul(u, star_derivative(v)) + dir_mul(star_derivative(u), v)
+    out.append(_check("log.star-leibniz", mid, (star_derivative(dir_mul(u, v)), rhs)))
 
     s = random_dir_series(rng, half)
     p = dir_pow_param(s)
-    lhs = star_derivative(p)
-    rhs = dir_scale(
-        dir_mul(series_substitute_symbol(p, PSI, _psi - 1), star_derivative(s)), _psi
-    )
-    out.append(_result("log.star-chain", half, lhs == rhs))
+    rhs = dir_mul(series_substitute_symbol(p, PSI, _psi - 1), star_derivative(s))
+    rhs = dir_scale(rhs, _psi)
+    out.append(_check("log.star-chain", half, (star_derivative(p), rhs)))
 
     w = random_dir_series(rng, mid)
-    ok = star_derivative(dir_log(w)) == dir_mul(star_derivative(w), dir_inverse(w))
-    out.append(_result("log.star-of-log", mid, ok))
+    rhs = dir_mul(star_derivative(w), dir_inverse(w))
+    out.append(_check("log.star-of-log", mid, (star_derivative(dir_log(w)), rhs)))
 
     # row polynomials of the conjugated column matrix match the factorial
     # sums of the factorization polynomials of the log coefficients
@@ -269,23 +280,30 @@ def suite_log(bound: int | None = None) -> list[CheckResult]:
     t = random_dir_series(rng, small)
     lg = dir_log(t)
     conj = exp_conjugate(build_column(lg, small))
-    ok = True
     values = [lg[k] for k in range(2, small + 1)]
+    rows, sums = {}, {}
     for n in range(2, small + 1):
-        expected = Polynomial.zero()
+        rows[n] = row_polynomial(conj, n, PHI)
+        sums[n] = Polynomial.zero()
         for m in range(1, n.bit_length()):
             term = bell_btilde(n, m, values)
-            expected = expected + term * _phi**m * Fraction(factorial(n), factorial(m))
-        if row_polynomial(conj, n, PHI) != expected:
-            ok = False
-            break
-    out.append(_result("log.row-polynomials", small, ok))
+            sums[n] = sums[n] + term * _phi**m * Fraction(factorial(n), factorial(m))
+    out.append(_check("log.row-polynomials", small, (rows, sums)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # thm1
 # ---------------------------------------------------------------------------
+
+
+def _zeta_power_coeff(n: int) -> Polynomial:
+    """[x^n] of zeta^(psi): the product of rising(psi, m) / m! over the
+    prime powers p^m exactly dividing n."""
+    out = Polynomial.one()
+    for _, m in factorize(n):
+        out = out * rising_poly(PSI, m) * Fraction(1, factorial(m))
+    return out
 
 
 def suite_thm1(bound: int | None = None) -> list[CheckResult]:
@@ -299,81 +317,59 @@ def suite_thm1(bound: int | None = None) -> list[CheckResult]:
         la = lift_multiplicative(a, size)
         lb = lift_multiplicative(b, size)
         lc = lift_multiplicative(ord_mul(a, b), size)
-        out.append(_result(f"thm1.homomorphism.{i}", size, dir_mul(la, lb) == lc))
+        out.append(_check(f"thm1.homomorphism.{i}", size, (dir_mul(la, lb), lc)))
 
     a = random_ord_series(rng, 8)
     lifted = lift_multiplicative(a, size)
     base = series_substitute_symbol(lifted, PSI, 1)
-    out.append(_result("thm1.power-family", size, dir_pow_param(base) == lifted))
+    out.append(_check("thm1.power-family", size, (dir_pow_param(base), lifted)))
 
     span = bound or 120
-    p = dir_pow_param(zeta(span))
-    ok = True
-    for n in range(1, span + 1):
-        want = Polynomial.one()
-        for _, m in factorize(n):
-            rise = Polynomial.one()
-            for i in range(m):
-                rise = rise * (_psi + i)
-            want = want * rise * Fraction(1, factorial(m))
-        if p[n] != want:
-            ok = False
-            break
-    out.append(_result("thm1.zeta-closed-form", span, ok))
+    want = dir_from_fn(span, _zeta_power_coeff)
+    out.append(_check("thm1.zeta-closed-form", span, (dir_pow_param(zeta(span)), want)))
 
-    e = eps_param(span)
-    ok = all(
-        e[n] == _psi ** s_of(n) * Fraction(1, f_of(n)) for n in range(1, span + 1)
-    )
-    out.append(_result("thm1.eps-closed-form", span, ok))
+    want = dir_from_fn(span, lambda n: _psi ** s_of(n) * Fraction(1, f_of(n)))
+    out.append(_check("thm1.eps-closed-form", span, (eps_param(span), want)))
 
-    out.append(
-        _result(
-            "thm1.eps-from-exp",
-            size,
-            lift_multiplicative(expx(8), size) == eps_param(size),
-        )
-    )
+    lhs = lift_multiplicative(expx(8), size)
+    out.append(_check("thm1.eps-from-exp", size, (lhs, eps_param(size))))
 
     sq = series_substitute_symbol(lift_multiplicative(onepx(8), size), PSI, 1)
-    ok = all(
-        sq[n] == Polynomial.const(1 if all(m == 1 for _, m in factorize(n)) else 0)
-        for n in range(1, size + 1)
-    )
-    out.append(_result("thm1.squarefree", size, ok))
+    want = dir_from_fn(size, lambda n: 1 if all(m == 1 for _, m in factorize(n)) else 0)
+    out.append(_check("thm1.squarefree", size, (sq, want)))
 
-    lifted1 = series_substitute_symbol(lift_multiplicative(a, size), PSI, 1)
-    lg = dir_log(lifted1)
+    # the log of the lift at psi = 1 lives on the prime powers p^m, where it
+    # is [x^m] of the ordinary log
     olg = ord_log(a)
-    ok = True
-    for n in range(2, size + 1):
-        f = factorize(n)
-        want = olg[f[0][1]] if len(f) == 1 else Polynomial.zero()
-        if lg[n] != want:
-            ok = False
-            break
-    out.append(_result("thm1.log-support", size, ok))
+    want = dir_from_fn(size, lambda n: olg[m] if (m := _prime_power_exponent(n)) else 0)
+    out.append(_check("thm1.log-support", size, (dir_log(base), want)))
 
     le = dir_log(eps(span))
-    ok = True
-    for m in (1, 2, 3):
-        power = dir_pow_int(le, m)
-        for n in range(1, span + 1):
-            want = (
-                Polynomial.const(Fraction(factorial(m), f_of(n)))
-                if s_of(n) == m
-                else Polynomial.zero()
-            )
-            if power[n] != want:
-                ok = False
-                break
-    out.append(_result("thm1.log-eps-powers", span, ok))
+    pairs = [
+        (
+            dir_pow_int(le, m),
+            dir_from_fn(span, lambda n: Fraction(factorial(m), f_of(n)) if s_of(n) == m else 0),
+        )
+        for m in (1, 2, 3)
+    ]
+    out.append(_check("thm1.log-eps-powers", span, *pairs))
     return out
 
 
 # ---------------------------------------------------------------------------
 # thm2
 # ---------------------------------------------------------------------------
+
+
+def _ord_binomial_coeff(n: int) -> Polynomial | int:
+    """[x^n] of the shifted family of 1 + x: 1 at n = 0, and otherwise
+    phi/n! times the product of phi + beta*n - i for i = 1..n-1."""
+    if n == 0:
+        return 1
+    out = _phi * Fraction(1, factorial(n))
+    for i in range(1, n):
+        out = out * (_phi + _beta * n - i)
+    return out
 
 
 def suite_thm2(bound: int | None = None) -> list[CheckResult]:
@@ -389,7 +385,7 @@ def suite_thm2(bound: int | None = None) -> list[CheckResult]:
             p[n].divide_by_symbol(PSI)
     except Exception:  # noqa: BLE001
         ok = False
-    out.append(_result("thm2.divisibility", size, ok))
+    out.append(CheckResult("thm2.divisibility", size, ok))
 
     bases = {
         "eps": eps(size),
@@ -399,13 +395,8 @@ def suite_thm2(bound: int | None = None) -> list[CheckResult]:
     for name, base in bases.items():
         fam = lagrange_dir(base)
         mid = lagrange_middle_member(base)
-        ok = True
-        for n in range(1, size + 1):
-            shift = _phi + _beta * log_n_poly(n)
-            if mid[n].substitute(PSI, shift) != fam.series[n]:
-                ok = False
-                break
-        out.append(_result(f"thm2.coefficient-law.{name}", size, ok))
+        want = dir_from_fn(size, lambda n: mid[n].substitute(PSI, _phi + _beta * log_n_poly(n)))
+        out.append(_check(f"thm2.coefficient-law.{name}", size, (fam.series, want)))
 
     pair_size = max(4, min(bound or 24, 24))
     pair_bases = {"eps": eps(pair_size), "random": random_dir_series(rng, pair_size)}
@@ -417,58 +408,51 @@ def suite_thm2(bound: int | None = None) -> list[CheckResult]:
                 build_rd(dir_x(pair_size), neg, pair_size),
                 build_rd(dir_x(pair_size), shifted, pair_size),
             )
-            ok = prod == identity_matrix(pair_size)
-            out.append(_result(f"thm2.inverse-pairing.{name}.beta={beta_val}", pair_size, ok))
+            ident = f"thm2.inverse-pairing.{name}.beta={beta_val}"
+            out.append(_check(ident, pair_size, (prod, identity_matrix(pair_size))))
 
     row_size = max(4, min(bound or 16, 16))
     for name, base in (("eps", eps(row_size)), ("zeta", zeta(row_size))):
         base_rows = exp_conjugate(build_column(dir_log(base), row_size))
         shifted = lagrange_dir(base, beta=Fraction(1)).at_power(1)
         shifted_rows = exp_conjugate(build_column(dir_log(shifted), row_size))
-        ok = True
+        lhs, rhs = {}, {}
         for n in range(1, row_size + 1):
             log_n = log_n_poly(n)
-            lhs = (_phi + log_n) * row_polynomial(shifted_rows, n, PHI)
-            rhs = _phi * row_polynomial(base_rows, n, PHI).substitute(PHI, _phi + log_n)
-            if lhs != rhs:
-                ok = False
-                break
-        out.append(_result(f"thm2.row-shift.{name}", row_size, ok))
+            lhs[n] = (_phi + log_n) * row_polynomial(shifted_rows, n, PHI)
+            rhs[n] = _phi * row_polynomial(base_rows, n, PHI).substitute(PHI, _phi + log_n)
+        out.append(_check(f"thm2.row-shift.{name}", row_size, (lhs, rhs)))
 
     ord_size = max(4, min(bound or 24, 24))
     fam = lagrange_ord(onepx(ord_size))
-    ok = True
-    for n in range(1, ord_size + 1):
-        want = _phi * Fraction(1, factorial(n))
-        for i in range(1, n):
-            want = want * (_phi + _beta * n - i)
-        if fam.series[n] != want:
-            ok = False
-            break
-    out.append(_result("thm2.ord-binomial", ord_size, ok))
+    want = ord_from_fn(ord_size, _ord_binomial_coeff)
+    out.append(_check("thm2.ord-binomial", ord_size, (fam.series, want)))
 
     fam = lagrange_ord(expx(ord_size))
-    ok = all(
-        fam.series[n] == _phi * (_phi + _beta * n) ** (n - 1) * Fraction(1, factorial(n))
-        for n in range(1, ord_size + 1)
+    want = ord_from_fn(
+        ord_size,
+        lambda n: _phi * (_phi + _beta * n) ** (n - 1) * Fraction(1, factorial(n)) if n else 1,
     )
-    out.append(_result("thm2.ord-exponential", ord_size, ok))
+    out.append(_check("thm2.ord-exponential", ord_size, (fam.series, want)))
 
     rel_size = max(4, min(bound or 40, 60))
-    report = inverse_pair_check(expx(8), Fraction(1), rel_size)
-    out.append(_result("thm2.inverse-relations.exp", rel_size, report.ok))
-    report = inverse_pair_check(ord_from_fn(8, lambda n: 1), Fraction(1), rel_size)
-    out.append(_result("thm2.inverse-relations.geom", rel_size, report.ok))
-    report = inverse_pair_check(random_ord_series(rng, 8), Fraction(-2, 3), rel_size)
-    out.append(_result("thm2.inverse-relations.random", rel_size, report.ok))
+    for name, a, beta in (
+        ("exp", expx(8), Fraction(1)),
+        ("geom", ord_from_fn(8, lambda n: 1), Fraction(1)),
+        ("random", random_ord_series(rng, 8), Fraction(-2, 3)),
+    ):
+        report = inverse_pair_check(a, beta, rel_size)
+        detail = report.failures[0] if report.failures else ""
+        ident = f"thm2.inverse-relations.{name}"
+        out.append(CheckResult(ident, rel_size, report.ok, detail))
 
     exp_size = max(4, min(bound or 32, 32))
     for i in range(2):
         base = random_dir_series(rng, exp_size)
         target = random_dir_series(rng, exp_size, lead=Fraction(2))
         coeffs = expand_over_basis(target, base, exp_size)
-        ok = reconstruct_from_expansion(coeffs, base, exp_size) == target
-        out.append(_result(f"thm2.expand-roundtrip.{i}", exp_size, ok))
+        got = reconstruct_from_expansion(coeffs, base, exp_size)
+        out.append(_check(f"thm2.expand-roundtrip.{i}", exp_size, (got, target)))
     return out
 
 
@@ -488,43 +472,41 @@ def suite_thm3(bound: int | None = None) -> list[CheckResult]:
         f = random_dir_series(rng, size, lead=Fraction(rng.randint(1, 2)))
         g = random_dir_series(rng, size)
         m1, m2 = build_rd(b, a, size), build_rd(f, g, size)
-        ok = rd_multiply(m1, m2) == matmul(m1, m2)
-        out.append(_result(f"thm3.group-law.{i}", size, ok))
+        out.append(_check(f"thm3.group-law.{i}", size, (rd_multiply(m1, m2), matmul(m1, m2))))
 
     small = max(4, min(bound or 16, 16))
     b = random_dir_series(rng, small, lead=Fraction(2))
     a = random_dir_series(rng, small)
     m = build_rd(b, a, small)
     e = build_rd(dir_x(small), dir_x(small), small)
+    one = identity_matrix(small)
     out.append(
-        _result(
-            "thm3.identity-axiom",
-            small,
-            rd_multiply(m, e) == m and rd_multiply(e, m) == m and e == identity_matrix(small),
-        )
+        _check("thm3.identity-axiom", small, (rd_multiply(m, e), m), (rd_multiply(e, m), m),
+               (e, one))
     )
     inv = rd_inverse(m)
-    ok = matmul(m, inv) == identity_matrix(small) and matmul(inv, m) == identity_matrix(small)
-    out.append(_result("thm3.inverse-axiom", small, ok))
+    out.append(
+        _check("thm3.inverse-axiom", small, (matmul(m, inv), one), (matmul(inv, m), one))
+    )
 
     a = random_dir_series(rng, size)
     b = random_dir_series(rng, size)
     lhs = matmul(build_rd(dir_x(size), a, size), build_rd(dir_x(size), b, size))
     rhs = build_rd(dir_x(size), dir_mul(a, rd_action(a, b)), size)
-    out.append(_result("thm3.compose-rule", size, lhs == rhs))
+    out.append(_check("thm3.compose-rule", size, (lhs, rhs)))
 
     c = random_dir_series(rng, size, lead=Fraction(1, 2))
     lhs = matmul(build_rd(dir_x(size), a, size), build_mult(c, size))
     rhs = build_rd(rd_action(a, c), a, size)
-    out.append(_result("thm3.mult-rule", size, lhs == rhs))
+    out.append(_check("thm3.mult-rule", size, (lhs, rhs)))
 
-    ok = rd_action(a, c) == apply_to_series(build_rd(dir_x(size), a, size), c)
-    out.append(_result("thm3.action-oracle", size, ok))
+    rhs = apply_to_series(build_rd(dir_x(size), a, size), c)
+    out.append(_check("thm3.action-oracle", size, (rd_action(a, c), rhs)))
 
     u = random_dir_series(rng, size, lead=Fraction(3))
     v = random_dir_series(rng, size, lead=Fraction(-1, 2))
     mu, mv = build_mult(u, size), build_mult(v, size)
-    out.append(_result("thm3.mult-commute", size, matmul(mu, mv) == matmul(mv, mu)))
+    out.append(_check("thm3.mult-commute", size, (matmul(mu, mv), matmul(mv, mu))))
 
     za = random_dir_series(rng, small, lead=0)
     f_ord = random_ord_series(rng, 4, const=Fraction(2))
@@ -532,11 +514,11 @@ def suite_thm3(bound: int | None = None) -> list[CheckResult]:
     col = build_column(za, small)
     lhs = matmul(col, build_riordan_ord(f_ord, ord_x(col.col_hi), col.col_hi))
     rhs = build_mixed(dir_apply_series(f_ord, za), za, small)
-    out.append(_result("thm3.column-mult", small, lhs == rhs))
+    out.append(_check("thm3.column-mult", small, (lhs, rhs)))
 
     lhs = matmul(col, build_riordan_ord(ord_one(col.col_hi), g_ord, col.col_hi))
     rhs = build_column(dir_apply_series(g_ord, za), small)
-    out.append(_result("thm3.column-compose", small, lhs == rhs))
+    out.append(_check("thm3.column-compose", small, (lhs, rhs)))
 
     zb = random_dir_series(rng, small, lead=Fraction(1, 3))
     mixed = build_mixed(zb, za, small)
@@ -544,25 +526,27 @@ def suite_thm3(bound: int | None = None) -> list[CheckResult]:
     rhs = build_mixed(
         dir_mul(zb, dir_apply_series(f_ord, za)), dir_apply_series(g_ord, za), small
     )
-    out.append(_result("thm3.mixed-riordan", small, lhs == rhs))
+    out.append(_check("thm3.mixed-riordan", small, (lhs, rhs)))
 
     fr = random_dir_series(rng, small, lead=Fraction(2))
     gr = random_dir_series(rng, small)
     lhs = matmul(build_rd(fr, gr, small), mixed)
     rhs = build_mixed(dir_mul(fr, rd_action(gr, zb)), rd_action(gr, za), small)
-    out.append(_result("thm3.complementary", small, lhs == rhs))
+    out.append(_check("thm3.complementary", small, (lhs, rhs)))
 
     w = random_dir_series(rng, small)
     dlog = diagonal_log_matrix(small)
     lhs = matmul(dlog, build_rd(dir_x(small), w, small))
     shifted = dir_x(small) + star_derivative(dir_log(w))
     rhs = matmul(build_rd(shifted, w, small), dlog)
-    out.append(_result("thm3.star-conjugation", small, lhs == rhs))
+    out.append(_check("thm3.star-conjugation", small, (lhs, rhs)))
 
+    # the nonzero entries of row n of the multiplication matrix of the
+    # series at psi = log n, against the entries stacked column by column
     s = random_dir_series(rng, small)
     p = dir_pow_param(s)
     mid = dir_mul(dir_x(small) - star_derivative(dir_log(s)), p)
-    ok = True
+    pairs = []
     for series in (p, mid):
         stacked: dict[tuple[int, int], Polynomial] = {}
         for mcol in range(1, small + 1):
@@ -570,20 +554,18 @@ def suite_thm3(bound: int | None = None) -> list[CheckResult]:
                 val = series[j].substitute(PSI, log_n_poly(j * mcol))
                 if not val.is_zero():
                     stacked[(j * mcol, mcol)] = val
+        rows: dict[tuple[int, int], Polynomial] = {}
         for n in range(1, small + 1):
             spec = series_substitute_symbol(series, PSI, log_n_poly(n))
-            row = build_mult(spec, small).row(n)
-            got = [stacked.get((n, k), Polynomial.zero()) for k in range(1, small + 1)]
-            if row != got:
-                ok = False
-                break
-        if not ok:
-            break
-    out.append(_result("thm3.row-scaffolding", small, ok))
+            for k, val in enumerate(build_mult(spec, small).row(n), start=1):
+                if not val.is_zero():
+                    rows[(n, k)] = val
+        pairs.append((rows, stacked))
+    out.append(_check("thm3.row-scaffolding", small, *pairs))
 
     lhs = build_rd(zb, gr, small)
     rhs = matmul(build_mult(zb, small), build_rd(dir_x(small), gr, small))
-    out.append(_result("thm3.rd-factorization", small, lhs == rhs))
+    out.append(_check("thm3.rd-factorization", small, (lhs, rhs)))
     return out
 
 
@@ -594,26 +576,25 @@ def suite_thm3(bound: int | None = None) -> list[CheckResult]:
 
 def _abel_record(n: int) -> CheckResult:
     report = abel_check(n)
-    return _result("abel.identities", n, report.ok, report.failure or "")
+    return CheckResult("abel.identities", n, report.ok, report.failure or "")
 
 
 def _classic_record(args: tuple[int, int]) -> CheckResult:
     p, m = args
-    flags = classic_abel_check(p, m)
-    return _result(f"abel.classic.p={p}", p**m, all(flags))
+    flags = dict(enumerate(classic_abel_check(p, m), start=1))  # keyed 1..4 by identity
+    return _check(f"abel.classic.p={p}", p**m, (flags, dict.fromkeys(flags, True)))
 
 
 def _binomf_records(n: int) -> list[CheckResult]:
-    ds = divisors(n)
-    total = sum(binom_f(n, d) for d in ds)
-    out = [_result("binomf.sum-power", n, total == 2 ** s_of(n))]
-    sym_ok = all(binom_f(n, d) == binom_f(n, n // d) for d in ds)
-    out.append(_result("binomf.symmetry", n, sym_ok))
+    weights = {d: binom_f(n, d) for d in divisors(n)}
+    out = [_check("binomf.sum-power", n, (sum(weights.values()), 2 ** s_of(n)))]
+    mirrored = {d: weights[n // d] for d in weights}
+    out.append(_check("binomf.symmetry", n, (weights, mirrored)))
     if not is_prime(n):
         alt = Polynomial.zero()
-        for d in ds:
-            alt = alt + log_n_poly(d) * binom_f(n, d) * Fraction((-1) ** s_of(n // d))
-        out.append(_result("binomf.log-alternating", n, alt.is_zero()))
+        for d, weight in weights.items():
+            alt = alt + log_n_poly(d) * weight * Fraction((-1) ** s_of(n // d))
+        out.append(_check("binomf.log-alternating", n, (alt, Polynomial.zero())))
     return out
 
 
@@ -652,110 +633,88 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
     rng = _rng("oracle")
     out: list[CheckResult] = []
 
-    ok = True
-    for _ in range(12):
-        p, q, r = (random_polynomial(rng) for _ in range(3))
-        if p * (q + r) != p * q + p * r or (p * q) * r != p * (q * r):
-            ok = False
-            break
-    out.append(_result("oracle.ring-axioms", 12, ok))
+    trials = [tuple(random_polynomial(rng) for _ in range(3)) for _ in range(12)]
+    distributive = ({i: p * (q + r) for i, (p, q, r) in enumerate(trials)},
+                    {i: p * q + p * r for i, (p, q, r) in enumerate(trials)})
+    associative = ({i: (p * q) * r for i, (p, q, r) in enumerate(trials)},
+                   {i: p * (q * r) for i, (p, q, r) in enumerate(trials)})
+    out.append(_check("oracle.ring-axioms", 12, distributive, associative))
 
-    ok = True
-    for _ in range(12):
-        p = random_polynomial(rng)
-        if (p * _phi).divide_by_symbol(PHI) != p:
-            ok = False
-            break
-    out.append(_result("oracle.divide-roundtrip", 12, ok))
+    polys = dict(enumerate(random_polynomial(rng) for _ in range(12)))
+    quotients = {i: (p * _phi).divide_by_symbol(PHI) for i, p in polys.items()}
+    out.append(_check("oracle.divide-roundtrip", 12, (quotients, polys)))
 
-    ok = True
+    trials = []
     for _ in range(12):
         p, q = random_polynomial(rng), random_polynomial(rng)
         env = {PHI: Fraction(rng.randint(-5, 5)), BETA: Fraction(rng.randint(-5, 5)),
                "L2": Fraction(rng.randint(-5, 5))}
-        if (p * q).eval_at(env) != p.eval_at(env) * q.eval_at(env):
-            ok = False
-            break
-    out.append(_result("oracle.eval-multiplicative", 12, ok))
+        trials.append((p, q, env))
+    products = ({i: (p * q).eval_at(env) for i, (p, q, env) in enumerate(trials)},
+                {i: p.eval_at(env) * q.eval_at(env) for i, (p, q, env) in enumerate(trials)})
+    out.append(_check("oracle.eval-multiplicative", 12, products))
 
-    ok = all(
-        binom_poly(PHI, m).eval_at({PHI: t}) == comb(t, m)
-        for m in range(0, 6)
-        for t in range(m, m + 6)
-    )
-    out.append(_result("oracle.binom-integer", 6, ok))
+    grid = [(m, t) for m in range(0, 6) for t in range(m, m + 6)]
+    values = ({(m, t): binom_poly(PHI, m).eval_at({PHI: t}) for m, t in grid},
+              {(m, t): comb(t, m) for m, t in grid})
+    out.append(_check("oracle.binom-integer", 6, values))
 
+    # row by row, so that one row of the table is held at a time
     span = min(bound or 100, 100)
-    ok = all(
-        log_n_poly(n * m) == log_n_poly(n) + log_n_poly(m)
-        for n in range(1, span + 1)
-        for m in range(1, span + 1)
+    cols = range(1, span + 1)
+    rows_ident = "oracle.log-additivity"
+    rows = (
+        _check(rows_ident, span, ({(n, m): log_n_poly(n * m) for m in cols},
+                                  {(n, m): log_n_poly(n) + log_n_poly(m) for m in cols}))
+        for n in cols
     )
-    out.append(_result("oracle.log-additivity", span, ok))
+    out.append(next((r for r in rows if not r.ok), CheckResult(rows_ident, span, True)))
 
     mob = bound or 1000
     mu = mobius_upto(mob)
-    inv = dir_inverse(zeta(mob))
-    ok = all(inv[n] == Polynomial.const(mu[n]) for n in range(1, mob + 1))
-    out.append(_result("oracle.mobius", mob, ok))
+    want = dir_from_fn(mob, lambda n: mu[n])
+    out.append(_check("oracle.mobius", mob, (dir_inverse(zeta(mob)), want)))
 
     span = min(bound or 200, 200)
     z = zeta(span)
-    zz = dir_mul(z, z)
-    ok = all(zz[n] == Polynomial.const(len(divisors(n))) for n in range(1, span + 1))
-    out.append(_result("oracle.divisor-count", span, ok))
+    want = dir_from_fn(span, lambda n: len(divisors(n)))
+    out.append(_check("oracle.divisor-count", span, (dir_mul(z, z), want)))
 
     size = min(bound or 64, 64)
     a = random_dir_series(rng, size)
-    out.append(
-        _result("oracle.inverse-roundtrip", size, dir_mul(a, dir_inverse(a)) == dir_x(size))
-    )
+    lhs = dir_mul(a, dir_inverse(a))
+    out.append(_check("oracle.inverse-roundtrip", size, (lhs, dir_x(size))))
 
     span = min(bound or 120, 120)
-    ok = True
-    for n in range(2, span + 1):
-        for m in range(1, s_of(n) + 1):
-            want = Polynomial.const(len(ordered_factorizations(n, m)))
-            if bell_btilde(n, m, [1] * (n - 1)) != want:
-                ok = False
-                break
-        if not ok:
-            break
-    out.append(_result("oracle.btilde-counts", span, ok))
+    grid = [(n, m) for n in range(2, span + 1) for m in range(1, s_of(n) + 1)]
+    counts = ({(n, m): bell_btilde(n, m, [1] * (n - 1)) for n, m in grid},
+              {(n, m): len(ordered_factorizations(n, m)) for n, m in grid})
+    out.append(_check("oracle.btilde-counts", span, counts))
 
-    ok = True
+    lhs, rhs = {}, {}
     for n in range(2, span + 1):
-        lhs = Polynomial.zero()
+        lhs[n] = Polynomial.zero()
         for m in range(1, s_of(n) + 1):
-            lhs = lhs + binom_poly(PHI, m) * bell_btilde(n, m, [1] * (n - 1))
-        rhs = Polynomial.one()
+            lhs[n] = lhs[n] + binom_poly(PHI, m) * bell_btilde(n, m, [1] * (n - 1))
+        rhs[n] = Polynomial.one()
         for _, s in factorize(n):
-            rhs = rhs * binom_poly(PHI, s).substitute(PHI, _phi + (s - 1))
-        if lhs != rhs:
-            ok = False
-            break
-    out.append(_result("oracle.btilde-binomial", span, ok))
+            rhs[n] = rhs[n] * binom_poly(PHI, s).substitute(PHI, _phi + (s - 1))
+    out.append(_check("oracle.btilde-binomial", span, (lhs, rhs)))
 
     size = min(bound or 24, 24)
     vals = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(size)]
     base = ord_from_fn(size, lambda n: 0 if n == 0 else vals[n - 1])
     power = ord_one(size)
-    ok = True
+    bell, cauchy = {}, {}
     for m in range(1, size + 1):
         power = ord_mul(power, base)
         for n in range(m, size + 1):
-            if bell_B(n, m, vals) != power[n]:
-                ok = False
-                break
-        if not ok:
-            break
-    out.append(_result("oracle.bell-cauchy", size, ok))
+            bell[(n, m)], cauchy[(n, m)] = bell_B(n, m, vals), power[n]
+    out.append(_check("oracle.bell-cauchy", size, (bell, cauchy)))
 
-    f = ord_from_fn(8, lambda n: 1 if n == 2 else 0)
-    col2 = dir_apply_series(f, geom2(13))
+    col2 = dir_apply_series(ord_from_fn(8, lambda n: 1 if n == 2 else 0), geom2(13))
     golden = {4: 1, 6: 2, 8: 2, 9: 1, 10: 2, 12: 4}
-    ok = all(col2[n] == Polynomial.const(v) for n, v in golden.items())
-    out.append(_result("oracle.apply-series-golden", 13, ok))
+    out.append(_check("oracle.apply-series-golden", 13, ({n: col2[n] for n in golden}, golden)))
 
     rows = {
         1: (1, 0, 0, 0), 2: (0, 1, 0, 0), 3: (0, 1, 0, 0), 4: (0, 1, 1, 0),
@@ -763,10 +722,9 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
         9: (0, 1, 1, 0), 10: (0, 1, 2, 0), 11: (0, 1, 0, 0), 12: (0, 1, 4, 3),
     }
     m = build_column(geom2(13), 13)
-    ok = all(
-        tuple(c.constant_value() for c in m.row(n)) == want for n, want in rows.items()
-    )
-    out.append(_result("oracle.column-golden", 13, ok))
+    got = {(n, k): v for n in rows for k, v in enumerate(m.row(n), start=m.col_lo)}
+    want = {(n, k): v for n, row in rows.items() for k, v in enumerate(row)}
+    out.append(_check("oracle.column-golden", 13, (got, want)))
     return out
 
 
@@ -797,6 +755,6 @@ def run_suites(
             else:
                 records.extend(globals()[f"suite_{name}"](bound))
         except Exception as exc:  # noqa: BLE001
-            records.append(_result(f"{name}.exception", 0, False, repr(exc)))
+            records.append(CheckResult(f"{name}.exception", 0, False, repr(exc)))
     records.sort(key=lambda r: (r.ident, r.n))
     return records, all(r.ok for r in records)

@@ -127,9 +127,17 @@ def test_expr_error_exit_code(capsys):
          '{"kind": "dir", "trunc": 4, "coeffs": {"1": "1", "9": "1"}}'),
         (["verify", "-N", "-3"], None),
         (["verify", "--suite", "pow", "-N", "0"], None),
+        (["series", "-e", 'load("{path}")', "-N", "4"], '{"kind": "dir"}'),
+        (["series", "-e", 'load("{path}")', "-N", "4"],
+         '{"kind": "dir", "trunc": 3000000, "coeffs": {"1": "1"}}'),
+        (["coeff", "-e", "dinv(zeta)", "-n", "200000"], None),
+        (["series", "-e", "zeta", "-N", "20000"], None),
+        (["matrix", "--kind", "rd", "-e", "zeta", "-N", "8"], None),
+        (["bell", "-N", "0", "-M", "1"], None),
     ],
     ids=["ord-index", "factorizations", "load-not-json", "load-key-range",
-         "verify-negative", "verify-zero"],
+         "verify-negative", "verify-zero", "load-not-a-series", "load-trunc-over-cap",
+         "coeff-index-over-cap", "series-over-cap", "rd-without-e2", "bell-zero-rows"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
     path = tmp_path / "input.json"

@@ -1,10 +1,11 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from dirseries.errors import DirAlgebraError
+from dirseries.errors import DirAlgebraError, SeriesFormatError
 from dirseries.matrices import build_column, build_mult
 from dirseries.randgen import random_dir_series, random_ord_series
 from dirseries.serialize import (
@@ -16,7 +17,7 @@ from dirseries.serialize import (
     series_to_json,
     series_to_json_text,
 )
-from dirseries.series import dir_from_fn
+from dirseries.series import SERIES_CAP, dir_from_fn
 
 
 def test_series_json_roundtrip_dir():
@@ -69,6 +70,35 @@ def test_series_json_rejects_keys_outside_range(kind, keys):
     obj = {"kind": kind, "trunc": 4, "coeffs": {k: "1" for k in keys}}
     with pytest.raises(DirAlgebraError):
         series_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "dir"},
+        [1, 2],
+        {"kind": "dir", "trunc": 4, "coeffs": {"1": 5}},
+        {"kind": "dir", "trunc": "x", "coeffs": {}},
+        {"kind": "dir", "trunc": 4, "coeffs": []},
+        {"kind": "dir", "trunc": SERIES_CAP + 1, "coeffs": {"1": "1"}},
+    ],
+    ids=["no-trunc", "list", "coeff-not-text", "trunc-not-int", "coeffs-list",
+         "trunc-over-cap"],
+)
+def test_series_json_rejects_malformed_objects(obj):
+    with pytest.raises(SeriesFormatError):
+        series_from_json(obj)
+
+
+def test_series_json_trunc_over_cap_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SeriesFormatError):
+            series_from_json({"kind": "dir", "trunc": 3_000_000, "coeffs": {"1": "1"}})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # 3M coefficient slots alone would take 24 MB
 
 
 def test_series_csv():

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
+
+import dirseries.series
 
 from dirseries.errors import (
     LeadingCoefficientNotOne,
@@ -131,6 +133,24 @@ def test_dir_pow_binomial_support():
     expected = {1: 1, 2: 3, 4: 3, 8: 1}
     for n in range(1, 17):
         assert p3[n] == Polynomial.const(expected.get(n, 0))
+
+
+def test_dir_pow_int_composes_log_k_times(monkeypatch):
+    # binary powering: k = 1000 needs at most 2 * 10 + 1 compositions, and
+    # zeta^(k) has coefficient C(k + 2, 3) at index 8
+    calls = []
+    pristine = dirseries.series.dirichlet_convolve
+
+    def counted(a, b, trunc):
+        calls.append(trunc)
+        return pristine(a, b, trunc)
+
+    monkeypatch.setattr(dirseries.series, "dirichlet_convolve", counted)
+    k = 1000
+    power = dir_pow_int(dir_from_fn(16, lambda n: 1), k)
+    assert len(calls) <= 2 * k.bit_length() + 1
+    assert power[8] == Polynomial.const(comb(k + 2, 3))
+    assert power[6] == Polynomial.const(k * k)
 
 
 def test_dir_pow_negative_two_paths():

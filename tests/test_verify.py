@@ -2,8 +2,16 @@ import pytest
 
 import dirseries.series
 import dirseries.verify
+from dirseries.matrices import build_mult
 from dirseries.poly import Polynomial
-from dirseries.verify import SUITES, CheckResult, _map_maybe_parallel, run_suites
+from dirseries.series import dir_from_fn, ord_from_fn
+from dirseries.verify import (
+    SUITES,
+    CheckResult,
+    _first_mismatch,
+    _map_maybe_parallel,
+    run_suites,
+)
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -67,6 +75,21 @@ def test_corrupted_kernel_is_reported_not_raised():
     finally:
         dirseries.series.dirichlet_convolve = pristine
     assert not ok
-    assert any(not r.ok for r in records)
+    failed = [r for r in records if not r.ok]
+    assert failed
+    assert all(r.detail.startswith("first mismatch at") for r in failed), failed
     records, ok = run_suites(["oracle"], bound=32)
     assert ok
+
+
+def test_first_mismatch_names_place_and_values():
+    a = dir_from_fn(8, lambda n: n)
+    b = dir_from_fn(8, lambda n: 7 if n == 5 else n)
+    assert _first_mismatch(a, b) == "first mismatch at 5: 5 != 7"
+    o = ord_from_fn(4, lambda n: n)
+    assert _first_mismatch(o, ord_from_fn(4, lambda n: 1)) == "first mismatch at 0: 0 != 1"
+    matrices = build_mult(a, 8), build_mult(b, 8)
+    assert _first_mismatch(*matrices) == "first mismatch at (5, 1): 5 != 7"
+    dicts = {(2, 1): 3, (1, 4): 1}, {(2, 1): 4}
+    assert _first_mismatch(*dicts) == "first mismatch at (1, 4): 1 != absent"
+    assert _first_mismatch(3, 4) == "first mismatch at whole value: 3 != 4"
