@@ -5,7 +5,9 @@ Subcommands::
     coeff          -e EXPR -n INDEX                print one coefficient
     series         -e EXPR -N TRUNC [--json|--csv] print a series
     matrix         --kind {mult,column,rd,riordan} -e EXPR [-e2 EXPR]
-                   -N SIZE [--csv|--json]          print a matrix
+                   -N SIZE [--csv|--json]          print a matrix; -e2 is
+                                                   required by rd and riordan
+                                                   and refused by the others
     bell           [--tilde] -N ROWS -M COLS [--symbolic]
                                                    partition/factorization
                                                    polynomial tables as CSV
@@ -122,18 +124,20 @@ def _cmd_matrix(args) -> int:
         raise DirAlgebraError(f"matrix size must be in 1..{MATRIX_CAP}")
     if args.kind in ("rd", "riordan") and not args.expr2:
         raise DirAlgebraError(f"matrix --kind {args.kind} needs -e and -e2")
+    if args.kind in ("mult", "column") and args.expr2:
+        raise DirAlgebraError(f"matrix --kind {args.kind} takes -e only, not -e2")
     what = f"matrix --kind {args.kind}"
     want = "ord" if args.kind == "riordan" else "dir"
     first = _expect_kind(what, eval_expr(parse_expr(args.expr), args.size), want)
-    second = eval_expr(parse_expr(args.expr2), args.size) if args.expr2 else None
 
     if args.kind == "mult":
         matrix = build_mult(first, args.size)
     elif args.kind == "column":
         matrix = build_column(first, args.size)
     else:
+        second = _expect_kind(what, eval_expr(parse_expr(args.expr2), args.size), want)
         build = build_rd if args.kind == "rd" else build_riordan_ord
-        matrix = build(first, _expect_kind(what, second, want), args.size)
+        matrix = build(first, second, args.size)
 
     if args.json:
         print(matrix_to_json_text(matrix))

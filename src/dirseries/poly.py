@@ -22,7 +22,7 @@ graded-lexicographic order, so printed forms are canonical.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import MissingSymbol, NotDivisible, PolynomialSyntaxError
 from .intfactor import factorize, is_prime
@@ -332,9 +332,33 @@ ZERO = _ZERO
 ONE = _ONE
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 def as_poly(value: Polynomial | Scalar) -> Polynomial:
     """A polynomial unchanged, or a scalar as a constant polynomial."""
     return value if isinstance(value, Polynomial) else Polynomial.const(value)
+
+
+def constant_values(polys: Iterable[Polynomial]) -> list[Fraction] | None:
+    """The rational values of a run of polynomials, in one pass; None as
+    soon as one of them carries a symbol."""
+    out: list[Fraction] = []
+    for p in polys:
+        terms = p._terms
+        if not terms:
+            out.append(_FRACTION_ZERO)
+        elif len(terms) == 1 and _UNIT_MONO in terms:
+            out.append(terms[_UNIT_MONO])
+        else:
+            return None
+    return out
+
+
+def constant_polys(values: Iterable[Fraction]) -> list[Polynomial]:
+    """Constant polynomials with the given ``Fraction`` values, which are
+    stored as they are."""
+    return [_wrap({_UNIT_MONO: v}) if v else _ZERO for v in values]
 
 
 def binom_poly(sym: Symbol, m: int) -> Polynomial:

@@ -19,13 +19,24 @@ All series are immutable values; operations are pure functions.  The
 parametric power, logarithm and parametric exponential all apply an
 ordinary series to a composition series through ``dir_apply_series``,
 which holds one composition power at a time.
+
+Rational series skip ``Polynomial`` arithmetic in the two composition
+kernels.  ``dirichlet_convolve`` convolves integer numerators when both
+inputs are constant and each has a common denominator of at most
+``SCALED_DEN_BITS`` bits; past that guard, big-integer products would
+cost more than the ``Fraction`` work they save, so such inputs keep the
+``Polynomial`` loop.  ``dir_inverse`` runs one forward-accumulating
+recurrence on ``Fraction`` values for a constant series and on the
+``Polynomial`` coefficients otherwise.  Coefficients stay ``Polynomial``
+and results are identical on either path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import (
@@ -37,12 +48,28 @@ from .errors import (
     NonUnitLeadingCoefficient,
     TruncationTooSmall,
 )
-from .poly import ONE, PSI, ZERO, Polynomial, Scalar, Symbol, as_poly, binom_poly, log_n_poly
+from .poly import (
+    ONE,
+    PSI,
+    ZERO,
+    Polynomial,
+    Scalar,
+    Symbol,
+    as_poly,
+    binom_poly,
+    constant_polys,
+    constant_values,
+    log_n_poly,
+)
 
 Coeff = Polynomial | Scalar
 
 # the largest truncation, or coefficient index, the CLI and ``load()`` accept
 SERIES_CAP = 10_000
+
+# the largest common denominator, in bits, of an input that
+# ``dirichlet_convolve`` scales to integers
+SCALED_DEN_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +137,26 @@ def dirichlet_convolve(
     a: Sequence[Polynomial], b: Sequence[Polynomial], trunc: int
 ) -> list[Polynomial]:
     """Divisor-indexed convolution kernel; the single code path every
-    composition product in the package goes through."""
+    composition product in the package goes through.
+
+    When both inputs are constant up to ``trunc`` and each has a common
+    denominator of at most ``SCALED_DEN_BITS`` bits, they are scaled to
+    integers and convolved in ``int`` arithmetic.  The guard exists
+    because the common denominator can grow with the length: for 1/(n^2+1)
+    it reaches about 14k bits at N=10000, where big-integer products cost
+    far more than the ``Fraction`` work they replace.  Other inputs run
+    the ``Polynomial`` loop.  Both give the same coefficients."""
+    scaled_a = _scaled_integers(a[:trunc])
+    scaled_b = None if scaled_a is None else _scaled_integers(b[:trunc])
+    if scaled_b is not None:
+        (xs, da), (ys, db) = scaled_a, scaled_b
+        acc = [0] * trunc
+        for d in range(1, trunc + 1):
+            x = xs[d - 1]
+            if x:
+                acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[: trunc // d]))
+        den = da * db
+        return constant_polys(Fraction(v, den) for v in acc)
     out = [ZERO] * trunc
     for d in range(1, trunc + 1):
         ad = a[d - 1]
@@ -124,45 +170,72 @@ def dirichlet_convolve(
     return out
 
 
+def _scaled_integers(coeffs: Sequence[Polynomial]) -> tuple[list[int], int] | None:
+    """Integer numerators over the common denominator of a run of constant
+    polynomials; None when one carries a symbol or the common denominator
+    passes ``SCALED_DEN_BITS`` bits."""
+    values = constant_values(coeffs)
+    if values is None:
+        return None
+    den = 1
+    for q in {v.denominator for v in values}:
+        den = lcm(den, q)
+        if den.bit_length() > SCALED_DEN_BITS:
+            return None
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def dir_mul(a: DirSeries, b: DirSeries) -> DirSeries:
     n = min(a.trunc, b.trunc)
     return DirSeries(n, tuple(dirichlet_convolve(a.coeffs, b.coeffs, n)))
 
 
 def dir_inverse(a: DirSeries) -> DirSeries:
-    """The composition inverse: a o inverse(a) = x."""
+    """The composition inverse: a o inverse(a) = x.  A constant series is
+    inverted in ``Fraction`` arithmetic, any other in ``Polynomial``."""
     lead = a[1]
     if not lead.is_constant() or lead.constant_value() == 0:
         raise NonUnitLeadingCoefficient(f"coefficient at index 1 is {lead}")
-    inv_lead = Polynomial.const(1 / lead.constant_value())
-    out = [ZERO] * a.trunc
-    out[0] = inv_lead
-    for n in range(2, a.trunc + 1):
-        acc = ZERO
-        for d in range(2, n + 1):
-            if n % d == 0:
-                ad = a[d]
-                if not ad.is_zero():
-                    acc = acc + ad * out[n // d - 1]
-        if not acc.is_zero():
-            out[n - 1] = -acc * inv_lead
-    return DirSeries(a.trunc, tuple(out))
+    inv_lead = 1 / lead.constant_value()
+    values = constant_values(a.coeffs)
+    if values is None:
+        out = _inverse_recurrence(a.coeffs, Polynomial.const(inv_lead), ZERO)
+        return DirSeries(a.trunc, tuple(out))
+    out = _inverse_recurrence(values, inv_lead, Fraction(0))
+    return DirSeries(a.trunc, tuple(constant_polys(out)))
+
+
+def _inverse_recurrence(a: Sequence, inv_lead, zero) -> list:
+    """b with a o b = x over any exact ring: once b_n is known, a_d * b_n
+    is added forward into the accumulator at index d*n for every d >= 2."""
+    trunc = len(a)
+    acc = [zero] * trunc
+    out = []
+    for n in range(1, trunc + 1):
+        bn = inv_lead if n == 1 else -acc[n - 1] * inv_lead
+        out.append(bn)
+        if bn:
+            acc[2 * n - 1 :: n] = map(add, acc[2 * n - 1 :: n], map(bn.__mul__, a[1 : trunc // n]))
+    return out
 
 
 def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
     """k-fold composition power; k = 0 gives x, negative k inverts first.
-    Binary powering: at most 2 * k.bit_length() compositions."""
+    Binary powering from the first factor: at most 2 * k.bit_length() - 1
+    compositions."""
     if k < 0:
         return dir_pow_int(dir_inverse(a), -k)
-    out = dir_x(a.trunc)
+    if k == 0:
+        return dir_x(a.trunc)
+    out = None
     square = a
-    while k:
+    while True:
         if k & 1:
-            out = dir_mul(out, square)
+            out = square if out is None else dir_mul(out, square)
         k >>= 1
-        if k:
-            square = dir_mul(square, square)
-    return out
+        if not k:
+            return out
+        square = dir_mul(square, square)
 
 
 def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:

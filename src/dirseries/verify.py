@@ -310,16 +310,18 @@ def suite_thm1(bound: int | None = None) -> list[CheckResult]:
     rng = _rng("thm1")
     out: list[CheckResult] = []
     size = bound or 60
+    # the lift to size reads multiplicities up to log2(size)
+    order = max(8, size.bit_length() - 1)
 
     for i in range(2):
-        a = random_ord_series(rng, 8)
-        b = random_ord_series(rng, 8)
+        a = random_ord_series(rng, order)
+        b = random_ord_series(rng, order)
         la = lift_multiplicative(a, size)
         lb = lift_multiplicative(b, size)
         lc = lift_multiplicative(ord_mul(a, b), size)
         out.append(_check(f"thm1.homomorphism.{i}", size, (dir_mul(la, lb), lc)))
 
-    a = random_ord_series(rng, 8)
+    a = random_ord_series(rng, order)
     lifted = lift_multiplicative(a, size)
     base = series_substitute_symbol(lifted, PSI, 1)
     out.append(_check("thm1.power-family", size, (dir_pow_param(base), lifted)))
@@ -331,10 +333,10 @@ def suite_thm1(bound: int | None = None) -> list[CheckResult]:
     want = dir_from_fn(span, lambda n: _psi ** s_of(n) * Fraction(1, f_of(n)))
     out.append(_check("thm1.eps-closed-form", span, (eps_param(span), want)))
 
-    lhs = lift_multiplicative(expx(8), size)
+    lhs = lift_multiplicative(expx(order), size)
     out.append(_check("thm1.eps-from-exp", size, (lhs, eps_param(size))))
 
-    sq = series_substitute_symbol(lift_multiplicative(onepx(8), size), PSI, 1)
+    sq = series_substitute_symbol(lift_multiplicative(onepx(order), size), PSI, 1)
     want = dir_from_fn(size, lambda n: 1 if all(m == 1 for _, m in factorize(n)) else 0)
     out.append(_check("thm1.squarefree", size, (sq, want)))
 

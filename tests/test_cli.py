@@ -134,10 +134,13 @@ def test_expr_error_exit_code(capsys):
         (["series", "-e", "zeta", "-N", "20000"], None),
         (["matrix", "--kind", "rd", "-e", "zeta", "-N", "8"], None),
         (["bell", "-N", "0", "-M", "1"], None),
+        (["matrix", "--kind", "mult", "-e", "zeta", "-e2", "dlog(zeta)", "-N", "3"], None),
+        (["matrix", "--kind", "column", "-e", "geom2", "-e2", "zeta", "-N", "3"], None),
     ],
     ids=["ord-index", "factorizations", "load-not-json", "load-key-range",
          "verify-negative", "verify-zero", "load-not-a-series", "load-trunc-over-cap",
-         "coeff-index-over-cap", "series-over-cap", "rd-without-e2", "bell-zero-rows"],
+         "coeff-index-over-cap", "series-over-cap", "rd-without-e2", "bell-zero-rows",
+         "mult-with-e2", "column-with-e2"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
     path = tmp_path / "input.json"
@@ -162,6 +165,14 @@ def test_verify_single_suite(capsys):
     assert any(line.startswith("PASS binomf.sum-power n=40") for line in lines)
     summary = json.loads(lines[-1])
     assert summary["failed"] == 0
+
+
+def test_verify_thm1_above_512(capsys):
+    # the lift to N reads ordinary coefficients up to log2(N), past order 8
+    code, out, _ = run_cli(capsys, "verify", "--suite", "thm1", "-N", "600")
+    assert code == 0
+    summary = json.loads(out.splitlines()[-1])
+    assert (summary["failed"], summary["total"]) == (0, 9)
 
 
 def test_verify_jobs_deterministic(capsys):

@@ -12,6 +12,8 @@ from dirseries.poly import (
     Polynomial,
     binom_poly,
     coeff_symbol,
+    constant_polys,
+    constant_values,
     log_n_poly,
     log_symbol,
     parse_polynomial,
@@ -99,6 +101,17 @@ def test_ring_axioms_structural():
         assert (p * q) * r == p * (q * r)
         assert p + q == q + p
         assert p * q == q * p
+
+
+def test_constant_values_and_polys():
+    values = [Fraction(0), Fraction(1), Fraction(-7, 3)]
+    polys = constant_polys(values)
+    assert polys == [Polynomial.zero(), Polynomial.one(), Polynomial.const(Fraction(-7, 3))]
+    assert [p.to_text() for p in polys] == ["0", "1", "-7/3"]
+    assert constant_values(polys) == values
+    assert constant_values([]) == []
+    assert constant_values([Polynomial.one(), phi + 1, Polynomial.one()]) is None
+    assert constant_values([phi]) is None
 
 
 def test_binom_poly():

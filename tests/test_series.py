@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -14,8 +15,9 @@ from dirseries.errors import (
 )
 from dirseries.intfactor import divisors, factorize, mobius_upto
 from dirseries.poly import BETA, PHI, PSI, Polynomial, binom_poly, log_n_poly
-from dirseries.randgen import random_dir_series, random_ord_series
+from dirseries.randgen import random_dir_series, random_ord_series, random_polynomial
 from dirseries.series import (
+    DirSeries,
     dir_apply_series,
     dir_exp_param,
     dir_from_fn,
@@ -27,6 +29,7 @@ from dirseries.series import (
     dir_pow_param,
     dir_subst_xk,
     dir_x,
+    dirichlet_convolve,
     ord_compose,
     ord_exp,
     ord_from_fn,
@@ -55,7 +58,89 @@ def geom2_series(n):
     return dir_from_fn(n, lambda k: 0 if k == 1 else 1)
 
 
+def divisor_sum(a, b, trunc, zero):
+    """(a o b)_n straight from the definition, for lists indexed from n = 1:
+    the sum of a_d * b_(n/d) over every d in 1..n that divides n."""
+    out = []
+    for n in range(1, trunc + 1):
+        acc = zero
+        for d in range(1, n + 1):
+            if n % d == 0:
+                acc = acc + a[d - 1] * b[n // d - 1]
+        out.append(acc)
+    return out
+
+
+def inverse_by_definition(a, inv_lead, zero):
+    """b with a o b = x, solved index by index from the divisor sum."""
+    b = [inv_lead]
+    for n in range(2, len(a) + 1):
+        acc = zero
+        for d in range(2, n + 1):
+            if n % d == 0:
+                acc = acc + a[d - 1] * b[n // d - 1]
+        b.append(-acc * inv_lead)
+    return b
+
+
+def random_values(rng, length, lead):
+    """``lead`` then rationals with zeros, both signs and denominators to 9."""
+    return [lead] + [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(length - 1)]
+
+
+def consts(values):
+    return [Polynomial.const(v) for v in values]
+
+
+def symbolic_values(rng, length, lead):
+    return [Polynomial.const(lead)] + [
+        random_polynomial(rng, ("phi", "L2"), max_terms=3, max_deg=2) for _ in range(length - 1)
+    ]
+
+
 # -- Dirichlet multiplication ------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_convolve_rational_matches_divisor_sum(seed):
+    rng = random.Random(seed)
+    a = random_values(rng, 90, Fraction(-3, 4))
+    b = random_values(rng, 70, Fraction(5, 2))
+    for trunc in (1, 13, 64, 70):  # all below the length of a, the last equal to b's
+        want = consts(divisor_sum(a, b, trunc, Fraction(0)))
+        assert dirichlet_convolve(consts(a), consts(b), trunc) == want
+        assert dirichlet_convolve(consts(b), consts(a), trunc) == want
+    prod = dir_mul(dir_from_fn(90, lambda n: a[n - 1]), dir_from_fn(70, lambda n: b[n - 1]))
+    assert list(prod.coeffs) == consts(divisor_sum(a, b, 70, Fraction(0)))
+
+
+def test_convolve_constant_with_symbolic_matches_polynomial_divisor_sum():
+    rng = random.Random(9)
+    a = consts(random_values(rng, 60, Fraction(2, 3)))
+    b = symbolic_values(rng, 50, Fraction(-1, 2))
+    for x, y in ((a, b), (b, a)):
+        want = divisor_sum(x, y, 45, Polynomial.zero())
+        got = dirichlet_convolve(x, y, 45)
+        assert got == want
+        assert [p.to_text() for p in got] == [p.to_text() for p in want]
+
+
+def test_wide_denominators_stay_on_the_polynomial_path():
+    # the common denominator of 1/(n^2+1) grows past the integer path's
+    # guard; convolving the scaled integers anyway took about 12 times as
+    # long as this brute-force divisor sum
+    n = 3000
+    a = [Fraction(1, k) for k in range(1, n + 1)]
+    b = [Fraction(1, k * k + 1) for k in range(1, n + 1)]
+    start = time.perf_counter()
+    want = consts(divisor_sum(a, b, n, Fraction(0)))
+    brute_s = time.perf_counter() - start
+    start = time.perf_counter()
+    got = dir_mul(dir_from_fn(n, lambda k: a[k - 1]), dir_from_fn(n, lambda k: b[k - 1]))
+    kernel_s = time.perf_counter() - start
+    assert list(got.coeffs) == want
+    assert kernel_s < 5 * brute_s, (kernel_s, brute_s)
+
 
 
 def test_dir_mul_identity():
@@ -106,6 +191,27 @@ def test_dir_inverse_roundtrip():
         assert dir_mul(a, dir_inverse(a)) == dir_x(64)
 
 
+def test_dir_inverse_rational_matches_definition():
+    rng = random.Random(8)
+    a = random_values(rng, 300, Fraction(2, 3))
+    got = dir_inverse(dir_from_fn(300, lambda n: a[n - 1]))
+    assert list(got.coeffs) == consts(inverse_by_definition(a, Fraction(3, 2), Fraction(0)))
+
+
+def test_dir_inverse_symbolic_matches_definition():
+    rng = random.Random(10)
+    a = symbolic_values(rng, 80, Fraction(-5, 2))
+    got = dir_inverse(DirSeries(80, tuple(a)))
+    want = inverse_by_definition(a, Polynomial.const(Fraction(-2, 5)), Polynomial.zero())
+    assert list(got.coeffs) == want
+    assert [p.to_text() for p in got.coeffs] == [p.to_text() for p in want]
+
+
+def test_dir_inverse_zeta_is_mobius_at_the_cap():
+    mu = mobius_upto(10_000)
+    assert list(dir_inverse(zeta_series(10_000)).coeffs) == consts(mu[1:])
+
+
 def test_dir_inverse_requires_unit():
     bad = dir_from_fn(8, lambda n: 0 if n == 1 else 1)
     with pytest.raises(NonUnitLeadingCoefficient):
@@ -151,6 +257,29 @@ def test_dir_pow_int_composes_log_k_times(monkeypatch):
     assert len(calls) <= 2 * k.bit_length() + 1
     assert power[8] == Polynomial.const(comb(k + 2, 3))
     assert power[6] == Polynomial.const(k * k)
+
+
+def test_dir_pow_int_matches_repeated_divisor_sums(monkeypatch):
+    # binary powering starts from the first factor, never from x
+    calls = []
+    pristine = dirseries.series.dirichlet_convolve
+
+    def counted(a, b, trunc):
+        calls.append(trunc)
+        return pristine(a, b, trunc)
+
+    monkeypatch.setattr(dirseries.series, "dirichlet_convolve", counted)
+    rng = random.Random(12)
+    a = random_values(rng, 64, Fraction(-2, 3))
+    inv = inverse_by_definition(a, Fraction(-3, 2), Fraction(0))
+    for k, compositions in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (-1, 0), (-3, 2)):
+        factor = a if k >= 0 else inv
+        want = [Fraction(1)] + [Fraction(0)] * 63
+        for _ in range(abs(k)):
+            want = divisor_sum(want, factor, 64, Fraction(0))
+        calls.clear()
+        assert list(dir_pow_int(dir_from_fn(64, lambda n: a[n - 1]), k).coeffs) == consts(want)
+        assert len(calls) == compositions, k
 
 
 def test_dir_pow_negative_two_paths():
