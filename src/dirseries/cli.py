@@ -12,8 +12,11 @@ Subcommands::
                                                    partition/factorization
                                                    polynomial tables as CSV
     factorizations -n N -m M                       ordered factorizations
-    verify         --suite NAME [-N BOUND] [--jobs K]
-                                                   run identity suites
+    verify         --suite NAME [-N BOUND] [--jobs K] [--timings]
+                                                   run identity suites;
+                                                   --timings prints each
+                                                   suite's wall seconds and
+                                                   record count on stderr
 
 Caps: series truncations, ``coeff`` indices and the declared truncation
 of a loaded series file are at most ``SERIES_CAP`` (10000), matrix sizes
@@ -89,6 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p.add_argument("-N", "--bound", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--timings", action="store_true",
+                   help="print each suite's wall seconds and record count on stderr")
 
     return parser
 
@@ -187,7 +192,14 @@ def _cmd_verify(args) -> int:
     if args.bound is not None and args.bound < 1:
         raise DirAlgebraError("verify bound must be >= 1")
     names = [args.suite] if args.suite != "all" else ["all"]
-    records, all_ok = run_suites(names, bound=args.bound, jobs=max(args.jobs, 1))
+
+    def print_timing(name: str, seconds: float, count: int) -> None:
+        if args.timings:
+            print(f"timing {name}: {seconds:.3f} s, {count} records", file=sys.stderr)
+
+    records, all_ok = run_suites(
+        names, bound=args.bound, jobs=max(args.jobs, 1), on_suite_done=print_timing
+    )
     for record in records:
         print(record.line())
     summary = {
@@ -203,6 +215,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact output may need more than Python's default 4300 digits per
+    # integer; versions without the limit have no such function
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -41,6 +41,10 @@ class NonUnitConstantTerm(DirAlgebraError):
     """Ordinary-series inversion needs a nonzero rational constant term."""
 
 
+class ArgumentOutOfRange(DirAlgebraError, ValueError):
+    """An integer argument lies outside the range the operation accepts."""
+
+
 class TruncationTooSmall(DirAlgebraError):
     """An input series is not long enough for the requested computation."""
 

@@ -257,10 +257,14 @@ def eval_expr(ast: Call, trunc: int) -> DirSeries | OrdSeries:
         return loaded.truncated(trunc)
 
     shape = _SIGNATURES[name]
+    # the lift to N reads its ordinary argument only up to order log2(N);
+    # at least 1, so that an argument of the wrong kind is still built
+    # and reported as such
+    arg_trunc = max(trunc.bit_length() - 1, 1) if name == "lift" else trunc
     values = []
     for want, arg in zip(shape, args):
         if want in ("dir", "ord"):
-            values.append(_expect_kind(name, eval_expr(arg, trunc), want))
+            values.append(_expect_kind(name, eval_expr(arg, arg_trunc), want))
         else:
             values.append(arg)
 

@@ -45,6 +45,7 @@ from .series import (
     dir_pow_param,
     dir_x,
     ord_mul,
+    require_lead,
     series_substitute_symbol,
 )
 
@@ -119,8 +120,7 @@ def build_column(a: DirSeries, size: int) -> DirMatrix:
     column m is the m-th composition power (column 0 is x)."""
     if a.trunc < size:
         raise TruncationTooSmall(f"need trunc >= {size}, have {a.trunc}")
-    if not a[1].is_zero():
-        raise LeadingCoefficientNotZero(f"coefficient at index 1 is {a[1]}")
+    require_lead(a, 0, "matrix --kind column")
     a = a.truncated(size)
     entries: dict[tuple[int, int], Polynomial] = {(1, 0): ONE}
     power = dir_x(size)
@@ -138,8 +138,7 @@ def build_mixed(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
     of a multiplication operator and a column matrix."""
     if min(a.trunc, b.trunc) < size:
         raise TruncationTooSmall(f"need trunc >= {size}")
-    if not a[1].is_zero():
-        raise LeadingCoefficientNotZero(f"coefficient at index 1 is {a[1]}")
+    require_lead(a, 0, "build_mixed")
     entries: dict[tuple[int, int], Polynomial] = {}
     power = dir_x(size)
     for m in range(0, _column_top(size) + 1):
@@ -155,10 +154,15 @@ def build_mixed(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
 
 def _require_rd_bases(b: DirSeries, a: DirSeries) -> None:
     if a[1] != ONE:
-        raise NonUnitLeadingCoefficient(f"second series needs leading 1, got {a[1]}")
+        raise NonUnitLeadingCoefficient(
+            f"matrix --kind rd needs coefficient 1 at index 1 of the second series, got {a[1]}"
+        )
     lead = b[1]
     if not lead.is_constant() or lead.constant_value() == 0:
-        raise NonUnitLeadingCoefficient(f"first series needs a nonzero constant, got {lead}")
+        raise NonUnitLeadingCoefficient(
+            "matrix --kind rd needs a nonzero rational coefficient at index 1"
+            f" of the first series, got {lead}"
+        )
 
 
 def build_rd(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:

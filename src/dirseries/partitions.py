@@ -47,19 +47,26 @@ def multiplicative_partitions(n: int, m: int) -> list[tuple[int, ...]]:
     """
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
+    if m >= n.bit_length():
+        return []  # m factors >= 2 multiply to at least 2**m > n
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
+    # every factor of a remainder divides n, so one descending list of the
+    # divisors >= 2 of n covers every candidate
+    candidates = divisors(n)[:0:-1]
 
     def descend(remaining: int, slots: int, max_factor: int) -> None:
         if slots == 0:
             if remaining == 1:
                 out.append(tuple(chosen))
             return
-        for d in reversed(divisors(remaining)):
+        for d in candidates:
             if d > max_factor:
                 continue
-            if d < 2:
-                break
+            if d**slots < remaining:
+                break  # slots factors of at most d cannot reach remaining
+            if remaining % d:
+                continue
             chosen.append(d)
             descend(remaining // d, slots - 1, d)
             chosen.pop()

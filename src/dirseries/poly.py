@@ -390,10 +390,8 @@ def log_n_poly(n: int) -> Polynomial:
     """Formal logarithm of n: sum of m_i * L_{p_i} over n = prod p_i^{m_i}."""
     if n < 1:
         raise ValueError("log_n_poly needs n >= 1")
-    out = _ZERO
-    for p, m in factorize(n):
-        out = out + Polynomial.symbol(log_symbol(p)) * m
-    return out
+    # factorize yields primes only, so each L<p> is valid as built
+    return _wrap({((f"L{p}", 1),): Fraction(m) for p, m in factorize(n)})
 
 
 # -- text parsing ----------------------------------------------------------

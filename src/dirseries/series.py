@@ -40,6 +40,7 @@ from operator import add
 from typing import Callable, Sequence
 
 from .errors import (
+    ArgumentOutOfRange,
     ConstantTermNotOne,
     ConstantTermNotZero,
     LeadingCoefficientNotOne,
@@ -195,7 +196,9 @@ def dir_inverse(a: DirSeries) -> DirSeries:
     inverted in ``Fraction`` arithmetic, any other in ``Polynomial``."""
     lead = a[1]
     if not lead.is_constant() or lead.constant_value() == 0:
-        raise NonUnitLeadingCoefficient(f"coefficient at index 1 is {lead}")
+        raise NonUnitLeadingCoefficient(
+            f"dinv needs a nonzero rational coefficient at index 1, got {lead}"
+        )
     inv_lead = 1 / lead.constant_value()
     values = constant_values(a.coeffs)
     if values is None:
@@ -241,19 +244,21 @@ def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
 def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:
     """Substitute x -> x**k: the coefficient at index k*j is a_j."""
     if k < 1:
-        raise ValueError("dir_subst_xk needs k >= 1")
+        raise ArgumentOutOfRange(f"subst_xk needs k >= 1, got {k}")
     out = [ZERO] * a.trunc
     for j in range(1, a.trunc // k + 1):
         out[k * j - 1] = a[j]
     return DirSeries(a.trunc, tuple(out))
 
 
-def _require_lead(a: DirSeries, value: int) -> None:
+def require_lead(a: DirSeries, value: int, op: str) -> None:
+    """Raise unless the coefficient at index 1 is ``value`` (0 or 1); the
+    message names the operation ``op`` that needs it."""
     lead = a[1]
     if value == 0 and not lead.is_zero():
-        raise LeadingCoefficientNotZero(f"coefficient at index 1 is {lead}")
+        raise LeadingCoefficientNotZero(f"{op} needs coefficient 0 at index 1, got {lead}")
     if value == 1 and lead != ONE:
-        raise LeadingCoefficientNotOne(f"coefficient at index 1 is {lead}")
+        raise LeadingCoefficientNotOne(f"{op} needs coefficient 1 at index 1, got {lead}")
 
 
 def _max_power(trunc: int) -> int:
@@ -269,7 +274,7 @@ def dir_apply_series(f: "OrdSeries", a: DirSeries) -> DirSeries:
     ``dir_pow_param``, ``dir_log`` and ``dir_exp_param`` are this sum for
     f = (1+t)^psi, log(1+t) and e^(psi*t).  One power a^(m) is held at a
     time."""
-    _require_lead(a, 0)
+    require_lead(a, 0, "dir_apply_series")
     top = _max_power(a.trunc)
     if f.trunc < top:
         raise TruncationTooSmall(f"need ordinary trunc >= {top}, have {f.trunc}")
@@ -287,14 +292,14 @@ def dir_apply_series(f: "OrdSeries", a: DirSeries) -> DirSeries:
 def dir_pow_param(a: DirSeries) -> DirSeries:
     """The parametric power with exponent ``psi``: the binomial expansion
     of (1 + (a - x))^psi under composition.  Needs leading coefficient 1."""
-    _require_lead(a, 1)
+    require_lead(a, 1, "dpow_param")
     f = ord_from_fn(_max_power(a.trunc), lambda m: binom_poly(PSI, m) if m else 1)
     return dir_apply_series(f, a - dir_x(a.trunc))
 
 
 def dir_log(a: DirSeries) -> DirSeries:
     """Composition logarithm: the alternating sum of (a - x)^(m) / m."""
-    _require_lead(a, 1)
+    require_lead(a, 1, "dlog")
     f = ord_from_fn(_max_power(a.trunc), lambda m: Fraction((-1) ** (m + 1), m) if m else 0)
     return dir_apply_series(f, a - dir_x(a.trunc))
 
@@ -302,7 +307,7 @@ def dir_log(a: DirSeries) -> DirSeries:
 def dir_exp_param(b: DirSeries) -> DirSeries:
     """Parametric exponential: x + sum of psi^m / m! * b^(m); needs zero
     leading coefficient."""
-    _require_lead(b, 0)
+    require_lead(b, 0, "dexp")
     psi = Polynomial.symbol(PSI)
     f = ord_from_fn(
         _max_power(b.trunc), lambda m: psi**m * Fraction(1, factorial(m)) if m else 1

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import ConstantTermNotOne, LeadingCoefficientNotOne, TruncationTooSmall
+from .errors import ConstantTermNotOne, TruncationTooSmall
 from .intfactor import binom_f, divisors, factorize, is_prime, s_of
 from .poly import (
     BETA,
@@ -64,6 +64,7 @@ from .series import (
     dir_x,
     ord_from_fn,
     ord_pow_param,
+    require_lead,
     series_substitute_symbol,
     star_derivative,
 )
@@ -114,13 +115,14 @@ def lift_multiplicative(a: OrdSeries, trunc: int) -> DirSeries:
     """Lift an ordinary series with constant term 1 to the composition
     algebra.  The coefficient of the lifted parametric power at
     n = prod p_i^{m_i} is the product of the [x^{m_i}] coefficients of the
-    ordinary psi-power; the result carries psi symbolically."""
+    ordinary psi-power; the result carries psi symbolically.  Only the
+    terms of ``a`` up to order floor(log2 trunc) are read or powered."""
     if a[0] != ONE:
         raise ConstantTermNotOne(f"constant term is {a[0]}")
     top = trunc.bit_length() - 1  # largest multiplicity that can occur
     if a.trunc < top:
         raise TruncationTooSmall(f"need ordinary trunc >= {top}, have {a.trunc}")
-    pow_a = ord_pow_param(a)
+    pow_a = ord_pow_param(a.truncated(top))
     out = [ZERO] * trunc
     out[0] = ONE
     for n in range(2, trunc + 1):
@@ -161,8 +163,7 @@ class LagrangeFamily:
 def lagrange_dir(a: DirSeries, beta=None) -> LagrangeFamily:
     """Shifted-power family of a composition series with leading
     coefficient 1.  ``beta=None`` keeps beta symbolic."""
-    if a[1] != ONE:
-        raise LeadingCoefficientNotOne(f"coefficient at index 1 is {a[1]}")
+    require_lead(a, 1, "lagrange_dir")
     b = _beta if beta is None else as_poly(beta)
     p = dir_pow_param(a)
     out = [ONE] + [ZERO] * (a.trunc - 1)
@@ -395,8 +396,7 @@ def inverse_pair_check(a: OrdSeries, beta: Scalar, trunc: int) -> InversePairRep
 
 def expand_over_basis(b: DirSeries, a: DirSeries, trunc: int) -> list[Polynomial]:
     """Coefficients c_n = [x^n] b o a^(log n) for n = 1..trunc."""
-    if a[1] != ONE:
-        raise LeadingCoefficientNotOne(f"coefficient at index 1 is {a[1]}")
+    require_lead(a, 1, "expand_over_basis")
     p = dir_pow_param(a.truncated(trunc))
     b = b.truncated(trunc)
     out: list[Polynomial] = []

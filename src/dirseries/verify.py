@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import os
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable
 
 from .intfactor import (
     binom_f,
@@ -737,16 +739,26 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
 SUITES = ("pow", "log", "thm1", "thm2", "thm3", "abel", "binomf", "oracle")
 
 
+def _ignore_timing(name: str, seconds: float, records: int) -> None:
+    pass
+
+
 def run_suites(
-    names: list[str], bound: int | None = None, jobs: int = 1
+    names: list[str],
+    bound: int | None = None,
+    jobs: int = 1,
+    on_suite_done: Callable[[str, float, int], None] = _ignore_timing,
 ) -> tuple[list[CheckResult], bool]:
-    """Run the named suites (or all of them) and return ordered records."""
+    """Run the named suites (or all of them) and return ordered records.
+    ``on_suite_done`` receives each suite's name, wall seconds and record
+    count as soon as the suite finishes."""
     selected = list(SUITES) if names == ["all"] else names
     for name in selected:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
     records: list[CheckResult] = []
     for name in selected:
+        start, before = time.perf_counter(), len(records)
         # a broken build may raise instead of producing a mismatch; either
         # way the suite must report a failure, not crash the runner
         try:
@@ -758,5 +770,6 @@ def run_suites(
                 records.extend(globals()[f"suite_{name}"](bound))
         except Exception as exc:  # noqa: BLE001
             records.append(CheckResult(f"{name}.exception", 0, False, repr(exc)))
+        on_suite_done(name, time.perf_counter() - start, len(records) - before)
     records.sort(key=lambda r: (r.ident, r.n))
     return records, all(r.ok for r in records)

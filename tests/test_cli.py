@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,11 +137,13 @@ def test_expr_error_exit_code(capsys):
         (["bell", "-N", "0", "-M", "1"], None),
         (["matrix", "--kind", "mult", "-e", "zeta", "-e2", "dlog(zeta)", "-N", "3"], None),
         (["matrix", "--kind", "column", "-e", "geom2", "-e2", "zeta", "-N", "3"], None),
+        (["coeff", "-e", "subst_xk(zeta,0)", "-n", "6"], None),
+        (["coeff", "-e", "subst_xk(zeta,-2)", "-n", "6"], None),
     ],
     ids=["ord-index", "factorizations", "load-not-json", "load-key-range",
          "verify-negative", "verify-zero", "load-not-a-series", "load-trunc-over-cap",
          "coeff-index-over-cap", "series-over-cap", "rd-without-e2", "bell-zero-rows",
-         "mult-with-e2", "column-with-e2"],
+         "mult-with-e2", "column-with-e2", "subst-xk-zero", "subst-xk-negative"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
     path = tmp_path / "input.json"
@@ -151,6 +154,52 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["coeff", "-e", "dexp(zeta)", "-n", "3"], "dexp needs coefficient 0 at index 1, got 1"),
+        (["coeff", "-e", "dinv(geom2)", "-n", "3"],
+         "dinv needs a nonzero rational coefficient at index 1, got 0"),
+        (["matrix", "--kind", "column", "-e", "zeta", "-N", "3"],
+         "matrix --kind column needs coefficient 0 at index 1, got 1"),
+        (["matrix", "--kind", "rd", "-e", "zeta", "-e2", "geom2", "-N", "3"],
+         "matrix --kind rd needs coefficient 1 at index 1 of the second series, got 0"),
+        (["matrix", "--kind", "rd", "-e", "geom2", "-e2", "zeta", "-N", "3"],
+         "matrix --kind rd needs a nonzero rational coefficient at index 1"
+         " of the first series, got 0"),
+    ],
+    ids=["dexp", "dinv", "column", "rd-second", "rd-first"],
+)
+def test_precondition_error_names_operation_and_value(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+NINES_5000 = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, file_text",
+    [
+        (["coeff", "-e", f"dpow_int(zeta,{NINES_5000})", "-n", "2"], None),
+        (["series", "-e", 'load("{path}")', "-N", "2"],
+         '{"kind": "dir", "trunc": 2, "coeffs": {"1": "1", "2": "%s"}}' % NINES_5000),
+        # C(k+2, 3) at index 8 for k = 10**2000 - 1 has about 6000 digits
+        (["coeff", "-e", f"dpow_int(zeta,{'9' * 2000})", "-n", "8"], None),
+    ],
+    ids=["parse-5000-digits", "load-5000-digits", "print-over-4300-digits"],
+)
+def test_long_integers_are_exact(tmp_path, capsys, argv, file_text):
+    # Python refuses integer text over 4300 digits unless the limit is lifted
+    path = tmp_path / "big.json"
+    if file_text is not None:
+        path.write_text(file_text)
+    code, out, err = run_cli(capsys, *(a.replace("{path}", str(path)) for a in argv))
+    assert (code, err) == (0, "")
+    assert max(len(tok) for tok in out.replace('"', " ").split()) >= 5000
 
 
 def test_usage_error_exit_code(capsys):
@@ -180,3 +229,12 @@ def test_verify_jobs_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "--suite", "abel", "-N", "30", "--jobs", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_timings_go_to_stderr_only(capsys):
+    code, plain, _ = run_cli(capsys, "verify", "--suite", "pow")
+    code_t, timed, err = run_cli(capsys, "verify", "--suite", "pow", "--timings")
+    assert code == code_t == 0
+    assert timed == plain
+    total = json.loads(plain.splitlines()[-1])["total"]
+    assert re.fullmatch(rf"timing pow: \d+\.\d{{3}} s, {total} records\n", err)

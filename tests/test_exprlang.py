@@ -7,6 +7,7 @@ from dirseries.errors import (
     ArityMismatch,
     ExprSyntaxError,
     ExprTypeError,
+    TruncationTooSmall,
     UnknownFunction,
 )
 from dirseries.exprlang import Call, eval_expr, parse_expr, print_expr
@@ -106,3 +107,15 @@ def test_eval_load_roundtrip(tmp_path):
     path.write_text(series_to_json_text(a))
     loaded = eval_expr(parse_expr(f'load("{path}")'), 16)
     assert loaded == a
+
+
+def test_eval_lift_reads_its_argument_to_log2_order(tmp_path):
+    # indices up to N have prime multiplicities of at most floor(log2 N)
+    big = eval_expr(parse_expr("lift(expx)"), 10000)
+    assert big.truncated(1000) == eval_expr(parse_expr("lift(expx)"), 1000)
+    path = tmp_path / "onepx.json"
+    path.write_text('{"kind": "ord", "trunc": 3, "coeffs": {"0": "1", "1": "1"}}')
+    lifted = eval_expr(parse_expr(f'lift(load("{path}"))'), 15)
+    assert lifted == eval_expr(parse_expr("lift(onepx)"), 15)
+    with pytest.raises(TruncationTooSmall):
+        eval_expr(parse_expr(f'lift(load("{path}"))'), 16)

@@ -72,6 +72,33 @@ def test_partitions_into_parts():
                 assert sum(vec) == m
 
 
+def brute_multiplicative_partitions(n):
+    """Independent oracle: every non-increasing factor tuple of n, of any
+    length, found by trying each integer 2..remaining with no pruning."""
+    out = []
+
+    def rec(remaining, max_factor, chosen):
+        if remaining == 1:
+            out.append(tuple(chosen))
+        for d in range(2, min(max_factor, remaining) + 1):
+            if remaining % d == 0:
+                rec(remaining // d, d, chosen + [d])
+
+    rec(n, n, [])
+    return out
+
+
+def test_multiplicative_partitions_match_brute_force():
+    # same tuples and the same lexicographically decreasing order
+    for n in range(1, 700):
+        every = brute_multiplicative_partitions(n)
+        for m in range(0, 11):
+            want = sorted((t for t in every if len(t) == m), reverse=True)
+            assert multiplicative_partitions(n, m) == want, (n, m)
+    # more factors than log2(n) allows: empty at once, however wide m is
+    assert multiplicative_partitions(720720, 10**9) == []
+
+
 def test_multiplicative_partitions():
     assert set(multiplicative_partitions(12, 2)) == {(6, 2), (4, 3)}
     assert multiplicative_partitions(8, 3) == [(2, 2, 2)]

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from dirseries.errors import MissingSymbol, NotDivisible, PolynomialSyntaxError
+from dirseries.intfactor import factorize
 from dirseries.poly import (
     BETA,
     PHI,
@@ -132,6 +133,16 @@ def test_log_n_poly():
     assert log_n_poly(1) == Polynomial.zero()
     assert log_n_poly(12) == L2 * 2 + L3
     assert log_n_poly(30) == L2 + L3 + L5
+
+
+def test_log_n_poly_matches_sum_of_prime_logs():
+    for n in range(1, 10001):
+        want = Polynomial.zero()
+        for p, m in factorize(n):
+            want = want + m * Polynomial.symbol(f"L{p}")
+        got = log_n_poly(n)
+        assert got == want, n
+        assert got.to_text() == want.to_text()
 
 
 def test_log_additivity_exhaustive():

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import dirseries.transforms
 from dirseries.errors import ConstantTermNotOne, LeadingCoefficientNotOne
 from dirseries.intfactor import f_of, factorize, is_prime, s_of
 from dirseries.matrices import (
@@ -36,6 +37,7 @@ from dirseries.transforms import (
     eps,
     eps_param,
     expand_over_basis,
+    expx,
     inverse_pair_check,
     lagrange_dir,
     lagrange_middle_member,
@@ -137,6 +139,21 @@ def test_lift_homomorphism():
         assert dir_mul(la, lb) == lc  # symbolic power parameter throughout
         at1 = lambda s: series_substitute_symbol(s, PSI, 1)
         assert dir_mul(at1(la), at1(lb)) == at1(lc)
+
+
+def test_lift_raises_only_the_order_it_reads(monkeypatch):
+    # multiplicities of indices up to 1000 are at most 9 = floor(log2 1000)
+    orders = []
+    pristine = dirseries.transforms.ord_pow_param
+
+    def spy(a):
+        orders.append(a.trunc)
+        return pristine(a)
+
+    monkeypatch.setattr(dirseries.transforms, "ord_pow_param", spy)
+    lifted = lift_multiplicative(expx(1000), 1000)
+    assert orders == [9]
+    assert lifted == eps_param(1000)
 
 
 def test_lift_is_a_power_family():
