@@ -45,7 +45,7 @@ from .serialize import (
     series_to_csv,
     series_to_json_text,
 )
-from .series import SERIES_CAP, DirSeries
+from .series import SERIES_CAP
 from .verify import SUITES, run_suites
 
 MATRIX_CAP = 500
@@ -102,10 +102,9 @@ def _cmd_coeff(args) -> int:
     if args.index > SERIES_CAP:
         raise DirAlgebraError(f"coefficient index must be at most {SERIES_CAP}")
     series = eval_expr(parse_expr(args.expr), max(args.index, 1))
-    first = 1 if isinstance(series, DirSeries) else 0
-    if args.index < first:
+    if args.index < series.first:
         raise DirAlgebraError(
-            f"this series has no index {args.index}; indices start at {first}"
+            f"this series has no index {args.index}; indices start at {series.first}"
         )
     print(series[args.index].to_text())
     return 0

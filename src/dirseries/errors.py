@@ -22,23 +22,15 @@ class NonUnitLeadingCoefficient(DirAlgebraError):
 
 
 class LeadingCoefficientNotZero(DirAlgebraError):
-    """The operation requires the coefficient at index 1 to be 0."""
+    """The operation requires the coefficient at the first index of a
+    series to be 0: index 1 of a composition series, the constant term
+    of an ordinary one."""
 
 
 class LeadingCoefficientNotOne(DirAlgebraError):
-    """The operation requires the coefficient at index 1 to be 1."""
-
-
-class ConstantTermNotOne(DirAlgebraError):
-    """The operation requires an ordinary series with constant term 1."""
-
-
-class ConstantTermNotZero(DirAlgebraError):
-    """The operation requires an ordinary series with constant term 0."""
-
-
-class NonUnitConstantTerm(DirAlgebraError):
-    """Ordinary-series inversion needs a nonzero rational constant term."""
+    """The operation requires the coefficient at the first index of a
+    series to be 1: index 1 of a composition series, the constant term
+    of an ordinary one."""
 
 
 class ArgumentOutOfRange(DirAlgebraError, ValueError):

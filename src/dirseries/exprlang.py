@@ -36,9 +36,9 @@ from .errors import (
     TruncationTooSmall,
     UnknownFunction,
 )
+from .poly import Scanner
 from .series import (
-    DirSeries,
-    OrdSeries,
+    Series,
     dir_exp_param,
     dir_inverse,
     dir_log,
@@ -97,58 +97,8 @@ _SIGNATURES: dict[str, tuple[str, ...]] = {
 }
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ExprSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def take_ident(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise ExprSyntaxError("expected a name", start)
-        return self.text[start : self.pos], start
-
-    def take_uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ExprSyntaxError("expected a number", start)
-        return int(self.text[start : self.pos])
-
-    def take_string(self) -> str:
-        self.expect('"')
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] != '"':
-            self.pos += 1
-        if self.pos >= len(self.text):
-            raise ExprSyntaxError("unterminated string", start)
-        value = self.text[start : self.pos]
-        self.pos += 1
-        return value
-
-
 def parse_expr(text: str) -> Call:
-    scanner = _Scanner(text)
+    scanner = Scanner(text, ExprSyntaxError, "a name")
     ast = _parse_call(scanner)
     scanner.skip_ws()
     if scanner.pos != len(text):
@@ -156,8 +106,20 @@ def parse_expr(text: str) -> Call:
     return ast
 
 
-def _parse_call(scanner: _Scanner) -> Call:
-    name, start = scanner.take_ident()
+def _take_string(scanner: Scanner) -> str:
+    scanner.expect('"')
+    start = scanner.pos
+    end = scanner.text.find('"', start)
+    if end < 0:
+        raise ExprSyntaxError("unterminated string", start)
+    scanner.pos = end + 1
+    return scanner.text[start:end]
+
+
+def _parse_call(scanner: Scanner) -> Call:
+    scanner.skip_ws()
+    start = scanner.pos
+    name = scanner.take_ident()
     if name not in _SIGNATURES:
         raise UnknownFunction(f"unknown function or builtin {name!r} (at offset {start})")
     shape = _SIGNATURES[name]
@@ -175,10 +137,10 @@ def _parse_call(scanner: _Scanner) -> Call:
     return Call(name, tuple(args))
 
 
-def _parse_arg(scanner: _Scanner):
+def _parse_arg(scanner: Scanner):
     ch = scanner.peek()
     if ch == '"':
-        return scanner.take_string()
+        return _take_string(scanner)
     if ch == "-" or ch.isdigit():
         negative = ch == "-"
         if negative:
@@ -195,7 +157,7 @@ def _parse_arg(scanner: _Scanner):
         # could be the symbolic marker or a nested call; ``beta`` is the
         # only bare word that is not a function name
         save = scanner.pos
-        name, _ = scanner.take_ident()
+        name = scanner.take_ident()
         if name == "beta" and scanner.peek() != "(":
             return "beta"
         scanner.pos = save
@@ -203,24 +165,10 @@ def _parse_arg(scanner: _Scanner):
     raise ExprSyntaxError("expected an argument", scanner.pos)
 
 
-def print_expr(ast) -> str:
-    """Render an AST back to source text (parse/print round-trip identity)."""
-    if isinstance(ast, Call):
-        if not ast.args:
-            return ast.name
-        return f"{ast.name}({', '.join(print_expr(a) for a in ast.args)})"
-    if isinstance(ast, Fraction):
-        return str(ast)
-    if ast == "beta":
-        return "beta"
-    return f'"{ast}"'
-
-
-def _expect_kind(name: str, value, want: str):
-    if want == "dir" and not isinstance(value, DirSeries):
-        raise ExprTypeError(f"{name} needs a composition series argument")
-    if want == "ord" and not isinstance(value, OrdSeries):
-        raise ExprTypeError(f"{name} needs an ordinary series argument")
+def _expect_kind(name: str, value: Series, want: str) -> Series:
+    if value.kind != want:
+        noun = "a composition" if want == "dir" else "an ordinary"
+        raise ExprTypeError(f"{name} needs {noun} series argument")
     return value
 
 
@@ -230,7 +178,7 @@ def _expect_int(name: str, value) -> int:
     return int(value)
 
 
-def eval_expr(ast: Call, trunc: int) -> DirSeries | OrdSeries:
+def eval_expr(ast: Call, trunc: int) -> Series:
     """Evaluate an AST at a given truncation."""
     name, args = ast.name, ast.args
     if name in ("zeta", "geom"):

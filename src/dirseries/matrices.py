@@ -31,7 +31,6 @@ from math import factorial
 
 from .errors import (
     KindMismatch,
-    LeadingCoefficientNotZero,
     NonUnitLeadingCoefficient,
     ShapeMismatch,
     SingularDiagonal,
@@ -187,8 +186,7 @@ def build_riordan_ord(b: OrdSeries, a: OrdSeries, size: int) -> DirMatrix:
     """Ordinary Riordan array on indices 0..size: entry(n,k) = [x^n] b*a^k."""
     if min(a.trunc, b.trunc) < size:
         raise TruncationTooSmall(f"need trunc >= {size}")
-    if not a[0].is_zero():
-        raise LeadingCoefficientNotZero(f"constant term is {a[0]}")
+    require_lead(a, 0, "matrix --kind riordan")
     entries: dict[tuple[int, int], Polynomial] = {}
     col = b.truncated(size)
     for k in range(0, size + 1):
@@ -239,8 +237,7 @@ def apply_to_series(m: DirMatrix, b: DirSeries) -> DirSeries:
 def rd_action(a: DirSeries, b: DirSeries) -> DirSeries:
     """Action of the basic group matrix with first series x: the result's
     coefficient at n is the divisor sum of b_d times [x^{n/d}] a^(log d)."""
-    if a[1] != ONE:
-        raise NonUnitLeadingCoefficient(f"needs leading coefficient 1, got {a[1]}")
+    require_lead(a, 1, "rd_action")
     size = min(a.trunc, b.trunc)
     power = dir_pow_param(a.truncated(size))
     out = [ZERO] * size

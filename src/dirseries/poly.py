@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import MissingSymbol, NotDivisible, PolynomialSyntaxError
+from .errors import DirAlgebraError, MissingSymbol, NotDivisible, PolynomialSyntaxError
 from .intfactor import factorize, is_prime
 
 Symbol = str
@@ -401,10 +401,16 @@ def log_n_poly(n: int) -> Polynomial:
 # with rationals written p/q or as integers.  Whitespace is insignificant.
 
 
-class _Tokens:
-    def __init__(self, text: str):
+class Scanner:
+    """Character scanner shared by the polynomial and expression grammars;
+    it raises ``error(message, offset)``, and calls an identifier
+    ``ident`` ("a symbol", "a name") when one is missing."""
+
+    def __init__(self, text: str, error: type[DirAlgebraError], ident: str):
         self.text = text
         self.pos = 0
+        self.error = error
+        self.ident = ident
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -421,7 +427,7 @@ class _Tokens:
 
     def expect(self, ch: str) -> None:
         if self.peek() != ch:
-            raise PolynomialSyntaxError(f"expected {ch!r}", self.pos)
+            raise self.error(f"expected {ch!r}", self.pos)
         self.pos += 1
 
     def take_uint(self) -> int:
@@ -430,7 +436,7 @@ class _Tokens:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            raise PolynomialSyntaxError("expected a number", start)
+            raise self.error("expected a number", start)
         return int(self.text[start : self.pos])
 
     def take_ident(self) -> str:
@@ -441,13 +447,13 @@ class _Tokens:
         ):
             self.pos += 1
         if self.pos == start:
-            raise PolynomialSyntaxError("expected a symbol", start)
+            raise self.error(f"expected {self.ident}", start)
         return self.text[start : self.pos]
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse canonical polynomial text; inverse of Polynomial.to_text."""
-    toks = _Tokens(text)
+    toks = Scanner(text, PolynomialSyntaxError, "a symbol")
     out = _parse_sum(toks)
     toks.skip_ws()
     if toks.pos != len(text):
@@ -455,7 +461,7 @@ def parse_polynomial(text: str) -> Polynomial:
     return out
 
 
-def _parse_sum(toks: _Tokens) -> Polynomial:
+def _parse_sum(toks: Scanner) -> Polynomial:
     negate = False
     if toks.peek() == "-":
         toks.take()
@@ -470,7 +476,7 @@ def _parse_sum(toks: _Tokens) -> Polynomial:
     return out
 
 
-def _parse_product(toks: _Tokens) -> Polynomial:
+def _parse_product(toks: Scanner) -> Polynomial:
     out = _parse_power(toks)
     while toks.peek() == "*":
         toks.take()
@@ -478,7 +484,7 @@ def _parse_product(toks: _Tokens) -> Polynomial:
     return out
 
 
-def _parse_power(toks: _Tokens) -> Polynomial:
+def _parse_power(toks: Scanner) -> Polynomial:
     base = _parse_atom(toks)
     if toks.peek() == "^":
         toks.take()
@@ -486,7 +492,7 @@ def _parse_power(toks: _Tokens) -> Polynomial:
     return base
 
 
-def _parse_atom(toks: _Tokens) -> Polynomial:
+def _parse_atom(toks: Scanner) -> Polynomial:
     ch = toks.peek()
     if ch == "(":
         toks.take()

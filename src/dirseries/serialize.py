@@ -16,23 +16,18 @@ from typing import Any
 from .errors import SeriesFormatError
 from .matrices import DirMatrix
 from .poly import ZERO, parse_polynomial
-from .series import SERIES_CAP, DirSeries, OrdSeries
+from .series import SERIES_CAP, DirSeries, OrdSeries, Series
 
 
-def series_to_json(s: DirSeries | OrdSeries) -> dict[str, Any]:
-    if isinstance(s, DirSeries):
-        kind, lo = "dir", 1
-    else:
-        kind, lo = "ord", 0
-    coeffs = {}
-    for n in range(lo, s.trunc + 1):
-        v = s[n]
-        if not v.is_zero():
-            coeffs[str(n)] = v.to_text()
-    return {"kind": kind, "trunc": s.trunc, "coeffs": coeffs}
+_SERIES_CLASSES = {cls.kind: cls for cls in (DirSeries, OrdSeries)}
 
 
-def series_from_json(obj: Any) -> DirSeries | OrdSeries:
+def series_to_json(s: Series) -> dict[str, Any]:
+    coeffs = {str(n): v.to_text() for n, v in enumerate(s.coeffs, s.first) if not v.is_zero()}
+    return {"kind": s.kind, "trunc": s.trunc, "coeffs": coeffs}
+
+
+def series_from_json(obj: Any) -> Series:
     """Rebuild a series from its JSON form.  Every coefficient key must be
     an index of the series, written as a decimal integer, so that no
     coefficient is dropped; the truncation must be an integer no larger
@@ -40,9 +35,10 @@ def series_from_json(obj: Any) -> DirSeries | OrdSeries:
     if not isinstance(obj, dict) or not {"kind", "trunc", "coeffs"} <= obj.keys():
         raise SeriesFormatError('a series is an object with "kind", "trunc" and "coeffs"')
     kind, trunc, items = obj["kind"], obj["trunc"], obj["coeffs"]
-    if kind not in ("dir", "ord"):
+    series_cls = _SERIES_CLASSES.get(kind) if isinstance(kind, str) else None
+    if series_cls is None:
         raise SeriesFormatError(f"unknown series kind {kind!r}")
-    lo = 1 if kind == "dir" else 0
+    lo = series_cls.first
     if type(trunc) is not int or not lo <= trunc <= SERIES_CAP:
         raise SeriesFormatError(
             f"{kind} series need an integer trunc in {lo}..{SERIES_CAP}, got {trunc!r}"
@@ -58,25 +54,18 @@ def series_from_json(obj: Any) -> DirSeries | OrdSeries:
         if not isinstance(text, str):
             raise SeriesFormatError(f"coefficient {key} is {text!r}, not polynomial text")
         coeffs[n - lo] = parse_polynomial(text)
-    series_cls = DirSeries if kind == "dir" else OrdSeries
     return series_cls(trunc, tuple(coeffs))
 
 
-def series_to_json_text(s: DirSeries | OrdSeries) -> str:
+def series_to_json_text(s: Series) -> str:
     return json.dumps(series_to_json(s), indent=None, sort_keys=True)
 
 
-def series_from_json_text(text: str) -> DirSeries | OrdSeries:
-    return series_from_json(json.loads(text))
-
-
-def series_to_csv(s: DirSeries | OrdSeries) -> str:
+def series_to_csv(s: Series) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["index", "coefficient"])
-    lo = 1 if isinstance(s, DirSeries) else 0
-    for n in range(lo, s.trunc + 1):
-        writer.writerow([n, s[n].to_text()])
+    writer.writerows((n, v.to_text()) for n, v in enumerate(s.coeffs, s.first))
     return out.getvalue()
 
 

@@ -6,9 +6,15 @@ multiplies by Dirichlet composition,
 
     (a o b)_n = sum over divisors d of n of a_d * b_{n/d},
 
-whose identity is the series x.  Coefficients are polynomials, so one code
-path serves numeric series, parametric powers (polynomial in ``psi``) and
-fully symbolic tables.
+whose identity is the series x.  Both subclass the one frozen dataclass
+``Series``, which holds the truncation and the coefficients and defines
+indexing, the arithmetic operators and ``truncated`` once; the two kinds
+differ only in their class constants ``first`` (the first index, 1 or 0)
+and ``kind`` ("dir" or "ord", the tag of the JSON form), and in which
+product ``*`` calls.  Code outside this module reads ``s.first`` and
+``s.kind`` instead of testing the class.  Coefficients are polynomials,
+so one code path serves numeric series, parametric powers (polynomial in
+``psi``) and fully symbolic tables.
 
 Truncation contract: every operation is exact for all indices up to the
 minimum truncation of its inputs; mixing truncations silently takes the
@@ -37,15 +43,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .errors import (
     ArgumentOutOfRange,
-    ConstantTermNotOne,
-    ConstantTermNotZero,
     LeadingCoefficientNotOne,
     LeadingCoefficientNotZero,
-    NonUnitConstantTerm,
     NonUnitLeadingCoefficient,
     TruncationTooSmall,
 )
@@ -73,51 +76,90 @@ SERIES_CAP = 10_000
 SCALED_DEN_BITS = 64
 
 
-# ---------------------------------------------------------------------------
-# Dirichlet-composition series (indices 1..N)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=True)
-class DirSeries:
-    """Series without constant term under Dirichlet composition."""
+@dataclass(frozen=True)
+class Series:
+    """A truncated series of either kind: the coefficients at indices
+    ``first``..``trunc``, so ``coeffs[n - first]`` is the coefficient at
+    index n.  Series of different kinds are never equal."""
 
     trunc: int
-    coeffs: tuple[Polynomial, ...]  # coeffs[n-1] is the coefficient at index n
+    coeffs: tuple[Polynomial, ...]
+
+    first: ClassVar[int]  # the first index: 1 for composition, 0 for ordinary
+    kind: ClassVar[str]  # "dir" or "ord", the kind tag of the JSON form
 
     def __post_init__(self):
-        if self.trunc < 1:
-            raise ValueError("DirSeries needs trunc >= 1")
-        if len(self.coeffs) != self.trunc:
-            raise ValueError("DirSeries needs exactly trunc coefficients")
+        name = type(self).__name__
+        if self.trunc < self.first:
+            raise ValueError(f"{name} needs trunc >= {self.first}")
+        if len(self.coeffs) != self.trunc - self.first + 1:
+            raise ValueError(f"{name} needs one coefficient per index {self.first}..{self.trunc}")
 
     def __getitem__(self, n: int) -> Polynomial:
-        if not 1 <= n <= self.trunc:
-            raise IndexError(f"index {n} outside 1..{self.trunc}")
-        return self.coeffs[n - 1]
+        if not self.first <= n <= self.trunc:
+            raise IndexError(f"index {n} outside {self.first}..{self.trunc}")
+        return self.coeffs[n - self.first]
 
-    def __add__(self, other: "DirSeries") -> "DirSeries":
-        n = min(self.trunc, other.trunc)
-        return DirSeries(n, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))
+    def __add__(self, other):
+        if type(other) is not type(self):  # the indices of two kinds do not line up
+            return NotImplemented
+        trunc = min(self.trunc, other.trunc)
+        return type(self)(trunc, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "DirSeries") -> "DirSeries":
-        n = min(self.trunc, other.trunc)
-        return DirSeries(n, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n)))
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        trunc = min(self.trunc, other.trunc)
+        return type(self)(trunc, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
-        if isinstance(other, DirSeries):
-            return dir_mul(self, other)
-        return dir_scale(self, other)
+        """The product of the kind (``dir_mul`` or ``ord_mul``) with a
+        series of the same kind, and scaling by anything else."""
+        if type(other) is type(self):
+            return dir_mul(self, other) if self.kind == "dir" else ord_mul(self, other)
+        c = as_poly(other)
+        return type(self)(self.trunc, tuple(v * c for v in self.coeffs))
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "DirSeries":
-        return dir_scale(self, -1)
+    def __neg__(self):
+        return self * -1
 
-    def truncated(self, n: int) -> "DirSeries":
+    def truncated(self, n: int):
         if n > self.trunc:
             raise TruncationTooSmall(f"have trunc {self.trunc}, need {n}")
-        return DirSeries(n, self.coeffs[:n])
+        return type(self)(n, self.coeffs[: n - self.first + 1])
+
+
+class DirSeries(Series):
+    """Series without constant term under Dirichlet composition."""
+
+    first = 1
+    kind = "dir"
+
+
+class OrdSeries(Series):
+    """Ordinary truncated power series with indices 0..N."""
+
+    first = 0
+    kind = "ord"
+
+
+def require_lead(a: Series, value: int, op: str) -> None:
+    """Raise unless the coefficient at the first index of ``a`` is ``value``
+    (0 or 1); the message names the operation ``op`` that needs it, and
+    calls the coefficient of an ordinary series its constant term."""
+    lead = a[a.first]
+    where = f"index {a.first}" if a.first else "index 0, the constant term"
+    if value == 0 and not lead.is_zero():
+        raise LeadingCoefficientNotZero(f"{op} needs coefficient 0 at {where}, got {lead}")
+    if value == 1 and lead != ONE:
+        raise LeadingCoefficientNotOne(f"{op} needs coefficient 1 at {where}, got {lead}")
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet-composition series (indices 1..N)
+# ---------------------------------------------------------------------------
 
 
 def dir_from_fn(trunc: int, fn: Callable[[int], Coeff]) -> DirSeries:
@@ -130,8 +172,7 @@ def dir_x(trunc: int) -> DirSeries:
 
 
 def dir_scale(a: DirSeries, c: Coeff) -> DirSeries:
-    c = as_poly(c)
-    return DirSeries(a.trunc, tuple(v * c for v in a.coeffs))
+    return a * as_poly(c)
 
 
 def dirichlet_convolve(
@@ -251,23 +292,13 @@ def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:
     return DirSeries(a.trunc, tuple(out))
 
 
-def require_lead(a: DirSeries, value: int, op: str) -> None:
-    """Raise unless the coefficient at index 1 is ``value`` (0 or 1); the
-    message names the operation ``op`` that needs it."""
-    lead = a[1]
-    if value == 0 and not lead.is_zero():
-        raise LeadingCoefficientNotZero(f"{op} needs coefficient 0 at index 1, got {lead}")
-    if value == 1 and lead != ONE:
-        raise LeadingCoefficientNotOne(f"{op} needs coefficient 1 at index 1, got {lead}")
-
-
 def _max_power(trunc: int) -> int:
     # a series with zero coefficient at index 1 has m-th power supported on
     # indices >= 2**m, so powers beyond log2(trunc) cannot contribute
     return trunc.bit_length() - 1
 
 
-def dir_apply_series(f: "OrdSeries", a: DirSeries) -> DirSeries:
+def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
     """Apply an ordinary series to a composition series with zero leading
     coefficient: x*f_0 + sum of f_m * a^(m) for m >= 1.
 
@@ -322,9 +353,7 @@ def star_derivative(a: DirSeries) -> DirSeries:
     )
 
 
-def series_substitute_symbol(
-    a: DirSeries | OrdSeries, sym: Symbol, r: Coeff
-) -> DirSeries | OrdSeries:
+def series_substitute_symbol(a: Series, sym: Symbol, r: Coeff) -> Series:
     """Replace ``sym`` by ``r`` in every coefficient of a series of either
     kind; the result has the kind of ``a``."""
     r = as_poly(r)
@@ -339,7 +368,7 @@ def twist_int(a: DirSeries, k: int) -> DirSeries:
     )
 
 
-def perfect_power_embed(a: "OrdSeries", m: int, trunc: int | None = None) -> DirSeries:
+def perfect_power_embed(a: OrdSeries, m: int, trunc: int | None = None) -> DirSeries:
     """Embed an ordinary series into the composition algebra by sending the
     coefficient at n to index m**n.  The embedding turns Cauchy products
     into composition products."""
@@ -360,46 +389,6 @@ def perfect_power_embed(a: "OrdSeries", m: int, trunc: int | None = None) -> Dir
 # ---------------------------------------------------------------------------
 # Ordinary (Cauchy) series (indices 0..N)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=True)
-class OrdSeries:
-    """Ordinary truncated power series with indices 0..N."""
-
-    trunc: int
-    coeffs: tuple[Polynomial, ...]  # coeffs[n] is the coefficient at index n
-
-    def __post_init__(self):
-        if self.trunc < 0:
-            raise ValueError("OrdSeries needs trunc >= 0")
-        if len(self.coeffs) != self.trunc + 1:
-            raise ValueError("OrdSeries needs exactly trunc + 1 coefficients")
-
-    def __getitem__(self, n: int) -> Polynomial:
-        if not 0 <= n <= self.trunc:
-            raise IndexError(f"index {n} outside 0..{self.trunc}")
-        return self.coeffs[n]
-
-    def __add__(self, other: "OrdSeries") -> "OrdSeries":
-        n = min(self.trunc, other.trunc)
-        return OrdSeries(n, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
-
-    def __sub__(self, other: "OrdSeries") -> "OrdSeries":
-        n = min(self.trunc, other.trunc)
-        return OrdSeries(n, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
-
-    def __mul__(self, other):
-        if isinstance(other, OrdSeries):
-            return ord_mul(self, other)
-        c = as_poly(other)
-        return OrdSeries(self.trunc, tuple(v * c for v in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def truncated(self, n: int) -> "OrdSeries":
-        if n > self.trunc:
-            raise TruncationTooSmall(f"have trunc {self.trunc}, need {n}")
-        return OrdSeries(n, self.coeffs[: n + 1])
 
 
 def ord_from_fn(trunc: int, fn: Callable[[int], Coeff]) -> OrdSeries:
@@ -428,45 +417,10 @@ def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
     return OrdSeries(n, tuple(out))
 
 
-def ord_compose(f: OrdSeries, g: OrdSeries) -> OrdSeries:
-    """f(g(x)) for g with zero constant term."""
-    if not g[0].is_zero():
-        raise ConstantTermNotZero(f"inner constant term is {g[0]}")
-    n = min(f.trunc, g.trunc)
-    out = [f[0]] + [ZERO] * n
-    power = ord_one(n)
-    for m in range(1, n + 1):
-        power = ord_mul(power, g)
-        fm = f[m]
-        if fm.is_zero():
-            continue
-        for i in range(m, n + 1):
-            out[i] = out[i] + power[i] * fm
-    return OrdSeries(n, tuple(out))
-
-
-def ord_inverse_mul(a: OrdSeries) -> OrdSeries:
-    """Multiplicative inverse; needs a nonzero rational constant term."""
-    lead = a[0]
-    if not lead.is_constant() or lead.constant_value() == 0:
-        raise NonUnitConstantTerm(f"constant term is {lead}")
-    inv = Polynomial.const(1 / lead.constant_value())
-    out = [inv] + [ZERO] * a.trunc
-    for n in range(1, a.trunc + 1):
-        acc = ZERO
-        for k in range(1, n + 1):
-            ak = a[k]
-            if not ak.is_zero():
-                acc = acc + ak * out[n - k]
-        out[n] = -acc * inv
-    return OrdSeries(a.trunc, tuple(out))
-
-
 def ord_log(a: OrdSeries) -> OrdSeries:
     """Logarithm of a series with constant term 1, by the standard
     derivative recurrence."""
-    if a[0] != ONE:
-        raise ConstantTermNotOne(f"constant term is {a[0]}")
+    require_lead(a, 1, "ord_log")
     out = [ZERO] * (a.trunc + 1)
     for n in range(1, a.trunc + 1):
         acc = a[n] * n
@@ -478,8 +432,7 @@ def ord_log(a: OrdSeries) -> OrdSeries:
 
 def ord_exp(b: OrdSeries) -> OrdSeries:
     """Exponential of a series with constant term 0."""
-    if not b[0].is_zero():
-        raise ConstantTermNotZero(f"constant term is {b[0]}")
+    require_lead(b, 0, "ord_exp")
     out = [ONE] + [ZERO] * b.trunc
     for n in range(1, b.trunc + 1):
         acc = ZERO
@@ -493,8 +446,7 @@ def ord_exp(b: OrdSeries) -> OrdSeries:
 
 def ord_pow_param(a: OrdSeries) -> OrdSeries:
     """Parametric power a**psi = exp(psi * log a); constant term must be 1."""
-    if a[0] != ONE:
-        raise ConstantTermNotOne(f"constant term is {a[0]}")
+    require_lead(a, 1, "ord_pow_param")
     psi = Polynomial.symbol(PSI)
     return ord_exp(ord_log(a) * psi)
 

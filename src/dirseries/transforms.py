@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import ConstantTermNotOne, TruncationTooSmall
+from .errors import TruncationTooSmall
 from .intfactor import binom_f, divisors, factorize, is_prime, s_of
 from .poly import (
     BETA,
@@ -54,6 +54,7 @@ from .poly import (
 from .series import (
     DirSeries,
     OrdSeries,
+    Series,
     dir_exp_param,
     dir_from_fn,
     dir_log,
@@ -117,8 +118,7 @@ def lift_multiplicative(a: OrdSeries, trunc: int) -> DirSeries:
     n = prod p_i^{m_i} is the product of the [x^{m_i}] coefficients of the
     ordinary psi-power; the result carries psi symbolically.  Only the
     terms of ``a`` up to order floor(log2 trunc) are read or powered."""
-    if a[0] != ONE:
-        raise ConstantTermNotOne(f"constant term is {a[0]}")
+    require_lead(a, 1, "lift")
     top = trunc.bit_length() - 1  # largest multiplicity that can occur
     if a.trunc < top:
         raise TruncationTooSmall(f"need ordinary trunc >= {top}, have {a.trunc}")
@@ -151,11 +151,11 @@ class LagrangeFamily:
     already folded into the coefficients.
     """
 
-    base: DirSeries | OrdSeries
+    base: Series
     beta: Polynomial
-    series: DirSeries | OrdSeries
+    series: Series
 
-    def at_power(self, value: Polynomial | Scalar) -> DirSeries | OrdSeries:
+    def at_power(self, value: Polynomial | Scalar) -> Series:
         """Specialize the power parameter phi to a value."""
         return series_substitute_symbol(self.series, PHI, value)
 
@@ -163,29 +163,27 @@ class LagrangeFamily:
 def lagrange_dir(a: DirSeries, beta=None) -> LagrangeFamily:
     """Shifted-power family of a composition series with leading
     coefficient 1.  ``beta=None`` keeps beta symbolic."""
-    require_lead(a, 1, "lagrange_dir")
-    b = _beta if beta is None else as_poly(beta)
-    p = dir_pow_param(a)
-    out = [ONE] + [ZERO] * (a.trunc - 1)
-    for n in range(2, a.trunc + 1):
-        # every term of [x^n] of the parametric power carries psi, so the
-        # quotient is exact; a failure here is a structural bug
-        q = p[n].divide_by_symbol(PSI)
-        out[n - 1] = _phi * q.substitute(PSI, _phi + b * log_n_poly(n))
-    return LagrangeFamily(base=a, beta=b, series=DirSeries(a.trunc, tuple(out)))
+    return _lagrange(a, beta, dir_pow_param, log_n_poly)
 
 
 def lagrange_ord(a: OrdSeries, beta=None) -> LagrangeFamily:
     """Ordinary-algebra counterpart: the shift at index n is beta*n."""
-    if a[0] != ONE:
-        raise ConstantTermNotOne(f"constant term is {a[0]}")
+    return _lagrange(a, beta, ord_pow_param, lambda n: n)
+
+
+def _lagrange(a: Series, beta, power, shift) -> LagrangeFamily:
+    """The family of ``a`` from its parametric power ``power(a)`` and the
+    index shift ``shift(n)`` (log n, or n itself)."""
+    require_lead(a, 1, f"lagrange_{a.kind}")
     b = _beta if beta is None else as_poly(beta)
-    p = ord_pow_param(a)
-    out = [ONE] + [ZERO] * a.trunc
-    for n in range(1, a.trunc + 1):
+    p = power(a)
+    out = [ONE]
+    for n in range(a.first + 1, a.trunc + 1):
+        # every term of [x^n] of the parametric power carries psi, so the
+        # quotient is exact; a failure here is a structural bug
         q = p[n].divide_by_symbol(PSI)
-        out[n] = _phi * q.substitute(PSI, _phi + b * n)
-    return LagrangeFamily(base=a, beta=b, series=OrdSeries(a.trunc, tuple(out)))
+        out.append(_phi * q.substitute(PSI, _phi + b * shift(n)))
+    return LagrangeFamily(base=a, beta=b, series=type(a)(a.trunc, tuple(out)))
 
 
 def lagrange_middle_member(a: DirSeries) -> DirSeries:

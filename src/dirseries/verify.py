@@ -61,8 +61,7 @@ from .poly import (
 )
 from .randgen import random_dir_series, random_ord_series, random_polynomial
 from .series import (
-    DirSeries,
-    OrdSeries,
+    Series,
     dir_apply_series,
     dir_exp_param,
     dir_from_fn,
@@ -131,9 +130,9 @@ def _first_mismatch(got, want) -> str:
     matrices, the key of two dicts, and otherwise the two whole values."""
     left = right = None
     absent = "absent"
-    if isinstance(got, (DirSeries, OrdSeries)) and type(got) is type(want):
-        lo = 1 if isinstance(got, DirSeries) else 0
-        left, right = dict(enumerate(got.coeffs, lo)), dict(enumerate(want.coeffs, lo))
+    if isinstance(got, Series) and type(got) is type(want):
+        left = dict(enumerate(got.coeffs, got.first))
+        right = dict(enumerate(want.coeffs, want.first))
     elif isinstance(got, DirMatrix) and isinstance(want, DirMatrix):
         left, right, absent = got.entries, want.entries, Polynomial.zero()
     elif isinstance(got, dict) and isinstance(want, dict):

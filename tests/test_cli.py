@@ -157,23 +157,32 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, file_text, message",
     [
-        (["coeff", "-e", "dexp(zeta)", "-n", "3"], "dexp needs coefficient 0 at index 1, got 1"),
-        (["coeff", "-e", "dinv(geom2)", "-n", "3"],
+        (["coeff", "-e", "dexp(zeta)", "-n", "3"], None,
+         "dexp needs coefficient 0 at index 1, got 1"),
+        (["coeff", "-e", "dinv(geom2)", "-n", "3"], None,
          "dinv needs a nonzero rational coefficient at index 1, got 0"),
-        (["matrix", "--kind", "column", "-e", "zeta", "-N", "3"],
+        (["matrix", "--kind", "column", "-e", "zeta", "-N", "3"], None,
          "matrix --kind column needs coefficient 0 at index 1, got 1"),
-        (["matrix", "--kind", "rd", "-e", "zeta", "-e2", "geom2", "-N", "3"],
+        (["matrix", "--kind", "rd", "-e", "zeta", "-e2", "geom2", "-N", "3"], None,
          "matrix --kind rd needs coefficient 1 at index 1 of the second series, got 0"),
-        (["matrix", "--kind", "rd", "-e", "geom2", "-e2", "zeta", "-N", "3"],
+        (["matrix", "--kind", "rd", "-e", "geom2", "-e2", "zeta", "-N", "3"], None,
          "matrix --kind rd needs a nonzero rational coefficient at index 1"
          " of the first series, got 0"),
+        (["matrix", "--kind", "riordan", "-e", "onepx", "-e2", "expx", "-N", "4"], None,
+         "matrix --kind riordan needs coefficient 0 at index 0, the constant term, got 1"),
+        (["series", "-e", 'lift(load("{path}"))', "-N", "8"],
+         '{"kind": "ord", "trunc": 4, "coeffs": {"0": "2", "1": "1"}}',
+         "lift needs coefficient 1 at index 0, the constant term, got 2"),
     ],
-    ids=["dexp", "dinv", "column", "rd-second", "rd-first"],
+    ids=["dexp", "dinv", "column", "rd-second", "rd-first", "riordan", "lift"],
 )
-def test_precondition_error_names_operation_and_value(capsys, argv, message):
-    code, _, err = run_cli(capsys, *argv)
+def test_precondition_error_names_operation_and_value(tmp_path, capsys, argv, file_text, message):
+    path = tmp_path / "input.json"
+    if file_text is not None:
+        path.write_text(file_text)
+    code, _, err = run_cli(capsys, *(a.replace("{path}", str(path)) for a in argv))
     assert code == 2
     assert err == f"error: {message}\n"
 

@@ -10,7 +10,7 @@ from dirseries.errors import (
     TruncationTooSmall,
     UnknownFunction,
 )
-from dirseries.exprlang import Call, eval_expr, parse_expr, print_expr
+from dirseries.exprlang import Call, eval_expr, parse_expr
 from dirseries.randgen import random_dir_series
 from dirseries.series import dir_log, dir_x
 from dirseries.transforms import lagrange_dir, zeta
@@ -56,21 +56,26 @@ def test_parse_errors():
         parse_expr('load("unterminated)')
 
 
-def test_print_parse_roundtrip():
-    texts = [
-        "dlog(zeta)",
-        "dmul(zeta, dinv(zeta))",
-        "lagrange_dir(eps, 1)",
-        "lagrange_dir(eps, beta)",
-        "dpow_int(subst_xk(geom, 2), -3)",
-        "lift(expx)",
-        "twist(star(eps), 2)",
-        'load("f.json")',
-        "lagrange_ord(onepx, -2/3)",
-    ]
-    for text in texts:
-        ast = parse_expr(text)
-        assert parse_expr(print_expr(ast)) == ast
+def test_parse_builds_call_trees():
+    def call(name, *args):
+        return Call(name, args)
+
+    zeta, eps = call("zeta"), call("eps")
+    expected = {
+        "dlog(zeta)": call("dlog", zeta),
+        "dmul(zeta, dinv(zeta))": call("dmul", zeta, call("dinv", zeta)),
+        "lagrange_dir(eps, 1)": call("lagrange_dir", eps, Fraction(1)),
+        "lagrange_dir(eps, beta)": call("lagrange_dir", eps, "beta"),
+        "dpow_int(subst_xk(geom, 2), -3)": call(
+            "dpow_int", call("subst_xk", call("geom"), Fraction(2)), Fraction(-3)
+        ),
+        "lift(expx)": call("lift", call("expx")),
+        "twist(star(eps), 2)": call("twist", call("star", eps), Fraction(2)),
+        'load("f.json")': call("load", "f.json"),
+        "lagrange_ord(onepx, -2/3)": call("lagrange_ord", call("onepx"), Fraction(-2, 3)),
+    }
+    for text, ast in expected.items():
+        assert parse_expr(text) == ast
 
 
 def test_eval_builtins_and_identity():

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import random
 import time
 from fractions import Fraction
@@ -14,10 +17,12 @@ from dirseries.errors import (
     TruncationTooSmall,
 )
 from dirseries.intfactor import divisors, factorize, mobius_upto
-from dirseries.poly import BETA, PHI, PSI, Polynomial, binom_poly, log_n_poly
+from dirseries.poly import BETA, PHI, PSI, Polynomial, binom_poly, log_n_poly, parse_polynomial
 from dirseries.randgen import random_dir_series, random_ord_series, random_polynomial
+from dirseries.serialize import series_from_json, series_to_csv, series_to_json_text
 from dirseries.series import (
     DirSeries,
+    OrdSeries,
     dir_apply_series,
     dir_exp_param,
     dir_from_fn,
@@ -30,10 +35,8 @@ from dirseries.series import (
     dir_subst_xk,
     dir_x,
     dirichlet_convolve,
-    ord_compose,
     ord_exp,
     ord_from_fn,
-    ord_inverse_mul,
     ord_log,
     ord_mul,
     ord_one,
@@ -509,12 +512,6 @@ def test_embed_homomorphism():
 # -- ordinary series operations ---------------------------------------------------
 
 
-def test_ord_mul_and_inverse():
-    rng = random.Random(20)
-    a = random_ord_series(rng, 32, const=Fraction(2))
-    assert ord_mul(a, ord_inverse_mul(a)) == ord_one(32)
-
-
 def test_ord_log_one_plus_x():
     one_plus_x = ord_from_fn(16, lambda n: 1 if n <= 1 else 0)
     lg = ord_log(one_plus_x)
@@ -527,14 +524,6 @@ def test_ord_exp_log_roundtrip():
     rng = random.Random(21)
     a = random_ord_series(rng, 24)
     assert ord_exp(ord_log(a)) == a
-
-
-def test_ord_compose():
-    # 1/(1-x) composed with x/(1+x) telescopes to 1 + x
-    geom = ord_from_fn(16, lambda n: 1)
-    inner = ord_from_fn(16, lambda n: 0 if n == 0 else Fraction((-1) ** (n + 1)))
-    composed = ord_compose(geom, inner)
-    assert composed == ord_from_fn(16, lambda n: 1 if n <= 1 else 0)
 
 
 def test_ord_pow_param_binomial():
@@ -556,3 +545,53 @@ def test_ord_pow_param_exp_coeffs():
     p = ord_pow_param(expx)
     for n in range(13):
         assert p[n] == psi**n * Fraction(1, factorial(n))
+
+
+# -- the shared series class ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls, random_series, product",
+    [(DirSeries, random_dir_series, dir_mul), (OrdSeries, random_ord_series, ord_mul)],
+    ids=["dir", "ord"],
+)
+def test_series_kinds_share_one_class(cls, random_series, product):
+    rng = random.Random(24)
+    a, b = random_series(rng, 10), random_series(rng, 7)
+    first = cls.first
+    assert type(a) is cls and first == (1 if cls is DirSeries else 0)
+    assert a[first] == a.coeffs[0] and a[10] == a.coeffs[-1]
+    for n in (first - 1, 11):
+        with pytest.raises(IndexError):
+            a[n]
+    with pytest.raises(ValueError):
+        cls(3, (Polynomial.one(),) * 5)
+
+    # arithmetic is index by index and takes the smaller truncation
+    indices = range(first, 8)
+    assert [(a + b)[n] for n in indices] == [a[n] + b[n] for n in indices]
+    assert [(a - b)[n] for n in indices] == [a[n] - b[n] for n in indices]
+    assert (a + b).trunc == (a - b).trunc == 7
+    assert [(-a)[n] for n in range(first, 11)] == [-a[n] for n in range(first, 11)]
+    assert a * psi == cls(10, tuple(v * psi for v in a.coeffs))
+    assert 3 * a == a * 3 == a + a + a
+    assert a.truncated(7) == cls(7, a.coeffs[: 8 - first])
+    with pytest.raises(TruncationTooSmall):
+        b.truncated(8)
+
+    # two series of one kind multiply by the product of the kind
+    assert a * b == product(a, b)
+    other = random_ord_series(rng, 10) if cls is DirSeries else random_dir_series(rng, 10)
+    assert a != other and cls(a.trunc, a.coeffs) == a
+    with pytest.raises(TypeError):
+        a + other
+    with pytest.raises(TypeError):
+        a - other
+
+    text = series_to_json_text(a)
+    assert json.loads(text)["kind"] == cls.kind
+    assert series_from_json(json.loads(text)) == a
+    rows = list(csv.reader(io.StringIO(series_to_csv(a))))
+    assert rows[0] == ["index", "coefficient"]
+    assert cls(10, tuple(parse_polynomial(v) for _, v in rows[1:])) == a
+    assert [int(n) for n, _ in rows[1:]] == list(range(first, 11))

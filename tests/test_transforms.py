@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 import dirseries.transforms
-from dirseries.errors import ConstantTermNotOne, LeadingCoefficientNotOne
+from dirseries.errors import LeadingCoefficientNotOne
 from dirseries.intfactor import f_of, factorize, is_prime, s_of
 from dirseries.matrices import (
     build_column,
@@ -179,7 +179,7 @@ def test_lift_log_support():
 
 
 def test_lift_requires_unit_constant():
-    with pytest.raises(ConstantTermNotOne):
+    with pytest.raises(LeadingCoefficientNotOne):
         lift_multiplicative(ord_from_fn(8, lambda k: 2 if k == 0 else 1), 16)
 
 
