@@ -19,7 +19,10 @@ Functions: ``dmul``, ``dinv``, ``dpow_int``, ``dpow_param``, ``dlog``,
 ``lagrange_dir`` / ``lagrange_ord`` build the shifted-power family (their
 second argument is a rational, or the word ``beta`` to stay symbolic).
 
-Parse errors carry byte offsets and are deterministic.
+Parse errors carry byte offsets and are deterministic.  The parser also
+checks the syntactic kind of every argument (a series expression, an
+integer, a rational or ``beta``, a quoted path); whether a series is of
+the kind a function needs is checked when it is evaluated.
 """
 
 from __future__ import annotations
@@ -96,6 +99,16 @@ _SIGNATURES: dict[str, tuple[str, ...]] = {
     "lagrange_ord": ("ord", "param"),
 }
 
+# the syntactic kinds of argument each shape accepts, and its name in
+# messages
+_ACCEPTS: dict[str, tuple[set[str], str]] = {
+    "dir": ({"call"}, "a series expression"),
+    "ord": ({"call"}, "a series expression"),
+    "int": ({"integer"}, "an integer"),
+    "param": ({"integer", "rational", "beta"}, "a rational or beta"),
+    "str": ({"string"}, "a quoted path"),
+}
+
 
 def parse_expr(text: str) -> Call:
     scanner = Scanner(text, ExprSyntaxError, "a name")
@@ -134,13 +147,19 @@ def _parse_call(scanner: Scanner) -> Call:
         scanner.expect(")")
     if len(args) != len(shape):
         raise ArityMismatch(f"{name} takes {len(shape)} argument(s), got {len(args)}")
-    return Call(name, tuple(args))
+    for i, ((kind, _), want) in enumerate(zip(args, shape), start=1):
+        accepted, noun = _ACCEPTS[want]
+        if kind not in accepted:
+            raise ExprTypeError(f"{name} needs {noun} as argument {i}")
+    return Call(name, tuple(value for _, value in args))
 
 
-def _parse_arg(scanner: Scanner):
+def _parse_arg(scanner: Scanner) -> tuple[str, Arg]:
+    """An argument and its syntactic kind: "call", "integer", "rational",
+    "beta" or "string"."""
     ch = scanner.peek()
     if ch == '"':
-        return _take_string(scanner)
+        return "string", _take_string(scanner)
     if ch == "-" or ch.isdigit():
         negative = ch == "-"
         if negative:
@@ -152,16 +171,17 @@ def _parse_arg(scanner: Scanner):
             den = scanner.take_uint()
             if den == 0:
                 raise ExprSyntaxError("zero denominator", scanner.pos)
-        return Fraction(-num if negative else num, den)
+        value = Fraction(-num if negative else num, den)
+        return ("integer" if value.denominator == 1 else "rational"), value
     if ch.isalpha():
         # could be the symbolic marker or a nested call; ``beta`` is the
         # only bare word that is not a function name
         save = scanner.pos
         name = scanner.take_ident()
         if name == "beta" and scanner.peek() != "(":
-            return "beta"
+            return "beta", "beta"
         scanner.pos = save
-        return _parse_call(scanner)
+        return "call", _parse_call(scanner)
     raise ExprSyntaxError("expected an argument", scanner.pos)
 
 
@@ -170,12 +190,6 @@ def _expect_kind(name: str, value: Series, want: str) -> Series:
         noun = "a composition" if want == "dir" else "an ordinary"
         raise ExprTypeError(f"{name} needs {noun} series argument")
     return value
-
-
-def _expect_int(name: str, value) -> int:
-    if not isinstance(value, Fraction) or value.denominator != 1:
-        raise ExprTypeError(f"{name} needs an integer argument")
-    return int(value)
 
 
 def eval_expr(ast: Call, trunc: int) -> Series:
@@ -221,7 +235,7 @@ def eval_expr(ast: Call, trunc: int) -> Series:
     if name == "dinv":
         return dir_inverse(values[0])
     if name == "dpow_int":
-        return dir_pow_int(values[0], _expect_int(name, values[1]))
+        return dir_pow_int(values[0], int(values[1]))
     if name == "dpow_param":
         return dir_pow_param(values[0])
     if name == "dlog":
@@ -231,9 +245,9 @@ def eval_expr(ast: Call, trunc: int) -> Series:
     if name == "star":
         return star_derivative(values[0])
     if name == "subst_xk":
-        return dir_subst_xk(values[0], _expect_int(name, values[1]))
+        return dir_subst_xk(values[0], int(values[1]))
     if name == "twist":
-        return twist_int(values[0], _expect_int(name, values[1]))
+        return twist_int(values[0], int(values[1]))
     if name == "lift":
         return lift_multiplicative(values[0], trunc)
     if name == "lagrange_dir":

@@ -17,6 +17,14 @@ with all exponents >= 1; the empty tuple is the unit monomial.  A
 polynomial maps monomials to nonzero rational coefficients; the empty map
 is zero.  Equality is structural, and the printer emits terms in a fixed
 graded-lexicographic order, so printed forms are canonical.
+
+A coefficient that enters a polynomial as an integral value is stored as
+an ``int``, any other as a ``Fraction``, so products and sums of integral
+coefficients run in ``int`` arithmetic without a gcd per operation.  A
+result of mixed arithmetic may be a ``Fraction`` with denominator 1;
+equality, hashing and printing go by value, so the two forms are
+interchangeable.  ``constant_value`` and ``eval_at`` return ``Fraction``,
+so that dividing by their result stays exact.
 """
 
 from __future__ import annotations
@@ -65,6 +73,14 @@ def validate_symbol(name: str) -> Symbol:
     raise ValueError(f"unknown symbol {name!r}")
 
 
+def _scalar(value: Scalar) -> Scalar:
+    """An integral value as an ``int``, any other as a ``Fraction``."""
+    if type(value) is int:
+        return value
+    c = value if type(value) is Fraction else Fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
@@ -89,11 +105,11 @@ class Polynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _scalar(coeff)
                 if c:
                     clean[mono] = c
         self._terms = clean
@@ -110,7 +126,7 @@ class Polynomial:
 
     @staticmethod
     def const(value: Scalar) -> "Polynomial":
-        c = Fraction(value)
+        c = _scalar(value)
         if not c:
             return _ZERO
         if c == 1:
@@ -119,12 +135,12 @@ class Polynomial:
 
     @staticmethod
     def symbol(name: Symbol) -> "Polynomial":
-        return Polynomial({((validate_symbol(name), 1),): Fraction(1)})
+        return _wrap({((validate_symbol(name), 1),): 1})
 
     # -- inspection ----------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[Monomial, Scalar]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -138,7 +154,7 @@ class Polynomial:
         if not self._terms:
             return Fraction(0)
         if self.is_constant():
-            return self._terms[_UNIT_MONO]
+            return Fraction(self._terms[_UNIT_MONO])
         raise ValueError(f"not a constant polynomial: {self}")
 
     def symbols(self) -> set[Symbol]:
@@ -153,6 +169,8 @@ class Polynomial:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
+        if not isinstance(other, (Polynomial, int, Fraction)):
+            return NotImplemented
         other = as_poly(other)
         if not self._terms:
             return other
@@ -177,14 +195,18 @@ class Polynomial:
         return _wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        return self + (-as_poly(other))
+        if not isinstance(other, (Polynomial, int, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
-        return Polynomial.const(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = _scalar(other)
             if not c:
                 return _ZERO
             if c == 1:
@@ -197,7 +219,7 @@ class Polynomial:
             return self * other._terms[_UNIT_MONO]
         if self.is_constant():
             return other * self._terms[_UNIT_MONO]
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _mono_mul(m1, m2)
@@ -241,18 +263,18 @@ class Polynomial:
             exps = dict(mono)
             e = exps.pop(sym, 0)
             if e == 0:
-                out = out + Polynomial({mono: coeff})
+                out = out + _wrap({mono: coeff})
                 continue
             touched = True
             while len(powers) <= e:
                 powers.append(powers[-1] * replacement)
-            rest = Polynomial({tuple(sorted(exps.items())): coeff})
+            rest = _wrap({tuple(sorted(exps.items())): coeff})
             out = out + rest * powers[e]
         return out if touched else self
 
     def divide_by_symbol(self, sym: Symbol) -> "Polynomial":
         """Exact division by ``sym``; every term must contain it."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
             exps = dict(mono)
             e = exps.get(sym, 0)
@@ -319,14 +341,14 @@ class Polynomial:
         return " ".join(parts)
 
 
-def _wrap(terms: dict[Monomial, Fraction]) -> Polynomial:
+def _wrap(terms: dict[Monomial, Scalar]) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p._terms = terms
     return p
 
 
 _ZERO = _wrap({})
-_ONE = _wrap({_UNIT_MONO: Fraction(1)})
+_ONE = _wrap({_UNIT_MONO: 1})
 
 ZERO = _ZERO
 ONE = _ONE
@@ -340,10 +362,11 @@ def as_poly(value: Polynomial | Scalar) -> Polynomial:
     return value if isinstance(value, Polynomial) else Polynomial.const(value)
 
 
-def constant_values(polys: Iterable[Polynomial]) -> list[Fraction] | None:
-    """The rational values of a run of polynomials, in one pass; None as
-    soon as one of them carries a symbol."""
-    out: list[Fraction] = []
+def constant_values(polys: Iterable[Polynomial]) -> list[Scalar] | None:
+    """The rational values (``int`` or ``Fraction``) of a run of
+    polynomials, in one pass; None as soon as one of them carries a
+    symbol."""
+    out: list[Scalar] = []
     for p in polys:
         terms = p._terms
         if not terms:
@@ -391,7 +414,7 @@ def log_n_poly(n: int) -> Polynomial:
     if n < 1:
         raise ValueError("log_n_poly needs n >= 1")
     # factorize yields primes only, so each L<p> is valid as built
-    return _wrap({((f"L{p}", 1),): Fraction(m) for p, m in factorize(n)})
+    return _wrap({((f"L{p}", 1),): m for p, m in factorize(n)})
 
 
 # -- text parsing ----------------------------------------------------------

@@ -2,8 +2,16 @@
 
 Each suite re-derives a family of identities and reports one record per
 identity (and per index n for the divisor-indexed families).  Records are
-ordered by identity name and index regardless of evaluation order, so runs
-with ``--jobs`` produce byte-identical reports.
+ordered by identity name and index regardless of evaluation order, and
+every suite seeds its own random stream, so runs with ``--jobs`` produce
+byte-identical reports.
+
+``run_suites`` schedules a whole run at once.  With ``--jobs k`` above 1
+it starts one process pool (at most k workers, and no more than there are
+cores or work items) and submits every work item to it, heaviest first:
+each suite is one item, except ``abel`` and ``binomf``, whose per-n
+checks go in chunks of a few indices.  With ``--jobs 1``, or where
+processes cannot be started, the suites run whole in process.
 
 Suites: ``pow`` (composition powers), ``log`` (logarithms and the star
 derivative), ``thm1`` (the multiplicative lift), ``thm2`` (shifted-power
@@ -17,7 +25,8 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -573,58 +582,64 @@ def suite_thm3(bound: int | None = None) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# abel and binomf (per-n, parallelizable)
+# abel and binomf (per-n, in chunks that a pool can take one at a time)
 # ---------------------------------------------------------------------------
 
-
-def _abel_record(n: int) -> CheckResult:
-    report = abel_check(n)
-    return CheckResult("abel.identities", n, report.ok, report.failure or "")
+# indices per chunk: enough to amortize a round trip to a pool worker
+_CHUNK = 8
 
 
-def _classic_record(args: tuple[int, int]) -> CheckResult:
-    p, m = args
-    flags = dict(enumerate(classic_abel_check(p, m), start=1))  # keyed 1..4 by identity
-    return _check(f"abel.classic.p={p}", p**m, (flags, dict.fromkeys(flags, True)))
+def _chunks(ns: range) -> list[range]:
+    return [ns[i : i + _CHUNK] for i in range(0, len(ns), _CHUNK)]
 
 
-def _binomf_records(n: int) -> list[CheckResult]:
-    weights = {d: binom_f(n, d) for d in divisors(n)}
-    out = [_check("binomf.sum-power", n, (sum(weights.values()), 2 ** s_of(n)))]
-    mirrored = {d: weights[n // d] for d in weights}
-    out.append(_check("binomf.symmetry", n, (weights, mirrored)))
-    if not is_prime(n):
-        alt = Polynomial.zero()
-        for d, weight in weights.items():
-            alt = alt + log_n_poly(d) * weight * Fraction((-1) ** s_of(n // d))
-        out.append(_check("binomf.log-alternating", n, (alt, Polynomial.zero())))
+def _abel_chunk(ns: range) -> list[CheckResult]:
+    out = []
+    for n in ns:
+        report = abel_check(n)
+        out.append(CheckResult("abel.identities", n, report.ok, report.failure or ""))
     return out
 
 
-def _map_maybe_parallel(fn, items, jobs: int):
-    # more workers than cores or items only adds start-up cost
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items, chunksize=8))
-        except OSError:
-            pass  # sandboxed environments may forbid process pools
-    return [fn(item) for item in items]
+def _classic_chunk(pairs: list[tuple[int, int]]) -> list[CheckResult]:
+    out = []
+    for p, m in pairs:
+        flags = dict(enumerate(classic_abel_check(p, m), start=1))  # keyed 1..4 by identity
+        out.append(_check(f"abel.classic.p={p}", p**m, (flags, dict.fromkeys(flags, True))))
+    return out
 
 
-def suite_abel(bound: int | None = None, jobs: int = 1) -> list[CheckResult]:
+def _binomf_chunk(ns: range) -> list[CheckResult]:
+    out = []
+    for n in ns:
+        weights = {d: binom_f(n, d) for d in divisors(n)}
+        out.append(_check("binomf.sum-power", n, (sum(weights.values()), 2 ** s_of(n))))
+        mirrored = {d: weights[n // d] for d in weights}
+        out.append(_check("binomf.symmetry", n, (weights, mirrored)))
+        if not is_prime(n):
+            alt = Polynomial.zero()
+            for d, weight in weights.items():
+                alt = alt + log_n_poly(d) * weight * Fraction((-1) ** s_of(n // d))
+            out.append(_check("binomf.log-alternating", n, (alt, Polynomial.zero())))
+    return out
+
+
+def _abel_parts(bound: int | None) -> list[tuple[Callable, object]]:
     top = bound or 200
-    out = _map_maybe_parallel(_abel_record, range(2, top + 1), jobs)
     pairs = [(p, m) for p in (2, 3) for m in range(1, 8) if p**m <= max(top, 2**7)]
-    out.extend(_map_maybe_parallel(_classic_record, pairs, jobs))
-    return out
+    return [(_abel_chunk, ns) for ns in _chunks(range(2, top + 1))] + [(_classic_chunk, pairs)]
 
 
-def suite_binomf(bound: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    top = bound or 500
-    nested = _map_maybe_parallel(_binomf_records, range(1, top + 1), jobs)
-    return [rec for chunk in nested for rec in chunk]
+def _binomf_parts(bound: int | None) -> list[tuple[Callable, object]]:
+    return [(_binomf_chunk, ns) for ns in _chunks(range(1, (bound or 500) + 1))]
+
+
+def suite_abel(bound: int | None = None) -> list[CheckResult]:
+    return [rec for fn, arg in _abel_parts(bound) for rec in fn(arg)]
+
+
+def suite_binomf(bound: int | None = None) -> list[CheckResult]:
+    return [rec for fn, arg in _binomf_parts(bound) for rec in fn(arg)]
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +752,84 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
 
 SUITES = ("pow", "log", "thm1", "thm2", "thm3", "abel", "binomf", "oracle")
 
+# the suites from the slowest to the fastest at the default bounds, as
+# timed in process (oracle and thm2 take about half of the run between
+# them); a pool takes the whole suites in this order
+_BY_COST = ("oracle", "thm2", "abel", "thm3", "binomf", "pow", "log", "thm1")
+
+# the suites a pool takes in chunks, and their parts
+_PER_N = {"abel": _abel_parts, "binomf": _binomf_parts}
+
+
+# a work item is (suite, index, fn, arg): the part at position ``index`` of
+# the suite, whose records are ``fn(arg)``; fn and arg are picklable
+_Item = tuple[str, int, Callable, object]
+
+
+def _whole_suite(args: tuple[str, int | None]) -> list[CheckResult]:
+    name, bound = args
+    return globals()[f"suite_{name}"](bound)
+
+
+def _pool_items(selected: list[str], bound: int | None) -> list[_Item]:
+    """The work items of the selected suites, heaviest first: the suites
+    that run whole, slowest first, then the chunks of the per-n suites,
+    largest n first; each chunk is lighter than any whole suite."""
+    by_cost = sorted(selected, key=_BY_COST.index)
+    items = [(name, 0, _whole_suite, (name, bound)) for name in by_cost if name not in _PER_N]
+    for name in by_cost:
+        if name in _PER_N:
+            parts = list(enumerate(_PER_N[name](bound)))
+            items.extend((name, i, fn, arg) for i, (fn, arg) in reversed(parts))
+    return items
+
+
+def _run_item(fn: Callable, arg: object) -> tuple[list[CheckResult] | None, str, float]:
+    """The records of one part, or None and the repr of what it raised,
+    with its wall seconds."""
+    start = time.perf_counter()
+    # a broken build may raise instead of producing a mismatch; either way
+    # the suite must report a failure, not crash the runner
+    try:
+        records, error = fn(arg), ""
+    except Exception as exc:  # noqa: BLE001
+        records, error = None, repr(exc)
+    return records, error, time.perf_counter() - start
+
+
+def _outcomes(items: list[_Item], workers: int):
+    """Yield each item with its outcome as it finishes: in a pool of
+    ``workers`` processes when there are several, else in process."""
+    if workers > 1:
+        pool = None
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            futures = {pool.submit(_run_item, *item[2:]): item for item in items}
+        except OSError:  # sandboxed environments may forbid process pools
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+        else:
+            with pool:
+                for future in as_completed(futures):
+                    try:
+                        outcome = future.result()
+                    except Exception as exc:  # noqa: BLE001  a worker died
+                        outcome = None, repr(exc), 0.0
+                    yield futures[future], outcome
+            return
+    for item in items:
+        yield item, _run_item(*item[2:])
+
+
+def _suite_records(name: str, parts: list[tuple]) -> list[CheckResult]:
+    """A suite's records from the outcomes of its parts, given as (index,
+    records, error, seconds): one exception record, with the error of the
+    first part that raised, as an in-process run meets it, if any did."""
+    errors = [(index, error) for index, _, error, _ in parts if error]
+    if errors:
+        return [CheckResult(f"{name}.exception", 0, False, min(errors)[1])]
+    return [rec for _, records, _, _ in parts for rec in records]
+
 
 def _ignore_timing(name: str, seconds: float, records: int) -> None:
     pass
@@ -749,26 +842,33 @@ def run_suites(
     on_suite_done: Callable[[str, float, int], None] = _ignore_timing,
 ) -> tuple[list[CheckResult], bool]:
     """Run the named suites (or all of them) and return ordered records.
-    ``on_suite_done`` receives each suite's name, wall seconds and record
-    count as soon as the suite finishes."""
+
+    With ``jobs`` > 1, one process pool of at most ``jobs`` workers (and
+    no more than there are cores or work items) takes the work items of
+    every selected suite, heaviest first; otherwise each suite runs whole
+    in process.  A suite any part of which raises reports one
+    ``<suite>.exception`` record instead of its other records.
+    ``on_suite_done`` receives each suite's name, summed seconds and
+    record count as soon as the suite's last part returns."""
     selected = list(SUITES) if names == ["all"] else names
     for name in selected:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+    items = _pool_items(selected, bound)
+    # more workers than cores or items only adds start-up cost
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        items = [(name, 0, _whole_suite, (name, bound)) for name in selected]
+    left = Counter(name for name, *_ in items)
+    parts: dict[str, list[tuple]] = {name: [] for name in selected}
     records: list[CheckResult] = []
-    for name in selected:
-        start, before = time.perf_counter(), len(records)
-        # a broken build may raise instead of producing a mismatch; either
-        # way the suite must report a failure, not crash the runner
-        try:
-            if name == "abel":
-                records.extend(suite_abel(bound, jobs))
-            elif name == "binomf":
-                records.extend(suite_binomf(bound, jobs))
-            else:
-                records.extend(globals()[f"suite_{name}"](bound))
-        except Exception as exc:  # noqa: BLE001
-            records.append(CheckResult(f"{name}.exception", 0, False, repr(exc)))
-        on_suite_done(name, time.perf_counter() - start, len(records) - before)
+    for (name, index, _, _), outcome in _outcomes(items, workers):
+        parts[name].append((index, *outcome))
+        left[name] -= 1
+        if not left[name]:
+            suite_records = _suite_records(name, parts[name])
+            records.extend(suite_records)
+            seconds = sum(part[3] for part in parts[name])
+            on_suite_done(name, seconds, len(suite_records))
     records.sort(key=lambda r: (r.ident, r.n))
     return records, all(r.ok for r in records)

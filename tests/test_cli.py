@@ -6,6 +6,7 @@ import pytest
 
 from dirseries.cli import main
 from dirseries.poly import PSI, Polynomial, parse_polynomial
+from dirseries.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -139,11 +140,19 @@ def test_expr_error_exit_code(capsys):
         (["matrix", "--kind", "column", "-e", "geom2", "-e2", "zeta", "-N", "3"], None),
         (["coeff", "-e", "subst_xk(zeta,0)", "-n", "6"], None),
         (["coeff", "-e", "subst_xk(zeta,-2)", "-n", "6"], None),
+        (["coeff", "-e", "dlog(1)", "-n", "4"], None),
+        (["coeff", "-e", "dlog(beta)", "-n", "4"], None),
+        (["coeff", "-e", 'dlog("f")', "-n", "4"], None),
+        (["coeff", "-e", "load(3)", "-n", "4"], None),
+        (["coeff", "-e", "load(zeta)", "-n", "4"], None),
+        (["coeff", "-e", 'lagrange_dir(eps,"x")', "-n", "4"], None),
     ],
     ids=["ord-index", "factorizations", "load-not-json", "load-key-range",
          "verify-negative", "verify-zero", "load-not-a-series", "load-trunc-over-cap",
          "coeff-index-over-cap", "series-over-cap", "rd-without-e2", "bell-zero-rows",
-         "mult-with-e2", "column-with-e2", "subst-xk-zero", "subst-xk-negative"],
+         "mult-with-e2", "column-with-e2", "subst-xk-zero", "subst-xk-negative",
+         "number-for-series", "beta-for-series", "string-for-series", "number-for-path",
+         "series-for-path", "string-for-param"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
     path = tmp_path / "input.json"
@@ -238,6 +247,11 @@ def test_verify_jobs_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, "verify", "--suite", "abel", "-N", "30", "--jobs", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+    # every suite at once, through one pool
+    code1, out1, _ = run_cli(capsys, "verify", "--suite", "all", "-N", "64")
+    code2, out2, _ = run_cli(capsys, "verify", "--suite", "all", "-N", "64", "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
 
 
 def test_verify_timings_go_to_stderr_only(capsys):
@@ -247,3 +261,21 @@ def test_verify_timings_go_to_stderr_only(capsys):
     assert timed == plain
     total = json.loads(plain.splitlines()[-1])["total"]
     assert re.fullmatch(rf"timing pow: \d+\.\d{{3}} s, {total} records\n", err)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_timings_one_line_per_suite(capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "-N", "16", "--jobs", jobs,
+                             "--timings")
+    assert code == 0
+    counts = {}
+    for line in out.splitlines()[:-1]:
+        suite = line.split()[1].split(".")[0]
+        counts[suite] = counts.get(suite, 0) + 1
+    lines = err.splitlines()
+    assert len(lines) == len(SUITES)
+    for line in lines:
+        match = re.fullmatch(r"timing (\w+): \d+\.\d{3} s, (\d+) records", line)
+        assert match, line
+        assert int(match[2]) == counts.pop(match[1])
+    assert counts == {}

@@ -11,6 +11,7 @@ from dirseries.poly import (
     PHI,
     PSI,
     Polynomial,
+    _wrap,
     binom_poly,
     coeff_symbol,
     constant_polys,
@@ -20,6 +21,8 @@ from dirseries.poly import (
     parse_polynomial,
     rising_poly,
 )
+from dirseries.randgen import random_polynomial
+from dirseries.series import dir_from_fn
 
 phi = Polynomial.symbol(PHI)
 beta = Polynomial.symbol(BETA)
@@ -185,3 +188,69 @@ def test_parse_errors_carry_offsets():
         parse_polynomial("phi + ")
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("(phi")
+
+
+def test_integral_coefficients_are_stored_as_int():
+    psi = Polynomial.symbol(PSI)
+    p = (phi + beta * 2 - 3) ** 3 * L2 + log_n_poly(360) - 7
+    q = p.substitute(PHI, beta * 2 + L3) * (L5 - 1) + psi**2
+    halves = (phi * Fraction(1, 2) + 1) * (phi * Fraction(3, 2))  # 3/4*phi^2 + 3/2*phi
+    for poly in (p, q, log_n_poly(360), Polynomial.const(Fraction(4, 2)), phi * Fraction(6, 3),
+                 parse_polynomial("2*L2 + 4/2*phi"), binom_poly(PHI, 1)):
+        assert poly.terms and all(type(c) is int for c in poly.terms.values()), poly
+    assert {type(c) for c in halves.terms.values()} == {Fraction}
+
+
+def test_constant_value_and_eval_at_are_fractions():
+    three = Polynomial.const(3)
+    for value in (three.constant_value(), Polynomial.zero().constant_value(),
+                  three.eval_at({}), (phi * 2 + 1).eval_at({PHI: 2}), Polynomial.zero().eval_at({})):
+        assert type(value) is Fraction
+    inverse = 1 / three.constant_value()
+    assert (type(inverse), inverse) == (Fraction, Fraction(1, 3))
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for s, e in m2:
+                exps[s] = exps.get(s, 0) + e
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_arithmetic_matches_all_fraction_reference():
+    # the reference stores every coefficient as a Fraction, as the
+    # polynomials once did; equality and printing must not see the change
+    rng = random.Random(41)
+    for _ in range(200):
+        p, q = random_polynomial(rng), random_polynomial(rng)
+        rp = {m: Fraction(c) for m, c in p.terms.items()}
+        rq = {m: Fraction(c) for m, c in q.terms.items()}
+        cube = _ref_mul(_ref_mul(rp, rp), rp)
+        for got, want in ((p + q, _ref_add(rp, rq)), (p * q, _ref_mul(rp, rq)), (p**3, cube),
+                          (p - q, _ref_add(rp, {m: -c for m, c in rq.items()}))):
+            ref = _wrap(want)
+            assert got == ref and ref == got
+            assert got.to_text() == ref.to_text()
+            assert parse_polynomial(got.to_text()) == ref
+
+
+def test_foreign_operands_are_left_to_the_other_type():
+    psi = Polynomial.symbol(PSI)
+    series = dir_from_fn(6, lambda n: n)
+    assert psi * series == series * psi
+    with pytest.raises(TypeError, match="unsupported operand"):
+        psi + series
+    with pytest.raises(TypeError, match="unsupported operand"):
+        psi - series

@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import pytest
 
 import dirseries.series
@@ -9,9 +11,38 @@ from dirseries.verify import (
     SUITES,
     CheckResult,
     _first_mismatch,
-    _map_maybe_parallel,
     run_suites,
 )
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that records its requested size and
+    runs each submitted call in process, so it starts no worker; the
+    machine has 2 cores.  Returns the list of requested sizes."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(dirseries.verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
+    return started
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -37,27 +68,44 @@ def test_record_line_format():
     "jobs, cpus, items, workers",
     [(64, 4, 10, [4]), (64, 4, 3, [3]), (3, 4, 10, [3]), (64, None, 10, []), (1, 4, 10, [])],
 )
-def test_jobs_clamped_to_cores_and_items(monkeypatch, jobs, cpus, items, workers):
-    started = []
-
-    class FakePool:
-        # records the requested size and maps in process; starts no worker
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, values, chunksize=1):
-            return map(fn, values)
-
-    monkeypatch.setattr(dirseries.verify, "ProcessPoolExecutor", FakePool)
+def test_jobs_clamped_to_cores_and_items(monkeypatch, fake_pool, jobs, cpus, items, workers):
+    # binomf to 8 * items is ``items`` chunks of 8 indices
     monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: cpus)
-    assert _map_maybe_parallel(str, range(items), jobs) == [str(i) for i in range(items)]
-    assert started == workers
+    records, ok = run_suites(["binomf"], bound=8 * items, jobs=jobs)
+    assert fake_pool == workers
+    assert (records, ok) == run_suites(["binomf"], bound=8 * items)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_part_gives_one_exception_record(monkeypatch, fake_pool, jobs):
+    pristine = dirseries.verify.abel_check
+
+    def broken(n):
+        if n in (17, 35):  # in two chunks; the pool takes the later one first
+            raise ValueError(f"n={n}")
+        return pristine(n)
+
+    monkeypatch.setattr(dirseries.verify, "abel_check", broken)
+    timings = []
+    records, ok = run_suites(["abel", "binomf"], bound=40, jobs=jobs,
+                             on_suite_done=lambda *args: timings.append(args[::2]))
+    assert fake_pool == ([2] if jobs > 1 else [])
+    assert not ok
+    assert [r for r in records if r.ident.startswith("abel")] == [
+        CheckResult("abel.exception", 0, False, "ValueError('n=17')")
+    ]
+    binomf = [r for r in records if r.ident.startswith("binomf")]
+    assert binomf and all(r.ok for r in binomf)
+    assert sorted(timings) == [("abel", 1), ("binomf", len(binomf))]
+
+
+def test_refused_pool_runs_in_process(monkeypatch):
+    def refuse(max_workers):
+        raise OSError("no processes here")
+
+    monkeypatch.setattr(dirseries.verify, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
+    assert run_suites(["binomf"], bound=40, jobs=2) == run_suites(["binomf"], bound=40)
 
 
 def test_corrupted_kernel_is_reported_not_raised():
