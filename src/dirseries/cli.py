@@ -20,7 +20,9 @@ Subcommands::
 
 Caps: series truncations, ``coeff`` indices and the declared truncation
 of a loaded series file are at most ``SERIES_CAP`` (10000), matrix sizes
-at most 500.
+at most 500, ``verify -N`` at most ``VERIFY_CAP`` (1000), and the
+exponent k of ``twist(a,k)`` at most ``TWIST_CAP`` (64) in absolute
+value.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (bad flags, values out of range or over a cap,
@@ -49,6 +51,10 @@ from .series import SERIES_CAP
 from .verify import SUITES, run_suites
 
 MATRIX_CAP = 500
+
+# the largest ``verify -N``: every suite's default bound lies within it,
+# and the work of abel grows about 2.4 times per doubling of N
+VERIFY_CAP = 1000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,8 +194,8 @@ def _cmd_factorizations(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.bound is not None and args.bound < 1:
-        raise DirAlgebraError("verify bound must be >= 1")
+    if args.bound is not None and not 1 <= args.bound <= VERIFY_CAP:
+        raise DirAlgebraError(f"verify bound must be in 1..{VERIFY_CAP}")
     names = [args.suite] if args.suite != "all" else ["all"]
 
     def print_timing(name: str, seconds: float, count: int) -> None:

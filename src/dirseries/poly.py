@@ -29,6 +29,7 @@ so that dividing by their result stays exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -74,11 +75,16 @@ def validate_symbol(name: str) -> Symbol:
 
 
 def _scalar(value: Scalar) -> Scalar:
-    """An integral value as an ``int``, any other as a ``Fraction``."""
+    """An integral value as an ``int``, any other as a ``Fraction``.  Only
+    an ``int`` (or ``bool``) or a ``Fraction`` is exact; anything else,
+    a ``float`` above all, raises ``TypeError``."""
     if type(value) is int:
         return value
-    c = value if type(value) is Fraction else Fraction(value)
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
+    raise TypeError(f"not an exact scalar: {value!r}")
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -322,10 +328,13 @@ class Polynomial:
 
     def to_text(self) -> str:
         """Canonical text form (graded, then lexicographic term order)."""
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
+        if len(terms) == 1 and _UNIT_MONO in terms:
+            return str(terms[_UNIT_MONO])
         parts: list[str] = []
-        for mono, coeff in sorted(self._terms.items(), key=lambda kv: _term_key(kv[0])):
+        for mono, coeff in sorted(terms.items(), key=lambda kv: _term_key(kv[0])):
             body = "*".join(s if e == 1 else f"{s}^{e}" for s, e in mono)
             mag = abs(coeff)
             if not body:
@@ -354,23 +363,20 @@ ZERO = _ZERO
 ONE = _ONE
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
 def as_poly(value: Polynomial | Scalar) -> Polynomial:
     """A polynomial unchanged, or a scalar as a constant polynomial."""
     return value if isinstance(value, Polynomial) else Polynomial.const(value)
 
 
 def constant_values(polys: Iterable[Polynomial]) -> list[Scalar] | None:
-    """The rational values (``int`` or ``Fraction``) of a run of
-    polynomials, in one pass; None as soon as one of them carries a
-    symbol."""
+    """The rational values (``int`` or ``Fraction``; zero is the ``int``
+    0) of a run of polynomials, in one pass; None as soon as one of them
+    carries a symbol."""
     out: list[Scalar] = []
     for p in polys:
         terms = p._terms
         if not terms:
-            out.append(_FRACTION_ZERO)
+            out.append(0)
         elif len(terms) == 1 and _UNIT_MONO in terms:
             out.append(terms[_UNIT_MONO])
         else:
@@ -378,9 +384,9 @@ def constant_values(polys: Iterable[Polynomial]) -> list[Scalar] | None:
     return out
 
 
-def constant_polys(values: Iterable[Fraction]) -> list[Polynomial]:
-    """Constant polynomials with the given ``Fraction`` values, which are
-    stored as they are."""
+def constant_polys(values: Iterable[Scalar]) -> list[Polynomial]:
+    """Constant polynomials with the given ``int`` or ``Fraction`` values,
+    which are stored as they are."""
     return [_wrap({_UNIT_MONO: v}) if v else _ZERO for v in values]
 
 
@@ -474,8 +480,16 @@ class Scanner:
         return self.text[start : self.pos]
 
 
+# a rational constant with a nonzero denominator, read without the scanner
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse canonical polynomial text; inverse of Polynomial.to_text."""
+    constant = _RATIONAL_TEXT.fullmatch(text)
+    if constant:
+        num, den = constant.groups()
+        return Polynomial.const(Fraction(int(num), int(den)) if den else int(num))
     toks = Scanner(text, PolynomialSyntaxError, "a symbol")
     out = _parse_sum(toks)
     toks.skip_ws()

@@ -23,18 +23,21 @@ so no padding is needed.
 
 All series are immutable values; operations are pure functions.  The
 parametric power, logarithm and parametric exponential all apply an
-ordinary series to a composition series through ``dir_apply_series``,
-which holds one composition power at a time.
+ordinary series to a composition series through ``dir_apply_series``.
 
-Rational series skip ``Polynomial`` arithmetic in the two composition
-kernels.  ``dirichlet_convolve`` convolves integer numerators when both
-inputs are constant and each has a common denominator of at most
-``SCALED_DEN_BITS`` bits; past that guard, big-integer products would
-cost more than the ``Fraction`` work they save, so such inputs keep the
-``Polynomial`` loop.  ``dir_inverse`` runs one forward-accumulating
-recurrence on ``Fraction`` values for a constant series and on the
-``Polynomial`` coefficients otherwise.  Coefficients stay ``Polynomial``
-and results are identical on either path.
+Rational series skip ``Polynomial`` arithmetic in the composition
+kernels and the power ladder.  ``dirichlet_convolve`` convolves integer
+numerators when both inputs are constant and each has a common
+denominator of at most ``SCALED_DEN_BITS`` bits; past that guard,
+big-integer products would cost more than the ``Fraction`` work they
+save, so such inputs keep the ``Polynomial`` loop.  Integral results stay
+``int``.  ``dir_apply_series`` of such a constant series a = A / d raises
+the integral A through ``dir_mul`` and sums the powers in one ``int`` row
+per monomial of the ordinary series, dividing once at the end.
+``dir_inverse`` runs one forward-accumulating recurrence on ``Fraction``
+values for a constant series and on the ``Polynomial`` coefficients
+otherwise.  Coefficients stay ``Polynomial`` and results are identical on
+either path.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, ClassVar, Sequence
 
 from .errors import (
@@ -70,6 +74,10 @@ Coeff = Polynomial | Scalar
 
 # the largest truncation, or coefficient index, the CLI and ``load()`` accept
 SERIES_CAP = 10_000
+
+# the largest |k| of ``twist_int``: the coefficient at index n grows by
+# about k * log2(n) bits, so at N = 10000 its text grows with k
+TWIST_CAP = 64
 
 # the largest common denominator, in bits, of an input that
 # ``dirichlet_convolve`` scales to integers
@@ -198,7 +206,9 @@ def dirichlet_convolve(
             if x:
                 acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[: trunc // d]))
         den = da * db
-        return constant_polys(Fraction(v, den) for v in acc)
+        if den == 1:
+            return constant_polys(acc)
+        return constant_polys(Fraction(v, den) if v else 0 for v in acc)
     out = [ZERO] * trunc
     for d in range(1, trunc + 1):
         ad = a[d - 1]
@@ -303,12 +313,18 @@ def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
     coefficient: x*f_0 + sum of f_m * a^(m) for m >= 1.
 
     ``dir_pow_param``, ``dir_log`` and ``dir_exp_param`` are this sum for
-    f = (1+t)^psi, log(1+t) and e^(psi*t).  One power a^(m) is held at a
-    time."""
+    f = (1+t)^psi, log(1+t) and e^(psi*t).  A constant ``a`` whose common
+    denominator has at most ``SCALED_DEN_BITS`` bits is summed in scaled
+    integers by ``_apply_series_scaled``; any other ``a`` sums
+    ``Polynomial`` multiples of each power a^(m).  Both hold one power at
+    a time, compute it with ``dir_mul`` and give the same coefficients."""
     require_lead(a, 0, "dir_apply_series")
     top = _max_power(a.trunc)
     if f.trunc < top:
         raise TruncationTooSmall(f"need ordinary trunc >= {top}, have {f.trunc}")
+    scaled = _scaled_integers(a.coeffs)
+    if scaled is not None:
+        return _apply_series_scaled(f, *scaled, top)
     out = DirSeries(a.trunc, (f[0],) + (ZERO,) * (a.trunc - 1))  # x * f_0
     power = a
     for m in range(1, top + 1):
@@ -318,6 +334,36 @@ def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
         if not fm.is_zero():
             out = out + dir_scale(power, fm)
     return out
+
+
+def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int) -> DirSeries:
+    """``dir_apply_series`` for a = A / den with A integral.  With F the
+    common denominator of f_1..f_top, every monomial mu of f gets one
+    integer row, which accumulates f_m[mu] * F * den^(top-m) * A^(m)[n];
+    the rows are divided by F * den^top once, at the end."""
+    trunc = len(numerators)
+    base = DirSeries(trunc, tuple(constant_polys(numerators)))
+    terms = [f[m].terms for m in range(top + 1)]
+    fden = lcm(1, *(c.denominator for t in terms[1:] for c in t.values()))
+    rows = {}
+    power = base
+    for m in range(1, top + 1):
+        if m > 1:
+            power = dir_mul(power, base)
+        values = constant_values(power.coeffs)
+        weight = fden * den ** (top - m)
+        for mono, c in terms[m].items():
+            w = c.numerator * (weight // c.denominator)
+            row = rows.setdefault(mono, [0] * trunc)
+            row[:] = map(add, row, map(mul, repeat(w), values))
+    total = fden * den**top
+    monos = list(rows)
+    coeffs = [
+        Polynomial({mono: Fraction(v, total) for mono, v in zip(monos, col) if v})
+        for col in zip(*rows.values())
+    ] or [ZERO] * trunc
+    coeffs[0] = coeffs[0] + f[0]  # x * f_0
+    return DirSeries(trunc, tuple(coeffs))
 
 
 def dir_pow_param(a: DirSeries) -> DirSeries:
@@ -361,7 +407,10 @@ def series_substitute_symbol(a: Series, sym: Symbol, r: Coeff) -> Series:
 
 
 def twist_int(a: DirSeries, k: int) -> DirSeries:
-    """Multiply the coefficient at index n by n**k (k may be negative)."""
+    """Multiply the coefficient at index n by n**k (k may be negative,
+    |k| at most ``TWIST_CAP``)."""
+    if abs(k) > TWIST_CAP:
+        raise ArgumentOutOfRange(f"twist needs |k| <= {TWIST_CAP}, got {k}")
     return DirSeries(
         a.trunc,
         tuple(a[n] * Fraction(n) ** k for n in range(1, a.trunc + 1)),

@@ -1,11 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dirseries.cli import main
+import dirseries
+from dirseries.cli import VERIFY_CAP, main
 from dirseries.poly import PSI, Polynomial, parse_polynomial
+from dirseries.series import TWIST_CAP
 from dirseries.verify import SUITES
 
 
@@ -218,6 +225,50 @@ def test_long_integers_are_exact(tmp_path, capsys, argv, file_text):
     code, out, err = run_cli(capsys, *(a.replace("{path}", str(path)) for a in argv))
     assert (code, err) == (0, "")
     assert max(len(tok) for tok in out.replace('"', " ").split()) >= 5000
+
+
+def test_twist_exponent_over_the_cap_is_refused_at_once():
+    # uncapped, twist(zeta,-99999999) ran for minutes; a child process
+    # bounds the test's time either way
+    argv = ["coeff", "-e", "twist(zeta,-99999999)", "-n", "4"]
+    env = {**os.environ, "PYTHONPATH": str(Path(dirseries.__file__).parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "dirseries.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: twist needs |k| <= {TWIST_CAP}, got -99999999\n"
+
+
+@pytest.mark.parametrize("k", (TWIST_CAP, -TWIST_CAP, TWIST_CAP + 1, -TWIST_CAP - 1))
+def test_twist_cap_boundary(capsys, k):
+    code, out, err = run_cli(capsys, "coeff", "-e", f"twist(zeta,{k})", "-n", "4")
+    if abs(k) <= TWIST_CAP:
+        assert (code, err) == (0, "")
+        assert parse_polynomial(out.strip()) == Polynomial.const(Fraction(4) ** k)
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: twist needs |k| <= {TWIST_CAP}, got {k}\n"
+
+
+@pytest.mark.parametrize(
+    "suite, bound", [("binomf", VERIFY_CAP + 1), ("oracle", 20000), ("all", 10**9)]
+)
+def test_verify_bound_over_the_cap_is_a_usage_error(capsys, suite, bound):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "-N", str(bound))
+    assert (code, out) == (2, "")
+    assert err == f"error: verify bound must be in 1..{VERIFY_CAP}\n"
+
+
+def test_verify_bound_at_the_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "binomf", "-N", str(VERIFY_CAP))
+    assert code == 0
+    lines = out.splitlines()
+    assert any(line.startswith(f"PASS binomf.sum-power n={VERIFY_CAP}") for line in lines)
+    summary = json.loads(lines[-1])
+    assert (summary["bound"], summary["failed"]) == (VERIFY_CAP, 0)
 
 
 def test_usage_error_exit_code(capsys):

@@ -12,6 +12,7 @@ from dirseries.poly import (
     PSI,
     Polynomial,
     _wrap,
+    as_poly,
     binom_poly,
     coeff_symbol,
     constant_polys,
@@ -254,3 +255,41 @@ def test_foreign_operands_are_left_to_the_other_type():
         psi + series
     with pytest.raises(TypeError, match="unsupported operand"):
         psi - series
+
+
+def test_constant_text_round_trips_like_the_general_parser():
+    # a parenthesised constant goes through the scanner, a bare one does not
+    rng = random.Random(43)
+    values = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**6)) for _ in range(300)]
+    for value in values + [Fraction(0), Fraction(-1), Fraction(7, 1)]:
+        text = Polynomial.const(value).to_text()
+        assert text == str(value)
+        fast, general = parse_polynomial(text), parse_polynomial(f"({text})")
+        assert fast == general == Polynomial.const(value)
+        assert [type(c) for c in fast.terms.values()] == [type(c) for c in general.terms.values()]
+    for text in ("-0", "007", "-12/8", "4/2", "0/5", "3/010", " 3", "1 / 3", "-\t2"):
+        assert parse_polynomial(text) == parse_polynomial(f"({text})"), text
+
+
+@pytest.mark.parametrize("text, offset", [("1/0", 3), ("1/00", 4), ("-7/000", 6), (" 1/0", 4)])
+def test_zero_denominator_is_an_error_in_any_spelling(text, offset):
+    with pytest.raises(PolynomialSyntaxError, match="zero denominator") as caught:
+        parse_polynomial(text)
+    assert caught.value.offset == offset
+
+
+def test_floats_do_not_enter_exact_arithmetic():
+    series = dir_from_fn(4, lambda n: n)
+    for make in (
+        lambda: Polynomial.const(0.1),
+        lambda: as_poly(0.1),
+        lambda: series * 0.1,
+        lambda: 0.5 * series,
+        lambda: Polynomial.one() * 0.1,
+        lambda: Polynomial({(): 0.5}),
+        lambda: dir_from_fn(2, lambda n: 1.0),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert Polynomial.const(Fraction(1, 10)).to_text() == "1/10"
+    assert (series * Fraction(1, 2))[3] == Polynomial.const(Fraction(3, 2))

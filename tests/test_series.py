@@ -11,18 +11,30 @@ import pytest
 import dirseries.series
 
 from dirseries.errors import (
+    ArgumentOutOfRange,
     LeadingCoefficientNotOne,
     LeadingCoefficientNotZero,
     NonUnitLeadingCoefficient,
     TruncationTooSmall,
 )
 from dirseries.intfactor import divisors, factorize, mobius_upto
-from dirseries.poly import BETA, PHI, PSI, Polynomial, binom_poly, log_n_poly, parse_polynomial
+from dirseries.poly import (
+    BETA,
+    PHI,
+    PSI,
+    Polynomial,
+    binom_poly,
+    constant_values,
+    log_n_poly,
+    parse_polynomial,
+)
 from dirseries.randgen import random_dir_series, random_ord_series, random_polynomial
 from dirseries.serialize import series_from_json, series_to_csv, series_to_json_text
 from dirseries.series import (
     DirSeries,
+    TWIST_CAP,
     OrdSeries,
+    _max_power,
     dir_apply_series,
     dir_exp_param,
     dir_from_fn,
@@ -331,6 +343,112 @@ def test_dir_apply_series_trivial():
         dir_apply_series(ord_x(2), geom2_series(64))
 
 
+def ladder_reference(f, a):
+    """x*f_0 + sum of f_m * a^(m) for m up to log2(trunc), every power a
+    brute-force divisor sum of ``Polynomial`` coefficients."""
+    coeffs = list(a.coeffs)
+    out = [f[0]] + [Polynomial.zero()] * (a.trunc - 1)
+    power = coeffs
+    for m in range(1, a.trunc.bit_length()):
+        if m > 1:
+            power = divisor_sum(power, coeffs, a.trunc, Polynomial.zero())
+        out = [o + f[m] * p for o, p in zip(out, power)]
+    return out
+
+
+# each ladder: the operation, the lead it needs and the ordinary series it applies
+LADDERS = {
+    "dlog": (dir_log, 1, lambda m: Fraction((-1) ** (m + 1), m) if m else 0),
+    "dpow_param": (dir_pow_param, 1, lambda m: binom_poly(PSI, m) if m else 1),
+    "dexp": (dir_exp_param, 0, lambda m: psi**m * Fraction(1, factorial(m)) if m else 1),
+}
+
+P64 = 2**64 - 59  # the largest prime of 64 bits
+Q65 = 2**64 + 1  # 65 bits, past the scaled-integer guard
+
+
+def ladder_input(rng, trunc, lead, second, kind):
+    """A composition series with ``lead`` at index 1, ``second`` at index 2
+    and random coefficients after: small denominators ("small"), integers
+    and a few over P64 or Q65 ("64-bit", "65-bit"), or polynomials."""
+    if kind == "symbolic":
+        rest = symbolic_values(rng, trunc - 1, second)
+    elif kind == "small":
+        rest = consts(random_values(rng, trunc - 1, Fraction(second)))
+    else:
+        den = P64 if kind == "64-bit" else Q65
+        rest = consts(
+            [Fraction(second)]
+            + [Fraction(rng.randint(-6, 6), den if n % 5 == 2 else 1) for n in range(trunc - 2)]
+        )
+    return DirSeries(trunc, (Polynomial.const(lead), *rest))
+
+
+@pytest.mark.parametrize("second", (1, -1))
+@pytest.mark.parametrize(
+    "kind, scaled", [("small", 1), ("64-bit", 1), ("65-bit", 0), ("symbolic", 0)]
+)
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_ladder_paths_match_polynomial_reference(monkeypatch, name, kind, scaled, second):
+    # a rational series whose common denominator fits in 64 bits is summed
+    # in scaled integers; one past the guard, or a symbolic one, is not
+    op, lead, fm = LADDERS[name]
+    a = ladder_input(random.Random(len(name) * 7 + second), 64, lead, second, kind)
+    calls = []
+    pristine = dirseries.series._apply_series_scaled
+
+    def spied(*args):
+        calls.append(args[-1])
+        return pristine(*args)
+
+    monkeypatch.setattr(dirseries.series, "_apply_series_scaled", spied)
+    got = list(op(a).coeffs)
+    want = ladder_reference(ord_from_fn(6, fm), a - dir_x(64) if lead else a)
+    assert got == want
+    assert [p.to_text() for p in got] == [p.to_text() for p in want]
+    assert len(calls) == scaled
+
+
+def test_ladder_refuses_a_lead_of_minus_one_on_both_paths():
+    for kind in ("small", "symbolic"):
+        a = ladder_input(random.Random(3), 16, -1, 1, kind)
+        for op in (dir_log, dir_pow_param):
+            with pytest.raises(LeadingCoefficientNotOne, match="got -1"):
+                op(a)
+
+
+@pytest.mark.parametrize("kind", ("small", "65-bit", "symbolic"))
+def test_ladder_convolves_once_per_power_after_the_first(monkeypatch, kind):
+    calls = []
+    pristine = dirseries.series.dirichlet_convolve
+
+    def counted(a, b, trunc):
+        calls.append(trunc)
+        return pristine(a, b, trunc)
+
+    monkeypatch.setattr(dirseries.series, "dirichlet_convolve", counted)
+    for trunc in (2, 3, 4, 63, 64, 100):
+        for op, lead, _ in LADDERS.values():
+            calls.clear()
+            op(ladder_input(random.Random(trunc), trunc, lead, 1, kind))
+            assert len(calls) == _max_power(trunc) - 1, (op.__name__, trunc)
+
+
+def test_integral_kernel_output_is_stored_as_int():
+    rng = random.Random(31)
+    a = [Fraction(rng.randint(-5, 5)) for _ in range(40)]
+    b = [Fraction(rng.randint(-5, 5) * (n % 3 == 0)) for n in range(40)]
+    out = dirichlet_convolve(consts(a), consts(b), 40)
+    assert out == consts(divisor_sum(a, b, 40, Fraction(0)))
+    values = constant_values(out)
+    assert values.count(0) > 0
+    assert all(type(v) is int for v in values)
+    assert all(p is Polynomial.zero() for p, v in zip(out, values) if not v)
+    halves = dirichlet_convolve(consts([Fraction(v, 2) for v in a]), consts(b), 40)
+    assert all(p is Polynomial.zero() for p, v in zip(halves, values) if not v)
+    assert halves == consts([Fraction(v, 2) for v in values])
+
+
 # -- parametric powers ----------------------------------------------------------
 
 
@@ -486,6 +604,15 @@ def test_twist_homomorphism():
         lhs = twist_int(dir_mul(a, b), k)
         rhs = dir_mul(twist_int(a, k), twist_int(b, k))
         assert lhs == rhs
+
+
+def test_twist_exponent_is_capped():
+    a = zeta_series(8)
+    assert twist_int(a, TWIST_CAP)[2] == Polynomial.const(2**TWIST_CAP)
+    assert twist_int(a, -TWIST_CAP)[2] == Polynomial.const(Fraction(1, 2**TWIST_CAP))
+    for k in (TWIST_CAP + 1, -TWIST_CAP - 1, -99999999):
+        with pytest.raises(ArgumentOutOfRange, match=f"twist needs \\|k\\| <= {TWIST_CAP}, got {k}"):
+            twist_int(a, k)
 
 
 # -- perfect-power embedding -----------------------------------------------------
