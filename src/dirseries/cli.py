@@ -22,7 +22,9 @@ Caps: series truncations, ``coeff`` indices and the declared truncation
 of a loaded series file are at most ``SERIES_CAP`` (10000), matrix sizes
 at most 500, ``verify -N`` at most ``VERIFY_CAP`` (1000), and the
 exponent k of ``twist(a,k)`` at most ``TWIST_CAP`` (64) in absolute
-value.
+value.  The exponent of ``dpow_int(a,k)`` is bounded by the work budget
+``POW_INT_CAP`` at the series length (|k| < 2^25 at N = 10000 for a lead
+of 1 or -1), and an exponent in polynomial text by ``POWER_CAP``.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (bad flags, values out of range or over a cap,

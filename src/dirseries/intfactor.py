@@ -98,18 +98,32 @@ def binom_f(n: int, d: int) -> Fraction:
     return Fraction(f_of(n), f_of(d) * f_of(n // d))
 
 
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """The smallest prime factor of 0..limit by sieve (0 at 0 and 1)."""
+    spf = [0] * (limit + 1)
+    for p in reversed(primes_upto(limit)):  # smaller primes overwrite larger ones
+        spf[p :: p] = [p] * (limit // p)
+    return spf
+
+
 def mobius_upto(limit: int) -> list[int]:
     """Mobius function mu(1..limit) by sieve; index 0 is unused (0)."""
     mu = [0] * (limit + 1)
     if limit >= 1:
         mu[1] = 1
-    spf = [0] * (limit + 1)  # smallest prime factor
-    for p in primes_upto(limit):
-        for k in range(p, limit + 1, p):
-            if spf[k] == 0:
-                spf[k] = p
+    spf = _smallest_prime_factors(limit)
     for n in range(2, limit + 1):
         p = spf[n]
         rest = n // p
         mu[n] = 0 if rest % p == 0 else -mu[rest]
     return mu
+
+
+def s_upto(limit: int) -> list[int]:
+    """``s_of(1..limit)`` by sieve, the table form of ``s_of``; index 0
+    is unused (0)."""
+    s = [0] * (limit + 1)
+    spf = _smallest_prime_factors(limit)
+    for n in range(2, limit + 1):
+        s[n] = s[n // spf[n]] + 1
+    return s

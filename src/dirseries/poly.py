@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Union
 
 from .errors import DirAlgebraError, MissingSymbol, NotDivisible, PolynomialSyntaxError
@@ -480,6 +481,11 @@ class Scanner:
         return self.text[start : self.pos]
 
 
+# the largest size of a power in polynomial text: the exponent times the
+# number of terms its expansion can have, so the exponent of one term goes
+# up to the largest the CLI prints (phi^N of lagrange_ord, N <= 10000)
+POWER_CAP = 10_000
+
 # a rational constant with a nonzero denominator, read without the scanner
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
@@ -525,7 +531,13 @@ def _parse_power(toks: Scanner) -> Polynomial:
     base = _parse_atom(toks)
     if toks.peek() == "^":
         toks.take()
-        return base ** toks.take_uint()
+        toks.skip_ws()
+        start = toks.pos
+        exponent = toks.take_uint()
+        terms = max(len(base._terms), 1)
+        if exponent > POWER_CAP or comb(exponent + terms - 1, terms - 1) * exponent > POWER_CAP:
+            raise PolynomialSyntaxError("exponent too large", start)
+        return base**exponent
     return base
 
 

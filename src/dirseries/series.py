@@ -26,27 +26,28 @@ parametric power, logarithm and parametric exponential all apply an
 ordinary series to a composition series through ``dir_apply_series``.
 
 Rational series skip ``Polynomial`` arithmetic in the composition
-kernels and the power ladder.  ``dirichlet_convolve`` convolves integer
-numerators when both inputs are constant and each has a common
-denominator of at most ``SCALED_DEN_BITS`` bits; past that guard,
-big-integer products would cost more than the ``Fraction`` work they
-save, so such inputs keep the ``Polynomial`` loop.  Integral results stay
-``int``.  ``dir_apply_series`` of such a constant series a = A / d raises
-the integral A through ``dir_mul`` and sums the powers in one ``int`` row
-per monomial of the ordinary series, dividing once at the end.
-``dir_inverse`` runs one forward-accumulating recurrence on ``Fraction``
-values for a constant series and on the ``Polynomial`` coefficients
-otherwise.  Coefficients stay ``Polynomial`` and results are identical on
-either path.
+kernels, the inverse and the power ladder.  A constant series whose common
+denominator d has at most ``SCALED_DEN_BITS`` bits is scaled once to its
+integer numerators A = d * a; past that guard, big-integer products would
+cost more than the ``Fraction`` work they save, so such inputs keep the
+``Fraction`` or ``Polynomial`` loops.  ``_convolve_ints`` is the one
+integer convolution: ``dirichlet_convolve`` calls it on scaled inputs and
+keeps integral results ``int``, and ``dir_apply_series`` keeps every
+power A^(m) as an ``int`` list from it and sums the powers in one ``int``
+row per monomial of the ordinary series, dividing once at the end.
+``dir_inverse`` runs one forward-accumulating recurrence: on integers
+scaled by powers of A_1 for such a series (``_inverse_scaled``), on
+``Fraction`` values for a constant series past the guard and on the
+``Polynomial`` coefficients otherwise.  Coefficients stay ``Polynomial``
+and results are identical on every path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from itertools import repeat
-from operator import add, mul
+from math import factorial, isqrt, lcm
+from operator import add
 from typing import Callable, ClassVar, Sequence
 
 from .errors import (
@@ -56,6 +57,7 @@ from .errors import (
     NonUnitLeadingCoefficient,
     TruncationTooSmall,
 )
+from .intfactor import s_upto
 from .poly import (
     ONE,
     PSI,
@@ -78,6 +80,9 @@ SERIES_CAP = 10_000
 # the largest |k| of ``twist_int``: the coefficient at index n grows by
 # about k * log2(n) bits, so at N = 10000 its text grows with k
 TWIST_CAP = 64
+
+# the work budget of ``dir_pow_int``; see ``_pow_int_growth_cap``
+POW_INT_CAP = 2**18
 
 # the largest common denominator, in bits, of an input that
 # ``dirichlet_convolve`` scales to integers
@@ -186,8 +191,10 @@ def dir_scale(a: DirSeries, c: Coeff) -> DirSeries:
 def dirichlet_convolve(
     a: Sequence[Polynomial], b: Sequence[Polynomial], trunc: int
 ) -> list[Polynomial]:
-    """Divisor-indexed convolution kernel; the single code path every
-    composition product in the package goes through.
+    """Divisor-indexed convolution kernel of ``dir_mul``, and so of every
+    composition product of two series; the power ladder of
+    ``dir_apply_series`` convolves its ``int`` lists with
+    ``_convolve_ints`` directly.
 
     When both inputs are constant up to ``trunc`` and each has a common
     denominator of at most ``SCALED_DEN_BITS`` bits, they are scaled to
@@ -200,11 +207,7 @@ def dirichlet_convolve(
     scaled_b = None if scaled_a is None else _scaled_integers(b[:trunc])
     if scaled_b is not None:
         (xs, da), (ys, db) = scaled_a, scaled_b
-        acc = [0] * trunc
-        for d in range(1, trunc + 1):
-            x = xs[d - 1]
-            if x:
-                acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[: trunc // d]))
+        acc = _convolve_ints(xs, ys, trunc)
         den = da * db
         if den == 1:
             return constant_polys(acc)
@@ -220,6 +223,17 @@ def dirichlet_convolve(
                 idx = d * q - 1
                 out[idx] = out[idx] + ad * bq
     return out
+
+
+def _convolve_ints(xs: Sequence[int], ys: Sequence[int], trunc: int) -> list[int]:
+    """The divisor-indexed convolution of two integer lists up to ``trunc``;
+    a slice update per nonzero x_d adds x_d * y_q at every index d*q."""
+    acc = [0] * trunc
+    for d in range(1, trunc + 1):
+        x = xs[d - 1]
+        if x:
+            acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[: trunc // d]))
+    return acc
 
 
 def _scaled_integers(coeffs: Sequence[Polynomial]) -> tuple[list[int], int] | None:
@@ -243,13 +257,19 @@ def dir_mul(a: DirSeries, b: DirSeries) -> DirSeries:
 
 
 def dir_inverse(a: DirSeries) -> DirSeries:
-    """The composition inverse: a o inverse(a) = x.  A constant series is
-    inverted in ``Fraction`` arithmetic, any other in ``Polynomial``."""
+    """The composition inverse: a o inverse(a) = x.  A constant series
+    whose common denominator has at most ``SCALED_DEN_BITS`` bits is
+    inverted in scaled integers by ``_inverse_scaled``, any other constant
+    series in ``Fraction`` arithmetic, and a symbolic one in
+    ``Polynomial``."""
     lead = a[1]
     if not lead.is_constant() or lead.constant_value() == 0:
         raise NonUnitLeadingCoefficient(
             f"dinv needs a nonzero rational coefficient at index 1, got {lead}"
         )
+    scaled = _scaled_integers(a.coeffs)
+    if scaled is not None:
+        return DirSeries(a.trunc, tuple(constant_polys(_inverse_scaled(*scaled))))
     inv_lead = 1 / lead.constant_value()
     values = constant_values(a.coeffs)
     if values is None:
@@ -273,10 +293,27 @@ def _inverse_recurrence(a: Sequence, inv_lead, zero) -> list:
     return out
 
 
+def _inverse_scaled(numerators: list[int], den: int) -> list[Fraction]:
+    """The inverse of a = A / den with A integral, as rationals.  With
+    L = A_1 and s(n) the number of prime factors of n (``s_upto``),
+    B_n = b_n * L^(s(n)+1) / den is an integer, and B solves the integer
+    recurrence B_n = -sum over d | n, d > 1 of W_d * B_{n/d} with weights
+    W_d = A_d * L^(s(d)-1): the unit-lead ``_inverse_recurrence``.  The
+    only ``Fraction`` per index is b_n = den * B_n / L^(s(n)+1)."""
+    s = s_upto(len(numerators))
+    powers = [1]
+    for _ in range(max(s) + 1):
+        powers.append(powers[-1] * numerators[0])
+    weights = [1] + [x * powers[k - 1] for x, k in zip(numerators[1:], s[2:])]
+    out = _inverse_recurrence(weights, 1, 0)
+    return [Fraction(den * bn, powers[k + 1]) for bn, k in zip(out, s[1:])]
+
+
 def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
-    """k-fold composition power; k = 0 gives x, negative k inverts first.
-    Binary powering from the first factor: at most 2 * k.bit_length() - 1
-    compositions."""
+    """k-fold composition power; k = 0 gives x, negative k inverts first,
+    and k is bounded by ``_check_pow_int_growth``.  Binary powering from
+    the first factor: at most 2 * k.bit_length() - 1 compositions."""
+    _check_pow_int_growth(a, k)
     if k < 0:
         return dir_pow_int(dir_inverse(a), -k)
     if k == 0:
@@ -290,6 +327,42 @@ def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
         if not k:
             return out
         square = dir_mul(square, square)
+
+
+def _check_pow_int_growth(a: DirSeries, k: int) -> None:
+    """Refuse k when the growth of ``dir_pow_int(a, k)`` passes
+    ``_pow_int_growth_cap``.  The growth is the bit length of k when the
+    coefficient at index 1 is 1 or -1.  Any other lead puts its k-th
+    power, of size |k| ** t for a lead of t >= 1 terms (t = 1 for a zero
+    lead), into every coefficient, and then that is the growth."""
+    cap = _pow_int_growth_cap(a.trunc)
+    lead = a[1]
+    if lead.is_constant() and abs(lead.constant_value()) == 1:
+        if k.bit_length() > cap:
+            raise ArgumentOutOfRange(f"dpow_int needs |k| < 2^{cap} at N = {a.trunc}, got {k}")
+        return
+    t = max(len(lead.terms), 1)
+    if abs(k) > cap or abs(k) ** t > cap:
+        root = 1
+        while (root + 1) ** t <= cap:
+            root += 1
+        raise ArgumentOutOfRange(
+            f"dpow_int needs |k| <= {root} at N = {a.trunc} with {lead.to_text()} at index 1, "
+            f"got {k}"
+        )
+
+
+def _pow_int_growth_cap(trunc: int) -> int:
+    """The largest growth of ``dir_pow_int`` at length ``trunc``.  A
+    growth of g makes up to 2 * g compositions of numbers that reach about
+    g * log2(trunc) bits, so the cap is the largest g with
+    g * trunc * (1 + g * log2(trunc) / 8192) <= ``POW_INT_CAP``: 25 at
+    trunc 10000, 212 at 1000, 8192 at 8 and 28927 at 2."""
+    quad = trunc * _max_power(trunc)  # the coefficient of g^2, times 8192
+    lin = 8192 * trunc
+    if not quad:
+        return POW_INT_CAP // trunc
+    return (isqrt(lin * lin + 4 * quad * 8192 * POW_INT_CAP) - lin) // (2 * quad)
 
 
 def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:
@@ -315,9 +388,10 @@ def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
     ``dir_pow_param``, ``dir_log`` and ``dir_exp_param`` are this sum for
     f = (1+t)^psi, log(1+t) and e^(psi*t).  A constant ``a`` whose common
     denominator has at most ``SCALED_DEN_BITS`` bits is summed in scaled
-    integers by ``_apply_series_scaled``; any other ``a`` sums
-    ``Polynomial`` multiples of each power a^(m).  Both hold one power at
-    a time, compute it with ``dir_mul`` and give the same coefficients."""
+    integers by ``_apply_series_scaled``, whose powers are ``int`` lists
+    from ``_convolve_ints``; any other ``a`` sums ``Polynomial`` multiples
+    of each power a^(m) from ``dir_mul``.  Both hold one power at a time
+    and give the same coefficients."""
     require_lead(a, 0, "dir_apply_series")
     top = _max_power(a.trunc)
     if f.trunc < top:
@@ -337,25 +411,24 @@ def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
 
 
 def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int) -> DirSeries:
-    """``dir_apply_series`` for a = A / den with A integral.  With F the
-    common denominator of f_1..f_top, every monomial mu of f gets one
-    integer row, which accumulates f_m[mu] * F * den^(top-m) * A^(m)[n];
-    the rows are divided by F * den^top once, at the end."""
+    """``dir_apply_series`` for a = A / den with A integral.  Each power
+    A^(m) is an ``int`` list from ``_convolve_ints``.  With F the common
+    denominator of f_1..f_top, every monomial mu of f gets one integer
+    row, which accumulates f_m[mu] * F * den^(top-m) * A^(m)[n]; the rows
+    are divided by F * den^top once, at the end."""
     trunc = len(numerators)
-    base = DirSeries(trunc, tuple(constant_polys(numerators)))
     terms = [f[m].terms for m in range(top + 1)]
     fden = lcm(1, *(c.denominator for t in terms[1:] for c in t.values()))
     rows = {}
-    power = base
+    power = numerators
     for m in range(1, top + 1):
         if m > 1:
-            power = dir_mul(power, base)
-        values = constant_values(power.coeffs)
+            power = _convolve_ints(power, numerators, trunc)
         weight = fden * den ** (top - m)
         for mono, c in terms[m].items():
             w = c.numerator * (weight // c.denominator)
             row = rows.setdefault(mono, [0] * trunc)
-            row[:] = map(add, row, map(mul, repeat(w), values))
+            row[:] = map(add, row, map(w.__mul__, power))
     total = fden * den**top
     monos = list(rows)
     coeffs = [

@@ -227,17 +227,23 @@ def test_long_integers_are_exact(tmp_path, capsys, argv, file_text):
     assert max(len(tok) for tok in out.replace('"', " ").split()) >= 5000
 
 
-def test_twist_exponent_over_the_cap_is_refused_at_once():
-    # uncapped, twist(zeta,-99999999) ran for minutes; a child process
-    # bounds the test's time either way
-    argv = ["coeff", "-e", "twist(zeta,-99999999)", "-n", "4"]
+def run_child(*argv):
+    """The CLI in a child process with a timeout; returns the result and
+    its wall time."""
     env = {**os.environ, "PYTHONPATH": str(Path(dirseries.__file__).parents[1])}
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "dirseries.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert time.perf_counter() - start < 10
+    return done, time.perf_counter() - start
+
+
+def test_twist_exponent_over_the_cap_is_refused_at_once():
+    # uncapped, twist(zeta,-99999999) ran for minutes; a child process
+    # bounds the test's time either way
+    done, seconds = run_child("coeff", "-e", "twist(zeta,-99999999)", "-n", "4")
+    assert seconds < 10
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"error: twist needs |k| <= {TWIST_CAP}, got -99999999\n"
 
@@ -251,6 +257,63 @@ def test_twist_cap_boundary(capsys, k):
     else:
         assert (code, out) == (2, "")
         assert err == f"error: twist needs |k| <= {TWIST_CAP}, got {k}\n"
+
+
+@pytest.mark.parametrize("k", ("100000000000000000000", "1" + "0" * 300, "-33554432"))
+def test_dpow_int_exponent_over_the_cap_is_refused_at_once(k):
+    # uncapped, dpow_int(zeta,10^20) took 6 s at N = 10000 and 10^300
+    # had not finished after 300 s
+    done, seconds = run_child("series", "-e", f"dpow_int(zeta,{k})", "-N", "10000")
+    assert seconds < 10
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: dpow_int needs |k| < 2^25 at N = 10000, got {k}\n"
+
+
+@pytest.mark.parametrize(
+    "lead, k, limit",
+    [
+        ("1", 2**25 - 1, None),
+        ("-1", -(2**25) + 1, None),
+        ("1", 2**25, "|k| < 2^25"),
+        ("-1", -(2**25), "|k| < 2^25"),
+        ("2", 25, None),
+        ("2", -25, None),
+        ("2", 26, "|k| <= 25 at N = 10000 with 2 at index 1"),
+        ("2", -26, "|k| <= 25 at N = 10000 with 2 at index 1"),
+        ("1 + phi", 5, None),
+        ("1 + phi", 6, "|k| <= 5 at N = 10000 with 1 + phi at index 1"),
+        ("0", 26, "|k| <= 25 at N = 10000 with 0 at index 1"),
+    ],
+)
+def test_dpow_int_cap_boundary(tmp_path, capsys, lead, k, limit):
+    # the lead times x: its powers are cheap, so the cap alone decides
+    path = tmp_path / "lead.json"
+    path.write_text(json.dumps({"kind": "dir", "trunc": 10000, "coeffs": {"1": lead}}))
+    argv = ["coeff", "-e", f'dpow_int(load("{path}"),{k})', "-n"]
+    code, out, err = run_cli(capsys, *argv, "10000")
+    if limit is None:
+        assert (code, out.strip(), err) == (0, "0", "")
+        code, out, err = run_cli(capsys, *argv, "1")
+        base = parse_polynomial(lead)
+        want = base**k if k > 0 else Polynomial.const(1 / base.constant_value() ** -k)
+        assert parse_polynomial(out.strip()) == want
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: dpow_int needs {limit}")
+        assert err.endswith(f", got {k}\n")
+
+
+@pytest.mark.parametrize(
+    "text, offset", [("2^99999999", 2), ("(1+phi+beta)^100000", 13)]
+)
+def test_loaded_power_over_the_cap_is_refused_at_once(tmp_path, text, offset):
+    # uncapped, a loaded 2^99999999 ran until killed at 20 s
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "dir", "trunc": 3, "coeffs": {"1": "1", "2": text}}))
+    done, seconds = run_child("series", "-e", f'dinv(load("{path}"))', "-N", "3")
+    assert seconds < 10
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: exponent too large (at offset {offset})\n"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from dirseries.intfactor import (
     mobius_upto,
     primes_upto,
     s_of,
+    s_upto,
 )
 from dirseries.poly import Polynomial, log_n_poly
 
@@ -84,3 +85,17 @@ def test_primes_upto_cache_growth():
     assert primes_upto(10) == [2, 3, 5, 7]
     assert primes_upto(100)[-1] == 97
     assert primes_upto(10) == [2, 3, 5, 7]
+
+
+def test_s_table_matches_s_of():
+    table = s_upto(2000)
+    assert table[:2] == [0, 0]
+    assert table[1:] == [s_of(n) for n in range(1, 2001)]
+    assert s_upto(0) == [0] and s_upto(1) == [0, 0]
+
+
+def test_mobius_table_matches_factorization():
+    mu = mobius_upto(2000)
+    for n in range(1, 2001):
+        mults = [m for _, m in factorize(n)]
+        assert mu[n] == (0 if any(m > 1 for m in mults) else (-1) ** len(mults)), n

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +10,7 @@ from dirseries.intfactor import factorize
 from dirseries.poly import (
     BETA,
     PHI,
+    POWER_CAP,
     PSI,
     Polynomial,
     _wrap,
@@ -23,7 +25,7 @@ from dirseries.poly import (
     rising_poly,
 )
 from dirseries.randgen import random_polynomial
-from dirseries.series import dir_from_fn
+from dirseries.series import SERIES_CAP, dir_from_fn
 
 phi = Polynomial.symbol(PHI)
 beta = Polynomial.symbol(BETA)
@@ -189,6 +191,38 @@ def test_parse_errors_carry_offsets():
         parse_polynomial("phi + ")
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("(phi")
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("2^99999999", 2),
+        ("(1+phi+beta)^100000", 13),
+        ("phi^10001", 4),
+        ("(1+phi)^100", 8),
+        ("(1+phi+beta)^27", 13),
+        ("2 ^ 99999", 4),
+        ("phi*beta^" + "9" * 400, 9),
+    ],
+)
+def test_power_over_the_cap_is_refused_at_its_exponent(text, offset):
+    # uncapped, 2^99999999 in a loaded coefficient ran until killed
+    start = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError, match="exponent too large") as err:
+        parse_polynomial(text)
+    assert err.value.offset == offset
+    assert time.perf_counter() - start < 1
+
+
+def test_powers_up_to_the_cap_parse():
+    # the CLI prints phi^N for N up to SERIES_CAP (lagrange_ord)
+    assert POWER_CAP >= SERIES_CAP
+    top = phi**POWER_CAP * beta ** POWER_CAP
+    assert parse_polynomial(top.to_text()) == top
+    assert parse_polynomial(f"2^{POWER_CAP}") == Polynomial.const(2**POWER_CAP)
+    assert parse_polynomial("(1+phi)^99") == (phi + 1) ** 99
+    assert parse_polynomial("(1+phi+beta)^26") == (phi + beta + 1) ** 26
+    assert parse_polynomial(f"0^{POWER_CAP}") == Polynomial.zero()
 
 
 def test_integral_coefficients_are_stored_as_int():

@@ -4,7 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -227,6 +227,81 @@ def test_dir_inverse_zeta_is_mobius_at_the_cap():
     assert list(dir_inverse(zeta_series(10_000)).coeffs) == consts(mu[1:])
 
 
+INVERSE_LEADS = (1, -1, Fraction(3, 2), Fraction(-7, 5), 5)
+
+
+def inverse_input(rng, trunc, lead, kind):
+    """``lead`` at index 1, then runs of zero coefficients between random
+    ones: small denominators ("small"), integers and a few over a 64-bit
+    multiple of the lead's denominator or over Q65 ("64-bit", "65-bit"),
+    or polynomials ("symbolic")."""
+    out = [Fraction(lead)]
+    lead_den = out[0].denominator
+    for n in range(2, trunc + 1):
+        if (n // 7) % 3 == 1:  # indices 7..13, 28..34, ... stay zero
+            out.append(Fraction(0))
+        elif kind == "small":
+            out.append(Fraction(rng.randint(-6, 6), rng.randint(1, 9)))
+        else:
+            den = P64 - P64 % lead_den if kind == "64-bit" else Q65
+            out.append(Fraction(rng.randint(-6, 6), den if n % 5 == 2 else 1))
+    if kind == "symbolic":
+        return [Polynomial.const(out[0])] + [
+            Polynomial.zero() if not v else random_polynomial(rng, ("phi", "L2"), 2, 2)
+            for v in out[1:]
+        ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, scaled", [("small", 1), ("64-bit", 1), ("65-bit", 0), ("symbolic", 0)]
+)
+@pytest.mark.parametrize("lead", INVERSE_LEADS, ids=str)
+def test_dir_inverse_paths_match_definition(monkeypatch, lead, kind, scaled):
+    # a rational series whose common denominator fits in 64 bits is
+    # inverted in scaled integers; one past the guard, or a symbolic one,
+    # keeps its recurrence in ``Fraction`` or ``Polynomial``
+    calls = []
+    pristine = dirseries.series._inverse_scaled
+
+    def spied(numerators, den):
+        calls.append(den)
+        return pristine(numerators, den)
+
+    monkeypatch.setattr(dirseries.series, "_inverse_scaled", spied)
+    rng = random.Random(hash((str(lead), kind)) % 1000)
+    values = inverse_input(rng, 100, lead, kind)
+    if kind == "symbolic":
+        zero, inv_lead = Polynomial.zero(), Polynomial.const(1 / Fraction(lead))
+        coeffs = values
+    else:
+        zero, inv_lead = Fraction(0), 1 / Fraction(lead)
+        coeffs = consts(values)
+    for trunc in range(1, 101):
+        calls.clear()
+        got = list(dir_inverse(DirSeries(trunc, tuple(coeffs[:trunc]))).coeffs)
+        want = inverse_by_definition(values[:trunc], inv_lead, zero)
+        want = want if kind == "symbolic" else consts(want)
+        assert got == want, trunc
+        assert [p.to_text() for p in got] == [p.to_text() for p in want]
+        # a prefix may be constant, or free of wide denominators, already
+        head = constant_values(coeffs[:trunc])
+        narrow = head is not None and lcm(*(Fraction(v).denominator for v in head)) < 2**64
+        assert len(calls) == narrow, trunc
+    assert narrow == scaled
+
+
+@pytest.mark.parametrize("lead", INVERSE_LEADS, ids=str)
+@pytest.mark.parametrize("kind", ("small", "64-bit", "65-bit"))
+def test_dpow_int_minus_three_matches_repeated_divisor_sums(lead, kind):
+    values = inverse_input(random.Random(41), 80, lead, kind)
+    inv = inverse_by_definition(values, 1 / Fraction(lead), Fraction(0))
+    want = [Fraction(1)] + [Fraction(0)] * 79
+    for _ in range(3):
+        want = divisor_sum(want, inv, 80, Fraction(0))
+    assert list(dir_pow_int(DirSeries(80, tuple(consts(values))), -3).coeffs) == consts(want)
+
+
 def test_dir_inverse_requires_unit():
     bad = dir_from_fn(8, lambda n: 0 if n == 1 else 1)
     with pytest.raises(NonUnitLeadingCoefficient):
@@ -417,16 +492,20 @@ def test_ladder_refuses_a_lead_of_minus_one_on_both_paths():
                 op(a)
 
 
-@pytest.mark.parametrize("kind", ("small", "65-bit", "symbolic"))
+@pytest.mark.parametrize("kind", ("small", "64-bit", "65-bit", "symbolic"))
 def test_ladder_convolves_once_per_power_after_the_first(monkeypatch, kind):
+    # the scaled ladder convolves its int lists with ``_convolve_ints``,
+    # the others go through ``dirichlet_convolve``; both are counted, so a
+    # scaled power routed through ``dirichlet_convolve`` would count twice
     calls = []
-    pristine = dirseries.series.dirichlet_convolve
+    for name in ("dirichlet_convolve", "_convolve_ints"):
+        pristine = getattr(dirseries.series, name)
 
-    def counted(a, b, trunc):
-        calls.append(trunc)
-        return pristine(a, b, trunc)
+        def counted(a, b, trunc, pristine=pristine):
+            calls.append(trunc)
+            return pristine(a, b, trunc)
 
-    monkeypatch.setattr(dirseries.series, "dirichlet_convolve", counted)
+        monkeypatch.setattr(dirseries.series, name, counted)
     for trunc in (2, 3, 4, 63, 64, 100):
         for op, lead, _ in LADDERS.values():
             calls.clear()
