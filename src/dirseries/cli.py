@@ -18,13 +18,14 @@ Subcommands::
                                                    suite's wall seconds and
                                                    record count on stderr
 
-Caps: series truncations, ``coeff`` indices and the declared truncation
-of a loaded series file are at most ``SERIES_CAP`` (10000), matrix sizes
-at most 500, ``verify -N`` at most ``VERIFY_CAP`` (1000), and the
-exponent k of ``twist(a,k)`` at most ``TWIST_CAP`` (64) in absolute
-value.  The exponent of ``dpow_int(a,k)`` is bounded by the work budget
-``POW_INT_CAP`` at the series length (|k| < 2^25 at N = 10000 for a lead
-of 1 or -1), and an exponent in polynomial text by ``POWER_CAP``.
+Caps: series truncations, ``coeff`` indices, the declared truncation of
+a loaded series file and both ``bell -N`` and ``bell -M`` are at most
+``SERIES_CAP`` (10000), matrix sizes at most 500, ``verify -N`` at most
+``VERIFY_CAP`` (1000), and the exponent k of ``twist(a,k)`` at most
+``TWIST_CAP`` (64) in absolute value.  The exponent of ``dpow_int(a,k)``
+is bounded by the work budget ``POW_INT_CAP`` at the series length
+(|k| < 2^25 at N = 10000 for a lead of 1 or -1), and an exponent in
+polynomial text by ``POWER_CAP``.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (bad flags, values out of range or over a cap,
@@ -41,15 +42,15 @@ import sys
 
 from .errors import DirAlgebraError
 from .exprlang import _expect_kind, eval_expr, parse_expr
-from .partitions import bell_B, bell_btilde, ordered_factorizations
-from .poly import Polynomial, coeff_symbol
+from .partitions import ordered_factorizations
+from .poly import ONE, ZERO, Polynomial, coeff_symbol
 from .serialize import (
     matrix_to_csv,
     matrix_to_json_text,
     series_to_csv,
     series_to_json_text,
 )
-from .series import SERIES_CAP
+from .series import SERIES_CAP, DirSeries, OrdSeries
 from .verify import SUITES, run_suites
 
 MATRIX_CAP = 500
@@ -159,31 +160,27 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_bell(args) -> int:
-    if not 1 <= args.rows <= SERIES_CAP or args.cols < 1:
-        raise DirAlgebraError(f"bell needs 1 <= N <= {SERIES_CAP} and M >= 1")
-    lines = []
-    if args.tilde:
-        values = (
-            [Polynomial.symbol(coeff_symbol(k)) for k in range(2, args.rows + 1)]
-            if args.symbolic
-            else [1] * max(args.rows - 1, 0)
-        )
-        for n in range(2, args.rows + 1):
-            cells = [bell_btilde(n, m, values).to_text() for m in range(1, args.cols + 1)]
-            lines.append(",".join([str(n)] + cells))
-    else:
-        values = (
-            [Polynomial.symbol(coeff_symbol(k)) for k in range(1, args.rows + 1)]
-            if args.symbolic
-            else [1] * args.rows
-        )
-        for n in range(1, args.rows + 1):
-            cells = [
-                bell_B(n, m, values).to_text() if m <= n else "0"
-                for m in range(1, args.cols + 1)
-            ]
-            lines.append(",".join([str(n)] + cells))
-    print("\n".join(lines))
+    if not 1 <= args.rows <= SERIES_CAP or not 1 <= args.cols <= SERIES_CAP:
+        raise DirAlgebraError(f"bell needs 1 <= N <= {SERIES_CAP} and 1 <= M <= {SERIES_CAP}")
+    # cell (n, m) is [x^n] g^m for g = sum of v_k x^k: from k = 2 under
+    # composition (the factorization family), from k = 1 under the Cauchy
+    # product (the partition family); g is zero at the first index either way
+    kind, low = (DirSeries, 2) if args.tilde else (OrdSeries, 1)
+    values = [
+        Polynomial.symbol(coeff_symbol(k)) if args.symbolic else ONE
+        for k in range(low, args.rows + 1)
+    ]
+    g = power = kind(args.rows, (ZERO, *values))
+    columns = []
+    for m in range(1, args.cols + 1):
+        if m > 1:
+            power = power * g
+        if not any(power.coeffs):
+            break  # every later power is zero too
+        columns.append([c.to_text() for c in power.coeffs[1:]])
+    columns += [["0"] * len(values)] * (args.cols - len(columns))
+    rows = zip(range(low, args.rows + 1), *columns)
+    print("\n".join(",".join(map(str, row)) for row in rows))
     return 0
 
 

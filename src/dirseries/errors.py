@@ -57,7 +57,8 @@ class SeriesFormatError(DirAlgebraError, ValueError):
     """A series in JSON form is malformed: not an object with a kind, a
     truncation and coefficients, an unknown kind, a truncation that is not
     an integer in range, a coefficient key that is not an index in the
-    series' range, or coefficient text that is not a string."""
+    series' range, or coefficient text that is not a string or not
+    polynomial text."""
 
 
 class PolynomialSyntaxError(DirAlgebraError):

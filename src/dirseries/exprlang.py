@@ -139,11 +139,10 @@ def _parse_call(scanner: Scanner) -> Call:
     args: list = []
     if scanner.peek() == "(":
         scanner.expect("(")
-        if scanner.peek() != ")":
+        args.append(_parse_arg(scanner))
+        while scanner.peek() == ",":
+            scanner.expect(",")
             args.append(_parse_arg(scanner))
-            while scanner.peek() == ",":
-                scanner.expect(",")
-                args.append(_parse_arg(scanner))
         scanner.expect(")")
     if len(args) != len(shape):
         raise ArityMismatch(f"{name} takes {len(shape)} argument(s), got {len(args)}")
@@ -208,10 +207,9 @@ def eval_expr(ast: Call, trunc: int) -> Series:
     if name == "load":
         with open(args[0], "r", encoding="utf-8") as fh:
             try:
-                obj = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8 text
+                loaded = series_from_json(json.load(fh))
+            except ValueError as exc:  # not UTF-8 text, not JSON or not a series
                 raise SeriesFormatError(f"{args[0]}: {exc}") from None
-        loaded = series_from_json(obj)
         if loaded.trunc < trunc:
             raise TruncationTooSmall(
                 f"loaded series has trunc {loaded.trunc}, need {trunc}"

@@ -3,8 +3,8 @@
 ``bell_B`` sums over additive partitions of n into m parts (the classical
 partition polynomials); ``bell_btilde`` sums over unordered decompositions
 of n into m factors >= 2, which is the multiplicative counterpart.  Both
-accept polynomial values so numeric and fully symbolic tables share one
-code path.
+accept polynomial values.  They are the enumeration oracles of ``verify``:
+the CLI reads the same tables off powers of a series instead.
 """
 
 from __future__ import annotations

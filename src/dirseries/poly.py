@@ -467,7 +467,10 @@ class Scanner:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than ``sys.get_int_max_str_digits``
+            raise self.error("number too long", start) from None
 
     def take_ident(self) -> str:
         self.skip_ws()
@@ -495,7 +498,10 @@ def parse_polynomial(text: str) -> Polynomial:
     constant = _RATIONAL_TEXT.fullmatch(text)
     if constant:
         num, den = constant.groups()
-        return Polynomial.const(Fraction(int(num), int(den)) if den else int(num))
+        try:
+            return Polynomial.const(Fraction(int(num), int(den)) if den else int(num))
+        except ValueError:
+            pass  # a number too long for ``int``; the scanner reports where
     toks = Scanner(text, PolynomialSyntaxError, "a symbol")
     out = _parse_sum(toks)
     toks.skip_ws()

@@ -13,7 +13,7 @@ import io
 import json
 from typing import Any
 
-from .errors import SeriesFormatError
+from .errors import PolynomialSyntaxError, SeriesFormatError
 from .matrices import DirMatrix
 from .poly import ZERO, parse_polynomial
 from .series import SERIES_CAP, DirSeries, OrdSeries, Series
@@ -53,7 +53,10 @@ def series_from_json(obj: Any) -> Series:
             raise SeriesFormatError(f"coefficient key {key!r} is not an index in {lo}..{trunc}")
         if not isinstance(text, str):
             raise SeriesFormatError(f"coefficient {key} is {text!r}, not polynomial text")
-        coeffs[n - lo] = parse_polynomial(text)
+        try:
+            coeffs[n - lo] = parse_polynomial(text)
+        except PolynomialSyntaxError as exc:
+            raise SeriesFormatError(f"coefficient {key}: {exc}") from None
     return series_cls(trunc, tuple(coeffs))
 
 

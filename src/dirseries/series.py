@@ -30,9 +30,10 @@ kernels, the inverse and the power ladder.  A constant series whose common
 denominator d has at most ``SCALED_DEN_BITS`` bits is scaled once to its
 integer numerators A = d * a; past that guard, big-integer products would
 cost more than the ``Fraction`` work they save, so such inputs keep the
-``Fraction`` or ``Polynomial`` loops.  ``_convolve_ints`` is the one
-integer convolution: ``dirichlet_convolve`` calls it on scaled inputs and
-keeps integral results ``int``, and ``dir_apply_series`` keeps every
+``Fraction`` or ``Polynomial`` loops.  ``_convolve`` is the one divisor
+convolution and serves both rings: ``dirichlet_convolve`` calls it on
+scaled ``int`` inputs, keeping integral results ``int``, and on the
+``Polynomial`` coefficients otherwise, and ``dir_apply_series`` keeps every
 power A^(m) as an ``int`` list from it and sums the powers in one ``int``
 row per monomial of the ordinary series, dividing once at the end.
 ``dir_inverse`` runs one forward-accumulating recurrence: on integers
@@ -194,41 +195,33 @@ def dirichlet_convolve(
     """Divisor-indexed convolution kernel of ``dir_mul``, and so of every
     composition product of two series; the power ladder of
     ``dir_apply_series`` convolves its ``int`` lists with
-    ``_convolve_ints`` directly.
+    ``_convolve`` directly.
 
     When both inputs are constant up to ``trunc`` and each has a common
     denominator of at most ``SCALED_DEN_BITS`` bits, they are scaled to
     integers and convolved in ``int`` arithmetic.  The guard exists
     because the common denominator can grow with the length: for 1/(n^2+1)
     it reaches about 14k bits at N=10000, where big-integer products cost
-    far more than the ``Fraction`` work they replace.  Other inputs run
-    the ``Polynomial`` loop.  Both give the same coefficients."""
+    far more than the ``Fraction`` work they replace.  Other inputs are
+    convolved as ``Polynomial``s.  Both give the same coefficients."""
     scaled_a = _scaled_integers(a[:trunc])
     scaled_b = None if scaled_a is None else _scaled_integers(b[:trunc])
-    if scaled_b is not None:
-        (xs, da), (ys, db) = scaled_a, scaled_b
-        acc = _convolve_ints(xs, ys, trunc)
-        den = da * db
-        if den == 1:
-            return constant_polys(acc)
-        return constant_polys(Fraction(v, den) if v else 0 for v in acc)
-    out = [ZERO] * trunc
-    for d in range(1, trunc + 1):
-        ad = a[d - 1]
-        if ad.is_zero():
-            continue
-        for q in range(1, trunc // d + 1):
-            bq = b[q - 1]
-            if not bq.is_zero():
-                idx = d * q - 1
-                out[idx] = out[idx] + ad * bq
-    return out
+    if scaled_b is None:
+        return _convolve(a, b, trunc, ZERO)
+    (xs, da), (ys, db) = scaled_a, scaled_b
+    acc = _convolve(xs, ys, trunc)
+    den = da * db
+    if den == 1:
+        return constant_polys(acc)
+    return constant_polys(Fraction(v, den) if v else 0 for v in acc)
 
 
-def _convolve_ints(xs: Sequence[int], ys: Sequence[int], trunc: int) -> list[int]:
-    """The divisor-indexed convolution of two integer lists up to ``trunc``;
-    a slice update per nonzero x_d adds x_d * y_q at every index d*q."""
-    acc = [0] * trunc
+def _convolve(xs: Sequence, ys: Sequence, trunc: int, zero=0) -> list:
+    """The divisor-indexed convolution of two lists up to ``trunc`` over
+    any exact ring whose zero is ``zero``: ``int`` for scaled rationals,
+    ``Polynomial`` otherwise.  A slice update per nonzero x_d adds
+    x_d * y_q at every index d*q."""
+    acc = [zero] * trunc
     for d in range(1, trunc + 1):
         x = xs[d - 1]
         if x:
@@ -389,7 +382,7 @@ def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
     f = (1+t)^psi, log(1+t) and e^(psi*t).  A constant ``a`` whose common
     denominator has at most ``SCALED_DEN_BITS`` bits is summed in scaled
     integers by ``_apply_series_scaled``, whose powers are ``int`` lists
-    from ``_convolve_ints``; any other ``a`` sums ``Polynomial`` multiples
+    from ``_convolve``; any other ``a`` sums ``Polynomial`` multiples
     of each power a^(m) from ``dir_mul``.  Both hold one power at a time
     and give the same coefficients."""
     require_lead(a, 0, "dir_apply_series")
@@ -412,7 +405,7 @@ def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
 
 def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int) -> DirSeries:
     """``dir_apply_series`` for a = A / den with A integral.  Each power
-    A^(m) is an ``int`` list from ``_convolve_ints``.  With F the common
+    A^(m) is an ``int`` list from ``_convolve``.  With F the common
     denominator of f_1..f_top, every monomial mu of f gets one integer
     row, which accumulates f_m[mu] * F * den^(top-m) * A^(m)[n]; the rows
     are divided by F * den^top once, at the end."""
@@ -423,7 +416,7 @@ def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int
     power = numerators
     for m in range(1, top + 1):
         if m > 1:
-            power = _convolve_ints(power, numerators, trunc)
+            power = _convolve(power, numerators, trunc)
         weight = fden * den ** (top - m)
         for mono, c in terms[m].items():
             w = c.numerator * (weight // c.denominator)
@@ -526,16 +519,12 @@ def ord_x(trunc: int) -> OrdSeries:
 
 
 def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
+    """The Cauchy product, one slice update per nonzero a_i."""
     n = min(a.trunc, b.trunc)
     out = [ZERO] * (n + 1)
-    for i in range(n + 1):
-        ai = a[i]
-        if ai.is_zero():
-            continue
-        for j in range(n - i + 1):
-            bj = b[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
+    for i, ai in enumerate(a.coeffs[: n + 1]):
+        if ai:
+            out[i:] = map(add, out[i:], map(ai.__mul__, b.coeffs[: n + 1 - i]))
     return OrdSeries(n, tuple(out))
 
 

@@ -11,7 +11,8 @@ import pytest
 
 import dirseries
 from dirseries.cli import VERIFY_CAP, main
-from dirseries.poly import PSI, Polynomial, parse_polynomial
+from dirseries.partitions import bell_B, bell_btilde
+from dirseries.poly import PSI, Polynomial, coeff_symbol, parse_polynomial
 from dirseries.series import TWIST_CAP
 from dirseries.verify import SUITES
 
@@ -114,6 +115,25 @@ def test_bell_tables(capsys):
     assert out.splitlines()[5].startswith("6,1,")
 
 
+@pytest.mark.parametrize("tilde", (False, True))
+@pytest.mark.parametrize("symbolic", (False, True))
+def test_bell_rows_equal_the_enumerations(capsys, tilde, symbolic):
+    # the CLI reads column m off the m-th power of g, the enumerations sum
+    # over partitions; M = 14 passes the last nonzero power of both families
+    rows, cols = 12, 14
+    flags = ["--tilde"] * tilde + ["--symbolic"] * symbolic
+    code, out, err = run_cli(capsys, "bell", "-N", str(rows), "-M", str(cols), *flags)
+    assert (code, err) == (0, "")
+    low = 2 if tilde else 1
+    values = [Polynomial.symbol(coeff_symbol(k)) if symbolic else 1 for k in range(low, rows + 1)]
+    bell = bell_btilde if tilde else bell_B
+    want = [
+        [str(n)] + [bell(n, m, values).to_text() if m <= n else "0" for m in range(1, cols + 1)]
+        for n in range(low, rows + 1)
+    ]
+    assert [line.split(",") for line in out.splitlines()] == want
+
+
 def test_factorizations(capsys):
     code, out, _ = run_cli(capsys, "factorizations", "-n", "12", "-m", "2")
     assert code == 0
@@ -153,13 +173,17 @@ def test_expr_error_exit_code(capsys):
         (["coeff", "-e", "load(3)", "-n", "4"], None),
         (["coeff", "-e", "load(zeta)", "-n", "4"], None),
         (["coeff", "-e", 'lagrange_dir(eps,"x")', "-n", "4"], None),
+        (["bell", "-N", "2", "-M", "10001"], None),
+        (["coeff", "-e", "zeta()", "-n", "3"], None),
+        (["coeff", "-e", "dinv()", "-n", "3"], None),
     ],
     ids=["ord-index", "factorizations", "load-not-json", "load-key-range",
          "verify-negative", "verify-zero", "load-not-a-series", "load-trunc-over-cap",
          "coeff-index-over-cap", "series-over-cap", "rd-without-e2", "bell-zero-rows",
          "mult-with-e2", "column-with-e2", "subst-xk-zero", "subst-xk-negative",
          "number-for-series", "beta-for-series", "string-for-series", "number-for-path",
-         "series-for-path", "string-for-param"],
+         "series-for-path", "string-for-param", "bell-cols-over-cap", "empty-call",
+         "empty-call-of-unary"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
     path = tmp_path / "input.json"
@@ -313,7 +337,19 @@ def test_loaded_power_over_the_cap_is_refused_at_once(tmp_path, text, offset):
     done, seconds = run_child("series", "-e", f'dinv(load("{path}"))', "-N", "3")
     assert seconds < 10
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == f"error: exponent too large (at offset {offset})\n"
+    assert done.stderr == f"error: {path}: coefficient 2: exponent too large (at offset {offset})\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("phi + gamma", "unknown symbol 'gamma' (at offset 6)"), ("(phi", "expected ')' (at offset 4)")],
+)
+def test_bad_loaded_coefficient_names_file_and_key(tmp_path, capsys, text, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "dir", "trunc": 3, "coeffs": {"1": "1", "3": text}}))
+    code, out, err = run_cli(capsys, "series", "-e", f'dinv(load("{path}"))', "-N", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: coefficient 3: {message}\n"
 
 
 @pytest.mark.parametrize(

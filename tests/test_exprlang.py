@@ -54,6 +54,9 @@ def test_parse_errors():
         parse_expr("dlog(zeta) trailing")
     with pytest.raises(ExprSyntaxError):
         parse_expr('load("unterminated)')
+    for text in ("zeta()", "dinv()"):
+        with pytest.raises(ExprSyntaxError, match="expected an argument"):
+            parse_expr(text)
 
 
 def test_parse_builds_call_trees():

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -191,6 +192,23 @@ def test_parse_errors_carry_offsets():
         parse_polynomial("phi + ")
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("(phi")
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("phi^" + "9" * 5000, 4), ("9" * 5000, 0), ("-" + "9" * 5000, 1), ("9" * 5000 + "*phi", 0),
+     ("1/" + "9" * 5000, 2)],
+)
+def test_number_past_the_digit_limit_is_a_syntax_error(text, offset):
+    # the CLI lifts Python's limit on integer text; a library caller may not
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(PolynomialSyntaxError, match="number too long") as err:
+            parse_polynomial(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert err.value.offset == offset
 
 
 @pytest.mark.parametrize(

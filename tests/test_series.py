@@ -35,6 +35,7 @@ from dirseries.series import (
     TWIST_CAP,
     OrdSeries,
     _max_power,
+    _scaled_integers,
     dir_apply_series,
     dir_exp_param,
     dir_from_fn,
@@ -494,23 +495,28 @@ def test_ladder_refuses_a_lead_of_minus_one_on_both_paths():
 
 @pytest.mark.parametrize("kind", ("small", "64-bit", "65-bit", "symbolic"))
 def test_ladder_convolves_once_per_power_after_the_first(monkeypatch, kind):
-    # the scaled ladder convolves its int lists with ``_convolve_ints``,
-    # the others go through ``dirichlet_convolve``; both are counted, so a
-    # scaled power routed through ``dirichlet_convolve`` would count twice
-    calls = []
-    for name in ("dirichlet_convolve", "_convolve_ints"):
+    # every power after the first is one ``_convolve``: an input that scales
+    # to integers reaches it directly, any other through ``dirichlet_convolve``
+    # (the "65-bit" input has no 65-bit denominator below trunc 5)
+    calls = {"dirichlet_convolve": 0, "_convolve": 0}
+    for name in calls:
         pristine = getattr(dirseries.series, name)
 
-        def counted(a, b, trunc, pristine=pristine):
-            calls.append(trunc)
-            return pristine(a, b, trunc)
+        def counted(*args, name=name, pristine=pristine):
+            calls[name] += 1
+            return pristine(*args)
 
         monkeypatch.setattr(dirseries.series, name, counted)
     for trunc in (2, 3, 4, 63, 64, 100):
         for op, lead, _ in LADDERS.values():
-            calls.clear()
-            op(ladder_input(random.Random(trunc), trunc, lead, 1, kind))
-            assert len(calls) == _max_power(trunc) - 1, (op.__name__, trunc)
+            a = ladder_input(random.Random(trunc), trunc, lead, 1, kind)
+            powers = _max_power(trunc) - 1
+            via_polynomials = 0 if _scaled_integers(a.coeffs) is not None else powers
+            calls.update(dict.fromkeys(calls, 0))
+            op(a)
+            assert calls == {"dirichlet_convolve": via_polynomials, "_convolve": powers}, (
+                op.__name__, trunc,
+            )
 
 
 def test_integral_kernel_output_is_stored_as_int():
