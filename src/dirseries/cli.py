@@ -19,9 +19,10 @@ Subcommands::
                                                    record count on stderr
 
 Caps: series truncations, ``coeff`` indices, the declared truncation of
-a loaded series file and both ``bell -N`` and ``bell -M`` are at most
-``SERIES_CAP`` (10000), matrix sizes at most 500, ``verify -N`` at most
-``VERIFY_CAP`` (1000), and the exponent k of ``twist(a,k)`` at most
+a loaded series file, both ``bell -N`` and ``bell -M`` and
+``factorizations -n`` are at most ``SERIES_CAP`` (10000), matrix sizes at
+most 500, ``verify -N`` at most ``VERIFY_CAP`` (1000), ``verify --jobs``
+at least 1, and the exponent k of ``twist(a,k)`` at most
 ``TWIST_CAP`` (64) in absolute value.  The exponent of ``dpow_int(a,k)``
 is bounded by the work budget ``POW_INT_CAP`` at the series length
 (|k| < 2^25 at N = 10000 for a lead of 1 or -1), and an exponent in
@@ -32,6 +33,10 @@ Exit codes: 0 on success, 1 when a verification suite reports a failure,
 malformed expressions or series files, precondition violations).  Every
 usage error is a ``DirAlgebraError`` or an ``OSError``, printed by
 ``main`` as one ``error:`` line on stderr without a traceback.
+
+Each command starts a fresh interpreter, so the handlers of ``matrix``,
+``factorizations`` and ``verify`` import ``matrices``, ``partitions`` and
+``verify`` inside themselves, and no other command pays for them.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ import sys
 
 from .errors import DirAlgebraError
 from .exprlang import _expect_kind, eval_expr, parse_expr
-from .partitions import ordered_factorizations
 from .poly import ONE, ZERO, Polynomial, coeff_symbol
 from .serialize import (
     matrix_to_csv,
@@ -51,7 +55,6 @@ from .serialize import (
     series_to_json_text,
 )
 from .series import SERIES_CAP, DirSeries, OrdSeries
-from .verify import SUITES, run_suites
 
 MATRIX_CAP = 500
 
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", required=True, type=int)
 
     p = sub.add_parser("verify", help="run identity verification suites")
-    p.add_argument("--suite", default="all", choices=("all",) + SUITES)
+    p.add_argument("--suite", default="all", help="a suite name, or all (the default)")
     p.add_argument("-N", "--bound", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timings", action="store_true",
@@ -132,7 +135,6 @@ def _cmd_series(args) -> int:
 
 def _cmd_matrix(args) -> int:
     from .matrices import build_column, build_mult, build_rd, build_riordan_ord
-
     if not 1 <= args.size <= MATRIX_CAP:
         raise DirAlgebraError(f"matrix size must be in 1..{MATRIX_CAP}")
     if args.kind in ("rd", "riordan") and not args.expr2:
@@ -185,24 +187,27 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_factorizations(args) -> int:
-    if args.n < 1 or args.m < 0:
-        raise DirAlgebraError("factorizations needs n >= 1 and m >= 0")
+    from .partitions import ordered_factorizations
+    if not 1 <= args.n <= SERIES_CAP or args.m < 0:
+        raise DirAlgebraError(f"factorizations needs 1 <= n <= {SERIES_CAP} and m >= 0")
     for tup in ordered_factorizations(args.n, args.m):
         print(",".join(str(k) for k in tup))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
     if args.bound is not None and not 1 <= args.bound <= VERIFY_CAP:
         raise DirAlgebraError(f"verify bound must be in 1..{VERIFY_CAP}")
-    names = [args.suite] if args.suite != "all" else ["all"]
+    if args.jobs < 1:
+        raise DirAlgebraError("verify --jobs must be at least 1")
 
     def print_timing(name: str, seconds: float, count: int) -> None:
         if args.timings:
             print(f"timing {name}: {seconds:.3f} s, {count} records", file=sys.stderr)
 
     records, all_ok = run_suites(
-        names, bound=args.bound, jobs=max(args.jobs, 1), on_suite_done=print_timing
+        [args.suite], bound=args.bound, jobs=args.jobs, on_suite_done=print_timing
     )
     for record in records:
         print(record.line())

@@ -14,7 +14,6 @@ import json
 from typing import Any
 
 from .errors import PolynomialSyntaxError, SeriesFormatError
-from .matrices import DirMatrix
 from .poly import ZERO, parse_polynomial
 from .series import SERIES_CAP, DirSeries, OrdSeries, Series
 

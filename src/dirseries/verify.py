@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable
 
+from .errors import ArgumentOutOfRange
 from .intfactor import (
     binom_f,
     divisors,
@@ -853,7 +854,8 @@ def run_suites(
     selected = list(SUITES) if names == ["all"] else names
     for name in selected:
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
+            known = ", ".join(("all",) + SUITES)
+            raise ArgumentOutOfRange(f"unknown suite {name!r}, not one of {known}")
     items = _pool_items(selected, bound)
     # more workers than cores or items only adds start-up cost
     workers = min(jobs, os.cpu_count() or 1, len(items))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dirseries
-from dirseries.cli import VERIFY_CAP, main
+from dirseries.cli import VERIFY_CAP, build_parser, main
 from dirseries.partitions import bell_B, bell_btilde
 from dirseries.poly import PSI, Polynomial, coeff_symbol, parse_polynomial
 from dirseries.series import TWIST_CAP
@@ -176,6 +176,11 @@ def test_expr_error_exit_code(capsys):
         (["bell", "-N", "2", "-M", "10001"], None),
         (["coeff", "-e", "zeta()", "-n", "3"], None),
         (["coeff", "-e", "dinv()", "-n", "3"], None),
+        (["factorizations", "-n", "100000000000000000000000000000000", "-m", "1"], None),
+        (["factorizations", "-n", "1000000000000000000", "-m", "2"], None),
+        (["factorizations", "-n", "10001", "-m", "1"], None),
+        (["verify", "--suite", "pow", "--jobs", "0"], None),
+        (["verify", "--suite", "pow", "--jobs", "-3"], None),
     ],
     ids=["ord-index", "factorizations", "load-not-json", "load-key-range",
          "verify-negative", "verify-zero", "load-not-a-series", "load-trunc-over-cap",
@@ -183,7 +188,8 @@ def test_expr_error_exit_code(capsys):
          "mult-with-e2", "column-with-e2", "subst-xk-zero", "subst-xk-negative",
          "number-for-series", "beta-for-series", "string-for-series", "number-for-path",
          "series-for-path", "string-for-param", "bell-cols-over-cap", "empty-call",
-         "empty-call-of-unary"],
+         "empty-call-of-unary", "factorizations-n-10^32", "factorizations-n-10^18",
+         "factorizations-n-over-cap", "verify-jobs-zero", "verify-jobs-negative"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
     path = tmp_path / "input.json"
@@ -359,6 +365,36 @@ def test_verify_bound_over_the_cap_is_a_usage_error(capsys, suite, bound):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "-N", str(bound))
     assert (code, out) == (2, "")
     assert err == f"error: verify bound must be in 1..{VERIFY_CAP}\n"
+
+
+def test_verify_unknown_suite_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "nosuch")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown suite 'nosuch', not one of all, {', '.join(SUITES)}\n"
+
+
+@pytest.mark.parametrize("suite", ("all",) + SUITES)
+def test_verify_suite_names_parse(suite):
+    assert build_parser().parse_args(["verify", "--suite", suite]).suite == suite
+
+
+def test_factorizations_n_at_the_cap_runs(capsys):
+    code, out, err = run_cli(capsys, "factorizations", "-n", "10000", "-m", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "2,5000"
+
+
+def test_cli_import_loads_no_command_only_modules():
+    # every command starts a fresh interpreter; what cli imports at module
+    # level, every command pays for, so each handler imports its own layers
+    env = {**os.environ, "PYTHONPATH": str(Path(dirseries.__file__).parents[1])}
+    unwanted = ("dirseries.verify", "dirseries.matrices", "dirseries.partitions",
+                "concurrent.futures", "multiprocessing")
+    code = f"import sys, dirseries.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n"
 
 
 def test_verify_bound_at_the_cap_runs(capsys):
