@@ -26,7 +26,10 @@ at least 1, and the exponent k of ``twist(a,k)`` at most
 ``TWIST_CAP`` (64) in absolute value.  The exponent of ``dpow_int(a,k)``
 is bounded by the work budget ``POW_INT_CAP`` at the series length
 (|k| < 2^25 at N = 10000 for a lead of 1 or -1), and an exponent in
-polynomial text by ``POWER_CAP``.
+polynomial text by ``POWER_CAP``.  The ordinary ``bell`` table (without
+``--tilde``) is refused before any work when its powers take more than
+``BELL_PRODUCTS_CAP`` coefficient products or, with ``--symbolic``, when
+it has more than ``BELL_TERMS_CAP`` terms.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (bad flags, values out of range or over a cap,
@@ -45,7 +48,7 @@ import argparse
 import json
 import sys
 
-from .errors import DirAlgebraError
+from .errors import ArgumentOutOfRange, DirAlgebraError
 from .exprlang import _expect_kind, eval_expr, parse_expr
 from .poly import ONE, ZERO, Polynomial, coeff_symbol
 from .serialize import (
@@ -54,13 +57,20 @@ from .serialize import (
     series_to_csv,
     series_to_json_text,
 )
-from .series import SERIES_CAP, DirSeries, OrdSeries
+from .series import SERIES_CAP, DirSeries, OrdSeries, powers
 
 MATRIX_CAP = 500
 
 # the largest ``verify -N``: every suite's default bound lies within it,
 # and the work of abel grows about 2.4 times per doubling of N
 VERIFY_CAP = 1000
+
+# the budget of the ordinary ``bell`` table: on a 2-core x86-64 with
+# Python 3.11, a million products of its powers take about 2.5 s, and 50k
+# terms of a --symbolic table about 1.2 s at M = 6 (more terms per
+# coefficient also make each product slower)
+BELL_PRODUCTS_CAP = 1_000_000
+BELL_TERMS_CAP = 50_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,15 +178,15 @@ def _cmd_bell(args) -> int:
     # composition (the factorization family), from k = 1 under the Cauchy
     # product (the partition family); g is zero at the first index either way
     kind, low = (DirSeries, 2) if args.tilde else (OrdSeries, 1)
+    if not args.tilde:
+        _check_bell_budget(args.rows, args.cols, args.symbolic)
     values = [
         Polynomial.symbol(coeff_symbol(k)) if args.symbolic else ONE
         for k in range(low, args.rows + 1)
     ]
-    g = power = kind(args.rows, (ZERO, *values))
+    g = kind(args.rows, (ZERO, *values))
     columns = []
-    for m in range(1, args.cols + 1):
-        if m > 1:
-            power = power * g
+    for power in powers(g, args.cols):
         if not any(power.coeffs):
             break  # every later power is zero too
         columns.append([c.to_text() for c in power.coeffs[1:]])
@@ -184,6 +194,34 @@ def _cmd_bell(args) -> int:
     rows = zip(range(low, args.rows + 1), *columns)
     print("\n".join(",".join(map(str, row)) for row in rows))
     return 0
+
+
+def _check_bell_budget(rows: int, cols: int, symbolic: bool) -> None:
+    """Refuse an ordinary table over budget.  Power m of g = sum of x^k
+    (k >= 1) is nonzero at indices m..N, so g^(m+1) = g^m * g takes
+    (N-m+1)(N-m+2)/2 products, for m < min(M, N+1).  Cell (n, m) of a
+    symbolic table has one term per partition of n into m parts, so row n
+    has as many as n has partitions into parts of at most M."""
+    products = sum((rows - m + 1) * (rows - m + 2) // 2 for m in range(1, min(cols, rows + 1)))
+    if products > BELL_PRODUCTS_CAP:
+        raise ArgumentOutOfRange(
+            f"bell -N {rows} -M {cols} takes {products} coefficient products,"
+            f" over the budget of {BELL_PRODUCTS_CAP}"
+        )
+    if not symbolic:
+        return
+    # partitions of 0..N, counted with part sizes 1..k; the total only
+    # grows with k, so the count stops once it is over the budget
+    counts = [1] + [0] * rows
+    for k in range(1, min(cols, rows) + 1):
+        for n in range(k, rows + 1):
+            counts[n] += counts[n - k]
+        terms = sum(counts) - 1
+        if terms > BELL_TERMS_CAP:
+            raise ArgumentOutOfRange(
+                f"bell --symbolic -N {rows} -M {cols} has at least {terms} terms,"
+                f" over the budget of {BELL_TERMS_CAP}"
+            )
 
 
 def _cmd_factorizations(args) -> int:

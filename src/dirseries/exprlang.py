@@ -19,10 +19,12 @@ Functions: ``dmul``, ``dinv``, ``dpow_int``, ``dpow_param``, ``dlog``,
 ``lagrange_dir`` / ``lagrange_ord`` build the shifted-power family (their
 second argument is a rational, or the word ``beta`` to stay symbolic).
 
-Parse errors carry byte offsets and are deterministic.  The parser also
-checks the syntactic kind of every argument (a series expression, an
-integer, a rational or ``beta``, a quoted path); whether a series is of
-the kind a function needs is checked when it is evaluated.
+Each builtin is one row of ``_BUILTINS``: the shapes of its arguments and
+its evaluator.  The parser reads the shapes and checks the syntactic kind
+of every argument (a series expression, an integer, a rational or
+``beta``, a quoted path); ``eval_expr`` evaluates the series arguments,
+checks that each is of the kind the shape names, and calls the evaluator.
+Parse errors carry byte offsets and are deterministic.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import (
     ArityMismatch,
@@ -39,6 +42,7 @@ from .errors import (
     TruncationTooSmall,
     UnknownFunction,
 )
+from .intfactor import s_max
 from .poly import Scanner
 from .series import (
     Series,
@@ -75,32 +79,68 @@ class Call:
     args: tuple
 
 
-# argument shapes: "dir" and "ord" are series sub-expressions, "int" an
-# integer literal, "param" a rational or the word beta, "str" a quoted path
-_SIGNATURES: dict[str, tuple[str, ...]] = {
-    "zeta": (),
-    "geom": (),
-    "geom2": (),
-    "eps": (),
-    "expx": (),
-    "onepx": (),
-    "load": ("str",),
-    "dmul": ("dir", "dir"),
-    "dinv": ("dir",),
-    "dpow_int": ("dir", "int"),
-    "dpow_param": ("dir",),
-    "dlog": ("dir",),
-    "dexp": ("dir",),
-    "star": ("dir",),
-    "subst_xk": ("dir", "int"),
-    "twist": ("dir", "int"),
-    "lift": ("ord",),
-    "lagrange_dir": ("dir", "param"),
-    "lagrange_ord": ("ord", "param"),
+@dataclass(frozen=True)
+class _Builtin:
+    """A row of ``_BUILTINS``: the argument shapes (see ``_ACCEPTS``), and
+    ``run(trunc, *arguments)``, which evaluates a call at ``trunc`` with
+    its series arguments evaluated at ``arg_trunc(trunc)``."""
+
+    shapes: tuple[str, ...]
+    run: Callable[..., Series]
+    arg_trunc: Callable[[int], int] = lambda trunc: trunc
+
+
+def _load(trunc: int, path: str) -> Series:
+    """The series in a JSON file, truncated to ``trunc``; read through this
+    module's ``json``, which ``perfbench/layers.py`` replaces to trace it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            loaded = series_from_json(json.load(fh))
+        except ValueError as exc:  # not UTF-8 text, not JSON or not a series
+            raise SeriesFormatError(f"{path}: {exc}") from None
+    if loaded.trunc < trunc:
+        raise TruncationTooSmall(f"loaded series has trunc {loaded.trunc}, need {trunc}")
+    return loaded.truncated(trunc)
+
+
+def _param(value: Fraction | str) -> Fraction | None:
+    """A "param" argument as ``beta`` of a Lagrange family (None: symbolic)."""
+    return None if value == "beta" else value
+
+
+# the zero-argument builtins hold their constructors; every other row calls
+# its function by name when it runs, so that a traced run, which rebinds the
+# module's names, sees the call
+_BUILTINS: dict[str, _Builtin] = {
+    "zeta": _Builtin((), zeta),
+    "geom": _Builtin((), zeta),
+    "geom2": _Builtin((), geom2),
+    "eps": _Builtin((), eps),
+    "expx": _Builtin((), expx),
+    "onepx": _Builtin((), onepx),
+    "load": _Builtin(("str",), _load),
+    "dmul": _Builtin(("dir", "dir"), lambda _, a, b: dir_mul(a, b)),
+    "dinv": _Builtin(("dir",), lambda _, a: dir_inverse(a)),
+    "dpow_int": _Builtin(("dir", "int"), lambda _, a, k: dir_pow_int(a, int(k))),
+    "dpow_param": _Builtin(("dir",), lambda _, a: dir_pow_param(a)),
+    "dlog": _Builtin(("dir",), lambda _, a: dir_log(a)),
+    "dexp": _Builtin(("dir",), lambda _, a: dir_exp_param(a)),
+    "star": _Builtin(("dir",), lambda _, a: star_derivative(a)),
+    "subst_xk": _Builtin(("dir", "int"), lambda _, a, k: dir_subst_xk(a, int(k))),
+    "twist": _Builtin(("dir", "int"), lambda _, a, k: twist_int(a, int(k))),
+    # the lift to N reads its ordinary argument only up to order log2(N);
+    # at least 1, so that an argument of the wrong kind is still built and
+    # reported as such
+    "lift": _Builtin(
+        ("ord",), lambda trunc, a: lift_multiplicative(a, trunc), lambda trunc: max(s_max(trunc), 1)
+    ),
+    "lagrange_dir": _Builtin(("dir", "param"), lambda _, a, b: lagrange_dir(a, _param(b)).series),
+    "lagrange_ord": _Builtin(("ord", "param"), lambda _, a, b: lagrange_ord(a, _param(b)).series),
 }
 
-# the syntactic kinds of argument each shape accepts, and its name in
-# messages
+# each argument shape: the syntactic kinds of argument it accepts, and its
+# name in messages; "dir" and "ord" are series of that kind, "param" is the
+# beta of a Lagrange family
 _ACCEPTS: dict[str, tuple[set[str], str]] = {
     "dir": ({"call"}, "a series expression"),
     "ord": ({"call"}, "a series expression"),
@@ -133,17 +173,17 @@ def _parse_call(scanner: Scanner) -> Call:
     scanner.skip_ws()
     start = scanner.pos
     name = scanner.take_ident()
-    if name not in _SIGNATURES:
+    if name not in _BUILTINS:
         raise UnknownFunction(f"unknown function or builtin {name!r} (at offset {start})")
-    shape = _SIGNATURES[name]
+    shape = _BUILTINS[name].shapes
     args: list = []
     if scanner.peek() == "(":
-        scanner.expect("(")
+        scanner.open()
         args.append(_parse_arg(scanner))
         while scanner.peek() == ",":
             scanner.expect(",")
             args.append(_parse_arg(scanner))
-        scanner.expect(")")
+        scanner.close()
     if len(args) != len(shape):
         raise ArityMismatch(f"{name} takes {len(shape)} argument(s), got {len(args)}")
     for i, ((kind, _), want) in enumerate(zip(args, shape), start=1):
@@ -160,17 +200,11 @@ def _parse_arg(scanner: Scanner) -> tuple[str, Arg]:
     if ch == '"':
         return "string", _take_string(scanner)
     if ch == "-" or ch.isdigit():
-        negative = ch == "-"
-        if negative:
+        sign = 1
+        if ch == "-":
             scanner.expect("-")
-        num = scanner.take_uint()
-        den = 1
-        if scanner.peek() == "/":
-            scanner.expect("/")
-            den = scanner.take_uint()
-            if den == 0:
-                raise ExprSyntaxError("zero denominator", scanner.pos)
-        value = Fraction(-num if negative else num, den)
+            sign = -1
+        value = sign * Fraction(scanner.take_rational())
         return ("integer" if value.denominator == 1 else "rational"), value
     if ch.isalpha():
         # could be the symbolic marker or a nested call; ``beta`` is the
@@ -193,65 +227,10 @@ def _expect_kind(name: str, value: Series, want: str) -> Series:
 
 def eval_expr(ast: Call, trunc: int) -> Series:
     """Evaluate an AST at a given truncation."""
-    name, args = ast.name, ast.args
-    if name in ("zeta", "geom"):
-        return zeta(trunc)
-    if name == "geom2":
-        return geom2(trunc)
-    if name == "eps":
-        return eps(trunc)
-    if name == "expx":
-        return expx(trunc)
-    if name == "onepx":
-        return onepx(trunc)
-    if name == "load":
-        with open(args[0], "r", encoding="utf-8") as fh:
-            try:
-                loaded = series_from_json(json.load(fh))
-            except ValueError as exc:  # not UTF-8 text, not JSON or not a series
-                raise SeriesFormatError(f"{args[0]}: {exc}") from None
-        if loaded.trunc < trunc:
-            raise TruncationTooSmall(
-                f"loaded series has trunc {loaded.trunc}, need {trunc}"
-            )
-        return loaded.truncated(trunc)
-
-    shape = _SIGNATURES[name]
-    # the lift to N reads its ordinary argument only up to order log2(N);
-    # at least 1, so that an argument of the wrong kind is still built
-    # and reported as such
-    arg_trunc = max(trunc.bit_length() - 1, 1) if name == "lift" else trunc
-    values = []
-    for want, arg in zip(shape, args):
-        if want in ("dir", "ord"):
-            values.append(_expect_kind(name, eval_expr(arg, arg_trunc), want))
-        else:
-            values.append(arg)
-
-    if name == "dmul":
-        return dir_mul(values[0], values[1])
-    if name == "dinv":
-        return dir_inverse(values[0])
-    if name == "dpow_int":
-        return dir_pow_int(values[0], int(values[1]))
-    if name == "dpow_param":
-        return dir_pow_param(values[0])
-    if name == "dlog":
-        return dir_log(values[0])
-    if name == "dexp":
-        return dir_exp_param(values[0])
-    if name == "star":
-        return star_derivative(values[0])
-    if name == "subst_xk":
-        return dir_subst_xk(values[0], int(values[1]))
-    if name == "twist":
-        return twist_int(values[0], int(values[1]))
-    if name == "lift":
-        return lift_multiplicative(values[0], trunc)
-    if name == "lagrange_dir":
-        beta = None if values[1] == "beta" else values[1]
-        return lagrange_dir(values[0], beta=beta).series
-    if name == "lagrange_ord":
-        beta = None if values[1] == "beta" else values[1]
-        return lagrange_ord(values[0], beta=beta).series
-    raise UnknownFunction(f"unhandled node {name!r}")
+    builtin = _BUILTINS[ast.name]
+    arg_trunc = builtin.arg_trunc(trunc)
+    values = [
+        _expect_kind(ast.name, eval_expr(arg, arg_trunc), want) if isinstance(arg, Call) else arg
+        for want, arg in zip(builtin.shapes, ast.args)
+    ]
+    return builtin.run(trunc, *values)

@@ -80,6 +80,12 @@ def s_of(n: int) -> int:
     return sum(m for _, m in factorize(n))
 
 
+def s_max(limit: int) -> int:
+    """The largest ``s_of(n)`` for 1 <= n <= limit: floor(log2 limit), as
+    m factors >= 2 multiply to at least 2^m."""
+    return limit.bit_length() - 1
+
+
 def f_of(n: int) -> int:
     """Product of the factorials of the prime multiplicities of n."""
     out = 1

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import factorial
+from typing import Iterable
 
 from .errors import (
     KindMismatch,
@@ -36,6 +38,7 @@ from .errors import (
     SingularDiagonal,
     TruncationTooSmall,
 )
+from .intfactor import s_max
 from .poly import ONE, PSI, ZERO, Polynomial, Symbol, log_n_poly
 from .series import (
     DirSeries,
@@ -44,6 +47,7 @@ from .series import (
     dir_pow_param,
     dir_x,
     ord_mul,
+    powers,
     require_lead,
     series_substitute_symbol,
 )
@@ -85,10 +89,6 @@ def _clean(entries: dict[tuple[int, int], Polynomial]) -> dict:
     return {key: val for key, val in entries.items() if not val.is_zero()}
 
 
-def _column_top(size: int) -> int:
-    return size.bit_length() - 1
-
-
 def identity_matrix(size: int) -> DirMatrix:
     return DirMatrix(
         "mult", 1, size, 1, size, {(n, n): ONE for n in range(1, size + 1)}
@@ -120,16 +120,9 @@ def build_column(a: DirSeries, size: int) -> DirMatrix:
     if a.trunc < size:
         raise TruncationTooSmall(f"need trunc >= {size}, have {a.trunc}")
     require_lead(a, 0, "matrix --kind column")
-    a = a.truncated(size)
-    entries: dict[tuple[int, int], Polynomial] = {(1, 0): ONE}
-    power = dir_x(size)
-    for m in range(1, _column_top(size) + 1):
-        power = dir_mul(power, a)
-        for n in range(1, size + 1):
-            v = power[n]
-            if not v.is_zero():
-                entries[(n, m)] = v
-    return DirMatrix("column", 1, size, 0, _column_top(size), entries)
+    top = s_max(size)
+    columns = chain([dir_x(size)], powers(a.truncated(size), top))
+    return DirMatrix("column", 1, size, 0, top, _column_entries(columns))
 
 
 def build_mixed(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
@@ -138,17 +131,21 @@ def build_mixed(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
     if min(a.trunc, b.trunc) < size:
         raise TruncationTooSmall(f"need trunc >= {size}")
     require_lead(a, 0, "build_mixed")
-    entries: dict[tuple[int, int], Polynomial] = {}
-    power = dir_x(size)
-    for m in range(0, _column_top(size) + 1):
-        if m > 0:
-            power = dir_mul(power, a)
-        col = dir_mul(b, power)
-        for n in range(1, size + 1):
-            v = col[n]
-            if not v.is_zero():
-                entries[(n, m)] = v
-    return DirMatrix("mixed", 1, size, 0, _column_top(size), entries)
+    top = s_max(size)
+    b = b.truncated(size)
+    columns = chain([b], (dir_mul(b, p) for p in powers(a.truncated(size), top)))
+    return DirMatrix("mixed", 1, size, 0, top, _column_entries(columns))
+
+
+def _column_entries(columns: Iterable[DirSeries]) -> dict[tuple[int, int], Polynomial]:
+    """The nonzero entries (n, m) of the matrix whose column m is the m-th
+    series of ``columns``."""
+    return {
+        (n, m): v
+        for m, col in enumerate(columns)
+        for n, v in enumerate(col.coeffs, start=1)
+        if not v.is_zero()
+    }
 
 
 def _require_rd_bases(b: DirSeries, a: DirSeries) -> None:

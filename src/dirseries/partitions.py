@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .intfactor import divisors
+from .intfactor import divisors, s_max
 from .poly import Polynomial, Scalar, as_poly
 
 
@@ -47,7 +47,7 @@ def multiplicative_partitions(n: int, m: int) -> list[tuple[int, ...]]:
     """
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    if m >= n.bit_length():
+    if m > s_max(n):
         return []  # m factors >= 2 multiply to at least 2**m > n
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []

@@ -167,12 +167,6 @@ class Polynomial:
     def symbols(self) -> set[Symbol]:
         return {s for mono in self._terms for s, _ in mono}
 
-    def degree(self) -> int:
-        """Total degree; zero polynomial reports -1."""
-        if not self._terms:
-            return -1
-        return max(_mono_degree(m) for m in self._terms)
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
@@ -430,6 +424,10 @@ def log_n_poly(n: int) -> Polynomial:
 #        | term "-" term | "-" term | "(" term ")"
 # with rationals written p/q or as integers.  Whitespace is insignificant.
 
+# the deepest nesting of parentheses either grammar accepts: both parsers
+# recurse once per level, and canonical polynomial text has no parentheses
+NESTING_CAP = 100
+
 
 class Scanner:
     """Character scanner shared by the polynomial and expression grammars;
@@ -441,6 +439,7 @@ class Scanner:
         self.pos = 0
         self.error = error
         self.ident = ident
+        self.depth = 0  # parentheses open at ``pos``
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -460,6 +459,17 @@ class Scanner:
             raise self.error(f"expected {ch!r}", self.pos)
         self.pos += 1
 
+    def open(self) -> None:
+        """Take "(", at most ``NESTING_CAP`` levels deep."""
+        self.expect("(")
+        self.depth += 1
+        if self.depth > NESTING_CAP:
+            raise self.error(f"nesting deeper than {NESTING_CAP} levels", self.pos - 1)
+
+    def close(self) -> None:
+        self.expect(")")
+        self.depth -= 1
+
     def take_uint(self) -> int:
         self.skip_ws()
         start = self.pos
@@ -471,6 +481,18 @@ class Scanner:
             return int(self.text[start : self.pos])
         except ValueError:  # more digits than ``sys.get_int_max_str_digits``
             raise self.error("number too long", start) from None
+
+    def take_rational(self) -> int | Fraction:
+        """uint ["/" uint] with a nonzero denominator; an ``int`` when
+        there is no denominator."""
+        num = self.take_uint()
+        if self.peek() != "/":
+            return num
+        self.pos += 1
+        den = self.take_uint()
+        if den == 0:
+            raise self.error("zero denominator", self.pos)
+        return Fraction(num, den)
 
     def take_ident(self) -> str:
         self.skip_ws()
@@ -550,19 +572,12 @@ def _parse_power(toks: Scanner) -> Polynomial:
 def _parse_atom(toks: Scanner) -> Polynomial:
     ch = toks.peek()
     if ch == "(":
-        toks.take()
+        toks.open()
         inner = _parse_sum(toks)
-        toks.expect(")")
+        toks.close()
         return inner
     if ch.isdigit():
-        num = toks.take_uint()
-        if toks.peek() == "/":
-            toks.take()
-            den = toks.take_uint()
-            if den == 0:
-                raise PolynomialSyntaxError("zero denominator", toks.pos)
-            return Polynomial.const(Fraction(num, den))
-        return Polynomial.const(num)
+        return Polynomial.const(toks.take_rational())
     if ch.isalpha():
         start = toks.pos
         name = toks.take_ident()

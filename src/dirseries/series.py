@@ -48,8 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, lcm
-from operator import add
-from typing import Callable, ClassVar, Sequence
+from operator import add, mul
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from .errors import (
     ArgumentOutOfRange,
@@ -58,7 +58,7 @@ from .errors import (
     NonUnitLeadingCoefficient,
     TruncationTooSmall,
 )
-from .intfactor import s_upto
+from .intfactor import s_max, s_upto
 from .poly import (
     ONE,
     PSI,
@@ -185,10 +185,6 @@ def dir_x(trunc: int) -> DirSeries:
     return dir_from_fn(trunc, lambda n: 1 if n == 1 else 0)
 
 
-def dir_scale(a: DirSeries, c: Coeff) -> DirSeries:
-    return a * as_poly(c)
-
-
 def dirichlet_convolve(
     a: Sequence[Polynomial], b: Sequence[Polynomial], trunc: int
 ) -> list[Polynomial]:
@@ -305,7 +301,7 @@ def _inverse_scaled(numerators: list[int], den: int) -> list[Fraction]:
 def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
     """k-fold composition power; k = 0 gives x, negative k inverts first,
     and k is bounded by ``_check_pow_int_growth``.  Binary powering from
-    the first factor: at most 2 * k.bit_length() - 1 compositions."""
+    the first factor: at most two compositions per binary digit of k."""
     _check_pow_int_growth(a, k)
     if k < 0:
         return dir_pow_int(dir_inverse(a), -k)
@@ -351,7 +347,7 @@ def _pow_int_growth_cap(trunc: int) -> int:
     g * log2(trunc) bits, so the cap is the largest g with
     g * trunc * (1 + g * log2(trunc) / 8192) <= ``POW_INT_CAP``: 25 at
     trunc 10000, 212 at 1000, 8192 at 8 and 28927 at 2."""
-    quad = trunc * _max_power(trunc)  # the coefficient of g^2, times 8192
+    quad = trunc * s_max(trunc)  # the coefficient of g^2, times 8192
     lin = 8192 * trunc
     if not quad:
         return POW_INT_CAP // trunc
@@ -368,10 +364,15 @@ def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:
     return DirSeries(a.trunc, tuple(out))
 
 
-def _max_power(trunc: int) -> int:
-    # a series with zero coefficient at index 1 has m-th power supported on
-    # indices >= 2**m, so powers beyond log2(trunc) cannot contribute
-    return trunc.bit_length() - 1
+def powers(a, top: int, product: Callable = mul) -> Iterator:
+    """a, a^2, ..., a^top, each the ``product`` of the one before and a; by
+    default the product of the series' kind, so the composition powers
+    a^(m) of a composition series."""
+    power = a
+    for m in range(1, top + 1):
+        if m > 1:
+            power = product(power, a)
+        yield power
 
 
 def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
@@ -383,23 +384,20 @@ def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
     denominator has at most ``SCALED_DEN_BITS`` bits is summed in scaled
     integers by ``_apply_series_scaled``, whose powers are ``int`` lists
     from ``_convolve``; any other ``a`` sums ``Polynomial`` multiples
-    of each power a^(m) from ``dir_mul``.  Both hold one power at a time
-    and give the same coefficients."""
+    of each power a^(m).  Both take the powers from ``powers`` one at a
+    time and give the same coefficients."""
     require_lead(a, 0, "dir_apply_series")
-    top = _max_power(a.trunc)
+    top = s_max(a.trunc)
     if f.trunc < top:
         raise TruncationTooSmall(f"need ordinary trunc >= {top}, have {f.trunc}")
     scaled = _scaled_integers(a.coeffs)
     if scaled is not None:
         return _apply_series_scaled(f, *scaled, top)
     out = DirSeries(a.trunc, (f[0],) + (ZERO,) * (a.trunc - 1))  # x * f_0
-    power = a
-    for m in range(1, top + 1):
-        if m > 1:
-            power = dir_mul(power, a)
+    for m, power in enumerate(powers(a, top), start=1):
         fm = f[m]
         if not fm.is_zero():
-            out = out + dir_scale(power, fm)
+            out = out + power * fm
     return out
 
 
@@ -413,10 +411,8 @@ def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int
     terms = [f[m].terms for m in range(top + 1)]
     fden = lcm(1, *(c.denominator for t in terms[1:] for c in t.values()))
     rows = {}
-    power = numerators
-    for m in range(1, top + 1):
-        if m > 1:
-            power = _convolve(power, numerators, trunc)
+    ladder = powers(numerators, top, lambda x, y: _convolve(x, y, trunc))
+    for m, power in enumerate(ladder, start=1):
         weight = fden * den ** (top - m)
         for mono, c in terms[m].items():
             w = c.numerator * (weight // c.denominator)
@@ -436,14 +432,14 @@ def dir_pow_param(a: DirSeries) -> DirSeries:
     """The parametric power with exponent ``psi``: the binomial expansion
     of (1 + (a - x))^psi under composition.  Needs leading coefficient 1."""
     require_lead(a, 1, "dpow_param")
-    f = ord_from_fn(_max_power(a.trunc), lambda m: binom_poly(PSI, m) if m else 1)
+    f = ord_from_fn(s_max(a.trunc), lambda m: binom_poly(PSI, m) if m else 1)
     return dir_apply_series(f, a - dir_x(a.trunc))
 
 
 def dir_log(a: DirSeries) -> DirSeries:
     """Composition logarithm: the alternating sum of (a - x)^(m) / m."""
     require_lead(a, 1, "dlog")
-    f = ord_from_fn(_max_power(a.trunc), lambda m: Fraction((-1) ** (m + 1), m) if m else 0)
+    f = ord_from_fn(s_max(a.trunc), lambda m: Fraction((-1) ** (m + 1), m) if m else 0)
     return dir_apply_series(f, a - dir_x(a.trunc))
 
 
@@ -453,7 +449,7 @@ def dir_exp_param(b: DirSeries) -> DirSeries:
     require_lead(b, 0, "dexp")
     psi = Polynomial.symbol(PSI)
     f = ord_from_fn(
-        _max_power(b.trunc), lambda m: psi**m * Fraction(1, factorial(m)) if m else 1
+        s_max(b.trunc), lambda m: psi**m * Fraction(1, factorial(m)) if m else 1
     )
     return dir_apply_series(f, b)
 

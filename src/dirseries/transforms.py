@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import TruncationTooSmall
-from .intfactor import binom_f, divisors, factorize, is_prime, s_of
+from .intfactor import binom_f, divisors, factorize, is_prime, s_max, s_of
 from .poly import (
     BETA,
     ONE,
@@ -60,7 +60,6 @@ from .series import (
     dir_log,
     dir_mul,
     dir_pow_param,
-    dir_scale,
     dir_subst_xk,
     dir_x,
     ord_from_fn,
@@ -119,7 +118,7 @@ def lift_multiplicative(a: OrdSeries, trunc: int) -> DirSeries:
     ordinary psi-power; the result carries psi symbolically.  Only the
     terms of ``a`` up to order floor(log2 trunc) are read or powered."""
     require_lead(a, 1, "lift")
-    top = trunc.bit_length() - 1  # largest multiplicity that can occur
+    top = s_max(trunc)  # largest multiplicity that can occur
     if a.trunc < top:
         raise TruncationTooSmall(f"need ordinary trunc >= {top}, have {a.trunc}")
     pow_a = ord_pow_param(a.truncated(top))
@@ -192,7 +191,7 @@ def lagrange_middle_member(a: DirSeries) -> DirSeries:
     Substituting psi -> phi + beta*log n into its coefficient at n must
     reproduce the family coefficient; the verification suite checks
     exactly that."""
-    lead = dir_x(a.trunc) - dir_scale(star_derivative(dir_log(a)), _beta)
+    lead = dir_x(a.trunc) - star_derivative(dir_log(a)) * _beta
     return dir_mul(lead, dir_pow_param(a))
 
 
@@ -423,6 +422,6 @@ def reconstruct_from_expansion(
         placed = dir_subst_xk(
             DirSeries(trunc, spec.coeffs + (ZERO,) * (trunc - rows)), n
         )
-        total = total + dir_scale(placed, c)
+        total = total + placed * c
     lead = dir_x(trunc) - star_derivative(dir_log(a))
     return dir_mul(lead, total)

@@ -40,6 +40,7 @@ from .intfactor import (
     factorize,
     is_prime,
     mobius_upto,
+    s_max,
     s_of,
 )
 from .matrices import (
@@ -80,7 +81,6 @@ from .series import (
     dir_mul,
     dir_pow_int,
     dir_pow_param,
-    dir_scale,
     dir_subst_xk,
     dir_x,
     ord_from_fn,
@@ -234,7 +234,7 @@ def suite_pow(bound: int | None = None) -> list[CheckResult]:
     out.append(_check("pow.embed-homomorphism", embed_n, (lhs, rhs)))
 
     two = dir_from_fn(16, lambda n: 1 if n in (1, 2) else 0)
-    want = dir_from_fn(16, lambda n: comb(3, n.bit_length() - 1) if n in (1, 2, 4, 8) else 0)
+    want = dir_from_fn(16, lambda n: comb(3, s_max(n)) if n in (1, 2, 4, 8) else 0)
     out.append(_check("pow.binomial-support", 16, (dir_pow_int(two, 3), want)))
 
     xk = dir_from_fn(size, lambda n: 1 if n == 5 else 0)
@@ -261,7 +261,7 @@ def suite_log(bound: int | None = None) -> list[CheckResult]:
 
     half = max(2, min(size, 32))
     s = random_dir_series(rng, half)
-    rhs = dir_scale(dir_log(s), _psi)
+    rhs = dir_log(s) * _psi
     out.append(_check("log.power-scaling", half, (dir_log(dir_pow_param(s)), rhs)))
 
     span = bound or 200
@@ -278,7 +278,7 @@ def suite_log(bound: int | None = None) -> list[CheckResult]:
     s = random_dir_series(rng, half)
     p = dir_pow_param(s)
     rhs = dir_mul(series_substitute_symbol(p, PSI, _psi - 1), star_derivative(s))
-    rhs = dir_scale(rhs, _psi)
+    rhs = rhs * _psi
     out.append(_check("log.star-chain", half, (star_derivative(p), rhs)))
 
     w = random_dir_series(rng, mid)
@@ -296,7 +296,7 @@ def suite_log(bound: int | None = None) -> list[CheckResult]:
     for n in range(2, small + 1):
         rows[n] = row_polynomial(conj, n, PHI)
         sums[n] = Polynomial.zero()
-        for m in range(1, n.bit_length()):
+        for m in range(1, s_max(n) + 1):
             term = bell_btilde(n, m, values)
             sums[n] = sums[n] + term * _phi**m * Fraction(factorial(n), factorial(m))
     out.append(_check("log.row-polynomials", small, (rows, sums)))
@@ -322,7 +322,7 @@ def suite_thm1(bound: int | None = None) -> list[CheckResult]:
     out: list[CheckResult] = []
     size = bound or 60
     # the lift to size reads multiplicities up to log2(size)
-    order = max(8, size.bit_length() - 1)
+    order = max(8, s_max(size))
 
     for i in range(2):
         a = random_ord_series(rng, order)

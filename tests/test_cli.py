@@ -12,7 +12,7 @@ import pytest
 import dirseries
 from dirseries.cli import VERIFY_CAP, build_parser, main
 from dirseries.partitions import bell_B, bell_btilde
-from dirseries.poly import PSI, Polynomial, coeff_symbol, parse_polynomial
+from dirseries.poly import NESTING_CAP, PSI, Polynomial, coeff_symbol, parse_polynomial
 from dirseries.series import TWIST_CAP
 from dirseries.verify import SUITES
 
@@ -134,6 +134,49 @@ def test_bell_rows_equal_the_enumerations(capsys, tilde, symbolic):
     assert [line.split(",") for line in out.splitlines()] == want
 
 
+@pytest.mark.parametrize("rows, cols", [(9, 4), (7, 12), (1, 3)])
+def test_bell_budget_counts_the_work_of_the_table(capsys, monkeypatch, rows, cols):
+    # the table runs at a budget of exactly the products it makes and the
+    # terms it prints, and is refused one below either
+    products = 0
+    pristine = Polynomial.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return pristine(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    code, out, _ = run_cli(capsys, "bell", "-N", str(rows), "-M", str(cols), "--symbolic")
+    monkeypatch.setattr(Polynomial, "__mul__", pristine)
+    assert code == 0
+    cells = [cell for line in out.splitlines() for cell in line.split(",")[1:]]
+    terms = sum(cell.count(" + ") + 1 for cell in cells if cell != "0")
+    argv = ("bell", "-N", str(rows), "-M", str(cols), "--symbolic")
+    for cap, budget in (("BELL_PRODUCTS_CAP", products), ("BELL_TERMS_CAP", terms)):
+        monkeypatch.setattr(dirseries.cli, cap, budget)
+        assert run_cli(capsys, *argv)[:2] == (0, out)
+        monkeypatch.setattr(dirseries.cli, cap, budget - 1)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err.startswith("error:")) == (2, True), cap
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("depth, code", [(NESTING_CAP, 0), (NESTING_CAP + 1, 2)])
+def test_nesting_cap(tmp_path, capsys, depth, code):
+    expr = "star(" * depth + "zeta" + ")" * depth
+    got, out, err = run_cli(capsys, "coeff", "-e", expr, "-n", "2")
+    assert (got, out) == (code, f"L2^{depth}\n" if code == 0 else "")
+    assert err == ("" if code == 0 else f"error: nesting deeper than {NESTING_CAP} levels"
+                   f" (at offset {5 * NESTING_CAP + 4})\n")
+    path = tmp_path / "nested.json"
+    text = "(" * depth + "3" + ")" * depth
+    path.write_text(json.dumps({"kind": "dir", "trunc": 1, "coeffs": {"1": text}}))
+    got, out, err = run_cli(capsys, "coeff", "-e", f'load("{path}")', "-n", "1")
+    assert (got, out) == (code, "3\n" if code == 0 else "")
+    assert ("nesting deeper" in err) == (code == 2)
+
+
 def test_factorizations(capsys):
     code, out, _ = run_cli(capsys, "factorizations", "-n", "12", "-m", "2")
     assert code == 0
@@ -181,6 +224,12 @@ def test_expr_error_exit_code(capsys):
         (["factorizations", "-n", "10001", "-m", "1"], None),
         (["verify", "--suite", "pow", "--jobs", "0"], None),
         (["verify", "--suite", "pow", "--jobs", "-3"], None),
+        (["coeff", "-e", "star(" * 2000 + "zeta" + ")" * 2000, "-n", "4"], None),
+        (["series", "-e", 'load("{path}")', "-N", "4"],
+         '{"kind": "dir", "trunc": 4, "coeffs": {"1": "' + "(" * 300 + "1" + ")" * 300 + '"}}'),
+        (["bell", "-N", "2000", "-M", "6"], None),
+        (["bell", "-N", "500", "-M", "500"], None),
+        (["bell", "-N", "60", "-M", "6", "--symbolic"], None),
     ],
     ids=["ord-index", "factorizations", "load-not-json", "load-key-range",
          "verify-negative", "verify-zero", "load-not-a-series", "load-trunc-over-cap",
@@ -189,7 +238,9 @@ def test_expr_error_exit_code(capsys):
          "number-for-series", "beta-for-series", "string-for-series", "number-for-path",
          "series-for-path", "string-for-param", "bell-cols-over-cap", "empty-call",
          "empty-call-of-unary", "factorizations-n-10^32", "factorizations-n-10^18",
-         "factorizations-n-over-cap", "verify-jobs-zero", "verify-jobs-negative"],
+         "factorizations-n-over-cap", "verify-jobs-zero", "verify-jobs-negative",
+         "expr-nested-2000", "coefficient-nested-300", "bell-2000-6", "bell-500-500",
+         "bell-symbolic-60-6"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
     path = tmp_path / "input.json"
@@ -395,6 +446,32 @@ def test_cli_import_loads_no_command_only_modules():
                           env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[]\n"
+
+
+def test_traced_run_finds_every_traced_name():
+    # the benchmark's traced run rebinds module-level names of the package;
+    # install fails on a traced name that no longer exists, and a call the
+    # package makes past a rebound name records no span
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import contextlib, io, json, layers\n"
+        "from dirseries import cli\n"
+        "recorder = layers.Recorder()\n"
+        "layers.install(recorder, layers.new_counters())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['series', '-e', 'dinv(zeta)', '-N', '8'])\n"
+        "counts = layers.span_counts(recorder.names, recorder.name)\n"
+        "print(json.dumps([rc, sorted(name for name, n in counts.items() if n)]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    rc, spans = json.loads(done.stdout)
+    assert rc == 0
+    wanted = {"series.dir_inverse", "exprlang.parse_expr", "exprlang.eval_expr", "serialize.emit"}
+    assert wanted <= set(spans)
 
 
 def test_verify_bound_at_the_cap_runs(capsys):

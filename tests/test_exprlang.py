@@ -10,10 +10,31 @@ from dirseries.errors import (
     TruncationTooSmall,
     UnknownFunction,
 )
-from dirseries.exprlang import Call, eval_expr, parse_expr
+from dirseries.exprlang import _BUILTINS, Call, eval_expr, parse_expr
 from dirseries.randgen import random_dir_series
-from dirseries.series import dir_log, dir_x
-from dirseries.transforms import lagrange_dir, zeta
+from dirseries.serialize import series_to_json_text
+from dirseries.series import (
+    dir_exp_param,
+    dir_inverse,
+    dir_log,
+    dir_mul,
+    dir_pow_int,
+    dir_pow_param,
+    dir_subst_xk,
+    dir_x,
+    star_derivative,
+    twist_int,
+)
+from dirseries.transforms import (
+    eps,
+    expx,
+    geom2,
+    lagrange_dir,
+    lagrange_ord,
+    lift_multiplicative,
+    onepx,
+    zeta,
+)
 
 
 def test_parse_simple():
@@ -81,6 +102,44 @@ def test_parse_builds_call_trees():
         assert parse_expr(text) == ast
 
 
+# one expression per builtin, and the library call it must equal at N
+BUILTIN_CASES = {
+    "zeta": ("zeta", zeta),
+    "geom": ("geom", zeta),
+    "geom2": ("geom2", geom2),
+    "eps": ("eps", eps),
+    "expx": ("expx", expx),
+    "onepx": ("onepx", onepx),
+    "load": ('load("{path}")', lambda n: eps(40).truncated(n)),
+    "dmul": ("dmul(eps, zeta)", lambda n: dir_mul(eps(n), zeta(n))),
+    "dinv": ("dinv(eps)", lambda n: dir_inverse(eps(n))),
+    "dpow_int": ("dpow_int(eps, -3)", lambda n: dir_pow_int(eps(n), -3)),
+    "dpow_param": ("dpow_param(eps)", lambda n: dir_pow_param(eps(n))),
+    "dlog": ("dlog(eps)", lambda n: dir_log(eps(n))),
+    "dexp": ("dexp(geom2)", lambda n: dir_exp_param(geom2(n))),
+    "star": ("star(eps)", lambda n: star_derivative(eps(n))),
+    "subst_xk": ("subst_xk(eps, 3)", lambda n: dir_subst_xk(eps(n), 3)),
+    "twist": ("twist(eps, -2)", lambda n: twist_int(eps(n), -2)),
+    "lift": ("lift(expx)", lambda n: lift_multiplicative(expx(n), n)),
+    "lagrange_dir": (
+        "lagrange_dir(eps, 1/2)", lambda n: lagrange_dir(eps(n), Fraction(1, 2)).series
+    ),
+    "lagrange_ord": ("lagrange_ord(onepx, beta)", lambda n: lagrange_ord(onepx(n)).series),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CASES))
+def test_every_builtin_evaluates_to_its_library_call(tmp_path, name):
+    assert sorted(BUILTIN_CASES) == sorted(_BUILTINS)  # a new builtin needs a case
+    path = tmp_path / "eps.json"
+    path.write_text(series_to_json_text(eps(40)))
+    text, want = BUILTIN_CASES[name]
+    ast = parse_expr(text.replace("{path}", str(path)))
+    assert ast.name == name
+    for n in (1, 12):
+        assert eval_expr(ast, n) == want(n), n
+
+
 def test_eval_builtins_and_identity():
     n = 24
     assert eval_expr(parse_expr("dmul(zeta, dinv(zeta))"), n) == dir_x(n)
@@ -91,8 +150,6 @@ def test_eval_builtins_and_identity():
 def test_eval_lagrange_family():
     n = 24
     got = eval_expr(parse_expr("lagrange_dir(eps, 1)"), n)
-    from dirseries.transforms import eps
-
     want = lagrange_dir(eps(n), beta=Fraction(1)).series
     assert got == want
 
@@ -107,8 +164,6 @@ def test_eval_type_errors():
 
 
 def test_eval_load_roundtrip(tmp_path):
-    from dirseries.serialize import series_to_json_text
-
     rng = random.Random(80)
     a = random_dir_series(rng, 16)
     path = tmp_path / "series.json"
