@@ -29,7 +29,8 @@ is bounded by the work budget ``POW_INT_CAP`` at the series length
 polynomial text by ``POWER_CAP``.  The ordinary ``bell`` table (without
 ``--tilde``) is refused before any work when its powers take more than
 ``BELL_PRODUCTS_CAP`` coefficient products or, with ``--symbolic``, when
-it has more than ``BELL_TERMS_CAP`` terms.
+it has more than ``BELL_TERMS_CAP`` terms, and ``lagrange_ord`` when its
+predicted cost passes ``transforms.LAGRANGE_ORD_CAP``.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (bad flags, values out of range or over a cap,

@@ -39,7 +39,6 @@ from .errors import (
     ExprSyntaxError,
     ExprTypeError,
     SeriesFormatError,
-    TruncationTooSmall,
     UnknownFunction,
 )
 from .intfactor import s_max
@@ -98,8 +97,6 @@ def _load(trunc: int, path: str) -> Series:
             loaded = series_from_json(json.load(fh))
         except ValueError as exc:  # not UTF-8 text, not JSON or not a series
             raise SeriesFormatError(f"{path}: {exc}") from None
-    if loaded.trunc < trunc:
-        raise TruncationTooSmall(f"loaded series has trunc {loaded.trunc}, need {trunc}")
     return loaded.truncated(trunc)
 
 

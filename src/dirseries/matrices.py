@@ -117,8 +117,6 @@ def build_mult(a: DirSeries, size: int) -> DirMatrix:
 def build_column(a: DirSeries, size: int) -> DirMatrix:
     """Composition-power columns of a series with zero leading coefficient:
     column m is the m-th composition power (column 0 is x)."""
-    if a.trunc < size:
-        raise TruncationTooSmall(f"need trunc >= {size}, have {a.trunc}")
     require_lead(a, 0, "matrix --kind column")
     top = s_max(size)
     columns = chain([dir_x(size)], powers(a.truncated(size), top))
@@ -128,8 +126,6 @@ def build_column(a: DirSeries, size: int) -> DirMatrix:
 def build_mixed(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
     """Columns b o a^(m) for m = 0..floor(log2 N); the composition product
     of a multiplication operator and a column matrix."""
-    if min(a.trunc, b.trunc) < size:
-        raise TruncationTooSmall(f"need trunc >= {size}")
     require_lead(a, 0, "build_mixed")
     top = s_max(size)
     b = b.truncated(size)
@@ -163,8 +159,6 @@ def _require_rd_bases(b: DirSeries, a: DirSeries) -> None:
 
 def build_rd(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
     """Group-family matrix: column k is x^k o b o a^(log k)."""
-    if min(a.trunc, b.trunc) < size:
-        raise TruncationTooSmall(f"need trunc >= {size}")
     _require_rd_bases(b, a)
     power = dir_pow_param(a.truncated(size))
     entries: dict[tuple[int, int], Polynomial] = {}

@@ -141,7 +141,7 @@ class Series:
 
     def truncated(self, n: int):
         if n > self.trunc:
-            raise TruncationTooSmall(f"have trunc {self.trunc}, need {n}")
+            raise TruncationTooSmall(f"series has trunc {self.trunc}, need {n}")
         return type(self)(n, self.coeffs[: n - self.first + 1])
 
 

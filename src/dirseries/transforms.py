@@ -16,11 +16,13 @@
                       phi * q(phi + beta*log n) where q is the exact
                       quotient by psi of the parametric power coefficient
                       (log n is replaced by n itself in the ordinary case),
-* ``abel_check``      the four divisor-indexed identities generalizing the
-                      classical Abel identities, evaluated as structural
-                      polynomial identities,
-* ``inverse_pair_check``  the pair of mutually inverse divisor-sum
-                      relations satisfied by a lifted family,
+* ``abel_check``      both sides of the four divisor-indexed identities
+                      generalizing the classical Abel identities, as
+                      polynomials, and ``classic_abel_check`` both sides
+                      of the classical ones, which they reduce to at
+                      prime powers,
+* ``inverse_pair_check``  both sides of the pair of mutually inverse
+                      divisor-sum relations satisfied by a lifted family,
 * ``expand_over_basis``   expansion of a series over the log-indexed powers
                       of a base series, with an exact reconstruction.
 
@@ -28,16 +30,19 @@ Exponents like s(d) - 1 that would go negative at d = 1 never arise here:
 every identity is evaluated through series coefficients (divide by the
 power parameter first, then substitute), so the degenerate terms come out
 as the correct constants automatically, and identities stated with a
-quotient by log n are multiplied through by log n before comparison.
+quotient by log n are multiplied through by log n.  The identity
+functions build the two sides and compare nothing; the ``verify`` suites
+decide equality and name the first mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
-from .errors import TruncationTooSmall
+from .errors import ArgumentOutOfRange
 from .intfactor import binom_f, divisors, factorize, is_prime, s_max, s_of
 from .poly import (
     BETA,
@@ -71,6 +76,11 @@ from .series import (
 
 _phi = Polynomial.symbol(PHI)
 _beta = Polynomial.symbol(BETA)
+
+# the work budget of ``lagrange_ord``, in the units of
+# ``_check_lagrange_ord_budget``: on a 2-core x86-64 with Python 3.11,
+# 5 million take up to 2.6 s; lagrange_ord(onepx, beta) runs up to N = 66
+LAGRANGE_ORD_CAP = 5_000_000
 
 
 def zeta(trunc: int) -> DirSeries:
@@ -119,8 +129,6 @@ def lift_multiplicative(a: OrdSeries, trunc: int) -> DirSeries:
     terms of ``a`` up to order floor(log2 trunc) are read or powered."""
     require_lead(a, 1, "lift")
     top = s_max(trunc)  # largest multiplicity that can occur
-    if a.trunc < top:
-        raise TruncationTooSmall(f"need ordinary trunc >= {top}, have {a.trunc}")
     pow_a = ord_pow_param(a.truncated(top))
     out = [ZERO] * trunc
     out[0] = ONE
@@ -162,18 +170,70 @@ class LagrangeFamily:
 def lagrange_dir(a: DirSeries, beta=None) -> LagrangeFamily:
     """Shifted-power family of a composition series with leading
     coefficient 1.  ``beta=None`` keeps beta symbolic."""
+    require_lead(a, 1, "lagrange_dir")
     return _lagrange(a, beta, dir_pow_param, log_n_poly)
 
 
 def lagrange_ord(a: OrdSeries, beta=None) -> LagrangeFamily:
-    """Ordinary-algebra counterpart: the shift at index n is beta*n."""
+    """Ordinary-algebra counterpart: the shift at index n is beta*n.
+    Refused before any work when its predicted cost (see
+    ``_check_lagrange_ord_budget``) passes ``LAGRANGE_ORD_CAP``."""
+    require_lead(a, 1, "lagrange_ord")
+    _check_lagrange_ord_budget(a, beta is None)
     return _lagrange(a, beta, ord_pow_param, lambda n: n)
+
+
+def _check_lagrange_ord_budget(a: OrdSeries, symbolic: bool) -> None:
+    """Refuse ``lagrange_ord(a)`` when its predicted cost, degree times
+    terms, passes ``LAGRANGE_ORD_CAP``.  Take M_k, the number of products
+    of non-constant terms of ``a`` whose indices add up to at most k, as
+    the bound on the monomials in the symbols of ``a`` at index k, and
+    take the log of ``a`` as dense, as that of 1 + x is.  Then the power
+    a^psi has at most (k + 1) * M_k terms at k, its recurrence at n makes
+    the sum over k of M_k * (n - k + 1) * M_(n-k) term products, and the
+    family has at most M_n * n terms at n, or M_n * n(n+1)/2 with beta
+    symbolic (phi^i beta^j, 1 <= i + j <= n).  The cost sums n times the
+    products and terms at each n, scaled by the bits per index of the
+    numbers of ``a`` over 8, the rate the budget is measured at: the
+    numbers at n have about n times as many bits.  Each term of ``a``
+    and each index only raise the cost, so the count stops once the cost,
+    or its part n * M_n * n at n = N, is over the budget."""
+    top = a.trunc
+    indices = range(1, top + 1)
+    bits = (
+        (k, max(abs(c.numerator), c.denominator).bit_length())
+        for k in indices
+        for c in a[k].terms.values()
+    )
+    rate = max([8] + [(b + k - 1) // k for k, b in bits])
+    counts = [1] + [0] * top  # products of non-constant terms, by index sum
+    parts = (k for k in indices for mono in a[k].terms if mono)
+    cost = 0
+    for k in parts:
+        for m in range(k, top + 1):
+            counts[m] += counts[m - k]
+        cost = sum(counts) * top * top  # the family's terms at N alone
+        if cost > LAGRANGE_ORD_CAP:
+            break
+    else:
+        cost = 0
+        monomials = list(accumulate(counts))
+        for n in indices:
+            products = sum(monomials[k] * (n - k + 1) * monomials[n - k] for k in range(1, n + 1))
+            terms = monomials[n] * (n * (n + 1) // 2 if symbolic else n)
+            cost += n * (products + terms) * rate // 8
+            if cost > LAGRANGE_ORD_CAP:
+                break
+    if cost > LAGRANGE_ORD_CAP:
+        raise ArgumentOutOfRange(
+            f"lagrange_ord at N = {top} has a predicted cost of at least {cost},"
+            f" over the budget of {LAGRANGE_ORD_CAP}"
+        )
 
 
 def _lagrange(a: Series, beta, power, shift) -> LagrangeFamily:
     """The family of ``a`` from its parametric power ``power(a)`` and the
-    index shift ``shift(n)`` (log n, or n itself)."""
-    require_lead(a, 1, f"lagrange_{a.kind}")
+    index shift ``shift(n)`` (log n, or n itself); ``a`` has lead 1."""
     b = _beta if beta is None else as_poly(beta)
     p = power(a)
     out = [ONE]
@@ -213,71 +273,42 @@ def _abel_B(sym_poly: Polynomial, d: int) -> Polynomial:
     return (sym_poly + log_n_poly(d)) ** s_of(d)
 
 
-@dataclass(frozen=True)
-class AbelReport:
-    n: int
-    results: tuple[bool, bool, bool, bool]
-    failure: str | None
-
-    @property
-    def ok(self) -> bool:
-        return all(self.results)
-
-
-def abel_check(n: int) -> AbelReport:
-    """Verify the four divisor-indexed Abel-analog identities at n as
-    structural polynomial identities in phi, beta and prime logarithms."""
+def abel_check(n: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
+    """The two sides of the four divisor-indexed Abel-analog identities at
+    n, as polynomials in phi, beta and prime logarithms: ``(left, right)``,
+    each keyed 1..4 by identity.  The identities hold when the sides are
+    equal.  They are (1) the addition rule of the shifted family, (2) its
+    variant absorbing one shift into a plain power, (3) the connection to
+    plain powers, stated with a quotient by log n, so both of its sides
+    are multiplied through by log n, and (4) the inversion back to the
+    plain power."""
     if n < 2:
         raise ValueError("abel_check needs n >= 2")
-    ds = divisors(n)
-    weights = {d: binom_f(n, d) for d in ds}
     log_n = log_n_poly(n)
-    s_n = s_of(n)
-
-    # (1) addition rule for the shifted family
-    lhs1 = _abel_A(_phi + _beta, n)
-    rhs1 = ZERO
-    for d in ds:
-        rhs1 = rhs1 + _abel_A(_phi, d) * _abel_A(_beta, n // d) * weights[d]
-
-    # (2) variant absorbing one shift into a plain power
-    lhs2 = _abel_B(_phi + _beta, n)
-    rhs2 = ZERO
-    for d in ds:
-        rhs2 = rhs2 + _abel_B(_phi, d) * _abel_A(_beta, n // d) * weights[d]
-
-    # (3) connection to plain powers; stated with a quotient by log n, so
-    # both sides are multiplied through by log n before comparison
-    lhs3 = _abel_A(_phi, n) * log_n
-    rhs3 = ZERO
-    for d in ds:
-        rhs3 = rhs3 + (_phi ** s_of(d)) * log_n_poly(d) * log_n ** s_of(n // d) * weights[d]
-
-    # (4) inversion back to the plain power
-    lhs4 = _phi**s_n
-    rhs4 = ZERO
-    for d in ds:
-        rhs4 = rhs4 + _abel_A(_phi, d) * (-log_n_poly(d)) ** s_of(n // d) * weights[d]
-
-    results = (lhs1 == rhs1, lhs2 == rhs2, lhs3 == rhs3, lhs4 == rhs4)
-    failure = None
-    for i, ok in enumerate(results, start=1):
-        if not ok:
-            pairs = ((lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3), (lhs4, rhs4))
-            lhs, rhs = pairs[i - 1]
-            failure = f"identity {i} at n={n}: {lhs} != {rhs} (difference {lhs - rhs})"
-            break
-    return AbelReport(n=n, results=results, failure=failure)
+    left = {
+        1: _abel_A(_phi + _beta, n),
+        2: _abel_B(_phi + _beta, n),
+        3: _abel_A(_phi, n) * log_n,
+        4: _phi ** s_of(n),
+    }
+    right = dict.fromkeys(left, ZERO)
+    for d in divisors(n):
+        w = binom_f(n, d)
+        right[1] = right[1] + _abel_A(_phi, d) * _abel_A(_beta, n // d) * w
+        right[2] = right[2] + _abel_B(_phi, d) * _abel_A(_beta, n // d) * w
+        right[3] = right[3] + _phi ** s_of(d) * log_n_poly(d) * log_n ** s_of(n // d) * w
+        right[4] = right[4] + _abel_A(_phi, d) * (-log_n_poly(d)) ** s_of(n // d) * w
+    return left, right
 
 
-def classic_abel_check(p: int, m: int) -> tuple[bool, bool, bool, bool]:
-    """The four classical Abel identities with a = log p, built directly
-    from binomial coefficients, and compared against the divisor-indexed
-    evaluator at n = p**m.  Returns one flag per identity."""
+def classic_abel_check(p: int, m: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
+    """The two sides of the four classical Abel identities of degree m with
+    a = log p, built directly from binomial coefficients: ``(left, right)``,
+    each keyed 1..4 by identity.  At n = p**m they are also the sides that
+    ``abel_check(n)`` builds from divisors."""
     if not is_prime(p) or m < 1:
         raise ValueError("needs a prime p and m >= 1")
     a = Polynomial.symbol(log_symbol(p))
-    n = p**m
 
     def A(sym_poly: Polynomial, k: int) -> Polynomial:
         return ONE if k == 0 else sym_poly * (sym_poly + a * k) ** (k - 1)
@@ -285,30 +316,16 @@ def classic_abel_check(p: int, m: int) -> tuple[bool, bool, bool, bool]:
     def B(sym_poly: Polynomial, k: int) -> Polynomial:
         return (sym_poly + a * k) ** k
 
-    lhs1 = A(_phi + _beta, m)
-    rhs1 = ZERO
+    # identity (3) is multiplied through by log n = m*a
+    left = {1: A(_phi + _beta, m), 2: B(_phi + _beta, m), 3: A(_phi, m) * a * m, 4: _phi**m}
+    right = dict.fromkeys(left, ZERO)
     for k in range(m + 1):
-        rhs1 = rhs1 + A(_phi, k) * A(_beta, m - k) * comb(m, k)
-
-    lhs2 = B(_phi + _beta, m)
-    rhs2 = ZERO
-    for k in range(m + 1):
-        rhs2 = rhs2 + B(_phi, k) * A(_beta, m - k) * comb(m, k)
-
-    # identity (3) multiplied through by m*a
-    lhs3 = A(_phi, m) * a * m
-    rhs3 = ZERO
-    for k in range(m + 1):
-        rhs3 = rhs3 + _phi**k * (a * k) * (a * m) ** (m - k) * comb(m, k)
-
-    lhs4 = _phi**m
-    rhs4 = ZERO
-    for k in range(m + 1):
-        rhs4 = rhs4 + A(_phi, k) * (-a * k) ** (m - k) * comb(m, k)
-
-    classic = (lhs1 == rhs1, lhs2 == rhs2, lhs3 == rhs3, lhs4 == rhs4)
-    general = abel_check(n)
-    return tuple(c and g for c, g in zip(classic, general.results))
+        w = comb(m, k)
+        right[1] = right[1] + A(_phi, k) * A(_beta, m - k) * w
+        right[2] = right[2] + B(_phi, k) * A(_beta, m - k) * w
+        right[3] = right[3] + _phi**k * (a * k) * (a * m) ** (m - k) * w
+        right[4] = right[4] + A(_phi, k) * (-a * k) ** (m - k) * w
+    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +333,15 @@ def classic_abel_check(p: int, m: int) -> tuple[bool, bool, bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InversePairReport:
-    trunc: int
-    beta: Fraction
-    forward_ok: bool
-    backward_ok: bool
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.forward_ok and self.backward_ok
-
-
-def inverse_pair_check(a: OrdSeries, beta: Scalar, trunc: int) -> InversePairReport:
-    """For the lifted family of an ordinary series, verify the pair of
-    mutually inverse divisor-sum relations connecting the parametric power
-    and its shifted family, for every n up to the truncation.
+def inverse_pair_check(
+    a: OrdSeries, beta: Scalar, trunc: int
+) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
+    """For the lifted family of an ordinary series, the two sides of the
+    pair of mutually inverse divisor-sum relations connecting the
+    parametric power and its shifted family, for every n from 2 up to the
+    truncation: one ``(got, want)`` pair of dicts per relation, forward
+    first, keyed ``("forward", n)`` and ``("backward", n)``.  The
+    relations hold when each pair is equal.
 
     Written out per divisor d of n, with u_d the parametric-power
     coefficient scaled by f(d) and E(m, d) the shifted-family coefficient
@@ -359,31 +368,20 @@ def inverse_pair_check(a: OrdSeries, beta: Scalar, trunc: int) -> InversePairRep
 
     fam = dir_from_fn(trunc, lambda n: family_at(n, _phi))
 
-    failures: list[str] = []
-    forward_ok = True
-    backward_ok = True
-    for n in range(2, trunc + 1):
-        ds = divisors(n)
+    ns = range(2, trunc + 1)
+    want_f, want_b = {}, {}
+    for n in ns:
         rhs_f = ZERO
         rhs_b = ZERO
-        for d in ds:
+        for d in divisors(n):
             rhs_f = rhs_f + power[d] * family_at(n // d, beta_val * log_n_poly(d))
             rhs_b = rhs_b + fam[d] * lifted[n // d].substitute(
                 PSI, -beta_val * log_n_poly(d)
             )
-        if fam[n] != rhs_f:
-            forward_ok = False
-            failures.append(f"forward relation fails at n={n}: {fam[n]} != {rhs_f}")
-        if power[n] != rhs_b:
-            backward_ok = False
-            failures.append(f"backward relation fails at n={n}: {power[n]} != {rhs_b}")
-    return InversePairReport(
-        trunc=trunc,
-        beta=beta_val,
-        forward_ok=forward_ok,
-        backward_ok=backward_ok,
-        failures=tuple(failures),
-    )
+        want_f["forward", n], want_b["backward", n] = rhs_f, rhs_b
+    forward = ({("forward", n): fam[n] for n in ns}, want_f)
+    backward = ({("backward", n): power[n] for n in ns}, want_b)
+    return forward, backward
 
 
 # ---------------------------------------------------------------------------

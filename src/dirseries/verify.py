@@ -390,15 +390,11 @@ def suite_thm2(bound: int | None = None) -> list[CheckResult]:
     out: list[CheckResult] = []
     size = bound or 64
 
-    probe = random_dir_series(rng, size)
-    ok = True
-    try:
-        p = dir_pow_param(probe)
-        for n in range(2, size + 1):
-            p[n].divide_by_symbol(PSI)
-    except Exception:  # noqa: BLE001
-        ok = False
-    out.append(CheckResult("thm2.divisibility", size, ok))
+    # psi divides a coefficient exactly when it vanishes at psi = 0
+    p = dir_pow_param(random_dir_series(rng, size))
+    at_zero = {n: p[n].substitute(PSI, 0) for n in range(2, size + 1)}
+    zeros = dict.fromkeys(at_zero, Polynomial.zero())
+    out.append(_check("thm2.divisibility", size, (at_zero, zeros)))
 
     bases = {
         "eps": eps(size),
@@ -454,10 +450,8 @@ def suite_thm2(bound: int | None = None) -> list[CheckResult]:
         ("geom", ord_from_fn(8, lambda n: 1), Fraction(1)),
         ("random", random_ord_series(rng, 8), Fraction(-2, 3)),
     ):
-        report = inverse_pair_check(a, beta, rel_size)
-        detail = report.failures[0] if report.failures else ""
-        ident = f"thm2.inverse-relations.{name}"
-        out.append(CheckResult(ident, rel_size, report.ok, detail))
+        pairs = inverse_pair_check(a, beta, rel_size)
+        out.append(_check(f"thm2.inverse-relations.{name}", rel_size, *pairs))
 
     exp_size = max(4, min(bound or 32, 32))
     for i in range(2):
@@ -595,18 +589,19 @@ def _chunks(ns: range) -> list[range]:
 
 
 def _abel_chunk(ns: range) -> list[CheckResult]:
-    out = []
-    for n in ns:
-        report = abel_check(n)
-        out.append(CheckResult("abel.identities", n, report.ok, report.failure or ""))
-    return out
+    return [_check("abel.identities", n, abel_check(n)) for n in ns]
 
 
 def _classic_chunk(pairs: list[tuple[int, int]]) -> list[CheckResult]:
+    """The classical identities, and the divisor-indexed sides at p**m
+    against the classical ones: at n = p**m the divisor weights are the
+    binomials C(m, k) and log p**k is k * log p."""
     out = []
     for p, m in pairs:
-        flags = dict(enumerate(classic_abel_check(p, m), start=1))  # keyed 1..4 by identity
-        out.append(_check(f"abel.classic.p={p}", p**m, (flags, dict.fromkeys(flags, True))))
+        left, right = classic_abel_check(p, m)
+        general_left, general_right = abel_check(p**m)
+        sides = (left, right), (general_left, left), (general_right, right)
+        out.append(_check(f"abel.classic.p={p}", p**m, *sides))
     return out
 
 

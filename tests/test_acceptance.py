@@ -241,11 +241,13 @@ def test_criterion_09_abel_identities():
     with Criterion(9, "divisor-indexed Abel analogs for n in [2,200]"):
         started = time.time()
         for n in range(2, 201):
-            report = abel_check(n)
-            assert report.ok, report.failure
+            left, right = abel_check(n)
+            assert left == right, f"n={n}"
         for p in (2, 3):
             for m in range(1, 8):
-                assert all(classic_abel_check(p, m)), f"classic p={p} m={m}"
+                left, right = classic_abel_check(p, m)
+                assert left == right, f"classic p={p} m={m}"
+                assert abel_check(p**m) == (left, right), f"divisor sides p={p} m={m}"
         assert time.time() - started < 120.0
 
 

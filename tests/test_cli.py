@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import dirseries
+import dirseries.transforms
 from dirseries.cli import VERIFY_CAP, build_parser, main
+from dirseries.errors import ArgumentOutOfRange
 from dirseries.partitions import bell_B, bell_btilde
 from dirseries.poly import NESTING_CAP, PSI, Polynomial, coeff_symbol, parse_polynomial
 from dirseries.series import TWIST_CAP
+from dirseries.transforms import LAGRANGE_ORD_CAP, lagrange_ord, onepx
 from dirseries.verify import SUITES
 
 
@@ -327,6 +330,39 @@ def test_twist_exponent_over_the_cap_is_refused_at_once():
     assert seconds < 10
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"error: twist needs |k| <= {TWIST_CAP}, got -99999999\n"
+
+
+@pytest.mark.parametrize(
+    "expr, trunc, file_text",
+    [
+        # uncapped, 31 s and 496 MB of stdout
+        ("lagrange_ord(onepx,beta)", "200", None),
+        # uncapped, 70 MB of stdout: the numbers grow with those of the input
+        ('lagrange_ord(load("{path}"),beta)', "40", f'"1": "{10**200}/7"'),
+        # uncapped, 14 s at N = 13: the terms grow with the symbols of the input
+        ('lagrange_ord(load("{path}"),1)', "13",
+         ", ".join(f'"{k}": "a{k} + phi*beta + 3/7"' for k in range(1, 14))),
+    ],
+)
+def test_lagrange_ord_over_the_budget_is_refused_at_once(tmp_path, expr, trunc, file_text):
+    path = tmp_path / "a.json"
+    if file_text:
+        path.write_text(f'{{"kind": "ord", "trunc": {trunc}, "coeffs": {{"0": "1", {file_text}}}}}')
+    done, seconds = run_child("series", "-e", expr.replace("{path}", str(path)), "-N", trunc)
+    assert seconds < 10
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"error: lagrange_ord at N = {trunc} has a predicted cost")
+    assert done.stderr.endswith(f" over the budget of {LAGRANGE_ORD_CAP}\n")
+
+
+@pytest.mark.parametrize("beta, top", [(None, 66), (1, 78)])
+def test_lagrange_ord_budget_boundary(monkeypatch, beta, top):
+    # the largest N that README names for 1 + x runs, one more is refused;
+    # verify's N = 24 and the benchmark's N = 40 lie below both
+    monkeypatch.setattr(dirseries.transforms, "_lagrange", lambda *args: "admitted")
+    assert lagrange_ord(onepx(top), beta) == "admitted"
+    with pytest.raises(ArgumentOutOfRange, match=f"lagrange_ord at N = {top + 1} "):
+        lagrange_ord(onepx(top + 1), beta)
 
 
 @pytest.mark.parametrize("k", (TWIST_CAP, -TWIST_CAP, TWIST_CAP + 1, -TWIST_CAP - 1))

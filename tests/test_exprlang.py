@@ -180,5 +180,5 @@ def test_eval_lift_reads_its_argument_to_log2_order(tmp_path):
     path.write_text('{"kind": "ord", "trunc": 3, "coeffs": {"0": "1", "1": "1"}}')
     lifted = eval_expr(parse_expr(f'lift(load("{path}"))'), 15)
     assert lifted == eval_expr(parse_expr("lift(onepx)"), 15)
-    with pytest.raises(TruncationTooSmall):
+    with pytest.raises(TruncationTooSmall, match="^series has trunc 3, need 4$"):
         eval_expr(parse_expr(f'lift(load("{path}"))'), 16)

@@ -233,7 +233,7 @@ def test_power_over_the_cap_is_refused_at_its_exponent(text, offset):
 
 
 def test_powers_up_to_the_cap_parse():
-    # the CLI prints phi^N for N up to SERIES_CAP (lagrange_ord)
+    # every exponent the CLI prints, up to SERIES_CAP, parses back
     assert POWER_CAP >= SERIES_CAP
     top = phi**POWER_CAP * beta ** POWER_CAP
     assert parse_polynomial(top.to_text()) == top

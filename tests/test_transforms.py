@@ -325,22 +325,26 @@ def test_row_polynomial_shift_relation():
 
 
 def test_abel_prime_degenerates():
-    report = abel_check(5)
-    assert report.ok
+    left, right = abel_check(5)
+    assert left == right
     # identity (1) at a prime reduces to (phi + beta) = phi + beta
-    assert report.results[0]
+    assert left[1] == right[1] == phi + beta
 
 
 def test_abel_all_small():
     for n in range(2, 61):
-        report = abel_check(n)
-        assert report.ok, report.failure
+        left, right = abel_check(n)
+        assert list(left) == list(right) == [1, 2, 3, 4]
+        assert left == right, f"n={n}"
 
 
 def test_abel_classic_reduction():
     for p in (2, 3):
         for m in range(1, 6):
-            assert all(classic_abel_check(p, m)), f"p={p}, m={m}"
+            left, right = classic_abel_check(p, m)
+            assert left == right, f"p={p}, m={m}"
+            # at n = p**m the divisor-indexed sides are the classical ones
+            assert abel_check(p**m) == (left, right), f"p={p}, m={m}"
 
 
 def test_abel_rejects_n1():
@@ -351,21 +355,25 @@ def test_abel_rejects_n1():
 # -- mutually inverse relations ------------------------------------------------------
 
 
+def assert_relations_hold(pairs, trunc):
+    forward, backward = pairs
+    for relation, (got, want) in (("forward", forward), ("backward", backward)):
+        assert list(got) == list(want) == [(relation, n) for n in range(2, trunc + 1)]
+        assert got == want, relation
+
+
 def test_inverse_pair_exponential():
-    report = inverse_pair_check(expx_ord(8), Fraction(1), 40)
-    assert report.ok, report.failures
+    assert_relations_hold(inverse_pair_check(expx_ord(8), Fraction(1), 40), 40)
 
 
 def test_inverse_pair_geometric():
-    report = inverse_pair_check(geom_ord(8), Fraction(1), 60)
-    assert report.ok, report.failures
+    assert_relations_hold(inverse_pair_check(geom_ord(8), Fraction(1), 60), 60)
 
 
 def test_inverse_pair_random_beta():
     rng = random.Random(68)
     a = random_ord_series(rng, 8)
-    report = inverse_pair_check(a, Fraction(-2, 3), 32)
-    assert report.ok, report.failures
+    assert_relations_hold(inverse_pair_check(a, Fraction(-2, 3), 32), 32)
 
 
 # -- expansion over log-indexed powers -------------------------------------------------

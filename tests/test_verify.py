@@ -99,6 +99,78 @@ def test_raising_part_gives_one_exception_record(monkeypatch, fake_pool, jobs):
     assert sorted(timings) == [("abel", 1), ("binomf", len(binomf))]
 
 
+def test_classic_abel_cross_checks_the_divisor_sides(monkeypatch):
+    # doubled sides keep every divisor-indexed identity true, but they are
+    # no longer the classical sides at n = p**m
+    pristine = dirseries.verify.abel_check
+
+    def doubled(n):
+        return tuple({i: side * 2 for i, side in sides.items()} for sides in pristine(n))
+
+    monkeypatch.setattr(dirseries.verify, "abel_check", doubled)
+    records, ok = run_suites(["abel"], bound=8)
+    assert not ok
+    assert all(r.ok for r in records if r.ident == "abel.identities")
+    failed = [r for r in records if not r.ok]
+    assert {r.ident for r in failed} == {"abel.classic.p=2", "abel.classic.p=3"}
+    assert [r.n for r in failed if r.ident == "abel.classic.p=3"] == [3, 9, 27, 81]
+    assert failed[0].line() == (
+        "FAIL abel.classic.p=2 n=2  first mismatch at 1: 2*beta + 2*phi != beta + phi"
+    )
+
+
+def test_abel_failure_names_the_identity(monkeypatch):
+    pristine = dirseries.verify.abel_check
+
+    def broken(n):
+        left, right = pristine(n)
+        return ({**left, 3: left[3] + 1} if n == 12 else left), right
+
+    monkeypatch.setattr(dirseries.verify, "abel_check", broken)
+    records, ok = run_suites(["abel"], bound=16)
+    left, right = pristine(12)
+    assert not ok
+    assert [r.line() for r in records if not r.ok] == [
+        f"FAIL abel.identities n=12  first mismatch at 3: {left[3] + 1} != {right[3]}"
+    ]
+
+
+def test_inverse_relation_failure_names_the_relation_and_n(monkeypatch):
+    pristine = dirseries.verify.inverse_pair_check
+
+    def broken(a, beta, trunc):
+        forward, (got, want) = pristine(a, beta, trunc)
+        return forward, ({**got, ("backward", 7): got["backward", 7] + 1}, want)
+
+    monkeypatch.setattr(dirseries.verify, "inverse_pair_check", broken)
+    records, ok = run_suites(["thm2"], bound=16)
+    failed = [r for r in records if not r.ok]
+    assert [r.ident for r in failed] == [
+        f"thm2.inverse-relations.{name}" for name in ("exp", "geom", "random")
+    ]
+    assert all(r.detail.startswith("first mismatch at ('backward', 7): ") for r in failed)
+
+
+def test_divisibility_failure_names_the_first_n(monkeypatch):
+    # a term without psi at indices 5 and 9 of the first parametric power
+    pristine = dirseries.verify.dir_pow_param
+    calls = []
+
+    def broken(a):
+        p = pristine(a)
+        calls.append(a)
+        if len(calls) > 1:
+            return p
+        coeffs = [v + 1 if n in (5, 9) else v for n, v in enumerate(p.coeffs, start=1)]
+        return type(p)(p.trunc, tuple(coeffs))
+
+    monkeypatch.setattr(dirseries.verify, "dir_pow_param", broken)
+    records, ok = run_suites(["thm2"], bound=16)
+    assert [r.line() for r in records if not r.ok] == [
+        "FAIL thm2.divisibility n=16  first mismatch at 5: 1 != 0"
+    ]
+
+
 def test_refused_pool_runs_in_process(monkeypatch):
     def refuse(max_workers):
         raise OSError("no processes here")
