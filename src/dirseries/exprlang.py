@@ -131,8 +131,8 @@ _BUILTINS: dict[str, _Builtin] = {
     "lift": _Builtin(
         ("ord",), lambda trunc, a: lift_multiplicative(a, trunc), lambda trunc: max(s_max(trunc), 1)
     ),
-    "lagrange_dir": _Builtin(("dir", "param"), lambda _, a, b: lagrange_dir(a, _param(b)).series),
-    "lagrange_ord": _Builtin(("ord", "param"), lambda _, a, b: lagrange_ord(a, _param(b)).series),
+    "lagrange_dir": _Builtin(("dir", "param"), lambda _, a, b: lagrange_dir(a, _param(b))),
+    "lagrange_ord": _Builtin(("ord", "param"), lambda _, a, b: lagrange_ord(a, _param(b))),
 }
 
 # each argument shape: the syntactic kinds of argument it accepts, and its

@@ -1,48 +1,48 @@
 """Finite matrix families over the divisor lattice.
 
-Four families are built from series:
+Five families are built from series:
 
 * ``mult``         column k holds a(x^k): entry(n, k) = a_{n/k} for k | n,
 * ``column``       column m holds the m-th composition power of a series
                    with zero leading coefficient (column 0 is x),
 * ``mixed``        column m holds b o a^(m),
-* ``rd``           column k holds x^k o b o a^(log k); these matrices are
-                   the group elements of the divisor-lattice analog of the
-                   Riordan group,
+* ``rd``           column k holds x^k o b o a^(log k); the pairs (b, a) are
+                   the elements of the divisor-lattice analog of the Riordan
+                   group, and ``rd_multiply`` is its law on pairs,
 * ``riordan_ord``  the ordinary Riordan array: entry(n, k) = [x^n] b * a^k.
 
+``mult`` and ``rd`` are filled by ``_lattice``, which writes coefficient j
+of the k-th column series at entry (j*k, k), and the other three by
+``_column_entries``, which writes the m-th series of a sequence as column m.
 Storage is a sparse map keyed by (row, col).  ``mult`` and ``rd`` kinds
 live on rows and columns 1..N and are supported on the divisibility order;
 ``column`` and ``mixed`` kinds keep rows 1..N but have columns 0..C with
 C = floor(log2 N); ``riordan_ord`` is indexed 0..N on both sides.  Raw
 products (``matmul``) are exact whenever the inner index range of the left
 factor covers every index that can contribute, which holds for all the
-products used here.
-
-Matrix construction is per column and columns are independent; built
-matrices are immutable.
+products used here.  Built matrices are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import factorial
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     KindMismatch,
     NonUnitLeadingCoefficient,
     ShapeMismatch,
     SingularDiagonal,
-    TruncationTooSmall,
 )
 from .intfactor import s_max
 from .poly import ONE, PSI, ZERO, Polynomial, Symbol, log_n_poly
 from .series import (
     DirSeries,
     OrdSeries,
+    Series,
     dir_mul,
     dir_pow_param,
     dir_x,
@@ -61,7 +61,6 @@ class DirMatrix:
     col_lo: int
     col_hi: int
     entries: dict[tuple[int, int], Polynomial]
-    base: tuple[DirSeries, DirSeries] | None = field(default=None, compare=False)
 
     def entry(self, n: int, k: int) -> Polynomial:
         if not (self.row_lo <= n <= self.row_hi and self.col_lo <= k <= self.col_hi):
@@ -75,7 +74,7 @@ class DirMatrix:
         return [self.entry(n, k) for n in range(self.row_lo, self.row_hi + 1)]
 
     def __eq__(self, other: object) -> bool:
-        # equality is entrywise; the kind tag and base series are bookkeeping
+        # equality is entrywise; the kind tag is bookkeeping
         if not isinstance(other, DirMatrix):
             return NotImplemented
         return (
@@ -90,9 +89,7 @@ def _clean(entries: dict[tuple[int, int], Polynomial]) -> dict:
 
 
 def identity_matrix(size: int) -> DirMatrix:
-    return DirMatrix(
-        "mult", 1, size, 1, size, {(n, n): ONE for n in range(1, size + 1)}
-    )
+    return build_mult(dir_x(size), size)
 
 
 def diagonal_log_matrix(size: int) -> DirMatrix:
@@ -101,17 +98,21 @@ def diagonal_log_matrix(size: int) -> DirMatrix:
     return DirMatrix("product", 1, size, 1, size, _clean(entries))
 
 
+def _lattice(kind: str, size: int, column: Callable[[int], DirSeries]) -> DirMatrix:
+    """The matrix on indices 1..size whose entry (j*k, k) is coefficient j
+    of ``column(k)``, a series of length size // k."""
+    entries = {
+        (j * k, k): v
+        for k in range(1, size + 1)
+        for j, v in enumerate(column(k).coeffs, start=1)
+        if not v.is_zero()
+    }
+    return DirMatrix(kind, 1, size, 1, size, entries)
+
+
 def build_mult(a: DirSeries, size: int) -> DirMatrix:
     """Multiplication operator of ``a``: column k is a(x^k)."""
-    if a.trunc < size:
-        raise TruncationTooSmall(f"need trunc >= {size}, have {a.trunc}")
-    entries: dict[tuple[int, int], Polynomial] = {}
-    for k in range(1, size + 1):
-        for j in range(1, size // k + 1):
-            v = a[j]
-            if not v.is_zero():
-                entries[(j * k, k)] = v
-    return DirMatrix("mult", 1, size, 1, size, entries)
+    return _lattice("mult", size, lambda k: a.truncated(size // k))
 
 
 def build_column(a: DirSeries, size: int) -> DirMatrix:
@@ -133,13 +134,13 @@ def build_mixed(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
     return DirMatrix("mixed", 1, size, 0, top, _column_entries(columns))
 
 
-def _column_entries(columns: Iterable[DirSeries]) -> dict[tuple[int, int], Polynomial]:
+def _column_entries(columns: Iterable[Series]) -> dict[tuple[int, int], Polynomial]:
     """The nonzero entries (n, m) of the matrix whose column m is the m-th
-    series of ``columns``."""
+    series of ``columns``, its rows numbered from the series' first index."""
     return {
         (n, m): v
         for m, col in enumerate(columns)
-        for n, v in enumerate(col.coeffs, start=1)
+        for n, v in enumerate(col.coeffs, start=col.first)
         if not v.is_zero()
     }
 
@@ -161,33 +162,20 @@ def build_rd(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
     """Group-family matrix: column k is x^k o b o a^(log k)."""
     _require_rd_bases(b, a)
     power = dir_pow_param(a.truncated(size))
-    entries: dict[tuple[int, int], Polynomial] = {}
-    for k in range(1, size + 1):
+
+    def column(k: int) -> DirSeries:
         rows = size // k
         col_base = series_substitute_symbol(power.truncated(rows), PSI, log_n_poly(k))
-        col = dir_mul(b.truncated(rows), col_base)
-        for j in range(1, rows + 1):
-            v = col[j]
-            if not v.is_zero():
-                entries[(j * k, k)] = v
-    return DirMatrix("rd", 1, size, 1, size, entries, base=(b, a))
+        return dir_mul(b.truncated(rows), col_base)
+
+    return _lattice("rd", size, column)
 
 
 def build_riordan_ord(b: OrdSeries, a: OrdSeries, size: int) -> DirMatrix:
     """Ordinary Riordan array on indices 0..size: entry(n,k) = [x^n] b*a^k."""
-    if min(a.trunc, b.trunc) < size:
-        raise TruncationTooSmall(f"need trunc >= {size}")
     require_lead(a, 0, "matrix --kind riordan")
-    entries: dict[tuple[int, int], Polynomial] = {}
-    col = b.truncated(size)
-    for k in range(0, size + 1):
-        if k > 0:
-            col = ord_mul(col, a)
-        for n in range(k, size + 1):
-            v = col[n]
-            if not v.is_zero():
-                entries[(n, k)] = v
-    return DirMatrix("riordan_ord", 0, size, 0, size, entries)
+    columns = accumulate(repeat(a.truncated(size), size), ord_mul, initial=b.truncated(size))
+    return DirMatrix("riordan_ord", 0, size, 0, size, _column_entries(columns))
 
 
 def matmul(left: DirMatrix, right: DirMatrix) -> DirMatrix:
@@ -244,21 +232,17 @@ def rd_action(a: DirSeries, b: DirSeries) -> DirSeries:
     return DirSeries(size, tuple(out))
 
 
-def rd_multiply(m1: DirMatrix, m2: DirMatrix) -> DirMatrix:
-    """Group-law product of two rd matrices, built from the base series of
-    the factors without a raw matrix product.  That it equals the raw
-    product ``matmul(m1, m2)`` is the group law, which the verification
-    suite (``thm3.group-law``) and the tests check."""
-    if m1.kind != "rd" or m2.kind != "rd" or m1.base is None or m2.base is None:
-        raise KindMismatch("rd_multiply needs two rd-kind matrices")
-    if (m1.row_hi, m1.col_hi) != (m2.row_hi, m2.col_hi):
-        raise KindMismatch("rd_multiply needs matrices of equal size")
-    b, a = m1.base
-    f, g = m2.base
-    size = m1.row_hi
-    new_b = dir_mul(b, rd_action(a, f))
-    new_a = dir_mul(a, rd_action(a, g))
-    return build_rd(new_b, new_a, size)
+def rd_multiply(
+    first: tuple[DirSeries, DirSeries], second: tuple[DirSeries, DirSeries], size: int
+) -> DirMatrix:
+    """Group law on pairs: the product of the rd matrices of (b, a) and
+    (f, g) is the rd matrix of (b o A_a(f), a o A_a(g)), with A_a the
+    action ``rd_action`` of a.  Built from the series alone, without a raw
+    matrix product; that it equals ``matmul`` of the two matrices is the
+    group law, which the verification suite (``thm3.group-law``) and the
+    tests check."""
+    (b, a), (f, g) = first, second
+    return build_rd(dir_mul(b, rd_action(a, f)), dir_mul(a, rd_action(a, g)), size)
 
 
 def rd_inverse(m: DirMatrix) -> DirMatrix:

@@ -37,10 +37,10 @@ scaled ``int`` inputs, keeping integral results ``int``, and on the
 power A^(m) as an ``int`` list from it and sums the powers in one ``int``
 row per monomial of the ordinary series, dividing once at the end.
 ``dir_inverse`` runs one forward-accumulating recurrence: on integers
-scaled by powers of A_1 for such a series (``_inverse_scaled``), on
-``Fraction`` values for a constant series past the guard and on the
-``Polynomial`` coefficients otherwise.  Coefficients stay ``Polynomial``
-and results are identical on every path.
+scaled by powers of A_1 for such a series (``_inverse_scaled``), and on
+the ``Polynomial`` coefficients otherwise, a constant series past the
+guard included.  Coefficients stay ``Polynomial`` and results are
+identical on every path.
 """
 
 from __future__ import annotations
@@ -245,27 +245,22 @@ def dir_mul(a: DirSeries, b: DirSeries) -> DirSeries:
     return DirSeries(n, tuple(dirichlet_convolve(a.coeffs, b.coeffs, n)))
 
 
-def dir_inverse(a: DirSeries) -> DirSeries:
+def dir_inverse(a: DirSeries, op: str = "dinv") -> DirSeries:
     """The composition inverse: a o inverse(a) = x.  A constant series
     whose common denominator has at most ``SCALED_DEN_BITS`` bits is
-    inverted in scaled integers by ``_inverse_scaled``, any other constant
-    series in ``Fraction`` arithmetic, and a symbolic one in
-    ``Polynomial``."""
+    inverted in scaled integers by ``_inverse_scaled``, any other series
+    in ``Polynomial`` arithmetic.  The lead must be a nonzero rational;
+    the error names the operation ``op`` that needs the inverse."""
     lead = a[1]
     if not lead.is_constant() or lead.constant_value() == 0:
         raise NonUnitLeadingCoefficient(
-            f"dinv needs a nonzero rational coefficient at index 1, got {lead}"
+            f"{op} needs a nonzero rational coefficient at index 1, got {lead}"
         )
     scaled = _scaled_integers(a.coeffs)
     if scaled is not None:
         return DirSeries(a.trunc, tuple(constant_polys(_inverse_scaled(*scaled))))
-    inv_lead = 1 / lead.constant_value()
-    values = constant_values(a.coeffs)
-    if values is None:
-        out = _inverse_recurrence(a.coeffs, Polynomial.const(inv_lead), ZERO)
-        return DirSeries(a.trunc, tuple(out))
-    out = _inverse_recurrence(values, inv_lead, Fraction(0))
-    return DirSeries(a.trunc, tuple(constant_polys(out)))
+    out = _inverse_recurrence(a.coeffs, Polynomial.const(1 / lead.constant_value()), ZERO)
+    return DirSeries(a.trunc, tuple(out))
 
 
 def _inverse_recurrence(a: Sequence, inv_lead, zero) -> list:
@@ -304,7 +299,7 @@ def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
     the first factor: at most two compositions per binary digit of k."""
     _check_pow_int_growth(a, k)
     if k < 0:
-        return dir_pow_int(dir_inverse(a), -k)
+        return dir_pow_int(dir_inverse(a, "dpow_int"), -k)
     if k == 0:
         return dir_x(a.trunc)
     out = None

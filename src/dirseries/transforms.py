@@ -37,7 +37,6 @@ decide equality and name the first mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -145,36 +144,14 @@ def lift_multiplicative(a: OrdSeries, trunc: int) -> DirSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LagrangeFamily:
-    """A base series together with its shifted-power family, in either
-    algebra; ``series`` has the kind of ``base``.
-
-    ``series`` carries the derived coefficients: at the first index it is
-    1, and at every later index n it is phi * q_n(phi + beta*shift(n)),
-    where q_n is the exact quotient by psi of [x^n] of the parametric power
-    of ``base`` and the shift is log n (composition) or n (ordinary).
-    ``beta`` is either the symbol beta (symbolic mode) or a fixed rational,
-    already folded into the coefficients.
-    """
-
-    base: Series
-    beta: Polynomial
-    series: Series
-
-    def at_power(self, value: Polynomial | Scalar) -> Series:
-        """Specialize the power parameter phi to a value."""
-        return series_substitute_symbol(self.series, PHI, value)
-
-
-def lagrange_dir(a: DirSeries, beta=None) -> LagrangeFamily:
+def lagrange_dir(a: DirSeries, beta=None) -> DirSeries:
     """Shifted-power family of a composition series with leading
     coefficient 1.  ``beta=None`` keeps beta symbolic."""
     require_lead(a, 1, "lagrange_dir")
     return _lagrange(a, beta, dir_pow_param, log_n_poly)
 
 
-def lagrange_ord(a: OrdSeries, beta=None) -> LagrangeFamily:
+def lagrange_ord(a: OrdSeries, beta=None) -> OrdSeries:
     """Ordinary-algebra counterpart: the shift at index n is beta*n.
     Refused before any work when its predicted cost (see
     ``_check_lagrange_ord_budget``) passes ``LAGRANGE_ORD_CAP``."""
@@ -231,9 +208,15 @@ def _check_lagrange_ord_budget(a: OrdSeries, symbolic: bool) -> None:
         )
 
 
-def _lagrange(a: Series, beta, power, shift) -> LagrangeFamily:
-    """The family of ``a`` from its parametric power ``power(a)`` and the
-    index shift ``shift(n)`` (log n, or n itself); ``a`` has lead 1."""
+def _lagrange(a: Series, beta, power, shift) -> Series:
+    """The shifted-power family of ``a``, which has lead 1, as a series of
+    the kind of ``a``: 1 at the first index, and at every later index n
+    phi * q_n(phi + beta*shift(n)), where q_n is the exact quotient by psi
+    of [x^n] of the parametric power ``power(a)`` and the shift is log n
+    (composition) or n itself (ordinary).  ``beta=None`` keeps the symbol
+    beta; a rational beta is folded into the coefficients.  Substituting a
+    value for phi (``series_substitute_symbol``) gives the family at that
+    power."""
     b = _beta if beta is None else as_poly(beta)
     p = power(a)
     out = [ONE]
@@ -242,7 +225,7 @@ def _lagrange(a: Series, beta, power, shift) -> LagrangeFamily:
         # quotient is exact; a failure here is a structural bug
         q = p[n].divide_by_symbol(PSI)
         out.append(_phi * q.substitute(PSI, _phi + b * shift(n)))
-    return LagrangeFamily(base=a, beta=b, series=type(a)(a.trunc, tuple(out)))
+    return type(a)(a.trunc, tuple(out))
 
 
 def lagrange_middle_member(a: DirSeries) -> DirSeries:

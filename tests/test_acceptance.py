@@ -200,12 +200,12 @@ def test_criterion_07_shifted_family():
             mid = lagrange_middle_member(base)
             for n in range(1, 65):
                 shift = phi + beta * log_n_poly(n)
-                assert mid[n].substitute(PSI, shift) == fam.series[n]
+                assert mid[n].substitute(PSI, shift) == fam[n]
         size = 24
         for base in (eps(size), random_dir_series(rng, size)):
             for beta_val in (Fraction(1), Fraction(-1), Fraction(2)):
                 neg = series_substitute_symbol(dir_pow_param(base), PSI, -beta_val)
-                shifted = lagrange_dir(base, beta=beta_val).at_power(beta_val)
+                shifted = series_substitute_symbol(lagrange_dir(base, beta=beta_val), PHI, beta_val)
                 prod = matmul(
                     build_rd(dir_x(size), neg, size),
                     build_rd(dir_x(size), shifted, size),
@@ -223,15 +223,12 @@ def test_criterion_08_matrix_group():
             f = random_dir_series(rng, size, lead=Fraction(rng.randint(1, 2)))
             g = random_dir_series(rng, size)
             m1, m2 = build_rd(b, a, size), build_rd(f, g, size)
-            assert rd_multiply(m1, m2) == matmul(m1, m2)
-        e = build_rd(dir_x(size), dir_x(size), size)
-        assert e == identity_matrix(size)
-        m = build_rd(
-            random_dir_series(rng, size, lead=Fraction(2)),
-            random_dir_series(rng, size),
-            size,
-        )
-        assert rd_multiply(m, e) == m and rd_multiply(e, m) == m
+            assert rd_multiply((b, a), (f, g), size) == matmul(m1, m2)
+        x = dir_x(size)
+        assert build_rd(x, x, size) == identity_matrix(size)
+        pair = (random_dir_series(rng, size, lead=Fraction(2)), random_dir_series(rng, size))
+        m = build_rd(*pair, size)
+        assert rd_multiply(pair, (x, x), size) == m and rd_multiply((x, x), pair, size) == m
         inv = rd_inverse(m)
         assert matmul(m, inv) == identity_matrix(size)
         assert matmul(inv, m) == identity_matrix(size)

@@ -263,6 +263,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
          "dexp needs coefficient 0 at index 1, got 1"),
         (["coeff", "-e", "dinv(geom2)", "-n", "3"], None,
          "dinv needs a nonzero rational coefficient at index 1, got 0"),
+        (["series", "-e", "dpow_int(geom2,-1)", "-N", "4"], None,
+         "dpow_int needs a nonzero rational coefficient at index 1, got 0"),
         (["matrix", "--kind", "column", "-e", "zeta", "-N", "3"], None,
          "matrix --kind column needs coefficient 0 at index 1, got 1"),
         (["matrix", "--kind", "rd", "-e", "zeta", "-e2", "geom2", "-N", "3"], None,
@@ -276,7 +278,7 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
          '{"kind": "ord", "trunc": 4, "coeffs": {"0": "2", "1": "1"}}',
          "lift needs coefficient 1 at index 0, the constant term, got 2"),
     ],
-    ids=["dexp", "dinv", "column", "rd-second", "rd-first", "riordan", "lift"],
+    ids=["dexp", "dinv", "dpow_int", "column", "rd-second", "rd-first", "riordan", "lift"],
 )
 def test_precondition_error_names_operation_and_value(tmp_path, capsys, argv, file_text, message):
     path = tmp_path / "input.json"

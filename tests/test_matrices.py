@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from dirseries.errors import KindMismatch, ShapeMismatch, SingularDiagonal
+from dirseries.errors import ShapeMismatch, SingularDiagonal, TruncationTooSmall
 from dirseries.intfactor import factorize
 from dirseries.matrices import (
     DirMatrix,
@@ -33,6 +33,7 @@ from dirseries.series import (
     dir_pow_param,
     dir_x,
     ord_from_fn,
+    ord_mul,
     ord_one,
     ord_x,
     series_substitute_symbol,
@@ -67,7 +68,18 @@ def test_build_mult_symbolic_entries():
 
 
 def test_build_mult_of_x_is_identity():
-    assert build_mult(dir_x(12), 12) == identity_matrix(12)
+    assert build_mult(dir_x(12), 12).entries == {(n, n): Polynomial.one() for n in range(1, 13)}
+
+
+def test_builders_need_series_as_long_as_the_matrix():
+    with pytest.raises(TruncationTooSmall):
+        build_mult(dir_x(11), 12)
+    with pytest.raises(TruncationTooSmall):
+        build_rd(dir_x(11), dir_x(12), 12)
+    with pytest.raises(TruncationTooSmall):
+        build_riordan_ord(ord_one(8), ord_x(7), 8)
+    with pytest.raises(TruncationTooSmall):
+        build_riordan_ord(ord_one(7), ord_x(8), 8)
 
 
 def test_mult_matrices_commute():
@@ -191,6 +203,24 @@ def test_riordan_identity():
     assert m.entries == expected
 
 
+def test_riordan_fundamental_theorem():
+    # R(b, a) h = b * (h o a), with h o a by Horner's rule:
+    # h_0 + a * (h_1 + a * (h_2 + ...))
+    rng = random.Random(56)
+    size = 10
+    for _ in range(3):
+        b = random_ord_series(rng, size, const=Fraction(rng.randint(1, 3)))
+        a = random_ord_series(rng, size, const=0)
+        h = random_ord_series(rng, size, const=Fraction(rng.randint(-2, 2)))
+        m = build_riordan_ord(b, a, size)
+        lhs = [sum((m.entry(n, k) * h[k] for k in range(size + 1)), Polynomial.zero())
+               for n in range(size + 1)]
+        composed = ord_one(size) * 0
+        for k in range(size, -1, -1):
+            composed = ord_mul(a, composed) + ord_one(size) * h[k]
+        assert lhs == list(ord_mul(b, composed).coeffs)
+
+
 def test_riordan_golden_row6():
     a = [Polynomial.symbol(coeff_symbol(k)) for k in range(1, 7)]
     series = ord_from_fn(6, lambda n: 0 if n == 0 else a[n - 1])
@@ -269,10 +299,10 @@ def test_rd_multiply_group_law():
         a = random_dir_series(rng, 24)
         f = random_dir_series(rng, 24, lead=Fraction(rng.randint(1, 2)))
         g = random_dir_series(rng, 24)
-        m1, m2 = build_rd(b, a, 24), build_rd(f, g, 24)
-        # rd_multiply builds the product from the base series only; this is
-        # the check that it agrees with the raw matrix product
-        assert rd_multiply(m1, m2) == matmul(m1, m2)
+        # rd_multiply builds the product from the pairs of series only;
+        # this is the check that it agrees with the raw matrix product
+        product = rd_multiply((b, a), (f, g), 24)
+        assert product == matmul(build_rd(b, a, 24), build_rd(f, g, 24))
 
 
 def test_rd_multiply_identity():
@@ -280,19 +310,9 @@ def test_rd_multiply_identity():
     b = random_dir_series(rng, 16, lead=Fraction(2))
     a = random_dir_series(rng, 16)
     m = build_rd(b, a, 16)
-    e = build_rd(dir_x(16), dir_x(16), 16)
-    assert rd_multiply(m, e) == m
-    assert rd_multiply(e, m) == m
-
-
-def test_rd_multiply_kind_checks():
-    rng = random.Random(53)
-    a = random_dir_series(rng, 8)
-    m = build_rd(dir_x(8), a, 8)
-    with pytest.raises(KindMismatch):
-        rd_multiply(m, identity_matrix(8))
-    with pytest.raises(KindMismatch):
-        rd_multiply(m, build_rd(dir_x(4), a.truncated(4), 4))
+    x = dir_x(16)
+    assert rd_multiply((b, a), (x, x), 16) == m
+    assert rd_multiply((x, x), (b, a), 16) == m
 
 
 def test_rd_inverse():

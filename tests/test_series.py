@@ -259,7 +259,7 @@ def inverse_input(rng, trunc, lead, kind):
 def test_dir_inverse_paths_match_definition(monkeypatch, lead, kind, scaled):
     # a rational series whose common denominator fits in 64 bits is
     # inverted in scaled integers; one past the guard, or a symbolic one,
-    # keeps its recurrence in ``Fraction`` or ``Polynomial``
+    # runs its recurrence in ``Polynomial``
     calls = []
     pristine = dirseries.series._inverse_scaled
 

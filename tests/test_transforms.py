@@ -190,7 +190,7 @@ def test_lagrange_dir_beta_zero():
     rng = random.Random(63)
     a = random_dir_series(rng, 32)
     fam = lagrange_dir(a, beta=0)
-    assert fam.series == series_substitute_symbol(dir_pow_param(a), PSI, phi)
+    assert fam == series_substitute_symbol(dir_pow_param(a), PSI, phi)
 
 
 def test_lagrange_dir_eps_closed_form():
@@ -199,8 +199,8 @@ def test_lagrange_dir_eps_closed_form():
         expected = (
             phi * (phi + log_n_poly(n)) ** (s_of(n) - 1) * Fraction(1, f_of(n))
         )
-        assert fam.series[n] == expected, f"mismatch at {n}"
-    assert fam.series[1] == Polynomial.one()
+        assert fam[n] == expected, f"mismatch at {n}"
+    assert fam[1] == Polynomial.one()
 
 
 def test_lagrange_dir_middle_member():
@@ -210,7 +210,7 @@ def test_lagrange_dir_middle_member():
         mid = lagrange_middle_member(a)
         for n in range(1, 33):
             shift = phi + beta * log_n_poly(n)
-            assert mid[n].substitute(PSI, shift) == fam.series[n], f"n={n}"
+            assert mid[n].substitute(PSI, shift) == fam[n], f"n={n}"
 
 
 def test_lagrange_dir_requires_unit_lead():
@@ -232,22 +232,22 @@ def test_lagrange_ord_binomial():
         expected = phi * Fraction(1, factorial(n))
         for i in range(1, n):
             expected = expected * (phi + beta * n - i)
-        assert fam.series[n] == expected
-    assert fam.series[0] == Polynomial.one()
+        assert fam[n] == expected
+    assert fam[0] == Polynomial.one()
 
 
 def test_lagrange_ord_exponential():
     fam = lagrange_ord(expx_ord(24))
     for n in range(1, 25):
         expected = phi * (phi + beta * n) ** (n - 1) * Fraction(1, factorial(n))
-        assert fam.series[n] == expected
+        assert fam[n] == expected
 
 
 def test_lagrange_ord_beta_zero():
     rng = random.Random(66)
     a = random_ord_series(rng, 24)
     fam = lagrange_ord(a, beta=0)
-    assert fam.series == series_substitute_symbol(ord_pow_param(a), PSI, phi)
+    assert fam == series_substitute_symbol(ord_pow_param(a), PSI, phi)
 
 
 # -- matrix inverse pairing --------------------------------------------------------
@@ -259,7 +259,7 @@ def test_inverse_pairing_matrices(beta_val):
     size = 16
     for a in (eps(size), random_dir_series(rng, size)):
         neg_pow = series_substitute_symbol(dir_pow_param(a), PSI, -beta_val)
-        shifted = lagrange_dir(a, beta=beta_val).at_power(beta_val)
+        shifted = series_substitute_symbol(lagrange_dir(a, beta=beta_val), PHI, beta_val)
         left = build_rd(dir_x(size), neg_pow, size)
         right = build_rd(dir_x(size), shifted, size)
         assert matmul(left, right) == identity_matrix(size)
@@ -269,7 +269,7 @@ def test_rd_inverse_matches_shifted_family():
     size = 16
     a = eps(size)
     m = build_rd(dir_x(size), a, size)  # a = power at -beta with beta = -1
-    shifted = lagrange_dir(a, beta=Fraction(-1)).at_power(Fraction(-1))
+    shifted = series_substitute_symbol(lagrange_dir(a, beta=Fraction(-1)), PHI, Fraction(-1))
     assert rd_inverse(m) == build_rd(dir_x(size), shifted, size)
 
 
@@ -281,8 +281,8 @@ def test_rd_action_reproduces_shifted_exponential():
     size = 50
     fam = lagrange_dir(eps(size), beta=Fraction(1))
     eps_phi = series_substitute_symbol(eps_param(size), PSI, phi)
-    shifted_base = fam.at_power(1)
-    assert rd_action(shifted_base, eps_phi) == fam.series
+    shifted_base = series_substitute_symbol(fam, PHI, 1)
+    assert rd_action(shifted_base, eps_phi) == fam
 
 
 def test_log_star_pairing_inverse():
@@ -295,7 +295,7 @@ def test_log_star_pairing_inverse():
     rng = random.Random(72)
     size = 16
     a = random_dir_series(rng, size)
-    b = lagrange_dir(a, beta=Fraction(1)).at_power(1)
+    b = series_substitute_symbol(lagrange_dir(a, beta=Fraction(1)), PHI, 1)
     m1 = build_rd(dir_x(size) + star_derivative(dir_log(b)), b, size)
     m2 = build_rd(dir_x(size) - star_derivative(dir_log(a)), dir_inverse(a), size)
     assert matmul(m1, m2) == identity_matrix(size)
@@ -310,7 +310,7 @@ def test_row_polynomial_shift_relation():
     beta_val = Fraction(1)
     for a in (eps(size), zeta(size)):
         base_rows = exp_conjugate(build_column(dir_log(a), size))
-        shifted = lagrange_dir(a, beta=beta_val).at_power(1)
+        shifted = series_substitute_symbol(lagrange_dir(a, beta=beta_val), PHI, 1)
         shifted_rows = exp_conjugate(build_column(dir_log(shifted), size))
         for n in range(1, size + 1):
             log_n = log_n_poly(n)
