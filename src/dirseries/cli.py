@@ -22,15 +22,11 @@ Caps: series truncations, ``coeff`` indices, the declared truncation of
 a loaded series file, both ``bell -N`` and ``bell -M`` and
 ``factorizations -n`` are at most ``SERIES_CAP`` (10000), matrix sizes at
 most 500, ``verify -N`` at most ``VERIFY_CAP`` (1000), ``verify --jobs``
-at least 1, and the exponent k of ``twist(a,k)`` at most
-``TWIST_CAP`` (64) in absolute value.  The exponent of ``dpow_int(a,k)``
-is bounded by the work budget ``POW_INT_CAP`` at the series length
-(|k| < 2^25 at N = 10000 for a lead of 1 or -1), and an exponent in
-polynomial text by ``POWER_CAP``.  The ordinary ``bell`` table (without
-``--tilde``) is refused before any work when its powers take more than
-``BELL_PRODUCTS_CAP`` coefficient products or, with ``--symbolic``, when
-it has more than ``BELL_TERMS_CAP`` terms, and ``lagrange_ord`` when its
-predicted cost passes ``transforms.LAGRANGE_ORD_CAP``.
+at least 1, the exponent k of ``twist(a,k)`` at most ``TWIST_CAP`` (64)
+in absolute value, and an exponent in polynomial text at most
+``POWER_CAP``.  Every command but ``verify`` also has a work budget:
+``main`` resets ``poly.METER`` to ``WORK_CAP`` units, which the arithmetic
+charges as it runs, and a command that passes it is refused.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure,
 2 on usage errors (bad flags, values out of range or over a cap,
@@ -49,9 +45,9 @@ import argparse
 import json
 import sys
 
-from .errors import ArgumentOutOfRange, DirAlgebraError
+from .errors import DirAlgebraError
 from .exprlang import _expect_kind, eval_expr, parse_expr
-from .poly import ONE, ZERO, Polynomial, coeff_symbol
+from .poly import METER, ONE, ZERO, Polynomial, coeff_symbol
 from .serialize import (
     matrix_to_csv,
     matrix_to_json_text,
@@ -66,12 +62,9 @@ MATRIX_CAP = 500
 # and the work of abel grows about 2.4 times per doubling of N
 VERIFY_CAP = 1000
 
-# the budget of the ordinary ``bell`` table: on a 2-core x86-64 with
-# Python 3.11, a million products of its powers take about 2.5 s, and 50k
-# terms of a --symbolic table about 1.2 s at M = 6 (more terms per
-# coefficient also make each product slower)
-BELL_PRODUCTS_CAP = 1_000_000
-BELL_TERMS_CAP = 50_000
+# the work budget of every command but ``verify``, in units of
+# ``poly.METER``: about 4 s of arithmetic on a 2-core x86-64 with Python 3.11
+WORK_CAP = 200_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,8 +172,6 @@ def _cmd_bell(args) -> int:
     # composition (the factorization family), from k = 1 under the Cauchy
     # product (the partition family); g is zero at the first index either way
     kind, low = (DirSeries, 2) if args.tilde else (OrdSeries, 1)
-    if not args.tilde:
-        _check_bell_budget(args.rows, args.cols, args.symbolic)
     values = [
         Polynomial.symbol(coeff_symbol(k)) if args.symbolic else ONE
         for k in range(low, args.rows + 1)
@@ -195,34 +186,6 @@ def _cmd_bell(args) -> int:
     rows = zip(range(low, args.rows + 1), *columns)
     print("\n".join(",".join(map(str, row)) for row in rows))
     return 0
-
-
-def _check_bell_budget(rows: int, cols: int, symbolic: bool) -> None:
-    """Refuse an ordinary table over budget.  Power m of g = sum of x^k
-    (k >= 1) is nonzero at indices m..N, so g^(m+1) = g^m * g takes
-    (N-m+1)(N-m+2)/2 products, for m < min(M, N+1).  Cell (n, m) of a
-    symbolic table has one term per partition of n into m parts, so row n
-    has as many as n has partitions into parts of at most M."""
-    products = sum((rows - m + 1) * (rows - m + 2) // 2 for m in range(1, min(cols, rows + 1)))
-    if products > BELL_PRODUCTS_CAP:
-        raise ArgumentOutOfRange(
-            f"bell -N {rows} -M {cols} takes {products} coefficient products,"
-            f" over the budget of {BELL_PRODUCTS_CAP}"
-        )
-    if not symbolic:
-        return
-    # partitions of 0..N, counted with part sizes 1..k; the total only
-    # grows with k, so the count stops once it is over the budget
-    counts = [1] + [0] * rows
-    for k in range(1, min(cols, rows) + 1):
-        for n in range(k, rows + 1):
-            counts[n] += counts[n - k]
-        terms = sum(counts) - 1
-        if terms > BELL_TERMS_CAP:
-            raise ArgumentOutOfRange(
-                f"bell --symbolic -N {rows} -M {cols} has at least {terms} terms,"
-                f" over the budget of {BELL_TERMS_CAP}"
-            )
 
 
 def _cmd_factorizations(args) -> int:
@@ -280,11 +243,15 @@ def main(argv: list[str] | None = None) -> int:
         "factorizations": _cmd_factorizations,
         "verify": _cmd_verify,
     }
+    # ``verify`` is bounded by ``VERIFY_CAP``, and its workers run unmetered
+    METER.reset(None if args.command == "verify" else WORK_CAP)
     try:
         return handlers[args.command](args)
     except (DirAlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        METER.reset()  # library calls after the command run without a budget
 
 
 def console_main() -> None:

@@ -279,8 +279,6 @@ def exp_conjugate(m: DirMatrix) -> DirMatrix:
     exponential row polynomial of the matrix.  Columns beyond the last row
     are dropped."""
     size = m.row_hi
-    if size > 500:
-        raise ValueError("exp_conjugate is capped at size 500")
     entries: dict[tuple[int, int], Polynomial] = {}
     for (n, k), v in m.entries.items():
         if k <= size:

@@ -31,10 +31,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import isqrt
 from typing import Iterable, Mapping, Union
 
-from .errors import DirAlgebraError, MissingSymbol, NotDivisible, PolynomialSyntaxError
+from .errors import (
+    ArgumentOutOfRange,
+    DirAlgebraError,
+    MissingSymbol,
+    NotDivisible,
+    PolynomialSyntaxError,
+)
 from .intfactor import factorize, is_prime
 
 Symbol = str
@@ -107,6 +113,76 @@ def _term_key(mono: Monomial) -> tuple:
     return (_mono_degree(mono), mono)
 
 
+# -- work meter --------------------------------------------------------------
+#
+# While the CLI gives a command a budget, every step of the arithmetic
+# charges ``METER`` before it runs, from the sizes of its operands:
+# ``Polynomial`` products, sums and long text here, and the calls and slice
+# updates of the kernels in ``series``.  The weights below count the terms a
+# step touches, the symbols of their monomials and the bits of their
+# numbers, plus a fixed charge per call, so that a unit is about 20 ns of
+# work on a 2-core x86-64 with Python 3.11.  Without a budget (library
+# calls, ``verify``) the steps skip the meter and pay nothing for it.
+
+CALL_UNITS = 1500  # one call of a series kernel ...
+INDEX_UNITS = 150  # ... and each index of its output, scaled and wrapped
+_INT_UNITS = 15  # one product of two small integers, added up ...
+_BIT_PAIRS = 3600  # ... plus a unit per this many pairs of their bits
+_LONG_BITS = 600  # past this many bits a product costs about bits ** 1.5
+_MUL_CALL = 250  # one ``Polynomial`` product ...
+_TERM_UNITS = 100  # ... and each product of two terms ...
+_MONO_UNITS = 30  # ... plus this per symbol of the two monomials
+_FRACTION_UNITS = 150  # one product or sum of two small ``Fraction``s
+_ADD_CALL = 150  # one ``Polynomial`` sum ...
+_COPY_UNITS = 8  # ... and each term it copies; a term it adds in costs a product
+_SHORT_TEXT = 300  # a term written as text costs little up to this length ...
+_TEXT_DIGITS = 1000  # ... and past it a unit per this many squared characters
+
+
+class WorkMeter:
+    """The units spent since the last ``reset``, and the budget they may
+    not pass (None: no budget)."""
+
+    __slots__ = ("spent", "budget")
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self, budget: int | None = None) -> None:
+        self.spent = 0
+        self.budget = budget
+
+    def charge(self, units: int) -> None:
+        """Count ``units``; raise ``ArgumentOutOfRange`` past the budget."""
+        self.spent += units
+        if self.budget is not None and self.spent > self.budget:
+            raise ArgumentOutOfRange(f"the work passed the budget of {self.budget} units")
+
+
+METER = WorkMeter()
+_charge = METER.charge  # bound once: the hot paths below call it
+
+
+def int_units(count: int, bits: int, other_bits: int) -> int:
+    """Units of ``count`` products, each added up, of one integer of
+    ``bits`` bits with integers of ``other_bits`` bits in all."""
+    if bits > _LONG_BITS:  # CPython multiplies long integers by Karatsuba
+        bits = isqrt(_LONG_BITS * bits)
+    return count * _INT_UNITS + bits * other_bits // _BIT_PAIRS
+
+
+def _scalar_units(c1: Scalar, c2: Scalar) -> int:
+    """Units of one product of two coefficients, added up; a ``Fraction``
+    costs gcds on top of the products of its numbers."""
+    ints = type(c1) is int and type(c2) is int
+    if ints and c1.bit_length() + c2.bit_length() <= _LONG_BITS:  # as fast as the smallest
+        return _INT_UNITS
+    (n1, d1), (n2, d2) = c1.as_integer_ratio(), c2.as_integer_ratio()
+    b1, b2 = n1.bit_length() + d1.bit_length(), n2.bit_length() + d2.bit_length()
+    units = int_units(1, min(b1, b2), max(b1, b2))
+    return units if ints else 2 * (_FRACTION_UNITS + units)
+
+
 class Polynomial:
     """Immutable sparse polynomial; supports +, -, *, ** and exact helpers."""
 
@@ -173,6 +249,13 @@ class Polynomial:
         if not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented
         other = as_poly(other)
+        count = len(other._terms)
+        if count and METER.budget is not None:
+            # adding in a ``Fraction`` costs ten times an ``int``; one term is
+            # charged as an ``int``, cheaper than looking at its type
+            ints = count == 1 or type(next(iter(other._terms.values()))) is int
+            merge = _INT_UNITS if ints else _FRACTION_UNITS
+            _charge(_ADD_CALL + _COPY_UNITS * len(self._terms) + merge * count)
         if not self._terms:
             return other
         if not other._terms:
@@ -212,6 +295,9 @@ class Polynomial:
                 return _ZERO
             if c == 1:
                 return self
+            if self._terms and METER.budget is not None:
+                first = next(iter(self._terms.values()))
+                _charge(_MUL_CALL + len(self._terms) * _scalar_units(first, c))
             return _wrap({m: v * c for m, v in self._terms.items()})
         if not self._terms or not other._terms:
             return _ZERO
@@ -220,6 +306,10 @@ class Polynomial:
             return self * other._terms[_UNIT_MONO]
         if self.is_constant():
             return other * self._terms[_UNIT_MONO]
+        if METER.budget is not None:
+            (ma, ca), (mb, cb) = next(iter(self._terms.items())), next(iter(other._terms.items()))
+            per_term = _TERM_UNITS + _MONO_UNITS * (len(ma) + len(mb)) + _scalar_units(ca, cb)
+            _charge(_MUL_CALL + len(self._terms) * len(other._terms) * per_term)
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -327,7 +417,7 @@ class Polynomial:
         if not terms:
             return "0"
         if len(terms) == 1 and _UNIT_MONO in terms:
-            return str(terms[_UNIT_MONO])
+            return _charged_text(str(terms[_UNIT_MONO]))
         parts: list[str] = []
         for mono, coeff in sorted(terms.items(), key=lambda kv: _term_key(kv[0])):
             body = "*".join(s if e == 1 else f"{s}^{e}" for s, e in mono)
@@ -338,11 +428,20 @@ class Polynomial:
                 text = body
             else:
                 text = f"{mag}*{body}"
+            text = _charged_text(text)
             if not parts:
                 parts.append(text if coeff > 0 else f"-{text}")
             else:
                 parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
         return " ".join(parts)
+
+
+def _charged_text(text: str) -> str:
+    """The text of a term, once the meter is charged for a long one:
+    CPython writes a number in time quadratic in its digits."""
+    if len(text) > _SHORT_TEXT and METER.budget is not None:
+        _charge(len(text) ** 2 // _TEXT_DIGITS)
+    return text
 
 
 def _wrap(terms: dict[Monomial, Scalar]) -> Polynomial:
@@ -506,9 +605,8 @@ class Scanner:
         return self.text[start : self.pos]
 
 
-# the largest size of a power in polynomial text: the exponent times the
-# number of terms its expansion can have, so the exponent of one term goes
-# up to the largest the CLI prints (phi^N of lagrange_ord, N <= 10000)
+# the largest exponent in polynomial text: the largest the CLI prints
+# (phi^N of lagrange_ord, N <= 10000)
 POWER_CAP = 10_000
 
 # a rational constant with a nonzero denominator, read without the scanner
@@ -533,18 +631,16 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 def _parse_sum(toks: Scanner) -> Polynomial:
-    negate = False
-    if toks.peek() == "-":
+    sign = -1 if toks.peek() == "-" else 1
+    if sign < 0:
         toks.take()
-        negate = True
-    out = _parse_product(toks)
-    if negate:
-        out = -out
-    while toks.peek() in ("+", "-"):
-        op = toks.take()
-        term = _parse_product(toks)
-        out = out + term if op == "+" else out - term
-    return out
+    out: dict[Monomial, Scalar] = {}
+    while True:
+        for mono, coeff in _parse_product(toks)._terms.items():
+            out[mono] = out.get(mono, 0) + sign * coeff
+        if toks.peek() not in ("+", "-"):
+            return Polynomial(out)
+        sign = 1 if toks.take() == "+" else -1
 
 
 def _parse_product(toks: Scanner) -> Polynomial:
@@ -562,8 +658,7 @@ def _parse_power(toks: Scanner) -> Polynomial:
         toks.skip_ws()
         start = toks.pos
         exponent = toks.take_uint()
-        terms = max(len(base._terms), 1)
-        if exponent > POWER_CAP or comb(exponent + terms - 1, terms - 1) * exponent > POWER_CAP:
+        if exponent > POWER_CAP:
             raise PolynomialSyntaxError("exponent too large", start)
         return base**exponent
     return base

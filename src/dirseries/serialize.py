@@ -11,11 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import PolynomialSyntaxError, SeriesFormatError
 from .poly import ZERO, parse_polynomial
 from .series import SERIES_CAP, DirSeries, OrdSeries, Series
+
+if TYPE_CHECKING:  # a series command never loads ``matrices``
+    from .matrices import DirMatrix
 
 
 _SERIES_CLASSES = {cls.kind: cls for cls in (DirSeries, OrdSeries)}

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt, lcm
+from itertools import accumulate
+from math import factorial, lcm
 from operator import add, mul
 from typing import Callable, ClassVar, Iterator, Sequence
 
@@ -60,6 +61,9 @@ from .errors import (
 )
 from .intfactor import s_max, s_upto
 from .poly import (
+    CALL_UNITS,
+    INDEX_UNITS,
+    METER,
     ONE,
     PSI,
     ZERO,
@@ -70,6 +74,7 @@ from .poly import (
     binom_poly,
     constant_polys,
     constant_values,
+    int_units,
     log_n_poly,
 )
 
@@ -81,9 +86,6 @@ SERIES_CAP = 10_000
 # the largest |k| of ``twist_int``: the coefficient at index n grows by
 # about k * log2(n) bits, so at N = 10000 its text grows with k
 TWIST_CAP = 64
-
-# the work budget of ``dir_pow_int``; see ``_pow_int_growth_cap``
-POW_INT_CAP = 2**18
 
 # the largest common denominator, in bits, of an input that
 # ``dirichlet_convolve`` scales to integers
@@ -216,13 +218,31 @@ def _convolve(xs: Sequence, ys: Sequence, trunc: int, zero=0) -> list:
     """The divisor-indexed convolution of two lists up to ``trunc`` over
     any exact ring whose zero is ``zero``: ``int`` for scaled rationals,
     ``Polynomial`` otherwise.  A slice update per nonzero x_d adds
-    x_d * y_q at every index d*q."""
+    x_d * y_q at every index d*q, charging the meter as ``_charge_call``
+    says."""
+    ybits = _charge_call(ys[:trunc], zero)
     acc = [zero] * trunc
     for d in range(1, trunc + 1):
         x = xs[d - 1]
         if x:
-            acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[: trunc // d]))
+            n = trunc // d
+            if ybits:
+                METER.charge(int_units(n, x.bit_length(), ybits[n - 1]))
+            acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[:n]))
     return acc
+
+
+def _charge_call(values: Sequence, zero) -> list[int]:
+    """Charge the meter the minimum of a kernel call over ``values``, and
+    return the running sums of their bit lengths, from which the kernel
+    charges each slice update of ``int`` values.  Empty without a budget,
+    and for ``Polynomial`` values, whose arithmetic charges itself."""
+    if METER.budget is None:
+        return []
+    METER.charge(CALL_UNITS + INDEX_UNITS * len(values))
+    if type(zero) is not int:
+        return []
+    return list(accumulate(map(int.bit_length, values)))
 
 
 def _scaled_integers(coeffs: Sequence[Polynomial]) -> tuple[list[int], int] | None:
@@ -265,14 +285,19 @@ def dir_inverse(a: DirSeries, op: str = "dinv") -> DirSeries:
 
 def _inverse_recurrence(a: Sequence, inv_lead, zero) -> list:
     """b with a o b = x over any exact ring: once b_n is known, a_d * b_n
-    is added forward into the accumulator at index d*n for every d >= 2."""
+    is added forward into the accumulator at index d*n for every d >= 2.
+    The meter is charged as in ``_convolve``."""
     trunc = len(a)
+    abits = _charge_call(a, zero)
     acc = [zero] * trunc
     out = []
     for n in range(1, trunc + 1):
         bn = inv_lead if n == 1 else -acc[n - 1] * inv_lead
         out.append(bn)
         if bn:
+            if abits:
+                q = trunc // n
+                METER.charge(int_units(q - 1, bn.bit_length(), abits[q - 1] - abits[0]))
             acc[2 * n - 1 :: n] = map(add, acc[2 * n - 1 :: n], map(bn.__mul__, a[1 : trunc // n]))
     return out
 
@@ -294,10 +319,9 @@ def _inverse_scaled(numerators: list[int], den: int) -> list[Fraction]:
 
 
 def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
-    """k-fold composition power; k = 0 gives x, negative k inverts first,
-    and k is bounded by ``_check_pow_int_growth``.  Binary powering from
-    the first factor: at most two compositions per binary digit of k."""
-    _check_pow_int_growth(a, k)
+    """k-fold composition power; k = 0 gives x, negative k inverts first.
+    Binary powering from the first factor: at most two compositions per
+    binary digit of k."""
     if k < 0:
         return dir_pow_int(dir_inverse(a, "dpow_int"), -k)
     if k == 0:
@@ -311,42 +335,6 @@ def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
         if not k:
             return out
         square = dir_mul(square, square)
-
-
-def _check_pow_int_growth(a: DirSeries, k: int) -> None:
-    """Refuse k when the growth of ``dir_pow_int(a, k)`` passes
-    ``_pow_int_growth_cap``.  The growth is the bit length of k when the
-    coefficient at index 1 is 1 or -1.  Any other lead puts its k-th
-    power, of size |k| ** t for a lead of t >= 1 terms (t = 1 for a zero
-    lead), into every coefficient, and then that is the growth."""
-    cap = _pow_int_growth_cap(a.trunc)
-    lead = a[1]
-    if lead.is_constant() and abs(lead.constant_value()) == 1:
-        if k.bit_length() > cap:
-            raise ArgumentOutOfRange(f"dpow_int needs |k| < 2^{cap} at N = {a.trunc}, got {k}")
-        return
-    t = max(len(lead.terms), 1)
-    if abs(k) > cap or abs(k) ** t > cap:
-        root = 1
-        while (root + 1) ** t <= cap:
-            root += 1
-        raise ArgumentOutOfRange(
-            f"dpow_int needs |k| <= {root} at N = {a.trunc} with {lead.to_text()} at index 1, "
-            f"got {k}"
-        )
-
-
-def _pow_int_growth_cap(trunc: int) -> int:
-    """The largest growth of ``dir_pow_int`` at length ``trunc``.  A
-    growth of g makes up to 2 * g compositions of numbers that reach about
-    g * log2(trunc) bits, so the cap is the largest g with
-    g * trunc * (1 + g * log2(trunc) / 8192) <= ``POW_INT_CAP``: 25 at
-    trunc 10000, 212 at 1000, 8192 at 8 and 28927 at 2."""
-    quad = trunc * s_max(trunc)  # the coefficient of g^2, times 8192
-    lin = 8192 * trunc
-    if not quad:
-        return POW_INT_CAP // trunc
-    return (isqrt(lin * lin + 4 * quad * 8192 * POW_INT_CAP) - lin) // (2 * quad)
 
 
 def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:
@@ -409,8 +397,11 @@ def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int
     ladder = powers(numerators, top, lambda x, y: _convolve(x, y, trunc))
     for m, power in enumerate(ladder, start=1):
         weight = fden * den ** (top - m)
+        bits = sum(map(int.bit_length, power)) if METER.budget is not None else 0
         for mono, c in terms[m].items():
             w = c.numerator * (weight // c.denominator)
+            if bits:
+                METER.charge(int_units(trunc, w.bit_length(), bits))
             row = rows.setdefault(mono, [0] * trunc)
             row[:] = map(add, row, map(w.__mul__, power))
     total = fden * den**top
@@ -510,9 +501,11 @@ def ord_x(trunc: int) -> OrdSeries:
 
 
 def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
-    """The Cauchy product, one slice update per nonzero a_i."""
+    """The Cauchy product, one slice update per nonzero a_i, metered like
+    ``_convolve``."""
     n = min(a.trunc, b.trunc)
     out = [ZERO] * (n + 1)
+    _charge_call(out, ZERO)
     for i, ai in enumerate(a.coeffs[: n + 1]):
         if ai:
             out[i:] = map(add, out[i:], map(ai.__mul__, b.coeffs[: n + 1 - i]))

@@ -38,10 +38,8 @@ decide equality and name the first mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
 
-from .errors import ArgumentOutOfRange
 from .intfactor import binom_f, divisors, factorize, is_prime, s_max, s_of
 from .poly import (
     BETA,
@@ -75,11 +73,6 @@ from .series import (
 
 _phi = Polynomial.symbol(PHI)
 _beta = Polynomial.symbol(BETA)
-
-# the work budget of ``lagrange_ord``, in the units of
-# ``_check_lagrange_ord_budget``: on a 2-core x86-64 with Python 3.11,
-# 5 million take up to 2.6 s; lagrange_ord(onepx, beta) runs up to N = 66
-LAGRANGE_ORD_CAP = 5_000_000
 
 
 def zeta(trunc: int) -> DirSeries:
@@ -152,60 +145,9 @@ def lagrange_dir(a: DirSeries, beta=None) -> DirSeries:
 
 
 def lagrange_ord(a: OrdSeries, beta=None) -> OrdSeries:
-    """Ordinary-algebra counterpart: the shift at index n is beta*n.
-    Refused before any work when its predicted cost (see
-    ``_check_lagrange_ord_budget``) passes ``LAGRANGE_ORD_CAP``."""
+    """Ordinary-algebra counterpart: the shift at index n is beta*n."""
     require_lead(a, 1, "lagrange_ord")
-    _check_lagrange_ord_budget(a, beta is None)
     return _lagrange(a, beta, ord_pow_param, lambda n: n)
-
-
-def _check_lagrange_ord_budget(a: OrdSeries, symbolic: bool) -> None:
-    """Refuse ``lagrange_ord(a)`` when its predicted cost, degree times
-    terms, passes ``LAGRANGE_ORD_CAP``.  Take M_k, the number of products
-    of non-constant terms of ``a`` whose indices add up to at most k, as
-    the bound on the monomials in the symbols of ``a`` at index k, and
-    take the log of ``a`` as dense, as that of 1 + x is.  Then the power
-    a^psi has at most (k + 1) * M_k terms at k, its recurrence at n makes
-    the sum over k of M_k * (n - k + 1) * M_(n-k) term products, and the
-    family has at most M_n * n terms at n, or M_n * n(n+1)/2 with beta
-    symbolic (phi^i beta^j, 1 <= i + j <= n).  The cost sums n times the
-    products and terms at each n, scaled by the bits per index of the
-    numbers of ``a`` over 8, the rate the budget is measured at: the
-    numbers at n have about n times as many bits.  Each term of ``a``
-    and each index only raise the cost, so the count stops once the cost,
-    or its part n * M_n * n at n = N, is over the budget."""
-    top = a.trunc
-    indices = range(1, top + 1)
-    bits = (
-        (k, max(abs(c.numerator), c.denominator).bit_length())
-        for k in indices
-        for c in a[k].terms.values()
-    )
-    rate = max([8] + [(b + k - 1) // k for k, b in bits])
-    counts = [1] + [0] * top  # products of non-constant terms, by index sum
-    parts = (k for k in indices for mono in a[k].terms if mono)
-    cost = 0
-    for k in parts:
-        for m in range(k, top + 1):
-            counts[m] += counts[m - k]
-        cost = sum(counts) * top * top  # the family's terms at N alone
-        if cost > LAGRANGE_ORD_CAP:
-            break
-    else:
-        cost = 0
-        monomials = list(accumulate(counts))
-        for n in indices:
-            products = sum(monomials[k] * (n - k + 1) * monomials[n - k] for k in range(1, n + 1))
-            terms = monomials[n] * (n * (n + 1) // 2 if symbolic else n)
-            cost += n * (products + terms) * rate // 8
-            if cost > LAGRANGE_ORD_CAP:
-                break
-    if cost > LAGRANGE_ORD_CAP:
-        raise ArgumentOutOfRange(
-            f"lagrange_ord at N = {top} has a predicted cost of at least {cost},"
-            f" over the budget of {LAGRANGE_ORD_CAP}"
-        )
 
 
 def _lagrange(a: Series, beta, power, shift) -> Series:

@@ -10,20 +10,44 @@ from pathlib import Path
 import pytest
 
 import dirseries
-import dirseries.transforms
-from dirseries.cli import VERIFY_CAP, build_parser, main
-from dirseries.errors import ArgumentOutOfRange
+import dirseries.cli
+from dirseries.cli import VERIFY_CAP, WORK_CAP, build_parser, main
 from dirseries.partitions import bell_B, bell_btilde
-from dirseries.poly import NESTING_CAP, PSI, Polynomial, coeff_symbol, parse_polynomial
+from dirseries.poly import (
+    METER,
+    NESTING_CAP,
+    PSI,
+    Polynomial,
+    WorkMeter,
+    coeff_symbol,
+    parse_polynomial,
+)
 from dirseries.series import TWIST_CAP
-from dirseries.transforms import LAGRANGE_ORD_CAP, lagrange_ord, onepx
 from dirseries.verify import SUITES
+
+BUDGET_ERROR = f"error: the work passed the budget of {WORK_CAP} units\n"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def units_of(capsys, monkeypatch, *argv):
+    """The units the meter counts for a command that runs, and its stdout."""
+    spent = []
+    reset = WorkMeter.reset
+
+    def recorded(self, budget=None):
+        spent.append(self.spent)
+        reset(self, budget)
+
+    monkeypatch.setattr(WorkMeter, "reset", recorded)
+    code, out, err = run_cli(capsys, *argv)
+    monkeypatch.setattr(WorkMeter, "reset", reset)
+    assert (code, err) == (0, "")
+    return spent[-1], out
 
 
 def test_coeff_eps_power(capsys):
@@ -139,30 +163,35 @@ def test_bell_rows_equal_the_enumerations(capsys, tilde, symbolic):
 
 @pytest.mark.parametrize("rows, cols", [(9, 4), (7, 12), (1, 3)])
 def test_bell_budget_counts_the_work_of_the_table(capsys, monkeypatch, rows, cols):
-    # the table runs at a budget of exactly the products it makes and the
-    # terms it prints, and is refused one below either
-    products = 0
-    pristine = Polynomial.__mul__
-
-    def counted(self, other):
-        nonlocal products
-        products += 1
-        return pristine(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
-    code, out, _ = run_cli(capsys, "bell", "-N", str(rows), "-M", str(cols), "--symbolic")
-    monkeypatch.setattr(Polynomial, "__mul__", pristine)
-    assert code == 0
-    cells = [cell for line in out.splitlines() for cell in line.split(",")[1:]]
-    terms = sum(cell.count(" + ") + 1 for cell in cells if cell != "0")
+    # the meter counts the same units on every run of a command, so the
+    # table runs at a budget of exactly its units and is refused one below
     argv = ("bell", "-N", str(rows), "-M", str(cols), "--symbolic")
-    for cap, budget in (("BELL_PRODUCTS_CAP", products), ("BELL_TERMS_CAP", terms)):
-        monkeypatch.setattr(dirseries.cli, cap, budget)
-        assert run_cli(capsys, *argv)[:2] == (0, out)
-        monkeypatch.setattr(dirseries.cli, cap, budget - 1)
-        code, _, err = run_cli(capsys, *argv)
-        assert (code, err.startswith("error:")) == (2, True), cap
-        monkeypatch.undo()
+    units, out = units_of(capsys, monkeypatch, *argv)
+    assert 0 < units <= WORK_CAP
+    monkeypatch.setattr(dirseries.cli, "WORK_CAP", units)
+    assert run_cli(capsys, *argv) == (0, out, "")
+    monkeypatch.setattr(dirseries.cli, "WORK_CAP", units - 1)
+    refused = f"error: the work passed the budget of {units - 1} units\n"
+    assert run_cli(capsys, *argv) == (2, "", refused)
+
+
+def test_main_resets_the_meter(capsys, monkeypatch):
+    # each command starts from zero units, and library calls after it run
+    # without a budget; the benchmark's traced run calls main repeatedly
+    argv = ("series", "-e", "dinv(zeta)", "-N", "200")
+    units, out = units_of(capsys, monkeypatch, *argv)
+    monkeypatch.setattr(dirseries.cli, "WORK_CAP", units)
+    assert run_cli(capsys, "series", "-e", "dinv(zeta)", "-N", "2000")[0] == 2
+    assert run_cli(capsys, *argv) == (0, out, "")
+    assert METER.budget is None
+
+
+def test_verify_runs_without_a_budget(capsys, monkeypatch):
+    # VERIFY_CAP bounds verify, and its pool workers are not metered
+    monkeypatch.setattr(dirseries.cli, "WORK_CAP", 1)
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm2", "--jobs", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[-1])["failed"] == 0
 
 
 @pytest.mark.parametrize("depth, code", [(NESTING_CAP, 0), (NESTING_CAP + 1, 2)])
@@ -352,19 +381,55 @@ def test_lagrange_ord_over_the_budget_is_refused_at_once(tmp_path, expr, trunc, 
         path.write_text(f'{{"kind": "ord", "trunc": {trunc}, "coeffs": {{"0": "1", {file_text}}}}}')
     done, seconds = run_child("series", "-e", expr.replace("{path}", str(path)), "-N", trunc)
     assert seconds < 10
-    assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith(f"error: lagrange_ord at N = {trunc} has a predicted cost")
-    assert done.stderr.endswith(f" over the budget of {LAGRANGE_ORD_CAP}\n")
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", BUDGET_ERROR)
 
 
 @pytest.mark.parametrize("beta, top", [(None, 66), (1, 78)])
-def test_lagrange_ord_budget_boundary(monkeypatch, beta, top):
-    # the largest N that README names for 1 + x runs, one more is refused;
+def test_lagrange_ord_budget_boundary(capsys, beta, top):
+    # the largest N that README names for 1 + x runs within the budget;
     # verify's N = 24 and the benchmark's N = 40 lie below both
-    monkeypatch.setattr(dirseries.transforms, "_lagrange", lambda *args: "admitted")
-    assert lagrange_ord(onepx(top), beta) == "admitted"
-    with pytest.raises(ArgumentOutOfRange, match=f"lagrange_ord at N = {top + 1} "):
-        lagrange_ord(onepx(top + 1), beta)
+    expr = f"lagrange_ord(onepx,{'beta' if beta is None else beta})"
+    code, out, err = run_cli(capsys, "series", "-e", expr, "-N", str(top))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["trunc"] == top
+
+
+def decimal(n: int) -> str:
+    """The decimal text of n, past Python's default limit on its length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+K_PAST_THE_BUDGET = decimal(2**100_000 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, file_text",
+    [
+        # 10.6 s and 258 MB before the meter; N = 10000 ran for minutes
+        (["series", "-e", 'lagrange_dir(load("{path}"),beta)', "-N", "2000"],
+         json.dumps({"kind": "dir", "trunc": 2000,
+                     "coeffs": {"1": "1", **{str(k): f"a{k}" for k in range(2, 2001)}}})),
+        # 200k compositions of length 2: the minimum charge per kernel call
+        (["series", "-e", f"dpow_int(zeta,{K_PAST_THE_BUDGET})", "-N", "2"], None),
+        # numbers of 400k bits: the bits of each slice update
+        (["series", "-e", f"dpow_int(zeta,{K_PAST_THE_BUDGET})", "-N", "16"], None),
+        # 20.8 s before the meter: each sum copies the terms it adds to
+        (["bell", "-N", "1000", "-M", "2", "--symbolic"], None),
+    ],
+    ids=["lagrange-dir-symbolic", "dpow-int-length-2", "dpow-int-length-16", "bell-symbolic"],
+)
+def test_work_past_the_budget_is_refused(tmp_path, argv, file_text):
+    path = tmp_path / "a.json"
+    if file_text is not None:
+        path.write_text(file_text)
+    done, seconds = run_child(*(a.replace("{path}", str(path)) for a in argv))
+    assert seconds < 10
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", BUDGET_ERROR)
 
 
 @pytest.mark.parametrize("k", (TWIST_CAP, -TWIST_CAP, TWIST_CAP + 1, -TWIST_CAP - 1))
@@ -378,18 +443,17 @@ def test_twist_cap_boundary(capsys, k):
         assert err == f"error: twist needs |k| <= {TWIST_CAP}, got {k}\n"
 
 
-@pytest.mark.parametrize("k", ("100000000000000000000", "1" + "0" * 300, "-33554432"))
+@pytest.mark.parametrize("k", ("100000000000000000000", "1" + "0" * 300))
 def test_dpow_int_exponent_over_the_cap_is_refused_at_once(k):
-    # uncapped, dpow_int(zeta,10^20) took 6 s at N = 10000 and 10^300
+    # unmetered, dpow_int(zeta,10^20) took 6 s at N = 10000 and 10^300
     # had not finished after 300 s
     done, seconds = run_child("series", "-e", f"dpow_int(zeta,{k})", "-N", "10000")
     assert seconds < 10
-    assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == f"error: dpow_int needs |k| < 2^25 at N = 10000, got {k}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", BUDGET_ERROR)
 
 
 @pytest.mark.parametrize(
-    "lead, k, limit",
+    "lead, k, old_refusal",
     [
         ("1", 2**25 - 1, None),
         ("-1", -(2**25) + 1, None),
@@ -404,22 +468,19 @@ def test_dpow_int_exponent_over_the_cap_is_refused_at_once(k):
         ("0", 26, "|k| <= 25 at N = 10000 with 0 at index 1"),
     ],
 )
-def test_dpow_int_cap_boundary(tmp_path, capsys, lead, k, limit):
-    # the lead times x: its powers are cheap, so the cap alone decides
+def test_dpow_int_cap_boundary(tmp_path, capsys, lead, k, old_refusal):
+    # the lead times x: its powers are cheap, so every k runs, also those
+    # that the growth cap, which the work meter replaced, refused with
+    # "dpow_int needs <old_refusal>"; the exponent itself has no cap
     path = tmp_path / "lead.json"
     path.write_text(json.dumps({"kind": "dir", "trunc": 10000, "coeffs": {"1": lead}}))
     argv = ["coeff", "-e", f'dpow_int(load("{path}"),{k})', "-n"]
     code, out, err = run_cli(capsys, *argv, "10000")
-    if limit is None:
-        assert (code, out.strip(), err) == (0, "0", "")
-        code, out, err = run_cli(capsys, *argv, "1")
-        base = parse_polynomial(lead)
-        want = base**k if k > 0 else Polynomial.const(1 / base.constant_value() ** -k)
-        assert parse_polynomial(out.strip()) == want
-    else:
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: dpow_int needs {limit}")
-        assert err.endswith(f", got {k}\n")
+    assert (code, out.strip(), err) == (0, "0", "")
+    code, out, err = run_cli(capsys, *argv, "1")
+    base = parse_polynomial(lead)
+    want = base**k if k > 0 else Polynomial.const(1 / base.constant_value() ** -k)
+    assert parse_polynomial(out.strip()) == want
 
 
 @pytest.mark.parametrize(

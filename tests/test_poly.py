@@ -6,10 +6,11 @@ from math import comb
 
 import pytest
 
-from dirseries.errors import MissingSymbol, NotDivisible, PolynomialSyntaxError
+from dirseries.errors import ArgumentOutOfRange, MissingSymbol, NotDivisible, PolynomialSyntaxError
 from dirseries.intfactor import factorize
 from dirseries.poly import (
     BETA,
+    METER,
     PHI,
     POWER_CAP,
     PSI,
@@ -217,8 +218,6 @@ def test_number_past_the_digit_limit_is_a_syntax_error(text, offset):
         ("2^99999999", 2),
         ("(1+phi+beta)^100000", 13),
         ("phi^10001", 4),
-        ("(1+phi)^100", 8),
-        ("(1+phi+beta)^27", 13),
         ("2 ^ 99999", 4),
         ("phi*beta^" + "9" * 400, 9),
     ],
@@ -241,6 +240,72 @@ def test_powers_up_to_the_cap_parse():
     assert parse_polynomial("(1+phi)^99") == (phi + 1) ** 99
     assert parse_polynomial("(1+phi+beta)^26") == (phi + beta + 1) ** 26
     assert parse_polynomial(f"0^{POWER_CAP}") == Polynomial.zero()
+
+
+@pytest.mark.parametrize(
+    "text, base, exponent",
+    [("(1+phi)^100", phi + 1, 100), ("(1+phi+beta)^27", phi + beta + 1, 27)],
+    ids=["(1+phi)^100", "(1+phi+beta)^27"],
+)
+def test_power_of_a_sum_parses_without_a_budget(text, base, exponent):
+    # only the exponent is capped; the work of the expansion is metered, and
+    # a library call runs without a budget
+    assert parse_polynomial(text) == base**exponent
+
+
+def _metered_units(step) -> int:
+    """The units ``step()`` charges under a budget it cannot reach."""
+    METER.reset(10**18)
+    try:
+        step()
+        return METER.spent
+    finally:
+        METER.reset()
+
+
+@pytest.mark.parametrize(
+    "step",
+    [lambda: (phi + beta) * (phi - 1), lambda: (phi + beta) * 3, lambda: phi + beta,
+     lambda: (phi * 7**400 + beta).to_text()],
+    ids=["product", "scalar-product", "sum", "text"],
+)
+def test_each_polynomial_step_charges_the_meter(step):
+    # the charge comes before the step: a budget one unit short refuses it
+    units = _metered_units(step)
+    assert units > 0
+    try:
+        METER.reset(units)
+        step()
+        METER.reset(units - 1)
+        with pytest.raises(ArgumentOutOfRange, match=f"budget of {units - 1} units"):
+            step()
+    finally:
+        METER.reset()
+
+
+def test_steps_skip_the_meter_without_a_budget():
+    # library calls and verify pay nothing for the meter
+    METER.reset()
+    assert ((phi + beta) * (phi - 1) * 3 + phi * 7**400).to_text()
+    assert METER.spent == 0
+
+
+def _sum_of_terms(count: int) -> Polynomial:
+    terms = {((coeff_symbol(k), 1), (PHI, k % 7 + 1)): k % 11 - 5 or 1 for k in range(1, count + 1)}
+    return _wrap(terms)
+
+
+def test_parsing_is_linear_in_the_terms():
+    # a sum is read into one term dict; adding term by term copied about
+    # t^2/2 terms for t terms
+    small, large = (_sum_of_terms(t).to_text() for t in (4000, 8000))
+    units = [_metered_units(lambda: parse_polynomial(text)) for text in (small, large)]
+    assert units[1] <= 2.5 * units[0]
+
+
+def test_long_sum_round_trips():
+    poly = _sum_of_terms(32000)
+    assert parse_polynomial(poly.to_text()) == poly
 
 
 def test_integral_coefficients_are_stored_as_int():

@@ -20,8 +20,13 @@ from dirseries.errors import (
 from dirseries.intfactor import divisors, factorize, mobius_upto, s_max
 from dirseries.poly import (
     BETA,
+    CALL_UNITS,
+    INDEX_UNITS,
+    METER,
+    ONE,
     PHI,
     PSI,
+    ZERO,
     Polynomial,
     binom_poly,
     constant_values,
@@ -34,6 +39,9 @@ from dirseries.series import (
     DirSeries,
     TWIST_CAP,
     OrdSeries,
+    _apply_series_scaled,
+    _convolve,
+    _inverse_recurrence,
     _scaled_integers,
     dir_apply_series,
     dir_exp_param,
@@ -328,6 +336,66 @@ def test_dir_pow_binomial_support():
     expected = {1: 1, 2: 3, 4: 3, 8: 1}
     for n in range(1, 17):
         assert p3[n] == Polynomial.const(expected.get(n, 0))
+
+
+@pytest.mark.parametrize(
+    "kernel, trunc",
+    [(lambda: _convolve([1, 2, 3], [4, 5, 6], 3), 3),
+     (lambda: _inverse_recurrence([1, 2, 3], 1, 0), 3),
+     (lambda: _convolve([ONE, ONE], [ONE, ONE], 2, ZERO), 2),
+     (lambda: ord_mul(ord_one(2), ord_one(2)), 3)],
+    ids=["convolve", "inverse", "convolve-polynomial", "cauchy"],
+)
+def test_each_kernel_call_charges_its_minimum_first(kernel, trunc):
+    try:
+        METER.reset(CALL_UNITS + INDEX_UNITS * trunc - 1)
+        with pytest.raises(ArgumentOutOfRange, match="work passed the budget"):
+            kernel()
+    finally:
+        METER.reset()
+
+
+@pytest.mark.parametrize(
+    "kernel, trunc",
+    [(lambda: _convolve([1, 2, 3], [4, 5, 6], 3), 3),
+     (lambda: _inverse_recurrence([1, 2, 3], 1, 0), 3)],
+    ids=["convolve", "inverse"],
+)
+def test_int_kernels_charge_each_slice_update(kernel, trunc):
+    # a budget of exactly the call's minimum refuses the first slice update
+    try:
+        METER.reset(CALL_UNITS + INDEX_UNITS * trunc)
+        with pytest.raises(ArgumentOutOfRange, match="work passed the budget"):
+            kernel()
+    finally:
+        METER.reset()
+
+
+def test_scaled_ladder_charges_each_row():
+    # top = 1 makes no composition, so the row of f_1 is the first charge
+    f = ord_from_fn(1, lambda m: m)
+    try:
+        METER.reset(0)
+        with pytest.raises(ArgumentOutOfRange, match="work passed the budget"):
+            _apply_series_scaled(f, [0, 1, 2], 1, 1)
+    finally:
+        METER.reset()
+
+
+def test_dir_pow_int_has_no_budget_as_a_library_call(monkeypatch):
+    # a library call runs without a budget at any k; the compositions are
+    # stubbed, and binary powering makes about two per binary digit of k
+    calls = []
+
+    def stub(a, b):
+        calls.append(a.trunc)
+        return a
+
+    monkeypatch.setattr(dirseries.series, "dir_mul", stub)
+    k = 2**100_000 - 1
+    assert METER.budget is None
+    assert dir_pow_int(dir_from_fn(16, lambda n: 1), k).trunc == 16
+    assert len(calls) == 2 * k.bit_length() - 2
 
 
 def test_dir_pow_int_composes_log_k_times(monkeypatch):
