@@ -115,14 +115,11 @@ def _term_key(mono: Monomial) -> tuple:
 
 # -- work meter --------------------------------------------------------------
 #
-# While the CLI gives a command a budget, every step of the arithmetic
-# charges ``METER`` before it runs, from the sizes of its operands:
-# ``Polynomial`` products, sums and long text here, and the calls and slice
-# updates of the kernels in ``series``.  The weights below count the terms a
-# step touches, the symbols of their monomials and the bits of their
-# numbers, plus a fixed charge per call, so that a unit is about 20 ns of
-# work on a 2-core x86-64 with Python 3.11.  Without a budget (library
-# calls, ``verify``) the steps skip the meter and pay nothing for it.
+# Under a budget, each step charges ``METER`` before it runs, from the
+# terms, symbols and bits of all its operands: ``Polynomial`` products, sums
+# and long text here, and the kernel calls and slice updates of ``series``.
+# A unit is about 20 ns on a 2-core x86-64 with Python 3.11.  Without a
+# budget (library calls, ``verify``) the steps skip the meter.
 
 CALL_UNITS = 1500  # one call of a series kernel ...
 INDEX_UNITS = 150  # ... and each index of its output, scaled and wrapped
@@ -134,7 +131,8 @@ _TERM_UNITS = 100  # ... and each product of two terms ...
 _MONO_UNITS = 30  # ... plus this per symbol of the two monomials
 _FRACTION_UNITS = 150  # one product or sum of two small ``Fraction``s
 _ADD_CALL = 150  # one ``Polynomial`` sum ...
-_COPY_UNITS = 8  # ... and each term it copies; a term it adds in costs a product
+_COPY_UNITS = 8  # ... and each term it copies; a term it adds in costs a product ...
+_ADD_BITS = 300  # ... plus a unit per this many bits of its number
 _SHORT_TEXT = 300  # a term written as text costs little up to this length ...
 _TEXT_DIGITS = 1000  # ... and past it a unit per this many squared characters
 
@@ -166,27 +164,60 @@ _charge = METER.charge  # bound once: the hot paths below call it
 def int_units(count: int, bits: int, other_bits: int) -> int:
     """Units of ``count`` products, each added up, of one integer of
     ``bits`` bits with integers of ``other_bits`` bits in all."""
-    if bits > _LONG_BITS:  # CPython multiplies long integers by Karatsuba
-        bits = isqrt(_LONG_BITS * bits)
-    return count * _INT_UNITS + bits * other_bits // _BIT_PAIRS
+    return count * _INT_UNITS + _factor_bits(bits) * other_bits // _BIT_PAIRS
 
 
-def _scalar_units(c1: Scalar, c2: Scalar) -> int:
-    """Units of one product of two coefficients, added up; a ``Fraction``
-    costs gcds on top of the products of its numbers."""
-    ints = type(c1) is int and type(c2) is int
-    if ints and c1.bit_length() + c2.bit_length() <= _LONG_BITS:  # as fast as the smallest
-        return _INT_UNITS
-    (n1, d1), (n2, d2) = c1.as_integer_ratio(), c2.as_integer_ratio()
-    b1, b2 = n1.bit_length() + d1.bit_length(), n2.bit_length() + d2.bit_length()
-    units = int_units(1, min(b1, b2), max(b1, b2))
-    return units if ints else 2 * (_FRACTION_UNITS + units)
+def _factor_bits(bits: int) -> int:
+    """The bits of a factor as its products cost: Karatsuba past ``_LONG_BITS``."""
+    return bits if bits <= _LONG_BITS else isqrt(_LONG_BITS * bits)
+
+
+def _sizes(p: Polynomial) -> tuple[int, int, int, int, int]:
+    """Of the terms of ``p``, counted once: their number and symbols, and
+    their ``Fraction``s, bits and ``_factor_bits``."""
+    if p._sizes is not None:
+        return p._sizes
+    terms = p._terms
+    if len(terms) == 1:  # the most common operand: no passes over the terms
+        ((mono, c),) = terms.items()
+        p._sizes = sizes = _term_sizes(c, len(mono))
+        return sizes
+    values = terms.values()
+    fractions = len(values) - list(map(type, values)).count(int)
+    if fractions:
+        bits = [c.numerator.bit_length() + c.denominator.bit_length() for c in values]
+    else:
+        bits = list(map(int.bit_length, values))
+    total = factor_total = sum(bits)
+    if total > _LONG_BITS and max(bits) > _LONG_BITS:
+        factor_total = sum(map(_factor_bits, bits))
+    p._sizes = sizes = (len(terms), sum(map(len, terms)), fractions, total, factor_total)
+    return sizes
+
+
+def _term_sizes(c: Scalar, symbols: int = 0) -> tuple[int, int, int, int, int]:
+    """``_sizes`` of one term with coefficient ``c``."""
+    fraction = type(c) is not int
+    b = c.numerator.bit_length() + c.denominator.bit_length() if fraction else c.bit_length()
+    return 1, symbols, fraction, b, _factor_bits(b)
+
+
+def _products_units(sizes1: tuple, sizes2: tuple) -> int:
+    """Units of the coefficient products of two polynomials, from their
+    ``_sizes``.  Numbers of b <= c bits cost k(b) * c pairs of bits, k =
+    ``_factor_bits``: half of k(b) * c + b * k(c) at b = c, and more
+    otherwise; that half sums over all pairs to (k1 * b2 + b1 * k2) / 2."""
+    (t1, _, f1, b1, k1), (t2, _, f2, b2, k2) = sizes1, sizes2
+    pairs = t1 * t2
+    fraction_pairs = pairs - (t1 - f1) * (t2 - f2)
+    bit_pairs = (k1 * b2 + b1 * k2) // 2
+    return pairs * _INT_UNITS + fraction_pairs * 2 * _FRACTION_UNITS + bit_pairs // _BIT_PAIRS
 
 
 class Polynomial:
     """Immutable sparse polynomial; supports +, -, *, ** and exact helpers."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_sizes")  # ``_sizes`` once the meter has asked
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Scalar] = {}
@@ -196,6 +227,7 @@ class Polynomial:
                 if c:
                     clean[mono] = c
         self._terms = clean
+        self._sizes = None
 
     # -- constructors -------------------------------------------------
 
@@ -251,11 +283,12 @@ class Polynomial:
         other = as_poly(other)
         count = len(other._terms)
         if count and METER.budget is not None:
-            # adding in a ``Fraction`` costs ten times an ``int``; one term is
-            # charged as an ``int``, cheaper than looking at its type
-            ints = count == 1 or type(next(iter(other._terms.values()))) is int
-            merge = _INT_UNITS if ints else _FRACTION_UNITS
-            _charge(_ADD_CALL + _COPY_UNITS * len(self._terms) + merge * count)
+            try:  # integers only, the common case: cheaper than ``_sizes``
+                merge = sum(map(int.bit_length, other._terms.values())) // _ADD_BITS
+            except TypeError:
+                _, _, fractions, bits, _ = _sizes(other)
+                merge = _FRACTION_UNITS * fractions + bits // _ADD_BITS
+            _charge(_ADD_CALL + _COPY_UNITS * len(self._terms) + _INT_UNITS * count + merge)
         if not self._terms:
             return other
         if not other._terms:
@@ -296,8 +329,7 @@ class Polynomial:
             if c == 1:
                 return self
             if self._terms and METER.budget is not None:
-                first = next(iter(self._terms.values()))
-                _charge(_MUL_CALL + len(self._terms) * _scalar_units(first, c))
+                _charge(_MUL_CALL + _products_units(_sizes(self), _term_sizes(c)))
             return _wrap({m: v * c for m, v in self._terms.items()})
         if not self._terms or not other._terms:
             return _ZERO
@@ -307,9 +339,9 @@ class Polynomial:
         if self.is_constant():
             return other * self._terms[_UNIT_MONO]
         if METER.budget is not None:
-            (ma, ca), (mb, cb) = next(iter(self._terms.items())), next(iter(other._terms.items()))
-            per_term = _TERM_UNITS + _MONO_UNITS * (len(ma) + len(mb)) + _scalar_units(ca, cb)
-            _charge(_MUL_CALL + len(self._terms) * len(other._terms) * per_term)
+            s1, s2 = _sizes(self), _sizes(other)
+            terms = _TERM_UNITS * s1[0] * s2[0] + _MONO_UNITS * (s2[0] * s1[1] + s1[0] * s2[1])
+            _charge(_MUL_CALL + terms + _products_units(s1, s2))
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -447,6 +479,7 @@ def _charged_text(text: str) -> str:
 def _wrap(terms: dict[Monomial, Scalar]) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p._terms = terms
+    p._sizes = None
     return p
 
 

@@ -220,7 +220,7 @@ def _convolve(xs: Sequence, ys: Sequence, trunc: int, zero=0) -> list:
     ``Polynomial`` otherwise.  A slice update per nonzero x_d adds
     x_d * y_q at every index d*q, charging the meter as ``_charge_call``
     says."""
-    ybits = _charge_call(ys[:trunc], zero)
+    ybits = _charge_call(ys, trunc, zero)
     acc = [zero] * trunc
     for d in range(1, trunc + 1):
         x = xs[d - 1]
@@ -232,17 +232,16 @@ def _convolve(xs: Sequence, ys: Sequence, trunc: int, zero=0) -> list:
     return acc
 
 
-def _charge_call(values: Sequence, zero) -> list[int]:
-    """Charge the meter the minimum of a kernel call over ``values``, and
-    return the running sums of their bit lengths, from which the kernel
-    charges each slice update of ``int`` values.  Empty without a budget,
-    and for ``Polynomial`` values, whose arithmetic charges itself."""
+def _charge_call(values: Sequence, trunc: int, zero) -> list[int]:
+    """Charge the minimum of a kernel call with ``trunc`` indices; return
+    the running bit lengths of ``int`` ``values``, which price its slice
+    updates (empty without a budget or for ``Polynomial``s)."""
     if METER.budget is None:
         return []
-    METER.charge(CALL_UNITS + INDEX_UNITS * len(values))
+    METER.charge(CALL_UNITS + INDEX_UNITS * trunc)
     if type(zero) is not int:
         return []
-    return list(accumulate(map(int.bit_length, values)))
+    return list(accumulate(map(int.bit_length, values[:trunc])))
 
 
 def _scaled_integers(coeffs: Sequence[Polynomial]) -> tuple[list[int], int] | None:
@@ -288,7 +287,7 @@ def _inverse_recurrence(a: Sequence, inv_lead, zero) -> list:
     is added forward into the accumulator at index d*n for every d >= 2.
     The meter is charged as in ``_convolve``."""
     trunc = len(a)
-    abits = _charge_call(a, zero)
+    abits = _charge_call(a, trunc, zero)
     acc = [zero] * trunc
     out = []
     for n in range(1, trunc + 1):
@@ -505,7 +504,7 @@ def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
     ``_convolve``."""
     n = min(a.trunc, b.trunc)
     out = [ZERO] * (n + 1)
-    _charge_call(out, ZERO)
+    _charge_call(out, n + 1, ZERO)
     for i, ai in enumerate(a.coeffs[: n + 1]):
         if ai:
             out[i:] = map(add, out[i:], map(ai.__mul__, b.coeffs[: n + 1 - i]))

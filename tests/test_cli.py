@@ -25,8 +25,6 @@ from dirseries.poly import (
 from dirseries.series import TWIST_CAP
 from dirseries.verify import SUITES
 
-BUDGET_ERROR = f"error: the work passed the budget of {WORK_CAP} units\n"
-
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -48,6 +46,18 @@ def units_of(capsys, monkeypatch, *argv):
     monkeypatch.setattr(WorkMeter, "reset", reset)
     assert (code, err) == (0, "")
     return spent[-1], out
+
+
+# a twentieth of the budget: a refused command stops within a second, and
+# test_work_past_the_budget_is_refused_in_time runs the real budget
+LOW_CAP = WORK_CAP // 20
+
+
+def refused_below_the_cap(capsys, monkeypatch, *argv):
+    """Check that a command is refused in process at ``LOW_CAP``."""
+    monkeypatch.setattr(dirseries.cli, "WORK_CAP", LOW_CAP)
+    refused = f"error: the work passed the budget of {LOW_CAP} units\n"
+    assert run_cli(capsys, *argv) == (2, "", refused)
 
 
 def test_coeff_eps_power(capsys):
@@ -375,13 +385,14 @@ def test_twist_exponent_over_the_cap_is_refused_at_once():
          ", ".join(f'"{k}": "a{k} + phi*beta + 3/7"' for k in range(1, 14))),
     ],
 )
-def test_lagrange_ord_over_the_budget_is_refused_at_once(tmp_path, expr, trunc, file_text):
+def test_lagrange_ord_over_the_budget_is_refused_at_once(
+    tmp_path, capsys, monkeypatch, expr, trunc, file_text
+):
     path = tmp_path / "a.json"
     if file_text:
         path.write_text(f'{{"kind": "ord", "trunc": {trunc}, "coeffs": {{"0": "1", {file_text}}}}}')
-    done, seconds = run_child("series", "-e", expr.replace("{path}", str(path)), "-N", trunc)
-    assert seconds < 10
-    assert (done.returncode, done.stdout, done.stderr) == (2, "", BUDGET_ERROR)
+    expr = expr.replace("{path}", str(path))
+    refused_below_the_cap(capsys, monkeypatch, "series", "-e", expr, "-N", trunc)
 
 
 @pytest.mark.parametrize("beta, top", [(None, 66), (1, 78)])
@@ -406,14 +417,18 @@ def decimal(n: int) -> str:
 
 K_PAST_THE_BUDGET = decimal(2**100_000 - 1)
 
+# a composition series file with 1 at index 1 and a<k> at every k >= 2
+SYMBOLIC_2000 = {
+    "kind": "dir", "trunc": 2000, "coeffs": {"1": "1", **{str(k): f"a{k}" for k in range(2, 2001)}}
+}
+
 
 @pytest.mark.parametrize(
-    "argv, file_text",
+    "argv, file",
     [
-        # 10.6 s and 258 MB before the meter; N = 10000 ran for minutes
-        (["series", "-e", 'lagrange_dir(load("{path}"),beta)', "-N", "2000"],
-         json.dumps({"kind": "dir", "trunc": 2000,
-                     "coeffs": {"1": "1", **{str(k): f"a{k}" for k in range(2, 2001)}}})),
+        # N = 10000 ran for minutes before the meter
+        (["series", "-e", 'lagrange_dir(load("{path}"),beta)', "-N", "2000"], SYMBOLIC_2000),
+        (["series", "-e", 'dpow_param(load("{path}"))', "-N", "2000"], SYMBOLIC_2000),
         # 200k compositions of length 2: the minimum charge per kernel call
         (["series", "-e", f"dpow_int(zeta,{K_PAST_THE_BUDGET})", "-N", "2"], None),
         # numbers of 400k bits: the bits of each slice update
@@ -421,15 +436,37 @@ K_PAST_THE_BUDGET = decimal(2**100_000 - 1)
         # 20.8 s before the meter: each sum copies the terms it adds to
         (["bell", "-N", "1000", "-M", "2", "--symbolic"], None),
     ],
-    ids=["lagrange-dir-symbolic", "dpow-int-length-2", "dpow-int-length-16", "bell-symbolic"],
+    ids=["lagrange-dir-symbolic", "dpow-param-symbolic", "dpow-int-length-2",
+         "dpow-int-length-16", "bell-symbolic"],
 )
-def test_work_past_the_budget_is_refused(tmp_path, argv, file_text):
+def test_work_past_the_budget_is_refused(tmp_path, capsys, monkeypatch, argv, file):
     path = tmp_path / "a.json"
-    if file_text is not None:
-        path.write_text(file_text)
-    done, seconds = run_child(*(a.replace("{path}", str(path)) for a in argv))
+    path.write_text(json.dumps(file))
+    refused_below_the_cap(capsys, monkeypatch, *(a.replace("{path}", str(path)) for a in argv))
+
+
+@pytest.mark.parametrize(
+    "expr, trunc, file, where",
+    [
+        # 10.6 s and 258 MB before the meter
+        ('lagrange_dir(load("{path}"),beta)', 2000, SYMBOLIC_2000, ""),
+        # the first term of 1 + C*phi is 1, and its squares grow numbers of up
+        # to 10^8 digits; the expansion clause of the exponent refused it
+        ('dinv(load("{path}"))', 3,
+         {"kind": "dir", "trunc": 3, "coeffs": {"1": "1", "2": f"(1+{'7' * 100_000}*phi)^1000"}},
+         "{path}: "),
+    ],
+    ids=["lagrange-dir-symbolic", "loaded-power-of-a-long-number"],
+)
+def test_work_past_the_budget_is_refused_in_time(tmp_path, expr, trunc, file, where):
+    # at the real budget, in a child process that bounds the test's time
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(file))
+    expr, where = (text.replace("{path}", str(path)) for text in (expr, where))
+    done, seconds = run_child("series", "-e", expr, "-N", str(trunc))
     assert seconds < 10
-    assert (done.returncode, done.stdout, done.stderr) == (2, "", BUDGET_ERROR)
+    error = f"error: {where}the work passed the budget of {WORK_CAP} units\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
 
 
 @pytest.mark.parametrize("k", (TWIST_CAP, -TWIST_CAP, TWIST_CAP + 1, -TWIST_CAP - 1))
@@ -444,12 +481,10 @@ def test_twist_cap_boundary(capsys, k):
 
 
 @pytest.mark.parametrize("k", ("100000000000000000000", "1" + "0" * 300))
-def test_dpow_int_exponent_over_the_cap_is_refused_at_once(k):
+def test_dpow_int_exponent_over_the_cap_is_refused_at_once(capsys, monkeypatch, k):
     # unmetered, dpow_int(zeta,10^20) took 6 s at N = 10000 and 10^300
     # had not finished after 300 s
-    done, seconds = run_child("series", "-e", f"dpow_int(zeta,{k})", "-N", "10000")
-    assert seconds < 10
-    assert (done.returncode, done.stdout, done.stderr) == (2, "", BUDGET_ERROR)
+    refused_below_the_cap(capsys, monkeypatch, "series", "-e", f"dpow_int(zeta,{k})", "-N", "10000")
 
 
 @pytest.mark.parametrize(

@@ -290,6 +290,20 @@ def test_steps_skip_the_meter_without_a_budget():
     assert METER.spent == 0
 
 
+def test_steps_charge_every_coefficient_not_the_first():
+    # 1 + C*phi begins with the small constant 1, and the long C is charged
+    # all the same: in products, in products by a scalar and in sums
+    one = Polynomial.one()
+    big, small, c = one + 7**40000 * phi, one + phi, 7**40000
+    assert _metered_units(lambda: big * big) > 100 * _metered_units(lambda: small * small)
+    assert _metered_units(lambda: big * c) > 100 * _metered_units(lambda: small * c)
+    assert _metered_units(lambda: phi + big) > _metered_units(lambda: phi + small)
+    # a Fraction after an int is charged as a Fraction
+    third, two = one + Fraction(1, 3) * beta, one + 2 * beta
+    assert _metered_units(lambda: phi + third) > _metered_units(lambda: phi + two)
+    assert _metered_units(lambda: phi * third) > _metered_units(lambda: phi * two)
+
+
 def _sum_of_terms(count: int) -> Polynomial:
     terms = {((coeff_symbol(k), 1), (PHI, k % 7 + 1)): k % 11 - 5 or 1 for k in range(1, count + 1)}
     return _wrap(terms)
