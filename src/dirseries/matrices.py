@@ -38,7 +38,7 @@ from .errors import (
     SingularDiagonal,
 )
 from .intfactor import s_max
-from .poly import ONE, PSI, ZERO, Polynomial, Symbol, log_n_poly
+from .poly import ONE, PSI, ZERO, Polynomial, Symbol, log_n_poly, sum_of_products
 from .series import (
     DirSeries,
     OrdSeries,
@@ -187,13 +187,11 @@ def matmul(left: DirMatrix, right: DirMatrix) -> DirMatrix:
     by_row: dict[int, list[tuple[int, Polynomial]]] = {}
     for (j, k), v in right.entries.items():
         by_row.setdefault(j, []).append((k, v))
-    out: dict[tuple[int, int], Polynomial] = {}
+    pairs: dict[tuple[int, int], list] = {}
     for (n, j), v in left.entries.items():
         for k, w in by_row.get(j, ()):
-            key = (n, k)
-            acc = out.get(key)
-            prod = v * w
-            out[key] = prod if acc is None else acc + prod
+            pairs.setdefault((n, k), []).append((v, w))
+    out = {key: sum_of_products(p) for key, p in pairs.items()}
     return DirMatrix(
         "product", left.row_lo, left.row_hi, right.col_lo, right.col_hi, _clean(out)
     )
@@ -203,14 +201,12 @@ def apply_to_series(m: DirMatrix, b: DirSeries) -> DirSeries:
     """Matrix-vector product over indices 1..N."""
     if (m.col_lo, m.col_hi) != (1, b.trunc):
         raise ShapeMismatch(f"matrix columns {m.col_lo}..{m.col_hi} vs series 1..{b.trunc}")
-    out = [ZERO] * (m.row_hi - m.row_lo + 1)
-    for (n, k), v in m.entries.items():
-        bk = b[k]
-        if not bk.is_zero():
-            out[n - m.row_lo] = out[n - m.row_lo] + v * bk
     if m.row_lo != 1:
         raise ShapeMismatch("matrix rows must start at 1 to produce a series")
-    return DirSeries(m.row_hi, tuple(out))
+    pairs: list[list] = [[] for _ in range(m.row_hi)]
+    for (n, k), v in m.entries.items():
+        pairs[n - 1].append((v, b[k]))
+    return DirSeries(m.row_hi, tuple(map(sum_of_products, pairs)))
 
 
 def rd_action(a: DirSeries, b: DirSeries) -> DirSeries:
@@ -219,17 +215,15 @@ def rd_action(a: DirSeries, b: DirSeries) -> DirSeries:
     require_lead(a, 1, "rd_action")
     size = min(a.trunc, b.trunc)
     power = dir_pow_param(a.truncated(size))
-    out = [ZERO] * size
+    pairs: list[list] = [[] for _ in range(size)]
     for d in range(1, size + 1):
         bd = b[d]
         if bd.is_zero():
             continue
         spec = series_substitute_symbol(power.truncated(size // d), PSI, log_n_poly(d))
-        for j in range(1, size // d + 1):
-            v = spec[j]
-            if not v.is_zero():
-                out[j * d - 1] = out[j * d - 1] + bd * v
-    return DirSeries(size, tuple(out))
+        for at, v in zip(pairs[d - 1 :: d], spec.coeffs):
+            at.append((bd, v))
+    return DirSeries(size, tuple(map(sum_of_products, pairs)))
 
 
 def rd_multiply(
@@ -261,15 +255,12 @@ def rd_inverse(m: DirMatrix) -> DirMatrix:
     for k in range(1, size + 1):
         out[(k, k)] = Polynomial.const(1 / diag[k])
         for n in range(2 * k, size + 1, k):
-            acc = ZERO
-            for j in range(k, n, k):  # j runs over k | j | n, j < n
-                if n % j == 0:
-                    v = m.entries.get((n, j))
-                    w = out.get((j, k))
-                    if v is not None and w is not None:
-                        acc = acc + v * w
-            if not acc.is_zero():
-                out[(n, k)] = acc * (Fraction(-1) / diag[n])
+            acc = sum_of_products(  # j runs over k | j | n, j < n
+                (m.entries.get((n, j), ZERO), out.get((j, k), ZERO))
+                for j in range(k, n, k)
+                if n % j == 0
+            )
+            out[(n, k)] = acc * (Fraction(-1) / diag[n])
     return DirMatrix("inverse", 1, size, 1, size, _clean(out))
 
 
@@ -289,9 +280,6 @@ def exp_conjugate(m: DirMatrix) -> DirMatrix:
 def row_polynomial(m: DirMatrix, n: int, sym: Symbol) -> Polynomial:
     """Row n contracted against powers of a symbol: sum entry(n,k)*sym^k."""
     s = Polynomial.symbol(sym)
-    out = ZERO
-    for k in range(m.col_lo, m.col_hi + 1):
-        v = m.entries.get((n, k))
-        if v is not None:
-            out = out + v * s**k
-    return out
+    return sum_of_products(
+        (v, s**k) for k in range(m.col_lo, m.col_hi + 1) if (v := m.entries.get((n, k)))
+    )

@@ -116,25 +116,23 @@ def _term_key(mono: Monomial) -> tuple:
 # -- work meter --------------------------------------------------------------
 #
 # Under a budget, each step charges ``METER`` before it runs, from the
-# terms, symbols and bits of all its operands: ``Polynomial`` products, sums
-# and long text here, and the kernel calls and slice updates of ``series``.
-# A unit is about 20 ns on a 2-core x86-64 with Python 3.11.  Without a
-# budget (library calls, ``verify``) the steps skip the meter.
+# terms, symbols and bits of all its operands: each product added in by
+# ``_add_product``, each product by a scalar and each long number converted
+# to or from text here, and the kernel calls and slice updates of
+# ``series``.  A unit is about 20 ns on a 2-core x86-64 with Python 3.11.
+# Without a budget (library calls, ``verify``) the steps skip the meter.
 
 CALL_UNITS = 1500  # one call of a series kernel ...
 INDEX_UNITS = 150  # ... and each index of its output, scaled and wrapped
 _INT_UNITS = 15  # one product of two small integers, added up ...
 _BIT_PAIRS = 3600  # ... plus a unit per this many pairs of their bits
 _LONG_BITS = 600  # past this many bits a product costs about bits ** 1.5
-_MUL_CALL = 250  # one ``Polynomial`` product ...
-_TERM_UNITS = 100  # ... and each product of two terms ...
-_MONO_UNITS = 30  # ... plus this per symbol of the two monomials
+_MUL_CALL = 100  # one ``Polynomial`` product added in, or by a scalar ...
+_TERM_UNITS = 100  # ... and each product of two monomials ...
+_MONO_UNITS = 30  # ... plus this per symbol of the two
 _FRACTION_UNITS = 150  # one product or sum of two small ``Fraction``s
-_ADD_CALL = 150  # one ``Polynomial`` sum ...
-_COPY_UNITS = 8  # ... and each term it copies; a term it adds in costs a product ...
-_ADD_BITS = 300  # ... plus a unit per this many bits of its number
-_SHORT_TEXT = 300  # a term written as text costs little up to this length ...
-_TEXT_DIGITS = 1000  # ... and past it a unit per this many squared characters
+_SHORT_TEXT = 300  # a number costs little to convert up to this many digits ...
+_TEXT_DIGITS = 1000  # ... and past it a unit per this many squared digits
 
 
 class WorkMeter:
@@ -203,15 +201,64 @@ def _term_sizes(c: Scalar, symbols: int = 0) -> tuple[int, int, int, int, int]:
 
 
 def _products_units(sizes1: tuple, sizes2: tuple) -> int:
-    """Units of the coefficient products of two polynomials, from their
-    ``_sizes``.  Numbers of b <= c bits cost k(b) * c pairs of bits, k =
-    ``_factor_bits``: half of k(b) * c + b * k(c) at b = c, and more
-    otherwise; that half sums over all pairs to (k1 * b2 + b1 * k2) / 2."""
-    (t1, _, f1, b1, k1), (t2, _, f2, b2, k2) = sizes1, sizes2
+    """Units of the product of two polynomials, added up, from their
+    ``_sizes``.  Monomials are merged only when both carry symbols, and a
+    pair with a ``Fraction`` costs a product and a sum.  Numbers of b <= c
+    bits cost k(b) * c pairs of bits, k = ``_factor_bits``: half of
+    k(b) * c + b * k(c) at b = c, and more otherwise; that half sums over
+    all pairs to (k1 * b2 + b1 * k2) / 2."""
+    (t1, y1, f1, b1, k1), (t2, y2, f2, b2, k2) = sizes1, sizes2
     pairs = t1 * t2
     fraction_pairs = pairs - (t1 - f1) * (t2 - f2)
     bit_pairs = (k1 * b2 + b1 * k2) // 2
-    return pairs * _INT_UNITS + fraction_pairs * 2 * _FRACTION_UNITS + bit_pairs // _BIT_PAIRS
+    units = _MUL_CALL + pairs * _INT_UNITS + fraction_pairs * 2 * _FRACTION_UNITS
+    if fraction_pairs:  # the gcds of their product and sum grow with its bits squared
+        units += 2 * fraction_pairs * (b1 // t1 + b2 // t2) ** 2 // _BIT_PAIRS
+    if y1 and y2:
+        units += pairs * _TERM_UNITS + _MONO_UNITS * (t2 * y1 + t1 * y2)
+    return units + bit_pairs // _BIT_PAIRS
+
+
+def _add_product(out: dict[Monomial, Scalar], p: Polynomial, q: Polynomial) -> None:
+    """Add p * q into the term dict ``out``, deleting the terms that
+    cancel: the one multiply-accumulate of every product and sum.  The
+    meter is charged once, before any work."""
+    terms1, terms2 = p._terms, q._terms
+    if len(terms1) == 1 and _UNIT_MONO in terms1:  # keep a constant factor second
+        p, q, terms1, terms2 = q, p, terms2, terms1
+    if METER.budget is not None:
+        _charge(_products_units(_sizes(p), _sizes(q)))
+    get = out.get
+    for m2, c2 in terms2.items():  # one pass for a constant factor
+        unit = c2 == 1
+        for m1, c1 in terms1.items():
+            mono = _mono_mul(m1, m2) if m2 else m1
+            c = c1 if unit else c1 * c2
+            acc = get(mono)
+            if acc is None:
+                out[mono] = c
+            else:
+                acc += c
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+
+
+def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of p * q over the pairs (p, q) of polynomials, accumulated
+    in one term dict, so that no partial sum is copied."""
+    out: dict[Monomial, Scalar] = {}
+    for p, q in pairs:
+        _add_product(out, p, q)
+    return _wrap(out)
+
+
+def _charge_digits(digits: int) -> None:
+    """Charge for a long number of ``digits`` decimal digits before it is
+    converted between text and ``int``, in time quadratic in its digits."""
+    if digits > _SHORT_TEXT and METER.budget is not None:
+        _charge(digits * digits // _TEXT_DIGITS)
 
 
 class Polynomial:
@@ -281,29 +328,10 @@ class Polynomial:
         if not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented
         other = as_poly(other)
-        count = len(other._terms)
-        if count and METER.budget is not None:
-            try:  # integers only, the common case: cheaper than ``_sizes``
-                merge = sum(map(int.bit_length, other._terms.values())) // _ADD_BITS
-            except TypeError:
-                _, _, fractions, bits, _ = _sizes(other)
-                merge = _FRACTION_UNITS * fractions + bits // _ADD_BITS
-            _charge(_ADD_CALL + _COPY_UNITS * len(self._terms) + _INT_UNITS * count + merge)
-        if not self._terms:
-            return other
         if not other._terms:
             return self
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
+        out = dict(self._terms)  # unmetered: a C-speed copy of terms charged as made
+        _add_product(out, other, _ONE)
         return _wrap(out)
 
     __radd__ = __add__
@@ -329,7 +357,7 @@ class Polynomial:
             if c == 1:
                 return self
             if self._terms and METER.budget is not None:
-                _charge(_MUL_CALL + _products_units(_sizes(self), _term_sizes(c)))
+                _charge(_products_units(_sizes(self), _term_sizes(c)))
             return _wrap({m: v * c for m, v in self._terms.items()})
         if not self._terms or not other._terms:
             return _ZERO
@@ -338,25 +366,7 @@ class Polynomial:
             return self * other._terms[_UNIT_MONO]
         if self.is_constant():
             return other * self._terms[_UNIT_MONO]
-        if METER.budget is not None:
-            s1, s2 = _sizes(self), _sizes(other)
-            terms = _TERM_UNITS * s1[0] * s2[0] + _MONO_UNITS * (s2[0] * s1[1] + s1[0] * s2[1])
-            _charge(_MUL_CALL + terms + _products_units(s1, s2))
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        del out[mono]
-        return _wrap(out)
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -381,19 +391,17 @@ class Polynomial:
         replacement = as_poly(replacement)
         touched = False
         powers: list[Polynomial] = [_ONE]
-        out = _ZERO
+        out: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
             exps = dict(mono)
             e = exps.pop(sym, 0)
-            if e == 0:
-                out = out + _wrap({mono: coeff})
-                continue
-            touched = True
-            while len(powers) <= e:
-                powers.append(powers[-1] * replacement)
-            rest = _wrap({tuple(sorted(exps.items())): coeff})
-            out = out + rest * powers[e]
-        return out if touched else self
+            if e:
+                touched = True
+                mono = tuple(sorted(exps.items()))
+                while len(powers) <= e:
+                    powers.append(powers[-1] * replacement)
+            _add_product(out, _wrap({mono: coeff}), powers[e])
+        return _wrap(out) if touched else self
 
     def divide_by_symbol(self, sym: Symbol) -> "Polynomial":
         """Exact division by ``sym``; every term must contain it."""
@@ -448,8 +456,11 @@ class Polynomial:
         terms = self._terms
         if not terms:
             return "0"
+        if METER.budget is not None:  # before ``str`` writes a long number
+            for c in terms.values():  # about 3 digits to 10 bits
+                _charge_digits(_term_sizes(c)[3] * 3 // 10)
         if len(terms) == 1 and _UNIT_MONO in terms:
-            return _charged_text(str(terms[_UNIT_MONO]))
+            return str(terms[_UNIT_MONO])
         parts: list[str] = []
         for mono, coeff in sorted(terms.items(), key=lambda kv: _term_key(kv[0])):
             body = "*".join(s if e == 1 else f"{s}^{e}" for s, e in mono)
@@ -460,20 +471,11 @@ class Polynomial:
                 text = body
             else:
                 text = f"{mag}*{body}"
-            text = _charged_text(text)
             if not parts:
                 parts.append(text if coeff > 0 else f"-{text}")
             else:
                 parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
         return " ".join(parts)
-
-
-def _charged_text(text: str) -> str:
-    """The text of a term, once the meter is charged for a long one:
-    CPython writes a number in time quadratic in its digits."""
-    if len(text) > _SHORT_TEXT and METER.budget is not None:
-        _charge(len(text) ** 2 // _TEXT_DIGITS)
-    return text
 
 
 def _wrap(terms: dict[Monomial, Scalar]) -> Polynomial:
@@ -609,6 +611,7 @@ class Scanner:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number", start)
+        _charge_digits(self.pos - start)
         try:
             return int(self.text[start : self.pos])
         except ValueError:  # more digits than ``sys.get_int_max_str_digits``
@@ -651,6 +654,7 @@ def parse_polynomial(text: str) -> Polynomial:
     constant = _RATIONAL_TEXT.fullmatch(text)
     if constant:
         num, den = constant.groups()
+        _charge_digits(len(text))
         try:
             return Polynomial.const(Fraction(int(num), int(den)) if den else int(num))
         except ValueError:
@@ -669,10 +673,9 @@ def _parse_sum(toks: Scanner) -> Polynomial:
         toks.take()
     out: dict[Monomial, Scalar] = {}
     while True:
-        for mono, coeff in _parse_product(toks)._terms.items():
-            out[mono] = out.get(mono, 0) + sign * coeff
+        _add_product(out, _parse_product(toks), Polynomial.const(sign))
         if toks.peek() not in ("+", "-"):
-            return Polynomial(out)
+            return _wrap(out)
         sign = 1 if toks.take() == "+" else -1
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .poly import Polynomial, Symbol
+from .poly import ONE, Polynomial, Symbol, sum_of_products
 from .series import DirSeries, OrdSeries, dir_from_fn, ord_from_fn
 
 
@@ -33,10 +33,10 @@ def random_polynomial(
     max_terms: int = 4,
     max_deg: int = 3,
 ) -> Polynomial:
-    out = Polynomial.zero()
+    terms = []
     for _ in range(rng.randint(0, max_terms)):
         term = Polynomial.const(random_fraction(rng, span=6))
         for s in symbols:
             term = term * Polynomial.symbol(s) ** rng.randint(0, max_deg)
-        out = out + term
-    return out
+        terms.append((term, ONE))
+    return sum_of_products(terms)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import factorial, lcm
 from operator import add, mul
 from typing import Callable, ClassVar, Iterator, Sequence
@@ -76,6 +76,7 @@ from .poly import (
     constant_values,
     int_units,
     log_n_poly,
+    sum_of_products,
 )
 
 Coeff = Polynomial | Scalar
@@ -217,19 +218,24 @@ def dirichlet_convolve(
 def _convolve(xs: Sequence, ys: Sequence, trunc: int, zero=0) -> list:
     """The divisor-indexed convolution of two lists up to ``trunc`` over
     any exact ring whose zero is ``zero``: ``int`` for scaled rationals,
-    ``Polynomial`` otherwise.  A slice update per nonzero x_d adds
-    x_d * y_q at every index d*q, charging the meter as ``_charge_call``
-    says."""
+    ``Polynomial`` otherwise.  Each nonzero x_d adds x_d * y_q at every
+    index d*q: for integers by a slice update, charging the meter as
+    ``_charge_call`` says, for polynomials as a pair of the index's
+    ``sum_of_products``."""
     ybits = _charge_call(ys, trunc, zero)
-    acc = [zero] * trunc
+    ints = type(zero) is int
+    acc = [0] * trunc if ints else [[] for _ in range(trunc)]
     for d in range(1, trunc + 1):
         x = xs[d - 1]
-        if x:
+        if x and ints:
             n = trunc // d
             if ybits:
                 METER.charge(int_units(n, x.bit_length(), ybits[n - 1]))
             acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[:n]))
-    return acc
+        elif x:
+            for at, y in zip(acc[d - 1 :: d], ys[: trunc // d]):
+                at.append((x, y))
+    return acc if ints else list(map(sum_of_products, acc))
 
 
 def _charge_call(values: Sequence, trunc: int, zero) -> list[int]:
@@ -284,20 +290,25 @@ def dir_inverse(a: DirSeries, op: str = "dinv") -> DirSeries:
 
 def _inverse_recurrence(a: Sequence, inv_lead, zero) -> list:
     """b with a o b = x over any exact ring: once b_n is known, a_d * b_n
-    is added forward into the accumulator at index d*n for every d >= 2.
-    The meter is charged as in ``_convolve``."""
+    is added forward into the accumulator at index d*n for every d >= 2,
+    as ``_convolve`` adds, and charged as it charges."""
     trunc = len(a)
     abits = _charge_call(a, trunc, zero)
-    acc = [zero] * trunc
+    ints = type(zero) is int
+    acc = [0] * trunc if ints else [[] for _ in range(trunc)]
     out = []
     for n in range(1, trunc + 1):
-        bn = inv_lead if n == 1 else -acc[n - 1] * inv_lead
+        total = acc[n - 1] if ints else sum_of_products(acc[n - 1])
+        bn = inv_lead if n == 1 else -total * inv_lead
         out.append(bn)
-        if bn:
+        if bn and ints:
+            q = trunc // n
             if abits:
-                q = trunc // n
                 METER.charge(int_units(q - 1, bn.bit_length(), abits[q - 1] - abits[0]))
-            acc[2 * n - 1 :: n] = map(add, acc[2 * n - 1 :: n], map(bn.__mul__, a[1 : trunc // n]))
+            acc[2 * n - 1 :: n] = map(add, acc[2 * n - 1 :: n], map(bn.__mul__, a[1:q]))
+        elif bn:
+            for at, ad in zip(acc[2 * n - 1 :: n], a[1 : trunc // n]):
+                at.append((ad, bn))
     return out
 
 
@@ -500,41 +511,40 @@ def ord_x(trunc: int) -> OrdSeries:
 
 
 def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
-    """The Cauchy product, one slice update per nonzero a_i, metered like
-    ``_convolve``."""
+    """The Cauchy product, one ``sum_of_products`` of the pairs (a_i, b_(k-i))
+    per index k, with i from the first nonzero index la of a to k - lb (lb
+    that of b); metered like ``_convolve``."""
     n = min(a.trunc, b.trunc)
+    _charge_call((), n + 1, ZERO)
+    ac, bc = a.coeffs[: n + 1], b.coeffs[: n + 1]
+    la, lb = (next((i for i, c in enumerate(cs) if c), n + 1) for cs in (ac, bc))
     out = [ZERO] * (n + 1)
-    _charge_call(out, n + 1, ZERO)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
-        if ai:
-            out[i:] = map(add, out[i:], map(ai.__mul__, b.coeffs[: n + 1 - i]))
+    for k in range(la + lb, n + 1):
+        out[k] = sum_of_products(zip(ac[la : k - lb + 1], bc[k - la :: -1]))
     return OrdSeries(n, tuple(out))
 
 
 def ord_log(a: OrdSeries) -> OrdSeries:
     """Logarithm of a series with constant term 1, by the standard
-    derivative recurrence."""
+    derivative recurrence n*l_n = n*a_n - sum over 0 < k < n of k*l_k*a_(n-k)."""
     require_lead(a, 1, "ord_log")
-    out = [ZERO] * (a.trunc + 1)
+    out = [ZERO]
+    weighted = [ZERO]  # -k * l_k
     for n in range(1, a.trunc + 1):
-        acc = a[n] * n
-        for k in range(1, n):
-            acc = acc - out[k] * a[n - k] * k
-        out[n] = acc * Fraction(1, n)
+        pairs = zip(weighted[1:n], a.coeffs[n - 1 : 0 : -1])
+        out.append(sum_of_products(chain([(a[n] * n, ONE)], pairs)) * Fraction(1, n))
+        weighted.append(out[n] * -n)
     return OrdSeries(a.trunc, tuple(out))
 
 
 def ord_exp(b: OrdSeries) -> OrdSeries:
-    """Exponential of a series with constant term 0."""
+    """Exponential of a series with constant term 0, by the recurrence
+    n*e_n = sum over 0 < k <= n of k*b_k*e_(n-k)."""
     require_lead(b, 0, "ord_exp")
-    out = [ONE] + [ZERO] * b.trunc
+    weighted = [bk * k for k, bk in enumerate(b.coeffs)]  # k * b_k
+    out = [ONE]
     for n in range(1, b.trunc + 1):
-        acc = ZERO
-        for k in range(1, n + 1):
-            bk = b[k]
-            if not bk.is_zero():
-                acc = acc + bk * out[n - k] * k
-        out[n] = acc * Fraction(1, n)
+        out.append(sum_of_products(zip(weighted[1 : n + 1], out[::-1])) * Fraction(1, n))
     return OrdSeries(b.trunc, tuple(out))
 
 

@@ -52,6 +52,7 @@ from .poly import (
     as_poly,
     log_n_poly,
     log_symbol,
+    sum_of_products,
 )
 from .series import (
     DirSeries,
@@ -62,7 +63,6 @@ from .series import (
     dir_log,
     dir_mul,
     dir_pow_param,
-    dir_subst_xk,
     dir_x,
     ord_from_fn,
     ord_pow_param,
@@ -216,14 +216,15 @@ def abel_check(n: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
         3: _abel_A(_phi, n) * log_n,
         4: _phi ** s_of(n),
     }
-    right = dict.fromkeys(left, ZERO)
+    pairs: dict[int, list] = {key: [] for key in left}
     for d in divisors(n):
         w = binom_f(n, d)
-        right[1] = right[1] + _abel_A(_phi, d) * _abel_A(_beta, n // d) * w
-        right[2] = right[2] + _abel_B(_phi, d) * _abel_A(_beta, n // d) * w
-        right[3] = right[3] + _phi ** s_of(d) * log_n_poly(d) * log_n ** s_of(n // d) * w
-        right[4] = right[4] + _abel_A(_phi, d) * (-log_n_poly(d)) ** s_of(n // d) * w
-    return left, right
+        a_phi, a_beta = _abel_A(_phi, d) * w, _abel_A(_beta, n // d)
+        pairs[1].append((a_phi, a_beta))
+        pairs[2].append((_abel_B(_phi, d) * w, a_beta))
+        pairs[3].append((_phi ** s_of(d) * log_n_poly(d) * w, log_n ** s_of(n // d)))
+        pairs[4].append((a_phi, (-log_n_poly(d)) ** s_of(n // d)))
+    return left, {key: sum_of_products(p) for key, p in pairs.items()}
 
 
 def classic_abel_check(p: int, m: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
@@ -296,14 +297,13 @@ def inverse_pair_check(
     ns = range(2, trunc + 1)
     want_f, want_b = {}, {}
     for n in ns:
-        rhs_f = ZERO
-        rhs_b = ZERO
-        for d in divisors(n):
-            rhs_f = rhs_f + power[d] * family_at(n // d, beta_val * log_n_poly(d))
-            rhs_b = rhs_b + fam[d] * lifted[n // d].substitute(
-                PSI, -beta_val * log_n_poly(d)
-            )
-        want_f["forward", n], want_b["backward", n] = rhs_f, rhs_b
+        divs = divisors(n)
+        want_f["forward", n] = sum_of_products(
+            (power[d], family_at(n // d, beta_val * log_n_poly(d))) for d in divs
+        )
+        want_b["backward", n] = sum_of_products(
+            (fam[d], lifted[n // d].substitute(PSI, -beta_val * log_n_poly(d))) for d in divs
+        )
     forward = ({("forward", n): fam[n] for n in ns}, want_f)
     backward = ({("backward", n): power[n] for n in ns}, want_b)
     return forward, backward
@@ -335,16 +335,14 @@ def reconstruct_from_expansion(
     at x^n.  Exact up to the truncation."""
     a = a.truncated(trunc)
     p = dir_pow_param(a)
-    total = dir_from_fn(trunc, lambda n: 0)
+    pairs: list[list] = [[] for _ in range(trunc)]  # c_n * spec_n at index n*j
     for n in range(1, trunc + 1):
         c = coeffs[n - 1]
         if c.is_zero():
             continue
-        rows = trunc // n
-        spec = series_substitute_symbol(p.truncated(rows), PSI, -log_n_poly(n))
-        placed = dir_subst_xk(
-            DirSeries(trunc, spec.coeffs + (ZERO,) * (trunc - rows)), n
-        )
-        total = total + placed * c
+        spec = series_substitute_symbol(p.truncated(trunc // n), PSI, -log_n_poly(n))
+        for at, v in zip(pairs[n - 1 :: n], spec.coeffs):
+            at.append((v, c))
+    total = DirSeries(trunc, tuple(map(sum_of_products, pairs)))
     lead = dir_x(trunc) - star_derivative(dir_log(a))
     return dir_mul(lead, total)

@@ -383,6 +383,9 @@ def test_twist_exponent_over_the_cap_is_refused_at_once():
         # uncapped, 14 s at N = 13: the terms grow with the symbols of the input
         ('lagrange_ord(load("{path}"),1)', "13",
          ", ".join(f'"{k}": "a{k} + phi*beta + 3/7"' for k in range(1, 14))),
+        # over a minute at N = 10000 while a product with a zero was free:
+        # the logarithm and exponential pair every index with every other
+        ('lagrange_ord(load("{path}"),1)', "10000", '"10000": "a1"'),
     ],
 )
 def test_lagrange_ord_over_the_budget_is_refused_at_once(
@@ -443,6 +446,18 @@ def test_work_past_the_budget_is_refused(tmp_path, capsys, monkeypatch, argv, fi
     path = tmp_path / "a.json"
     path.write_text(json.dumps(file))
     refused_below_the_cap(capsys, monkeypatch, *(a.replace("{path}", str(path)) for a in argv))
+
+
+def test_long_loaded_number_is_refused_before_it_is_read(tmp_path, capsys, monkeypatch):
+    # int() of n digits takes time quadratic in n: a 10^6-digit coefficient
+    # was parsed and printed for about 30 s before its text was charged
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"kind": "dir", "trunc": 1, "coeffs": {"1": "1" + "0" * 10**6}}))
+    monkeypatch.setattr(dirseries.cli, "WORK_CAP", LOW_CAP)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "series", "-e", f'load("{path}")', "-N", "1")
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (2, "", f"error: {path}: the work passed the budget of {LOW_CAP} units\n")
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ refactor that must leave it byte-identical leaves every digest here
 unchanged.  The commands cover every ``matrix --kind`` (``rd`` and
 ``riordan`` also on small symbolic series files written by the test), the
 Lagrange families with symbolic and rational beta, the inverse on its
-rational and symbolic paths, and the ``thm2`` and ``thm3`` verify suites.
+rational and symbolic paths, ``bell`` tables of both families, numeric
+and symbolic, the composition power, logarithm, product and lift of those
+files, and the ``thm2``, ``thm3``, ``abel`` and ``log`` verify suites.
 
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and copy each printed
@@ -101,6 +103,46 @@ GOLDEN = {
     "verify-thm3": (
         ["verify", "--suite", "thm3", "-N", "12"],
         "ace531ff492fc84c42d7046589751b9b87e06d6c395babd70aa0bc97bfac82e6",
+    ),
+    "bell-numeric": (
+        ["bell", "-N", "60", "-M", "6"],
+        "30c688cb7f60a5ec0f27647257502fe64a202f5b0b9db06cba6913354d383e1f",
+    ),
+    "bell-symbolic": (
+        ["bell", "-N", "14", "-M", "5", "--symbolic"],
+        "960a57e5a7426a6369bc7fcb8e347666ad0ec19abe83c11f49e7e6fd4907bc36",
+    ),
+    "bell-tilde-numeric": (
+        ["bell", "--tilde", "-N", "300", "-M", "6"],
+        "92eb5757f7b0caa2f88817f5ec630c648d0ebaef046a3ad272b9e90ddb00d818",
+    ),
+    "bell-tilde-symbolic": (
+        ["bell", "--tilde", "-N", "96", "-M", "5", "--symbolic"],
+        "4af6659bd476c545ccee44b4d85384bfb159b8f2e0b34ac2c353b6619cc87027",
+    ),
+    "dpow-param-symbolic": (
+        ["series", "-e", "dpow_param({a})", "-N", "12"],
+        "ec4d6a9deba5fb5e9f1ee361e0e50470cf4e9e940691c2c0c01ddc5e42a06371",
+    ),
+    "dlog-symbolic": (
+        ["series", "-e", "dlog({a})", "-N", "12", "--csv"],
+        "60c18efbecfd68e2b826262157c70669a7fbabbf6a8c177ceef575b431132329",
+    ),
+    "dmul-symbolic": (
+        ["series", "-e", "dmul({b},{a})", "-N", "12"],
+        "3144ec7b6239a0c1147fe8916fcd3083f783fce6cf63605e8c044a499fc5dd74",
+    ),
+    "lift-symbolic": (
+        ["series", "-e", "lift({c})", "-N", "64"],
+        "438642c2f194a6ebeebf335777e28691d0a1f157f342ba87e3c52e38f2345f42",
+    ),
+    "verify-abel": (
+        ["verify", "--suite", "abel", "-N", "64"],
+        "2c240be54573d38963001cbdc8c44addb312b2d3085f18d08efd893c3c2496a8",
+    ),
+    "verify-log": (
+        ["verify", "--suite", "log"],
+        "639b072a95e1e09f57f4021cd76f9394f2fe98827ffb5fd6ca17322604c7eaa7",
     ),
 }
 

@@ -394,6 +394,14 @@ def test_exp_conjugate_rows_rebuild_parametric_power():
         assert row_polynomial(conj, n, PHI) == p[n] * factorial(n)
 
 
+def test_apply_to_series_checks_the_rows_before_any_work():
+    # rows from 0 cannot give a series; the entry (0, 5) lies past the
+    # series, so a product would raise IndexError first
+    m = DirMatrix("x", 0, 3, 1, 3, {(0, 5): Polynomial.one()})
+    with pytest.raises(ShapeMismatch, match="rows must start at 1"):
+        apply_to_series(m, dir_from_fn(3, lambda n: 1))
+
+
 def test_matmul_shape_check():
     with pytest.raises(ShapeMismatch):
         matmul(identity_matrix(8), identity_matrix(9))

@@ -25,6 +25,7 @@ from dirseries.poly import (
     log_symbol,
     parse_polynomial,
     rising_poly,
+    sum_of_products,
 )
 from dirseries.randgen import random_polynomial
 from dirseries.series import SERIES_CAP, dir_from_fn
@@ -266,8 +267,9 @@ def _metered_units(step) -> int:
 @pytest.mark.parametrize(
     "step",
     [lambda: (phi + beta) * (phi - 1), lambda: (phi + beta) * 3, lambda: phi + beta,
-     lambda: (phi * 7**400 + beta).to_text()],
-    ids=["product", "scalar-product", "sum", "text"],
+     lambda: (phi * 7**400 + beta).to_text(),
+     lambda: sum_of_products([(phi + beta, phi - 1), (beta, Polynomial.const(3)), (phi, beta)])],
+    ids=["product", "scalar-product", "sum", "text", "sum-of-products"],
 )
 def test_each_polynomial_step_charges_the_meter(step):
     # the charge comes before the step: a budget one unit short refuses it
@@ -302,6 +304,57 @@ def test_steps_charge_every_coefficient_not_the_first():
     third, two = one + Fraction(1, 3) * beta, one + 2 * beta
     assert _metered_units(lambda: phi + third) > _metered_units(lambda: phi + two)
     assert _metered_units(lambda: phi * third) > _metered_units(lambda: phi * two)
+
+
+def test_long_numbers_are_charged_before_they_are_converted():
+    # CPython converts a number between text and int in time quadratic in
+    # its digits: a 10^6-digit number took about 30 s to read and write
+    digits = "1" + "0" * 10**6
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    start = time.perf_counter()
+    try:
+        METER.reset(10**8)
+        for step in (lambda: parse_polynomial(digits), lambda: parse_polynomial(digits + "*phi"),
+                     lambda: Polynomial.const(10**10**6).to_text()):
+            with pytest.raises(ArgumentOutOfRange, match="work passed the budget"):
+                step()
+    finally:
+        METER.reset()
+        sys.set_int_max_str_digits(old)
+    assert time.perf_counter() - start < 5
+
+
+def _reference_sum_of_products(pairs) -> dict:
+    """The terms of the sum of p * q over ``pairs``, from exponent maps."""
+    out: dict = {}
+    for p, q in pairs:
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q.terms.items():
+                exps = dict(m1)
+                for sym, e in m2:
+                    exps[sym] = exps.get(sym, 0) + e
+                mono = tuple(sorted(exps.items()))
+                out[mono] = out.get(mono, 0) + Fraction(c1) * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sum_of_products_matches_a_term_dict_reference(seed):
+    rng = random.Random(seed)
+    polys = [random_polynomial(rng) for _ in range(8)]
+    polys += [Polynomial.zero(), Polynomial.one(), Polynomial.const(Fraction(-5, 3)),
+              Polynomial.const(7), phi * 2 - beta * 2]
+    pairs = [(rng.choice(polys), rng.choice(polys)) for _ in range(12)]
+    x, y = polys[0], polys[1]
+    pairs += [(x, y), (-x, y), (y, x * Fraction(-1, 2)), (x * Fraction(1, 2), y)]  # cancel
+    for chosen in (pairs, pairs[-4:], [], [(Polynomial.zero(), x)], [(x, Polynomial.one())]):
+        got = sum_of_products(chosen)
+        want = Polynomial(_reference_sum_of_products(chosen))
+        assert got == want
+        assert got.terms == want.terms
+        assert got.to_text() == want.to_text()
+    assert sum_of_products(pairs[-4:]).is_zero()
 
 
 def _sum_of_terms(count: int) -> Polynomial:

@@ -382,6 +382,25 @@ def test_scaled_ladder_charges_each_row():
         METER.reset()
 
 
+def test_symbolic_products_accumulate_without_sums(monkeypatch):
+    # each coefficient is one sum of products; adding product by product
+    # copied the partial sum at every step
+    calls = []
+    add = Polynomial.__add__
+
+    def spy(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    rng = random.Random(71)
+    d = dir_from_fn(24, lambda n: 1 if n == 1 else random_polynomial(rng))
+    o = ord_from_fn(12, lambda n: random_polynomial(rng))
+    want_d, want_o = dir_mul(d, d), ord_mul(o, o)
+    monkeypatch.setattr(Polynomial, "__add__", spy)
+    assert (dir_mul(d, d), ord_mul(o, o)) == (want_d, want_o)
+    assert calls == []
+
+
 def test_dir_pow_int_has_no_budget_as_a_library_call(monkeypatch):
     # a library call runs without a budget at any k; the compositions are
     # stubbed, and binary powering makes about two per binary digit of k
