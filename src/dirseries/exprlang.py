@@ -30,6 +30,7 @@ Parse errors carry byte offsets and are deterministic.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -90,14 +91,28 @@ class _Builtin:
 
 
 def _load(trunc: int, path: str) -> Series:
-    """The series in a JSON file, truncated to ``trunc``; read through this
-    module's ``json``, which ``perfbench/layers.py`` replaces to trace it."""
+    """The series in a JSON file, truncated to ``trunc``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            loaded = series_from_json(json.load(fh))
+            loaded = series_from_json(_read_json(fh))
         except ValueError as exc:  # not UTF-8 text, not JSON or not a series
             raise SeriesFormatError(f"{path}: {exc}") from None
     return loaded.truncated(trunc)
+
+
+def _read_json(fh) -> object:
+    """``json.load(fh)`` through this module's ``json``, which
+    ``perfbench/layers.py`` replaces to trace it.  The integers of a series
+    file are truncations: they are read under Python's default digit limit,
+    which the CLI lifts for the long numbers of polynomial text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return json.load(fh)
+    lifted = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        return json.load(fh)
+    finally:
+        sys.set_int_max_str_digits(lifted)
 
 
 def _param(value: Fraction | str) -> Fraction | None:

@@ -205,7 +205,8 @@ def apply_to_series(m: DirMatrix, b: DirSeries) -> DirSeries:
         raise ShapeMismatch("matrix rows must start at 1 to produce a series")
     pairs: list[list] = [[] for _ in range(m.row_hi)]
     for (n, k), v in m.entries.items():
-        pairs[n - 1].append((v, b[k]))
+        if bk := b[k]:
+            pairs[n - 1].append((v, bk))
     return DirSeries(m.row_hi, tuple(map(sum_of_products, pairs)))
 
 
@@ -222,7 +223,8 @@ def rd_action(a: DirSeries, b: DirSeries) -> DirSeries:
             continue
         spec = series_substitute_symbol(power.truncated(size // d), PSI, log_n_poly(d))
         for at, v in zip(pairs[d - 1 :: d], spec.coeffs):
-            at.append((bd, v))
+            if v:
+                at.append((bd, v))
     return DirSeries(size, tuple(map(sum_of_products, pairs)))
 
 
@@ -256,9 +258,9 @@ def rd_inverse(m: DirMatrix) -> DirMatrix:
         out[(k, k)] = Polynomial.const(1 / diag[k])
         for n in range(2 * k, size + 1, k):
             acc = sum_of_products(  # j runs over k | j | n, j < n
-                (m.entries.get((n, j), ZERO), out.get((j, k), ZERO))
+                (v, w)
                 for j in range(k, n, k)
-                if n % j == 0
+                if n % j == 0 and (v := m.entries.get((n, j))) and (w := out.get((j, k)))
             )
             out[(n, k)] = acc * (Fraction(-1) / diag[n])
     return DirMatrix("inverse", 1, size, 1, size, _clean(out))

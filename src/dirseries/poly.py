@@ -251,7 +251,7 @@ def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomia
     out: dict[Monomial, Scalar] = {}
     for p, q in pairs:
         _add_product(out, p, q)
-    return _wrap(out)
+    return _wrap(out) if out else _ZERO
 
 
 def _charge_digits(digits: int) -> None:

@@ -30,24 +30,25 @@ kernels, the inverse and the power ladder.  A constant series whose common
 denominator d has at most ``SCALED_DEN_BITS`` bits is scaled once to its
 integer numerators A = d * a; past that guard, big-integer products would
 cost more than the ``Fraction`` work they save, so such inputs keep the
-``Fraction`` or ``Polynomial`` loops.  ``_convolve`` is the one divisor
-convolution and serves both rings: ``dirichlet_convolve`` calls it on
-scaled ``int`` inputs, keeping integral results ``int``, and on the
-``Polynomial`` coefficients otherwise, and ``dir_apply_series`` keeps every
-power A^(m) as an ``int`` list from it and sums the powers in one ``int``
-row per monomial of the ordinary series, dividing once at the end.
+``Fraction`` or ``Polynomial`` loops.  ``dirichlet_convolve`` convolves
+scaled ``int`` inputs by the slice updates of ``_convolve``, keeping
+integral results ``int``, and the ``Polynomial`` coefficients otherwise by
+``_convolve_polys``, which gathers the pairs of nonzero coefficients at
+each index and sums them once.  ``dir_apply_series`` keeps every power
+A^(m) as an ``int`` list from ``_convolve`` and sums the powers in one
+``int`` row per monomial of the ordinary series, dividing once at the end.
 ``dir_inverse`` runs one forward-accumulating recurrence: on integers
 scaled by powers of A_1 for such a series (``_inverse_scaled``), and on
-the ``Polynomial`` coefficients otherwise, a constant series past the
-guard included.  Coefficients stay ``Polynomial`` and results are
-identical on every path.
+the ``Polynomial`` coefficients otherwise (``_inverse_polys``), a constant
+series past the guard included.  Coefficients stay ``Polynomial`` and
+results are identical on every path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import factorial, lcm
 from operator import add, mul
 from typing import Callable, ClassVar, Iterator, Sequence
@@ -206,7 +207,7 @@ def dirichlet_convolve(
     scaled_a = _scaled_integers(a[:trunc])
     scaled_b = None if scaled_a is None else _scaled_integers(b[:trunc])
     if scaled_b is None:
-        return _convolve(a, b, trunc, ZERO)
+        return _convolve_polys(a, b, trunc)
     (xs, da), (ys, db) = scaled_a, scaled_b
     acc = _convolve(xs, ys, trunc)
     den = da * db
@@ -215,38 +216,49 @@ def dirichlet_convolve(
     return constant_polys(Fraction(v, den) if v else 0 for v in acc)
 
 
-def _convolve(xs: Sequence, ys: Sequence, trunc: int, zero=0) -> list:
-    """The divisor-indexed convolution of two lists up to ``trunc`` over
-    any exact ring whose zero is ``zero``: ``int`` for scaled rationals,
-    ``Polynomial`` otherwise.  Each nonzero x_d adds x_d * y_q at every
-    index d*q: for integers by a slice update, charging the meter as
-    ``_charge_call`` says, for polynomials as a pair of the index's
-    ``sum_of_products``."""
-    ybits = _charge_call(ys, trunc, zero)
-    ints = type(zero) is int
-    acc = [0] * trunc if ints else [[] for _ in range(trunc)]
+def _convolve(xs: Sequence[int], ys: Sequence[int], trunc: int) -> list[int]:
+    """The divisor-indexed convolution of two ``int`` lists up to
+    ``trunc``.  A slice update per nonzero x_d adds x_d * y_q at every
+    index d*q, charging the meter as ``_charge_call`` says."""
+    ybits = _charge_call(trunc, ys)
+    acc = [0] * trunc
     for d in range(1, trunc + 1):
         x = xs[d - 1]
-        if x and ints:
+        if x:
             n = trunc // d
             if ybits:
                 METER.charge(int_units(n, x.bit_length(), ybits[n - 1]))
             acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[:n]))
-        elif x:
-            for at, y in zip(acc[d - 1 :: d], ys[: trunc // d]):
-                at.append((x, y))
-    return acc if ints else list(map(sum_of_products, acc))
+    return acc
 
 
-def _charge_call(values: Sequence, trunc: int, zero) -> list[int]:
+def _convolve_polys(xs: Sequence[Polynomial], ys: Sequence[Polynomial], trunc: int) -> list:
+    """``_convolve`` over ``Polynomial``s: the pair of each nonzero x_d and
+    y_q with d*q <= trunc is gathered at index d*q, and each index is
+    summed once by ``sum_of_products``."""
+    _charge_call(trunc)
+    pairs: list[list] = [[] for _ in range(trunc)]
+    nonzero_y = _nonzero(ys[:trunc])
+    for d, x in _nonzero(xs[:trunc]):
+        for q, y in nonzero_y:
+            if d * q > trunc:
+                break
+            pairs[d * q - 1].append((x, y))
+    return list(map(sum_of_products, pairs))
+
+
+def _nonzero(values: Sequence, start: int = 1) -> list[tuple[int, Polynomial]]:
+    """The pairs (n, v_n) of the nonzero values, indexed from ``start``."""
+    return [(n, v) for n, v in enumerate(values, start) if v]
+
+
+def _charge_call(trunc: int, values: Sequence[int] = ()) -> list[int]:
     """Charge the minimum of a kernel call with ``trunc`` indices; return
-    the running bit lengths of ``int`` ``values``, which price its slice
-    updates (empty without a budget or for ``Polynomial``s)."""
+    the running bit lengths of the ``int`` ``values``, which price its
+    slice updates (empty without a budget)."""
     if METER.budget is None:
         return []
     METER.charge(CALL_UNITS + INDEX_UNITS * trunc)
-    if type(zero) is not int:
-        return []
     return list(accumulate(map(int.bit_length, values[:trunc])))
 
 
@@ -284,31 +296,47 @@ def dir_inverse(a: DirSeries, op: str = "dinv") -> DirSeries:
     scaled = _scaled_integers(a.coeffs)
     if scaled is not None:
         return DirSeries(a.trunc, tuple(constant_polys(_inverse_scaled(*scaled))))
-    out = _inverse_recurrence(a.coeffs, Polynomial.const(1 / lead.constant_value()), ZERO)
+    out = _inverse_polys(a.coeffs, Polynomial.const(1 / lead.constant_value()))
     return DirSeries(a.trunc, tuple(out))
 
 
-def _inverse_recurrence(a: Sequence, inv_lead, zero) -> list:
-    """b with a o b = x over any exact ring: once b_n is known, a_d * b_n
-    is added forward into the accumulator at index d*n for every d >= 2,
-    as ``_convolve`` adds, and charged as it charges."""
+def _inverse_recurrence(a: Sequence[int], inv_lead: int) -> list[int]:
+    """b with a o b = x over the integers: once b_n is known, a_d * b_n is
+    added forward into the accumulator at index d*n for every d >= 2.  The
+    meter is charged as in ``_convolve``."""
     trunc = len(a)
-    abits = _charge_call(a, trunc, zero)
-    ints = type(zero) is int
-    acc = [0] * trunc if ints else [[] for _ in range(trunc)]
+    abits = _charge_call(trunc, a)
+    acc = [0] * trunc
     out = []
     for n in range(1, trunc + 1):
-        total = acc[n - 1] if ints else sum_of_products(acc[n - 1])
-        bn = inv_lead if n == 1 else -total * inv_lead
+        bn = inv_lead if n == 1 else -acc[n - 1] * inv_lead
         out.append(bn)
-        if bn and ints:
-            q = trunc // n
+        if bn:
             if abits:
+                q = trunc // n
                 METER.charge(int_units(q - 1, bn.bit_length(), abits[q - 1] - abits[0]))
-            acc[2 * n - 1 :: n] = map(add, acc[2 * n - 1 :: n], map(bn.__mul__, a[1:q]))
-        elif bn:
-            for at, ad in zip(acc[2 * n - 1 :: n], a[1 : trunc // n]):
-                at.append((ad, bn))
+            acc[2 * n - 1 :: n] = map(add, acc[2 * n - 1 :: n], map(bn.__mul__, a[1 : trunc // n]))
+    return out
+
+
+def _inverse_polys(a: Sequence[Polynomial], inv_lead: Polynomial) -> list[Polynomial]:
+    """``_inverse_recurrence`` over ``Polynomial``s: once b_n is known, its
+    pair with each nonzero a_d, d >= 2, is gathered at index d*n, and
+    b_(d*n) is the ``sum_of_products`` there."""
+    trunc = len(a)
+    _charge_call(trunc)
+    pairs: list[list] = [[] for _ in range(trunc)]
+    nonzero_a = _nonzero(a)[1:]  # past the nonzero lead a_1
+    out = []
+    for n in range(1, trunc + 1):
+        bn = inv_lead if n == 1 else -sum_of_products(pairs[n - 1]) * inv_lead
+        out.append(bn)
+        if not bn:
+            continue
+        for d, ad in nonzero_a:
+            if d * n > trunc:
+                break
+            pairs[d * n - 1].append((ad, bn))
     return out
 
 
@@ -324,7 +352,7 @@ def _inverse_scaled(numerators: list[int], den: int) -> list[Fraction]:
     for _ in range(max(s) + 1):
         powers.append(powers[-1] * numerators[0])
     weights = [1] + [x * powers[k - 1] for x, k in zip(numerators[1:], s[2:])]
-    out = _inverse_recurrence(weights, 1, 0)
+    out = _inverse_recurrence(weights, 1)
     return [Fraction(den * bn, powers[k + 1]) for bn, k in zip(out, s[1:])]
 
 
@@ -511,40 +539,52 @@ def ord_x(trunc: int) -> OrdSeries:
 
 
 def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
-    """The Cauchy product, one ``sum_of_products`` of the pairs (a_i, b_(k-i))
-    per index k, with i from the first nonzero index la of a to k - lb (lb
-    that of b); metered like ``_convolve``."""
+    """The Cauchy product: the pair of each nonzero a_i and b_j with
+    i + j <= n is gathered at index i + j, and each index is summed once by
+    ``sum_of_products``; metered like ``_convolve_polys``."""
     n = min(a.trunc, b.trunc)
-    _charge_call((), n + 1, ZERO)
-    ac, bc = a.coeffs[: n + 1], b.coeffs[: n + 1]
-    la, lb = (next((i for i, c in enumerate(cs) if c), n + 1) for cs in (ac, bc))
-    out = [ZERO] * (n + 1)
-    for k in range(la + lb, n + 1):
-        out[k] = sum_of_products(zip(ac[la : k - lb + 1], bc[k - la :: -1]))
-    return OrdSeries(n, tuple(out))
+    _charge_call(n + 1)
+    pairs: list[list] = [[] for _ in range(n + 1)]
+    nonzero_b = _nonzero(b.coeffs[: n + 1], 0)
+    for i, ai in _nonzero(a.coeffs[: n + 1], 0):
+        for j, bj in nonzero_b:
+            if i + j > n:
+                break
+            pairs[i + j].append((ai, bj))
+    return OrdSeries(n, tuple(map(sum_of_products, pairs)))
 
 
 def ord_log(a: OrdSeries) -> OrdSeries:
     """Logarithm of a series with constant term 1, by the standard
-    derivative recurrence n*l_n = n*a_n - sum over 0 < k < n of k*l_k*a_(n-k)."""
+    derivative recurrence n*l_n = n*a_n - sum over 0 < k < n of k*l_k*a_(n-k),
+    summed over the nonzero a_j only."""
     require_lead(a, 1, "ord_log")
     out = [ZERO]
     weighted = [ZERO]  # -k * l_k
+    lower: list[tuple[int, Polynomial]] = []  # the nonzero (j, a_j), 0 < j < n
     for n in range(1, a.trunc + 1):
-        pairs = zip(weighted[1:n], a.coeffs[n - 1 : 0 : -1])
-        out.append(sum_of_products(chain([(a[n] * n, ONE)], pairs)) * Fraction(1, n))
+        an = a[n]
+        pairs = [(an * n, ONE)] if an else []
+        pairs += [(weighted[n - j], aj) for j, aj in lower]
+        out.append(sum_of_products(pairs) * Fraction(1, n))
         weighted.append(out[n] * -n)
+        if an:
+            lower.append((n, an))
     return OrdSeries(a.trunc, tuple(out))
 
 
 def ord_exp(b: OrdSeries) -> OrdSeries:
     """Exponential of a series with constant term 0, by the recurrence
-    n*e_n = sum over 0 < k <= n of k*b_k*e_(n-k)."""
+    n*e_n = sum over 0 < k <= n of k*b_k*e_(n-k), summed over the nonzero
+    b_k only."""
     require_lead(b, 0, "ord_exp")
-    weighted = [bk * k for k, bk in enumerate(b.coeffs)]  # k * b_k
     out = [ONE]
+    weighted: list[tuple[int, Polynomial]] = []  # the nonzero (k, k*b_k), 0 < k <= n
     for n in range(1, b.trunc + 1):
-        out.append(sum_of_products(zip(weighted[1 : n + 1], out[::-1])) * Fraction(1, n))
+        if b[n]:
+            weighted.append((n, b[n] * n))
+        pairs = [(wk, out[n - k]) for k, wk in weighted]
+        out.append(sum_of_products(pairs) * Fraction(1, n))
     return OrdSeries(b.trunc, tuple(out))
 
 

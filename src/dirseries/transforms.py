@@ -342,7 +342,8 @@ def reconstruct_from_expansion(
             continue
         spec = series_substitute_symbol(p.truncated(trunc // n), PSI, -log_n_poly(n))
         for at, v in zip(pairs[n - 1 :: n], spec.coeffs):
-            at.append((v, c))
+            if v:
+                at.append((v, c))
     total = DirSeries(trunc, tuple(map(sum_of_products, pairs)))
     lead = dir_x(trunc) - star_derivative(dir_log(a))
     return dir_mul(lead, total)

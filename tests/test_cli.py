@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import dirseries
 import dirseries.cli
-from dirseries.cli import VERIFY_CAP, WORK_CAP, build_parser, main
+from dirseries.cli import MATRIX_CAP, VERIFY_CAP, WORK_CAP, build_parser, main
 from dirseries.partitions import bell_B, bell_btilde
 from dirseries.poly import (
     METER,
@@ -383,9 +384,10 @@ def test_twist_exponent_over_the_cap_is_refused_at_once():
         # uncapped, 14 s at N = 13: the terms grow with the symbols of the input
         ('lagrange_ord(load("{path}"),1)', "13",
          ", ".join(f'"{k}": "a{k} + phi*beta + 3/7"' for k in range(1, 14))),
-        # over a minute at N = 10000 while a product with a zero was free:
-        # the logarithm and exponential pair every index with every other
-        ('lagrange_ord(load("{path}"),1)', "10000", '"10000": "a1"'),
+        # over two minutes at N = 10000 while a product with a zero was free:
+        # the logarithm x of e^x pairs each index with every nonzero a_j,
+        # and all but one of those pairs hold a zero
+        ("lagrange_ord(expx,1)", "10000", None),
     ],
 )
 def test_lagrange_ord_over_the_budget_is_refused_at_once(
@@ -458,6 +460,34 @@ def test_long_loaded_number_is_refused_before_it_is_read(tmp_path, capsys, monke
     code, out, err = run_cli(capsys, "series", "-e", f'load("{path}")', "-N", "1")
     assert time.perf_counter() - start < 5
     assert (code, out, err) == (2, "", f"error: {path}: the work passed the budget of {LOW_CAP} units\n")
+
+
+def test_long_json_integer_is_refused_before_it_is_read(tmp_path, capsys):
+    # a series file's JSON integers are read under Python's default digit
+    # limit: with the limit lifted, this one took about 9 s to read
+    path = tmp_path / "a.json"
+    path.write_text('{"kind": "dir", "trunc": 1' + "0" * 10**6 + ', "coeffs": {"1": "1"}}')
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "series", "-e", f'load("{path}")', "-N", "1")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: Exceeds the limit (4300 digits)")
+
+
+def test_sparse_riordan_array_at_the_matrix_cap_is_admitted(tmp_path, capsys):
+    # each Cauchy product of a column b*x^k with x pairs only the nonzero
+    # coefficients; pairing every index with every other, zeros included,
+    # priced this array at over 2e9 units
+    path = tmp_path / "x.json"
+    path.write_text(f'{{"kind": "ord", "trunc": {MATRIX_CAP}, "coeffs": {{"1": "1"}}}}')
+    code, out, err = run_cli(
+        capsys, "matrix", "--kind", "riordan", "-e", "onepx", "-e2", f'load("{path}")',
+        "-N", str(MATRIX_CAP),
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "33daa89049cd5d45dae0b418f91fa7426039d240595529809e45b7388301615e"
+    )
 
 
 @pytest.mark.parametrize(

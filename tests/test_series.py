@@ -8,6 +8,7 @@ from math import comb, factorial, lcm
 
 import pytest
 
+import dirseries.poly
 import dirseries.series
 
 from dirseries.errors import (
@@ -41,6 +42,8 @@ from dirseries.series import (
     OrdSeries,
     _apply_series_scaled,
     _convolve,
+    _convolve_polys,
+    _inverse_polys,
     _inverse_recurrence,
     _scaled_integers,
     dir_apply_series,
@@ -341,10 +344,11 @@ def test_dir_pow_binomial_support():
 @pytest.mark.parametrize(
     "kernel, trunc",
     [(lambda: _convolve([1, 2, 3], [4, 5, 6], 3), 3),
-     (lambda: _inverse_recurrence([1, 2, 3], 1, 0), 3),
-     (lambda: _convolve([ONE, ONE], [ONE, ONE], 2, ZERO), 2),
+     (lambda: _inverse_recurrence([1, 2, 3], 1), 3),
+     (lambda: _convolve_polys([ONE, ONE], [ONE, ONE], 2), 2),
+     (lambda: _inverse_polys([ONE, ONE], ONE), 2),
      (lambda: ord_mul(ord_one(2), ord_one(2)), 3)],
-    ids=["convolve", "inverse", "convolve-polynomial", "cauchy"],
+    ids=["convolve", "inverse", "convolve-polynomial", "inverse-polynomial", "cauchy"],
 )
 def test_each_kernel_call_charges_its_minimum_first(kernel, trunc):
     try:
@@ -358,7 +362,7 @@ def test_each_kernel_call_charges_its_minimum_first(kernel, trunc):
 @pytest.mark.parametrize(
     "kernel, trunc",
     [(lambda: _convolve([1, 2, 3], [4, 5, 6], 3), 3),
-     (lambda: _inverse_recurrence([1, 2, 3], 1, 0), 3)],
+     (lambda: _inverse_recurrence([1, 2, 3], 1), 3)],
     ids=["convolve", "inverse"],
 )
 def test_int_kernels_charge_each_slice_update(kernel, trunc):
@@ -399,6 +403,39 @@ def test_symbolic_products_accumulate_without_sums(monkeypatch):
     monkeypatch.setattr(Polynomial, "__add__", spy)
     assert (dir_mul(d, d), ord_mul(o, o)) == (want_d, want_o)
     assert calls == []
+
+
+def test_symbolic_kernels_pair_only_nonzero_coefficients(monkeypatch):
+    # a product with a zero operand is charged, so the kernels must not
+    # form one: pairing every index with every other priced a sparse
+    # Riordan array at N = 500 past the work budget
+    rng = random.Random(72)
+    support = {1, 2, 3, 7, 11, 30}
+    d = dir_from_fn(60, lambda n: 1 if n == 1 else random_polynomial(rng) if n in support else 0)
+    o = ord_from_fn(60, lambda n: random_polynomial(rng) if n in support else 0)
+    inverse = dir_inverse(d)
+    nz_d = [n for n in range(1, 61) if d[n]]
+    nz_o = [n for n in range(61) if o[n]]
+    nz_inv = [n for n in range(1, 61) if inverse[n]]
+    pairs = {
+        "dir_mul": sum(i * j <= 60 for i in nz_d for j in nz_d),
+        "ord_mul": sum(i + j <= 60 for i in nz_o for j in nz_o),
+        "dir_inverse": sum(k * n <= 60 for n in nz_inv for k in nz_d if k > 1),
+    }
+    calls = []
+    add_product = dirseries.poly._add_product
+
+    def spy(out, p, q):
+        assert p and q
+        calls.append(1)
+        add_product(out, p, q)
+
+    monkeypatch.setattr(dirseries.poly, "_add_product", spy)
+    for name, run in (("dir_mul", lambda: dir_mul(d, d)), ("ord_mul", lambda: ord_mul(o, o)),
+                      ("dir_inverse", lambda: dir_inverse(d))):
+        calls.clear()
+        run()
+        assert len(calls) == pairs[name], name
 
 
 def test_dir_pow_int_has_no_budget_as_a_library_call(monkeypatch):
@@ -580,10 +617,11 @@ def test_ladder_refuses_a_lead_of_minus_one_on_both_paths():
 
 @pytest.mark.parametrize("kind", ("small", "64-bit", "65-bit", "symbolic"))
 def test_ladder_convolves_once_per_power_after_the_first(monkeypatch, kind):
-    # every power after the first is one ``_convolve``: an input that scales
-    # to integers reaches it directly, any other through ``dirichlet_convolve``
-    # (the "65-bit" input has no 65-bit denominator below trunc 5)
-    calls = {"dirichlet_convolve": 0, "_convolve": 0}
+    # every power after the first is one convolution: an input that scales
+    # to integers reaches ``_convolve`` directly, any other reaches
+    # ``_convolve_polys`` through ``dirichlet_convolve`` (the "65-bit" input
+    # has no 65-bit denominator below trunc 5)
+    calls = {"dirichlet_convolve": 0, "_convolve": 0, "_convolve_polys": 0}
     for name in calls:
         pristine = getattr(dirseries.series, name)
 
@@ -599,7 +637,11 @@ def test_ladder_convolves_once_per_power_after_the_first(monkeypatch, kind):
             via_polynomials = 0 if _scaled_integers(a.coeffs) is not None else powers
             calls.update(dict.fromkeys(calls, 0))
             op(a)
-            assert calls == {"dirichlet_convolve": via_polynomials, "_convolve": powers}, (
+            assert calls == {
+                "dirichlet_convolve": via_polynomials,
+                "_convolve": powers - via_polynomials,
+                "_convolve_polys": via_polynomials,
+            }, (
                 op.__name__, trunc,
             )
 
