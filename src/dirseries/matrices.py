@@ -21,6 +21,8 @@ C = floor(log2 N); ``riordan_ord`` is indexed 0..N on both sides.  Raw
 products (``matmul``) are exact whenever the inner index range of the left
 factor covers every index that can contribute, which holds for all the
 products used here.  Built matrices are immutable.
+``rd_action`` is the shared action ``series.log_power_sum`` over a^(psi),
+which ``transforms`` also evaluates for the reconstruction and inverse relations.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .series import (
     dir_mul,
     dir_pow_param,
     dir_x,
+    log_power_sum,
     ord_mul,
     powers,
     require_lead,
@@ -212,20 +215,11 @@ def apply_to_series(m: DirMatrix, b: DirSeries) -> DirSeries:
 
 def rd_action(a: DirSeries, b: DirSeries) -> DirSeries:
     """Action of the basic group matrix with first series x: the result's
-    coefficient at n is the divisor sum of b_d times [x^{n/d}] a^(log d)."""
+    coefficient at n is the divisor sum of b_d times [x^{n/d}] a^(log d),
+    the ``log_power_sum`` of b over a^(psi)."""
     require_lead(a, 1, "rd_action")
-    size = min(a.trunc, b.trunc)
-    power = dir_pow_param(a.truncated(size))
-    pairs: list[list] = [[] for _ in range(size)]
-    for d in range(1, size + 1):
-        bd = b[d]
-        if bd.is_zero():
-            continue
-        spec = series_substitute_symbol(power.truncated(size // d), PSI, log_n_poly(d))
-        for at, v in zip(pairs[d - 1 :: d], spec.coeffs):
-            if v:
-                at.append((bd, v))
-    return DirSeries(size, tuple(map(sum_of_products, pairs)))
+    power = dir_pow_param(a.truncated(min(a.trunc, b.trunc)))
+    return log_power_sum(b.coeffs, power, PSI)
 
 
 def rd_multiply(

@@ -54,6 +54,11 @@ Scalar = Union[int, Fraction]
 
 _UNIT_MONO: Monomial = ()
 
+# the largest index of a symbol L<p> or a<k>, the largest the package
+# prints: ``log_n_poly`` and ``bell --symbolic`` stop at SERIES_CAP
+SYMBOL_INDEX_CAP = 10_000
+_INDEX_DIGITS = len(str(SYMBOL_INDEX_CAP))
+
 
 def log_symbol(p: int) -> Symbol:
     """The symbol ``L<p>`` standing for the logarithm of the prime p."""
@@ -70,13 +75,14 @@ def coeff_symbol(k: int) -> Symbol:
 
 
 def validate_symbol(name: str) -> Symbol:
-    """Check that a name belongs to the reserved vocabulary."""
+    """Check that a name belongs to the reserved vocabulary; an index must
+    be canonical ASCII decimal up to ``SYMBOL_INDEX_CAP``, checked as text first."""
     if name in (PHI, BETA, PSI):
         return name
-    if len(name) >= 2 and name[1:].isdigit():
-        if name[0] == "L" and is_prime(int(name[1:])):
-            return name
-        if name[0] == "a" and int(name[1:]) >= 1:
+    head, index = name[:1], name[1:]
+    if head in ("L", "a") and index.isascii() and index.isdigit() and len(index) <= _INDEX_DIGITS:
+        k = int(index)
+        if str(k) == index and k <= SYMBOL_INDEX_CAP and (is_prime(k) if head == "L" else k >= 1):
             return name
     raise ValueError(f"unknown symbol {name!r}")
 
@@ -715,5 +721,6 @@ def _parse_atom(toks: Scanner) -> Polynomial:
         try:
             return Polynomial.symbol(name)
         except ValueError:
-            raise PolynomialSyntaxError(f"unknown symbol {name!r}", start) from None
+            shown = name if len(name) <= 40 else name[:40] + "..."
+            raise PolynomialSyntaxError(f"unknown symbol {shown!r}", start) from None
     raise PolynomialSyntaxError("expected a term", toks.pos)

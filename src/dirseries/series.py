@@ -300,16 +300,16 @@ def dir_inverse(a: DirSeries, op: str = "dinv") -> DirSeries:
     return DirSeries(a.trunc, tuple(out))
 
 
-def _inverse_recurrence(a: Sequence[int], inv_lead: int) -> list[int]:
-    """b with a o b = x over the integers: once b_n is known, a_d * b_n is
-    added forward into the accumulator at index d*n for every d >= 2.  The
-    meter is charged as in ``_convolve``."""
+def _inverse_recurrence(a: Sequence[int]) -> list[int]:
+    """b with a o b = x over the integers, for a with a_1 = 1: once b_n is
+    known, a_d * b_n is added forward into the accumulator at index d*n for
+    every d >= 2.  The meter is charged as in ``_convolve``."""
     trunc = len(a)
     abits = _charge_call(trunc, a)
     acc = [0] * trunc
     out = []
     for n in range(1, trunc + 1):
-        bn = inv_lead if n == 1 else -acc[n - 1] * inv_lead
+        bn = 1 if n == 1 else -acc[n - 1]
         out.append(bn)
         if bn:
             if abits:
@@ -352,7 +352,7 @@ def _inverse_scaled(numerators: list[int], den: int) -> list[Fraction]:
     for _ in range(max(s) + 1):
         powers.append(powers[-1] * numerators[0])
     weights = [1] + [x * powers[k - 1] for x, k in zip(numerators[1:], s[2:])]
-    out = _inverse_recurrence(weights, 1)
+    out = _inverse_recurrence(weights)
     return [Fraction(den * bn, powers[k + 1]) for bn, k in zip(out, s[1:])]
 
 
@@ -490,6 +490,23 @@ def series_substitute_symbol(a: Series, sym: Symbol, r: Coeff) -> Series:
     kind; the result has the kind of ``a``."""
     r = as_poly(r)
     return type(a)(a.trunc, tuple(c.substitute(sym, r) for c in a.coeffs))
+
+
+def log_power_sum(
+    c: Sequence[Polynomial], family: DirSeries, sym: Symbol, scale: Coeff = 1
+) -> DirSeries:
+    """The sum over d of c_d * family|_{sym = scale*log d}(x^d), exact up to
+    the shorter of ``c`` (c_1, c_2, ...) and ``family``: the action of the
+    basic group matrix when ``family`` is a^(psi).  Each nonzero c_d is paired
+    with each nonzero coefficient j of its column at index d*j, and each
+    index is summed once by ``sum_of_products``."""
+    trunc = min(len(c), family.trunc)
+    pairs: list[list] = [[] for _ in range(trunc)]
+    for d, cd in _nonzero(c[:trunc]):
+        column = series_substitute_symbol(family.truncated(trunc // d), sym, log_n_poly(d) * scale)
+        for j, v in _nonzero(column.coeffs):
+            pairs[d * j - 1].append((cd, v))
+    return DirSeries(trunc, tuple(map(sum_of_products, pairs)))
 
 
 def twist_int(a: DirSeries, k: int) -> DirSeries:

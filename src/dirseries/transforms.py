@@ -26,6 +26,9 @@
 * ``expand_over_basis``   expansion of a series over the log-indexed powers
                       of a base series, with an exact reconstruction.
 
+The reconstruction and both inverse relations evaluate ``log_power_sum``,
+the action of the basic group matrix (``matrices.rd_action``) in ``series``.
+
 Exponents like s(d) - 1 that would go negative at d = 1 never arise here:
 every identity is evaluated through series coefficients (divide by the
 power parameter first, then substitute), so the degenerate terms come out
@@ -64,6 +67,7 @@ from .series import (
     dir_mul,
     dir_pow_param,
     dir_x,
+    log_power_sum,
     ord_from_fn,
     ord_pow_param,
     require_lead,
@@ -141,33 +145,32 @@ def lagrange_dir(a: DirSeries, beta=None) -> DirSeries:
     """Shifted-power family of a composition series with leading
     coefficient 1.  ``beta=None`` keeps beta symbolic."""
     require_lead(a, 1, "lagrange_dir")
-    return _lagrange(a, beta, dir_pow_param, log_n_poly)
+    return _lagrange(dir_pow_param(a), beta, log_n_poly)
 
 
 def lagrange_ord(a: OrdSeries, beta=None) -> OrdSeries:
     """Ordinary-algebra counterpart: the shift at index n is beta*n."""
     require_lead(a, 1, "lagrange_ord")
-    return _lagrange(a, beta, ord_pow_param, lambda n: n)
+    return _lagrange(ord_pow_param(a), beta, lambda n: n)
 
 
-def _lagrange(a: Series, beta, power, shift) -> Series:
-    """The shifted-power family of ``a``, which has lead 1, as a series of
-    the kind of ``a``: 1 at the first index, and at every later index n
-    phi * q_n(phi + beta*shift(n)), where q_n is the exact quotient by psi
-    of [x^n] of the parametric power ``power(a)`` and the shift is log n
+def _lagrange(p: Series, beta, shift) -> Series:
+    """The shifted-power family of the parametric power ``p`` of a series
+    with lead 1, as a series of the kind of ``p``: 1 at the first index,
+    and at every later index n phi * q_n(phi + beta*shift(n)), where q_n is
+    the exact quotient by psi of [x^n] of ``p`` and the shift is log n
     (composition) or n itself (ordinary).  ``beta=None`` keeps the symbol
     beta; a rational beta is folded into the coefficients.  Substituting a
     value for phi (``series_substitute_symbol``) gives the family at that
     power."""
     b = _beta if beta is None else as_poly(beta)
-    p = power(a)
     out = [ONE]
-    for n in range(a.first + 1, a.trunc + 1):
+    for n in range(p.first + 1, p.trunc + 1):
         # every term of [x^n] of the parametric power carries psi, so the
         # quotient is exact; a failure here is a structural bug
         q = p[n].divide_by_symbol(PSI)
         out.append(_phi * q.substitute(PSI, _phi + b * shift(n)))
-    return type(a)(a.trunc, tuple(out))
+    return type(p)(p.trunc, tuple(out))
 
 
 def lagrange_middle_member(a: DirSeries) -> DirSeries:
@@ -275,37 +278,18 @@ def inverse_pair_check(
 
         forward:  [x^n] shifted family  = sum over d of u_d(phi)/f(d) * E(n/d, d)
         backward: [x^n] parametric power = sum over d of shifted_d * u_{n/d}(-beta*log d)/f(n/d)
+
+    Both right sides are ``log_power_sum``s.
     """
     beta_val = Fraction(beta)
     lifted = lift_multiplicative(a, trunc)
     power = series_substitute_symbol(lifted, PSI, _phi)  # carries phi
-
-    # q_n = u_n / psi with the psi-power coefficients; shifted-family value
-    # at power value v and index m is v * q_m(v + beta*log m)
-    quotients = [None] + [
-        lifted[m].divide_by_symbol(PSI) if m >= 2 else None for m in range(1, trunc + 1)
-    ]
-
-    def family_at(m: int, value: Polynomial) -> Polynomial:
-        if m == 1:
-            return ONE
-        q = quotients[m]
-        return value * q.substitute(PSI, value + beta_val * log_n_poly(m))
-
-    fam = dir_from_fn(trunc, lambda n: family_at(n, _phi))
-
+    fam = _lagrange(lifted, beta_val, log_n_poly)
+    want_f = log_power_sum(power.coeffs, fam, PHI, beta_val)
+    want_b = log_power_sum(fam.coeffs, lifted, PSI, -beta_val)
     ns = range(2, trunc + 1)
-    want_f, want_b = {}, {}
-    for n in ns:
-        divs = divisors(n)
-        want_f["forward", n] = sum_of_products(
-            (power[d], family_at(n // d, beta_val * log_n_poly(d))) for d in divs
-        )
-        want_b["backward", n] = sum_of_products(
-            (fam[d], lifted[n // d].substitute(PSI, -beta_val * log_n_poly(d))) for d in divs
-        )
-    forward = ({("forward", n): fam[n] for n in ns}, want_f)
-    backward = ({("backward", n): power[n] for n in ns}, want_b)
+    forward = ({("forward", n): fam[n] for n in ns}, {("forward", n): want_f[n] for n in ns})
+    backward = ({("backward", n): power[n] for n in ns}, {("backward", n): want_b[n] for n in ns})
     return forward, backward
 
 
@@ -315,15 +299,16 @@ def inverse_pair_check(
 
 
 def expand_over_basis(b: DirSeries, a: DirSeries, trunc: int) -> list[Polynomial]:
-    """Coefficients c_n = [x^n] b o a^(log n) for n = 1..trunc."""
+    """Coefficients c_n = [x^n] b o a^(log n) for n = 1..trunc: the sum
+    over divisors d of n of b_d times [x^{n/d}] a^(psi) at psi = log n."""
     require_lead(a, 1, "expand_over_basis")
     p = dir_pow_param(a.truncated(trunc))
     b = b.truncated(trunc)
     out: list[Polynomial] = []
     for n in range(1, trunc + 1):
-        spec = series_substitute_symbol(p.truncated(n), PSI, log_n_poly(n))
-        prod = dir_mul(b.truncated(n), spec)
-        out.append(prod[n])
+        log_n = log_n_poly(n)
+        terms = ((b[d], p[n // d].substitute(PSI, log_n)) for d in divisors(n) if b[d])
+        out.append(sum_of_products(terms))
     return out
 
 
@@ -332,18 +317,9 @@ def reconstruct_from_expansion(
 ) -> DirSeries:
     """Rebuild the expanded series: apply (x - (log o a)*) under composition
     to the sum over n of c_n times the (-log n)-power of the base evaluated
-    at x^n.  Exact up to the truncation."""
+    at x^n, the ``log_power_sum`` of the c_n over a^(psi) with scale -1.
+    Exact up to the truncation."""
     a = a.truncated(trunc)
-    p = dir_pow_param(a)
-    pairs: list[list] = [[] for _ in range(trunc)]  # c_n * spec_n at index n*j
-    for n in range(1, trunc + 1):
-        c = coeffs[n - 1]
-        if c.is_zero():
-            continue
-        spec = series_substitute_symbol(p.truncated(trunc // n), PSI, -log_n_poly(n))
-        for at, v in zip(pairs[n - 1 :: n], spec.coeffs):
-            if v:
-                at.append((v, c))
-    total = DirSeries(trunc, tuple(map(sum_of_products, pairs)))
+    total = log_power_sum(coeffs, dir_pow_param(a), PSI, -1)
     lead = dir_x(trunc) - star_derivative(dir_log(a))
     return dir_mul(lead, total)

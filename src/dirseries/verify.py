@@ -379,10 +379,10 @@ def _ord_binomial_coeff(n: int) -> Polynomial | int:
     phi/n! times the product of phi + beta*n - i for i = 1..n-1."""
     if n == 0:
         return 1
-    out = _phi * Fraction(1, factorial(n))
+    out = _phi
     for i in range(1, n):
         out = out * (_phi + _beta * n - i)
-    return out
+    return out * Fraction(1, factorial(n))
 
 
 def suite_thm2(bound: int | None = None) -> list[CheckResult]:

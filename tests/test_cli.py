@@ -12,12 +12,15 @@ import pytest
 
 import dirseries
 import dirseries.cli
+import dirseries.poly
 from dirseries.cli import MATRIX_CAP, VERIFY_CAP, WORK_CAP, build_parser, main
+from dirseries.intfactor import is_prime
 from dirseries.partitions import bell_B, bell_btilde
 from dirseries.poly import (
     METER,
     NESTING_CAP,
     PSI,
+    SYMBOL_INDEX_CAP,
     Polynomial,
     WorkMeter,
     coeff_symbol,
@@ -574,6 +577,33 @@ def test_loaded_power_over_the_cap_is_refused_at_once(tmp_path, text, offset):
     assert seconds < 10
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"error: {path}: coefficient 2: exponent too large (at offset {offset})\n"
+
+
+@pytest.mark.parametrize(
+    "name, shown",
+    [("L" + "1" * 44, "L" + "1" * 39 + "..."), ("L" + "1" * 20, "L" + "1" * 20), ("L02", "L02"),
+     ("a01", "a01"), ("L\u0663", "L\u0663"), ("a" + "7" * 300_000, "a" + "7" * 39 + "...")],
+    ids=["L-44-digits", "L-20-digits", "L-leading-zero", "a-leading-zero", "L-arabic-digit",
+         "a-300000-digits"],
+)
+def test_loaded_symbol_index_off_the_vocabulary_is_refused_at_once(
+    tmp_path, capsys, monkeypatch, name, shown
+):
+    # L<44 digits> crashed in the prime sieve (OverflowError), L<20 digits>
+    # asked for a sieve of about 3 * 10^9 bytes, and a long a<k> ran unmetered;
+    # the index is checked before any primality test, which refuses to sieve
+    def is_prime_below_the_cap(n):
+        assert n <= SYMBOL_INDEX_CAP, f"primality test of the unchecked index {n}"
+        return is_prime(n)
+
+    monkeypatch.setattr(dirseries.poly, "is_prime", is_prime_below_the_cap)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "dir", "trunc": 3, "coeffs": {"1": "1", "2": name}}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "series", "-e", f'load("{path}")', "-N", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: coefficient 2: unknown symbol {shown!r} (at offset 0)\n"
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from dirseries.poly import (
     PHI,
     POWER_CAP,
     PSI,
+    SYMBOL_INDEX_CAP,
     Polynomial,
     _wrap,
     as_poly,
@@ -26,6 +27,7 @@ from dirseries.poly import (
     parse_polynomial,
     rising_poly,
     sum_of_products,
+    validate_symbol,
 )
 from dirseries.randgen import random_polynomial
 from dirseries.series import SERIES_CAP, dir_from_fn
@@ -169,6 +171,22 @@ def test_symbol_vocabulary():
         coeff_symbol(0)
     with pytest.raises(ValueError):
         Polynomial.symbol("gamma")
+
+
+def test_symbol_indices_are_canonical_ascii_up_to_the_cap():
+    # the largest index the package prints: log_n_poly and bell --symbolic stop at SERIES_CAP
+    assert SYMBOL_INDEX_CAP >= SERIES_CAP
+    for name in ("L2", "L9973", "a1", f"a{SYMBOL_INDEX_CAP}"):
+        assert validate_symbol(name) == name
+    for name in ("L02", "a01", "a0", "L4", "L10007", f"a{SYMBOL_INDEX_CAP + 1}", "L\u0663",
+                 "a\u0661", "L" + "1" * 44, "a" + "7" * 300_000, "L", "a"):
+        with pytest.raises(ValueError):
+            validate_symbol(name)
+    # a non-canonical name would be a symbol apart from the canonical one: a01 - a1 did not cancel
+    with pytest.raises(PolynomialSyntaxError, match="unknown symbol 'L02'"):
+        parse_polynomial("L02")
+    with pytest.raises(PolynomialSyntaxError, match="unknown symbol 'a01'"):
+        parse_polynomial("a01 - a1")
 
 
 def test_parse_print_roundtrip():
@@ -358,7 +376,11 @@ def test_sum_of_products_matches_a_term_dict_reference(seed):
 
 
 def _sum_of_terms(count: int) -> Polynomial:
-    terms = {((coeff_symbol(k), 1), (PHI, k % 7 + 1)): k % 11 - 5 or 1 for k in range(1, count + 1)}
+    # a<k> stays within SYMBOL_INDEX_CAP: each later round of k raises phi's powers by 7
+    terms = {}
+    for k in range(1, count + 1):
+        rounds, index = divmod(k - 1, SYMBOL_INDEX_CAP)
+        terms[(coeff_symbol(index + 1), 1), (PHI, k % 7 + 1 + 7 * rounds)] = k % 11 - 5 or 1
     return _wrap(terms)
 
 

@@ -344,7 +344,7 @@ def test_dir_pow_binomial_support():
 @pytest.mark.parametrize(
     "kernel, trunc",
     [(lambda: _convolve([1, 2, 3], [4, 5, 6], 3), 3),
-     (lambda: _inverse_recurrence([1, 2, 3], 1), 3),
+     (lambda: _inverse_recurrence([1, 2, 3]), 3),
      (lambda: _convolve_polys([ONE, ONE], [ONE, ONE], 2), 2),
      (lambda: _inverse_polys([ONE, ONE], ONE), 2),
      (lambda: ord_mul(ord_one(2), ord_one(2)), 3)],
@@ -362,7 +362,7 @@ def test_each_kernel_call_charges_its_minimum_first(kernel, trunc):
 @pytest.mark.parametrize(
     "kernel, trunc",
     [(lambda: _convolve([1, 2, 3], [4, 5, 6], 3), 3),
-     (lambda: _inverse_recurrence([1, 2, 3], 1), 3)],
+     (lambda: _inverse_recurrence([1, 2, 3]), 3)],
     ids=["convolve", "inverse"],
 )
 def test_int_kernels_charge_each_slice_update(kernel, trunc):

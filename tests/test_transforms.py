@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import factorial
@@ -13,18 +14,21 @@ from dirseries.matrices import (
     exp_conjugate,
     identity_matrix,
     matmul,
+    rd_action,
     rd_inverse,
     row_polynomial,
 )
-from dirseries.poly import BETA, PHI, PSI, Polynomial, log_n_poly, rising_poly
+from dirseries.poly import BETA, PHI, PSI, Polynomial, coeff_symbol, log_n_poly, rising_poly
 from dirseries.randgen import random_dir_series, random_ord_series
 from dirseries.series import (
     dir_from_fn,
+    dir_inverse,
     dir_log,
     dir_mul,
     dir_pow_int,
     dir_pow_param,
     dir_x,
+    log_power_sum,
     ord_from_fn,
     ord_log,
     ord_mul,
@@ -404,3 +408,50 @@ def test_expand_over_basis_roundtrip_random():
         b = random_dir_series(rng, 32, lead=Fraction(rng.randint(-3, 3)) or Fraction(1))
         coeffs = expand_over_basis(b, a, 32)
         assert reconstruct_from_expansion(coeffs, a, 32) == b
+
+
+# -- the shared log-power action -------------------------------------------------------
+
+
+def digest(values):
+    return hashlib.sha256("\n".join(v.to_text() for v in values).encode()).hexdigest()
+
+
+def test_log_power_sum_callers_keep_their_values():
+    # digests of the values these callers gave when each wrote out its own sum
+    rng = random.Random(1818)
+    a = random_dir_series(rng, 32)
+    b = random_dir_series(rng, 32, lead=Fraction(2))
+    assert digest(expand_over_basis(b, a, 32)) == (
+        "1a59f622c4fcddf9542c5f912e509508081525853d2b2da94485a8e60773cfce"
+    )
+    sparse = dir_from_fn(24, lambda n: Polynomial.symbol(f"a{n}") if n in (1, 4, 6, 9) else 0)
+    assert digest(rd_action(a.truncated(24), sparse).coeffs) == (
+        "c9dcbbf902cc4e6f834a99444f184b7d1fbfd0f172ea92576b8040148988effd"
+    )
+    forward, backward = inverse_pair_check(random_ord_series(rng, 8), Fraction(-2, 3), 40)
+    for (got, want), want_digest in (
+        (forward, "7182813ceb2ca05cb50f6189b6298b58e52995545c09e7ae6f450ec90932cd00"),
+        (backward, "8ef084c9a625824275fce36a0890f53aeaddd68c4481a607048b9c7e26e0f141"),
+    ):
+        assert digest(got.values()) == digest(want.values()) == want_digest
+
+
+def test_log_power_sum_at_minus_log_is_the_action_of_the_inverse():
+    # a^(-t) = (a^(-1))^t, so the power at -log d is the inverse's at log d
+    rng = random.Random(1819)
+    a = random_dir_series(rng, 24)
+    c = dir_from_fn(24, lambda n: Polynomial.symbol(coeff_symbol(n)) if n % 5 != 3 else 0)
+    got = log_power_sum(c.coeffs, dir_pow_param(a), PSI, -1)
+    assert got == rd_action(dir_inverse(a), c)
+    # the sum is exact up to the shorter of the series and the family
+    assert log_power_sum(c.coeffs[:10], dir_pow_param(a), PSI, -1) == got.truncated(10)
+
+
+def test_inverse_pair_forward_family_is_lagrange_dir_of_the_lifted_base():
+    rng = random.Random(1820)
+    a = random_ord_series(rng, 8)
+    (got, _), _ = inverse_pair_check(a, Fraction(-2, 3), 40)
+    base = series_substitute_symbol(lift_multiplicative(a, 40), PSI, 1)
+    family = lagrange_dir(base, Fraction(-2, 3))
+    assert got == {("forward", n): family[n] for n in range(2, 41)}
