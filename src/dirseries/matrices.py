@@ -71,10 +71,16 @@ class DirMatrix:
         return self.entries.get((n, k), ZERO)
 
     def row(self, n: int) -> list[Polynomial]:
-        return [self.entry(n, k) for k in range(self.col_lo, self.col_hi + 1)]
+        if not self.row_lo <= n <= self.row_hi:
+            raise IndexError(f"row {n} outside matrix index range")
+        get = self.entries.get
+        return [get((n, k), ZERO) for k in range(self.col_lo, self.col_hi + 1)]
 
     def column(self, k: int) -> list[Polynomial]:
-        return [self.entry(n, k) for n in range(self.row_lo, self.row_hi + 1)]
+        if not self.col_lo <= k <= self.col_hi:
+            raise IndexError(f"column {k} outside matrix index range")
+        get = self.entries.get
+        return [get((n, k), ZERO) for n in range(self.row_lo, self.row_hi + 1)]
 
     def __eq__(self, other: object) -> bool:
         # equality is entrywise; the kind tag is bookkeeping

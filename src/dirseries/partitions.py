@@ -3,13 +3,14 @@
 ``bell_B`` sums over additive partitions of n into m parts (the classical
 partition polynomials); ``bell_btilde`` sums over unordered decompositions
 of n into m factors >= 2, which is the multiplicative counterpart.  Both
-accept polynomial values.  They are the enumeration oracles of ``verify``:
-the CLI reads the same tables off powers of a series instead.
+multiply the given values as they are, polynomial or scalar, weight each
+term by an integer multinomial and return a polynomial.  They are the
+enumeration oracles of ``verify``: the CLI reads the same tables off
+powers of a series instead.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
@@ -29,8 +30,10 @@ def partitions_into_parts(n: int, m: int) -> list[tuple[int, ...]]:
             if remaining == 0:
                 out.append(tuple(vec))
             return
-        # parts are chosen non-increasing; smallest useful part is 1
-        for part in range(min(max_part, remaining - parts_left + 1), 0, -1):
+        # parts are chosen non-increasing, so the rest are at most this
+        # part: it is at least remaining / parts_left, rounded up
+        smallest = -(-remaining // parts_left)
+        for part in range(min(max_part, remaining - parts_left + 1), smallest - 1, -1):
             vec[part - 1] += 1
             descend(remaining - part, parts_left - 1, part)
             vec[part - 1] -= 1
@@ -105,17 +108,15 @@ def bell_B(n: int, m: int, values: Sequence[Polynomial | Scalar]) -> Polynomial:
     attached to part size k; at least n values are required."""
     if len(values) < n:
         raise ValueError(f"need {n} values, got {len(values)}")
-    vals = [as_poly(v) for v in values[:n]]
-    total = Polynomial.zero()
+    total = 0
     for vec in partitions_into_parts(n, m):
-        weight = Fraction(factorial(m))
-        term = Polynomial.one()
+        weight, term = factorial(m), 1
         for k, mult in enumerate(vec, start=1):
             if mult:
-                weight /= factorial(mult)
-                term = term * vals[k - 1] ** mult
+                weight //= factorial(mult)
+                term = term * values[k - 1] ** mult
         total = total + term * weight
-    return total
+    return as_poly(total)
 
 
 def bell_btilde(n: int, m: int, values: Sequence[Polynomial | Scalar]) -> Polynomial:
@@ -129,15 +130,14 @@ def bell_btilde(n: int, m: int, values: Sequence[Polynomial | Scalar]) -> Polyno
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     if len(values) < n - 1:
         raise ValueError(f"need {n - 1} values, got {len(values)}")
-    total = Polynomial.zero()
+    total = 0
     for factors in multiplicative_partitions(n, m):
         mults: dict[int, int] = {}
         for k in factors:
             mults[k] = mults.get(k, 0) + 1
-        weight = Fraction(factorial(m))
-        term = Polynomial.one()
+        weight, term = factorial(m), 1
         for k, mult in mults.items():
-            weight /= factorial(mult)
-            term = term * as_poly(values[k - 2]) ** mult
+            weight //= factorial(mult)
+            term = term * values[k - 2] ** mult
         total = total + term * weight
-    return total
+    return as_poly(total)

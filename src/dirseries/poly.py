@@ -525,6 +525,18 @@ def constant_polys(values: Iterable[Scalar]) -> list[Polynomial]:
     return [_wrap({_UNIT_MONO: v}) if v else _ZERO for v in values]
 
 
+def shared_monomials(polys: Iterable[Polynomial]) -> list[Polynomial]:
+    """The polynomials with each monomial, and each (symbol, exponent) pair
+    in one, stored once across all of them: a table that keeps related
+    polynomials for long then holds one copy of each, not one per term."""
+    pool: dict = {}
+
+    def one(key):
+        return pool.setdefault(key, key)
+
+    return [_wrap({one(tuple(map(one, m))): c for m, c in p._terms.items()}) for p in polys]
+
+
 def binom_poly(sym: Symbol, m: int) -> Polynomial:
     """Falling-factorial binomial coefficient s(s-1)...(s-m+1)/m! in ``sym``."""
     if m < 0:

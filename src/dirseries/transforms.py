@@ -18,9 +18,10 @@
                       (log n is replaced by n itself in the ordinary case),
 * ``abel_check``      both sides of the four divisor-indexed identities
                       generalizing the classical Abel identities, as
-                      polynomials, and ``classic_abel_check`` both sides
-                      of the classical ones, which they reduce to at
-                      prime powers,
+                      polynomials, read from a caller's table of the
+                      family terms of the proper divisors, and
+                      ``classic_abel_check`` both sides of the classical
+                      ones, which they reduce to at prime powers,
 * ``inverse_pair_check``  both sides of the pair of mutually inverse
                       divisor-sum relations satisfied by a lifted family,
 * ``expand_over_basis``   expansion of a series over the log-indexed powers
@@ -55,6 +56,7 @@ from .poly import (
     as_poly,
     log_n_poly,
     log_symbol,
+    shared_monomials,
     sum_of_products,
 )
 from .series import (
@@ -70,6 +72,7 @@ from .series import (
     log_power_sum,
     ord_from_fn,
     ord_pow_param,
+    powers,
     require_lead,
     series_substitute_symbol,
     star_derivative,
@@ -188,20 +191,35 @@ def lagrange_middle_member(a: DirSeries) -> DirSeries:
 # ---------------------------------------------------------------------------
 
 
-def _abel_A(sym_poly: Polynomial, d: int) -> Polynomial:
-    """f(d) times the coefficient at d of the shifted exponential family:
-    1 at d = 1, otherwise X*(X + log d)^(s(d)-1) with X the given value."""
-    if d == 1:
-        return ONE
-    return sym_poly * (sym_poly + log_n_poly(d)) ** (s_of(d) - 1)
+def _abel_terms(t: int) -> tuple:
+    """The Abel family terms of index t: s(t), A(phi,t), B(phi,t), A(beta,t),
+    phi^s(t)*log t and the list of powers (-log t)^k for k = 0, 1, ...,
+    which callers extend as far as they need.  A(X,t) = X*(X + log t)^(s(t)-1)
+    is f(t) times the coefficient at t of the shifted exponential family,
+    and B(X,t) = (X + log t)^s(t); both are 1 at t = 1, and both come from
+    one power.  The polynomials share their monomials, which keeps a table
+    of them about 40% smaller."""
+    if t == 1:
+        return 0, ONE, ONE, ONE, ZERO, [ONE, ZERO]
+    s, log_t = s_of(t), log_n_poly(t)
+    shifted = _phi + log_t
+    power = shifted ** (s - 1)
+    a_phi = _phi * power
+    terms = a_phi, power * shifted, a_phi.substitute(PHI, _beta), _phi**s * log_t, -log_t
+    *terms, neg_log = shared_monomials(terms)
+    return s, *terms, [ONE, neg_log]
 
 
-def _abel_B(sym_poly: Polynomial, d: int) -> Polynomial:
-    """(X + log d)^s(d); uniform, no special case at d = 1."""
-    return (sym_poly + log_n_poly(d)) ** s_of(d)
+def _family_terms(family: dict[int, tuple], t: int) -> tuple:
+    terms = family.get(t)
+    if terms is None:
+        terms = family[t] = _abel_terms(t)
+    return terms
 
 
-def abel_check(n: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
+def abel_check(
+    n: int, family: dict[int, tuple] | None = None
+) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
     """The two sides of the four divisor-indexed Abel-analog identities at
     n, as polynomials in phi, beta and prime logarithms: ``(left, right)``,
     each keyed 1..4 by identity.  The identities hold when the sides are
@@ -209,24 +227,38 @@ def abel_check(n: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
     variant absorbing one shift into a plain power, (3) the connection to
     plain powers, stated with a quotient by log n, so both of its sides
     are multiplied through by log n, and (4) the inversion back to the
-    plain power."""
+    plain power.
+
+    ``family`` is a table of the terms of the proper divisors t < n, which
+    a caller checking many n passes to every call: each call reads the
+    terms of its proper divisors from it, adds those it lacks, and builds
+    the terms of n itself without storing them."""
     if n < 2:
         raise ValueError("abel_check needs n >= 2")
+    family = {} if family is None else family
+    own = _abel_terms(n)
+    s, a_n, b_n = own[:3]
     log_n = log_n_poly(n)
+    log_powers = [ONE, *powers(log_n, s)]
+    phi_beta = _phi + _beta
     left = {
-        1: _abel_A(_phi + _beta, n),
-        2: _abel_B(_phi + _beta, n),
-        3: _abel_A(_phi, n) * log_n,
-        4: _phi ** s_of(n),
+        1: a_n.substitute(PHI, phi_beta),
+        2: b_n.substitute(PHI, phi_beta),
+        3: a_n * log_n,
+        4: _phi**s,
     }
     pairs: dict[int, list] = {key: [] for key in left}
     for d in divisors(n):
+        _, a_phi, b_phi, _, phi_log, neg_logs = own if d == n else _family_terms(family, d)
+        k, _, _, a_beta, _, _ = own if d == 1 else _family_terms(family, n // d)
         w = binom_f(n, d)
-        a_phi, a_beta = _abel_A(_phi, d) * w, _abel_A(_beta, n // d)
+        a_phi = a_phi * w
+        while len(neg_logs) <= k:
+            neg_logs.append(neg_logs[-1] * neg_logs[1])
         pairs[1].append((a_phi, a_beta))
-        pairs[2].append((_abel_B(_phi, d) * w, a_beta))
-        pairs[3].append((_phi ** s_of(d) * log_n_poly(d) * w, log_n ** s_of(n // d)))
-        pairs[4].append((a_phi, (-log_n_poly(d)) ** s_of(n // d)))
+        pairs[2].append((b_phi * w, a_beta))
+        pairs[3].append((phi_log * w, log_powers[k]))
+        pairs[4].append((a_phi, neg_logs[k]))
     return left, {key: sum_of_products(p) for key, p in pairs.items()}
 
 

@@ -11,7 +11,10 @@ it starts one process pool (at most k workers, and no more than there are
 cores or work items) and submits every work item to it, heaviest first:
 each suite is one item, except ``abel`` and ``binomf``, whose per-n
 checks go in chunks of a few indices.  With ``--jobs 1``, or where
-processes cannot be started, the suites run whole in process.
+processes cannot be started, the suites run whole in process.  Each
+process keeps the Abel family terms of the divisors it has met for the
+length of one run, so each term is built once per process, not once per
+divisor pair; the table is emptied when the run returns.
 
 Suites: ``pow`` (composition powers), ``log`` (logarithms and the star
 derivative), ``thm1`` (the multiplicative lift), ``thm2`` (shifted-power
@@ -588,8 +591,15 @@ def _chunks(ns: range) -> list[range]:
     return [ns[i : i + _CHUNK] for i in range(0, len(ns), _CHUNK)]
 
 
+# the Abel family terms of the proper divisors met so far, shared by the
+# abel parts one process runs: a pool's workers exit with their run, and
+# ``run_suites`` and ``suite_abel`` empty it when they return, so it holds
+# at most the indices up to ``VERIFY_CAP`` of one run
+_ABEL_TERMS: dict[int, tuple] = {}
+
+
 def _abel_chunk(ns: range) -> list[CheckResult]:
-    return [_check("abel.identities", n, abel_check(n)) for n in ns]
+    return [_check("abel.identities", n, abel_check(n, _ABEL_TERMS)) for n in ns]
 
 
 def _classic_chunk(pairs: list[tuple[int, int]]) -> list[CheckResult]:
@@ -599,7 +609,7 @@ def _classic_chunk(pairs: list[tuple[int, int]]) -> list[CheckResult]:
     out = []
     for p, m in pairs:
         left, right = classic_abel_check(p, m)
-        general_left, general_right = abel_check(p**m)
+        general_left, general_right = abel_check(p**m, _ABEL_TERMS)
         sides = (left, right), (general_left, left), (general_right, right)
         out.append(_check(f"abel.classic.p={p}", p**m, *sides))
     return out
@@ -631,7 +641,10 @@ def _binomf_parts(bound: int | None) -> list[tuple[Callable, object]]:
 
 
 def suite_abel(bound: int | None = None) -> list[CheckResult]:
-    return [rec for fn, arg in _abel_parts(bound) for rec in fn(arg)]
+    try:
+        return [rec for fn, arg in _abel_parts(bound) for rec in fn(arg)]
+    finally:
+        _ABEL_TERMS.clear()
 
 
 def suite_binomf(bound: int | None = None) -> list[CheckResult]:
@@ -859,13 +872,16 @@ def run_suites(
     left = Counter(name for name, *_ in items)
     parts: dict[str, list[tuple]] = {name: [] for name in selected}
     records: list[CheckResult] = []
-    for (name, index, _, _), outcome in _outcomes(items, workers):
-        parts[name].append((index, *outcome))
-        left[name] -= 1
-        if not left[name]:
-            suite_records = _suite_records(name, parts[name])
-            records.extend(suite_records)
-            seconds = sum(part[3] for part in parts[name])
-            on_suite_done(name, seconds, len(suite_records))
+    try:
+        for (name, index, _, _), outcome in _outcomes(items, workers):
+            parts[name].append((index, *outcome))
+            left[name] -= 1
+            if not left[name]:
+                suite_records = _suite_records(name, parts[name])
+                records.extend(suite_records)
+                seconds = sum(part[3] for part in parts[name])
+                on_suite_done(name, seconds, len(suite_records))
+    finally:
+        _ABEL_TERMS.clear()  # filled here when the parts ran in this process
     records.sort(key=lambda r: (r.ident, r.n))
     return records, all(r.ok for r in records)

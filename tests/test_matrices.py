@@ -67,6 +67,20 @@ def test_build_mult_symbolic_entries():
     assert m.entry(8, 4) == Polynomial.symbol("a2")
 
 
+def test_rows_and_columns_read_every_entry_and_refuse_outside_the_range():
+    rng = random.Random(5)
+    m = build_riordan_ord(random_ord_series(rng, 9), random_ord_series(rng, 9, const=0), 9)
+    assert len(m.entries) < 100  # the cells not stored read as zero
+    for i in range(10):
+        assert m.row(i) == [m.entry(i, k) for k in range(10)]
+        assert m.column(i) == [m.entry(n, i) for n in range(10)]
+    for bad in (-1, 10):
+        with pytest.raises(IndexError):
+            m.row(bad)
+        with pytest.raises(IndexError):
+            m.column(bad)
+
+
 def test_build_mult_of_x_is_identity():
     assert build_mult(dir_x(12), 12).entries == {(n, n): Polynomial.one() for n in range(1, 13)}
 

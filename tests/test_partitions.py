@@ -1,5 +1,6 @@
+import hashlib
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
 import pytest
@@ -12,7 +13,7 @@ from dirseries.partitions import (
     ordered_factorizations,
     partitions_into_parts,
 )
-from dirseries.poly import PHI, Polynomial, binom_poly, coeff_symbol
+from dirseries.poly import PHI, Polynomial, binom_poly, coeff_symbol, parse_polynomial
 
 
 def brute_ordered_factorizations(n, m):
@@ -70,6 +71,18 @@ def test_partitions_into_parts():
                 )
                 assert sum((i + 1) * vec[i] for i in range(n)) == n
                 assert sum(vec) == m
+
+
+def test_partitions_into_parts_are_every_partition_once():
+    # brute force: every multiset of m parts from 1..n, kept when it sums to n
+    for n in range(1, 11):
+        for m in range(1, n + 1):
+            want = set()
+            for parts in combinations_with_replacement(range(1, n + 1), m):
+                if sum(parts) == n:
+                    want.add(tuple(parts.count(k) for k in range(1, n + 1)))
+            got = partitions_into_parts(n, m)
+            assert len(got) == len(set(got)) and set(got) == want, (n, m)
 
 
 def brute_multiplicative_partitions(n):
@@ -171,3 +184,25 @@ def test_bell_B_weights_sum():
                     w /= factorial(mult)
                 total += w
             assert total == comb(n - 1, m - 1)
+
+
+@pytest.mark.parametrize(
+    "kind, want",
+    [
+        ("int", "f0ec100e037cf96f33e36a32eb12802d33551de60a97a92cc0acb6364c11ca69"),
+        ("fraction", "9b65fe3dd2b3fb3261ea4ce980d43a9c794111616613d4f5f94f69fa1e2424d3"),
+        ("poly", "5429bacf5c7c076cb0ab3a440bb2fbe250507497b3add15f90c115291f4cc8bc"),
+    ],
+)
+def test_bell_oracles_return_the_same_polynomials_for_any_values(kind, want):
+    # digests of the values both oracles gave when they made every value a
+    # polynomial and weighted terms by Fraction division
+    values = {
+        "int": list(range(-2, 10)),
+        "fraction": [Fraction(k, 3) for k in range(-2, 10)],
+        "poly": [parse_polynomial(f"{k}*phi + L2 - {k % 3}") for k in range(12)],
+    }[kind]
+    got = [bell_B(n, m, values) for n in range(1, 11) for m in range(1, n + 1)]
+    got += [bell_btilde(n, m, values) for n in range(2, 13) for m in range(1, 4)]
+    assert all(type(p) is Polynomial for p in got)
+    assert hashlib.sha256("\n".join(p.to_text() for p in got).encode()).hexdigest() == want

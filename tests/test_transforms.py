@@ -356,6 +356,25 @@ def test_abel_rejects_n1():
         abel_check(1)
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_abel_table_shared_over_many_n_gives_the_fresh_sides(order):
+    fresh = {n: abel_check(n) for n in range(2, 201)}
+    family = {}
+    for n in range(2, 201)[::order]:
+        before = set(family)
+        assert abel_check(n, family) == fresh[n], f"n={n}"
+        # each call stores only the proper divisors of n, never n itself
+        assert all(t < n and n % t == 0 for t in set(family) - before), f"n={n}"
+        if order == 1:
+            assert max(family) < n
+    assert set(family) == set(range(1, 101))
+    # the sides the package gave when each call built its terms afresh
+    sides = (side for n in range(2, 201) for both in fresh[n] for side in both.values())
+    assert hashlib.sha256("\n".join(v.to_text() for v in sides).encode()).hexdigest() == (
+        "6a252fcff6b78569d953d89a261e8e77a4729959ff0572321089639f61b5f51d"
+    )
+
+
 # -- mutually inverse relations ------------------------------------------------------
 
 

@@ -80,10 +80,10 @@ def test_jobs_clamped_to_cores_and_items(monkeypatch, fake_pool, jobs, cpus, ite
 def test_raising_part_gives_one_exception_record(monkeypatch, fake_pool, jobs):
     pristine = dirseries.verify.abel_check
 
-    def broken(n):
+    def broken(n, family=None):
         if n in (17, 35):  # in two chunks; the pool takes the later one first
             raise ValueError(f"n={n}")
-        return pristine(n)
+        return pristine(n, family)
 
     monkeypatch.setattr(dirseries.verify, "abel_check", broken)
     timings = []
@@ -99,13 +99,43 @@ def test_raising_part_gives_one_exception_record(monkeypatch, fake_pool, jobs):
     assert sorted(timings) == [("abel", 1), ("binomf", len(binomf))]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("raising", [False, True])
+def test_abel_table_is_emptied_when_the_run_returns(monkeypatch, fake_pool, jobs, raising):
+    table = dirseries.verify._ABEL_TERMS
+    pristine = dirseries.verify.abel_check
+    sizes = []
+
+    def spy(n, family=None):
+        assert family is table
+        if raising and n == 35:
+            raise ValueError(f"n={n}")
+        sizes.append(len(family))
+        return pristine(n, family)
+
+    monkeypatch.setattr(dirseries.verify, "abel_check", spy)
+    records, ok = run_suites(["abel"], 40, jobs)
+    assert ok is not raising
+    assert fake_pool == ([2] if jobs > 1 else [])
+    assert max(sizes) > 0  # the run's parts shared the table
+    assert not table
+    # a suite called on its own empties the table too
+    sizes.clear()
+    if raising:
+        with pytest.raises(ValueError):
+            dirseries.verify.suite_abel(40)
+    else:
+        assert all(r.ok for r in dirseries.verify.suite_abel(40))
+    assert max(sizes) > 0 and not table
+
+
 def test_classic_abel_cross_checks_the_divisor_sides(monkeypatch):
     # doubled sides keep every divisor-indexed identity true, but they are
     # no longer the classical sides at n = p**m
     pristine = dirseries.verify.abel_check
 
-    def doubled(n):
-        return tuple({i: side * 2 for i, side in sides.items()} for sides in pristine(n))
+    def doubled(n, family=None):
+        return tuple({i: side * 2 for i, side in sides.items()} for sides in pristine(n, family))
 
     monkeypatch.setattr(dirseries.verify, "abel_check", doubled)
     records, ok = run_suites(["abel"], bound=8)
@@ -122,8 +152,8 @@ def test_classic_abel_cross_checks_the_divisor_sides(monkeypatch):
 def test_abel_failure_names_the_identity(monkeypatch):
     pristine = dirseries.verify.abel_check
 
-    def broken(n):
-        left, right = pristine(n)
+    def broken(n, family=None):
+        left, right = pristine(n, family)
         return ({**left, 3: left[3] + 1} if n == 12 else left), right
 
     monkeypatch.setattr(dirseries.verify, "abel_check", broken)
