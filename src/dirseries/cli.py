@@ -47,14 +47,14 @@ import sys
 
 from .errors import DirAlgebraError
 from .exprlang import _expect_kind, eval_expr, parse_expr
-from .poly import METER, ONE, ZERO, Polynomial, coeff_symbol
+from .poly import METER, ONE, ZERO, Polynomial, coeff_symbol, powers
 from .serialize import (
     matrix_to_csv,
     matrix_to_json_text,
     series_to_csv,
     series_to_json_text,
 )
-from .series import SERIES_CAP, DirSeries, OrdSeries, powers
+from .series import SERIES_CAP, DirSeries, OrdSeries
 
 MATRIX_CAP = 500
 

@@ -45,10 +45,6 @@ class ShapeMismatch(DirAlgebraError):
     """Matrix index ranges are incompatible for the requested product."""
 
 
-class KindMismatch(DirAlgebraError):
-    """The matrix operation is only defined for a specific matrix kind."""
-
-
 class SingularDiagonal(DirAlgebraError):
     """Matrix inversion needs nonzero rational constants on the diagonal."""
 

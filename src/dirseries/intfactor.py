@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
 from .errors import NotADivisor
 
@@ -90,10 +90,7 @@ def f_of(n: int) -> int:
     """Product of the factorials of the prime multiplicities of n."""
     out = 1
     for _, m in factorize(n):
-        fac = 1
-        for i in range(2, m + 1):
-            fac *= i
-        out *= fac
+        out *= factorial(m)
     return out
 
 

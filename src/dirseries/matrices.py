@@ -34,13 +34,12 @@ from math import factorial
 from typing import Callable, Iterable
 
 from .errors import (
-    KindMismatch,
     NonUnitLeadingCoefficient,
     ShapeMismatch,
     SingularDiagonal,
 )
 from .intfactor import s_max
-from .poly import ONE, PSI, ZERO, Polynomial, Symbol, log_n_poly, sum_of_products
+from .poly import ONE, PSI, ZERO, Polynomial, Symbol, log_n_poly, powers, sum_of_products
 from .series import (
     DirSeries,
     OrdSeries,
@@ -50,7 +49,6 @@ from .series import (
     dir_x,
     log_power_sum,
     ord_mul,
-    powers,
     require_lead,
     series_substitute_symbol,
 )
@@ -245,7 +243,7 @@ def rd_inverse(m: DirMatrix) -> DirMatrix:
     """Inverse by exact triangular solve over the divisibility order; the
     diagonal must consist of nonzero rational constants."""
     if (m.row_lo, m.col_lo) != (1, 1) or m.row_hi != m.col_hi:
-        raise KindMismatch("rd_inverse needs a square matrix on indices 1..N")
+        raise ShapeMismatch("rd_inverse needs a square matrix on indices 1..N")
     size = m.row_hi
     diag: dict[int, Fraction] = {}
     for n in range(1, size + 1):

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Mapping, Union
+from math import factorial, isqrt
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ArgumentOutOfRange,
@@ -58,13 +59,6 @@ _UNIT_MONO: Monomial = ()
 # prints: ``log_n_poly`` and ``bell --symbolic`` stop at SERIES_CAP
 SYMBOL_INDEX_CAP = 10_000
 _INDEX_DIGITS = len(str(SYMBOL_INDEX_CAP))
-
-
-def log_symbol(p: int) -> Symbol:
-    """The symbol ``L<p>`` standing for the logarithm of the prime p."""
-    if not is_prime(p):
-        raise ValueError(f"L-symbols are indexed by primes, got {p}")
-    return f"L{p}"
 
 
 def coeff_symbol(k: int) -> Symbol:
@@ -379,35 +373,25 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = _ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return repeated_squaring(self, exponent) if exponent else _ONE
 
     # -- structural helpers ------------------------------------------------
 
     def substitute(self, sym: Symbol, replacement: "Polynomial | Scalar") -> "Polynomial":
         """Replace every occurrence of ``sym``, expanding the result."""
         replacement = as_poly(replacement)
-        touched = False
-        powers: list[Polynomial] = [_ONE]
+        top = max((e for mono in self._terms for s, e in mono if s == sym), default=0)
+        if not top:
+            return self
+        ladder = [_ONE, *powers(replacement, top)]
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
             exps = dict(mono)
             e = exps.pop(sym, 0)
             if e:
-                touched = True
                 mono = tuple(sorted(exps.items()))
-                while len(powers) <= e:
-                    powers.append(powers[-1] * replacement)
-            _add_product(out, _wrap({mono: coeff}), powers[e])
-        return _wrap(out) if touched else self
+            _add_product(out, _wrap({mono: coeff}), ladder[e])
+        return _wrap(out)
 
     def divide_by_symbol(self, sym: Symbol) -> "Polynomial":
         """Exact division by ``sym``; every term must contain it."""
@@ -537,6 +521,29 @@ def shared_monomials(polys: Iterable[Polynomial]) -> list[Polynomial]:
     return [_wrap({one(tuple(map(one, m))): c for m, c in p._terms.items()}) for p in polys]
 
 
+def powers(a, top: int, product: Callable = mul) -> Iterator:
+    """a, a^2, ..., a^top, each the ``product`` of the one before and a; by
+    default ``*``, which for a series is the product of its kind."""
+    power = a
+    for m in range(1, top + 1):
+        if m > 1:
+            power = product(power, a)
+        yield power
+
+
+def repeated_squaring(a, k: int):
+    """a**k for k >= 1 by ``*``, from the first factor: at most two
+    products per binary digit of k."""
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else out * a
+        k >>= 1
+        if not k:
+            return out
+        a = a * a
+
+
 def binom_poly(sym: Symbol, m: int) -> Polynomial:
     """Falling-factorial binomial coefficient s(s-1)...(s-m+1)/m! in ``sym``."""
     if m < 0:
@@ -545,10 +552,7 @@ def binom_poly(sym: Symbol, m: int) -> Polynomial:
     out = _ONE
     for i in range(m):
         out = out * (s - i)
-    fac = 1
-    for i in range(2, m + 1):
-        fac *= i
-    return out * Fraction(1, fac)
+    return out * Fraction(1, factorial(m))
 
 
 def rising_poly(sym: Symbol, m: int) -> Polynomial:

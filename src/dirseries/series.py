@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, lcm
-from operator import add, mul
-from typing import Callable, ClassVar, Iterator, Sequence
+from operator import add
+from typing import Callable, ClassVar, Sequence
 
 from .errors import (
     ArgumentOutOfRange,
@@ -77,6 +77,8 @@ from .poly import (
     constant_values,
     int_units,
     log_n_poly,
+    powers,
+    repeated_squaring,
     sum_of_products,
 )
 
@@ -348,31 +350,18 @@ def _inverse_scaled(numerators: list[int], den: int) -> list[Fraction]:
     W_d = A_d * L^(s(d)-1): the unit-lead ``_inverse_recurrence``.  The
     only ``Fraction`` per index is b_n = den * B_n / L^(s(n)+1)."""
     s = s_upto(len(numerators))
-    powers = [1]
-    for _ in range(max(s) + 1):
-        powers.append(powers[-1] * numerators[0])
-    weights = [1] + [x * powers[k - 1] for x, k in zip(numerators[1:], s[2:])]
+    lead_powers = [1, *powers(numerators[0], max(s) + 1)]
+    weights = [1] + [x * lead_powers[k - 1] for x, k in zip(numerators[1:], s[2:])]
     out = _inverse_recurrence(weights)
-    return [Fraction(den * bn, powers[k + 1]) for bn, k in zip(out, s[1:])]
+    return [Fraction(den * bn, lead_powers[k + 1]) for bn, k in zip(out, s[1:])]
 
 
 def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
     """k-fold composition power; k = 0 gives x, negative k inverts first.
-    Binary powering from the first factor: at most two compositions per
-    binary digit of k."""
+    Binary powering by ``repeated_squaring``, whose ``*`` composes."""
     if k < 0:
         return dir_pow_int(dir_inverse(a, "dpow_int"), -k)
-    if k == 0:
-        return dir_x(a.trunc)
-    out = None
-    square = a
-    while True:
-        if k & 1:
-            out = square if out is None else dir_mul(out, square)
-        k >>= 1
-        if not k:
-            return out
-        square = dir_mul(square, square)
+    return repeated_squaring(a, k) if k else dir_x(a.trunc)
 
 
 def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:
@@ -383,17 +372,6 @@ def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:
     for j in range(1, a.trunc // k + 1):
         out[k * j - 1] = a[j]
     return DirSeries(a.trunc, tuple(out))
-
-
-def powers(a, top: int, product: Callable = mul) -> Iterator:
-    """a, a^2, ..., a^top, each the ``product`` of the one before and a; by
-    default the product of the series' kind, so the composition powers
-    a^(m) of a composition series."""
-    power = a
-    for m in range(1, top + 1):
-        if m > 1:
-            power = product(power, a)
-        yield power
 
 
 def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:

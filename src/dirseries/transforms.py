@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .intfactor import binom_f, divisors, factorize, is_prime, s_max, s_of
+from .intfactor import divisors, f_of, factorize, is_prime, s_max, s_of
 from .poly import (
     BETA,
     ONE,
@@ -55,7 +55,7 @@ from .poly import (
     Scalar,
     as_poly,
     log_n_poly,
-    log_symbol,
+    powers,
     shared_monomials,
     sum_of_products,
 )
@@ -72,7 +72,6 @@ from .series import (
     log_power_sum,
     ord_from_fn,
     ord_pow_param,
-    powers,
     require_lead,
     series_substitute_symbol,
     star_derivative,
@@ -192,22 +191,22 @@ def lagrange_middle_member(a: DirSeries) -> DirSeries:
 
 
 def _abel_terms(t: int) -> tuple:
-    """The Abel family terms of index t: s(t), A(phi,t), B(phi,t), A(beta,t),
-    phi^s(t)*log t and the list of powers (-log t)^k for k = 0, 1, ...,
-    which callers extend as far as they need.  A(X,t) = X*(X + log t)^(s(t)-1)
-    is f(t) times the coefficient at t of the shifted exponential family,
-    and B(X,t) = (X + log t)^s(t); both are 1 at t = 1, and both come from
-    one power.  The polynomials share their monomials, which keeps a table
-    of them about 40% smaller."""
+    """The Abel family terms of index t: s(t), f(t), A(phi,t), B(phi,t),
+    A(beta,t), phi^s(t)*log t and the list of powers (-log t)^k for
+    k = 0, 1, ..., which callers extend as far as they need.
+    A(X,t) = X*(X + log t)^(s(t)-1) is f(t) times the coefficient at t of
+    the shifted exponential family, and B(X,t) = (X + log t)^s(t); both are
+    1 at t = 1, and both come from one power.  The polynomials share their
+    monomials, which keeps a table of them about 40% smaller."""
     if t == 1:
-        return 0, ONE, ONE, ONE, ZERO, [ONE, ZERO]
+        return 0, 1, ONE, ONE, ONE, ZERO, [ONE, ZERO]
     s, log_t = s_of(t), log_n_poly(t)
     shifted = _phi + log_t
     power = shifted ** (s - 1)
     a_phi = _phi * power
     terms = a_phi, power * shifted, a_phi.substitute(PHI, _beta), _phi**s * log_t, -log_t
     *terms, neg_log = shared_monomials(terms)
-    return s, *terms, [ONE, neg_log]
+    return s, f_of(t), *terms, [ONE, neg_log]
 
 
 def _family_terms(family: dict[int, tuple], t: int) -> tuple:
@@ -237,7 +236,7 @@ def abel_check(
         raise ValueError("abel_check needs n >= 2")
     family = {} if family is None else family
     own = _abel_terms(n)
-    s, a_n, b_n = own[:3]
+    s, f_n, a_n, b_n = own[:4]
     log_n = log_n_poly(n)
     log_powers = [ONE, *powers(log_n, s)]
     phi_beta = _phi + _beta
@@ -249,9 +248,9 @@ def abel_check(
     }
     pairs: dict[int, list] = {key: [] for key in left}
     for d in divisors(n):
-        _, a_phi, b_phi, _, phi_log, neg_logs = own if d == n else _family_terms(family, d)
-        k, _, _, a_beta, _, _ = own if d == 1 else _family_terms(family, n // d)
-        w = binom_f(n, d)
+        _, f_d, a_phi, b_phi, _, phi_log, neg_logs = own if d == n else _family_terms(family, d)
+        k, f_k, _, _, a_beta, _, _ = own if d == 1 else _family_terms(family, n // d)
+        w = f_n // (f_d * f_k)  # exact: the product of C(m, j) over the p^m exactly dividing n
         a_phi = a_phi * w
         while len(neg_logs) <= k:
             neg_logs.append(neg_logs[-1] * neg_logs[1])
@@ -269,7 +268,7 @@ def classic_abel_check(p: int, m: int) -> tuple[dict[int, Polynomial], dict[int,
     ``abel_check(n)`` builds from divisors."""
     if not is_prime(p) or m < 1:
         raise ValueError("needs a prime p and m >= 1")
-    a = Polynomial.symbol(log_symbol(p))
+    a = Polynomial.symbol(f"L{p}")
 
     def A(sym_poly: Polynomial, k: int) -> Polynomial:
         return ONE if k == 0 else sym_poly * (sym_poly + a * k) ** (k - 1)

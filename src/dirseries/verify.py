@@ -71,6 +71,7 @@ from .poly import (
     Polynomial,
     binom_poly,
     log_n_poly,
+    powers,
     rising_poly,
 )
 from .randgen import random_dir_series, random_ord_series, random_polynomial
@@ -686,13 +687,15 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
               {(m, t): comb(t, m) for m, t in grid})
     out.append(_check("oracle.binom-integer", 6, values))
 
-    # row by row, so that one row of the table is held at a time
+    # row by row, so that one row of the table is held at a time; the left
+    # side is built from the factorization of n*m, the right from logs[n]
     span = min(bound or 100, 100)
     cols = range(1, span + 1)
+    logs = dict(zip(cols, map(log_n_poly, cols)))
     rows_ident = "oracle.log-additivity"
     rows = (
         _check(rows_ident, span, ({(n, m): log_n_poly(n * m) for m in cols},
-                                  {(n, m): log_n_poly(n) + log_n_poly(m) for m in cols}))
+                                  {(n, m): logs[n] + logs[m] for m in cols}))
         for n in cols
     )
     out.append(next((r for r in rows if not r.ok), CheckResult(rows_ident, span, True)))
@@ -731,10 +734,8 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
     size = min(bound or 24, 24)
     vals = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(size)]
     base = ord_from_fn(size, lambda n: 0 if n == 0 else vals[n - 1])
-    power = ord_one(size)
     bell, cauchy = {}, {}
-    for m in range(1, size + 1):
-        power = ord_mul(power, base)
+    for m, power in enumerate(powers(base, size), start=1):
         for n in range(m, size + 1):
             bell[(n, m)], cauchy[(n, m)] = bell_B(n, m, vals), power[n]
     out.append(_check("oracle.bell-cauchy", size, (bell, cauchy)))
@@ -759,12 +760,10 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
 # driver
 # ---------------------------------------------------------------------------
 
-SUITES = ("pow", "log", "thm1", "thm2", "thm3", "abel", "binomf", "oracle")
-
 # the suites from the slowest to the fastest at the default bounds, as
 # timed in process (oracle and thm2 take about half of the run between
 # them); a pool takes the whole suites in this order
-_BY_COST = ("oracle", "thm2", "abel", "thm3", "binomf", "pow", "log", "thm1")
+SUITES = ("oracle", "thm2", "abel", "thm3", "binomf", "pow", "log", "thm1")
 
 # the suites a pool takes in chunks, and their parts
 _PER_N = {"abel": _abel_parts, "binomf": _binomf_parts}
@@ -784,7 +783,7 @@ def _pool_items(selected: list[str], bound: int | None) -> list[_Item]:
     """The work items of the selected suites, heaviest first: the suites
     that run whole, slowest first, then the chunks of the per-n suites,
     largest n first; each chunk is lighter than any whole suite."""
-    by_cost = sorted(selected, key=_BY_COST.index)
+    by_cost = sorted(selected, key=SUITES.index)
     items = [(name, 0, _whole_suite, (name, bound)) for name in by_cost if name not in _PER_N]
     for name in by_cost:
         if name in _PER_N:

@@ -669,17 +669,21 @@ def test_traced_run_finds_every_traced_name():
         "from dirseries import cli\n"
         "recorder = layers.Recorder()\n"
         "layers.install(recorder, layers.new_counters())\n"
+        "commands = [['series', '-e', 'dinv(zeta)', '-N', '8'],\n"
+        "            ['series', '-e', 'dpow_int(zeta,3)', '-N', '8'],\n"
+        "            ['verify', '--suite', 'abel', '-N', '8']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = cli.main(['series', '-e', 'dinv(zeta)', '-N', '8'])\n"
+        "    codes = [cli.main(command) for command in commands]\n"
         "counts = layers.span_counts(recorder.names, recorder.name)\n"
-        "print(json.dumps([rc, sorted(name for name, n in counts.items() if n)]))\n"
+        "print(json.dumps([codes, sorted(name for name, n in counts.items() if n)]))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-    rc, spans = json.loads(done.stdout)
-    assert rc == 0
-    wanted = {"series.dir_inverse", "exprlang.parse_expr", "exprlang.eval_expr", "serialize.emit"}
+    codes, spans = json.loads(done.stdout)
+    assert codes == [0, 0, 0]
+    wanted = {"series.dir_inverse", "exprlang.parse_expr", "exprlang.eval_expr", "serialize.emit",
+              "series.dir_pow_int", "verify.suite.abel", "transforms.abel_check"}
     assert wanted <= set(spans)
 
 

@@ -339,6 +339,12 @@ def test_rd_inverse():
     assert matmul(rd_inverse(m), m) == identity_matrix(16)
 
 
+def test_rd_inverse_of_a_non_square_matrix_is_a_shape_error():
+    for m in (build_column(geom2_series(8), 8), DirMatrix("x", 1, 4, 1, 3, {})):
+        with pytest.raises(ShapeMismatch, match="square matrix"):
+            rd_inverse(m)
+
+
 def test_rd_inverse_singular():
     bad = build_mult(geom2_series(8) + dir_x(8) * 0, 8)
     with pytest.raises(SingularDiagonal):

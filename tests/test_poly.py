@@ -23,8 +23,8 @@ from dirseries.poly import (
     constant_polys,
     constant_values,
     log_n_poly,
-    log_symbol,
     parse_polynomial,
+    repeated_squaring,
     rising_poly,
     sum_of_products,
     validate_symbol,
@@ -71,6 +71,23 @@ def test_substitute_examples():
     c2 = binom_poly(PHI, 2)
     assert c2.substitute(PHI, Polynomial.const(2)) == Polynomial.one()
     assert (psi * random_poly(random.Random(1))).substitute(PSI, 0) == Polynomial.zero()
+
+
+def test_substitute_without_the_symbol_returns_the_polynomial_unmetered():
+    p, r = phi**3 * 7**400 + beta * L2, phi + beta
+    assert p.substitute(PSI, r) is p
+    assert _metered_units(lambda: p.substitute(PSI, r)) == 0
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_powers_match_a_left_to_right_product_chain(k):
+    p = phi * Fraction(2, 3) + beta * L2 - 1
+    chain = Polynomial.one()
+    for _ in range(k):
+        chain = chain * p
+    assert p**k == chain
+    if k:
+        assert repeated_squaring(p, k) == chain
 
 
 def test_divide_by_symbol():
@@ -163,9 +180,9 @@ def test_log_additivity_exhaustive():
 
 
 def test_symbol_vocabulary():
-    assert log_symbol(2) == "L2"
+    assert validate_symbol("L2") == "L2"
     with pytest.raises(ValueError):
-        log_symbol(4)
+        validate_symbol("L4")
     assert coeff_symbol(2) == "a2"
     with pytest.raises(ValueError):
         coeff_symbol(0)

@@ -33,6 +33,7 @@ from dirseries.poly import (
     constant_values,
     log_n_poly,
     parse_polynomial,
+    repeated_squaring,
 )
 from dirseries.randgen import random_dir_series, random_ord_series, random_polynomial
 from dirseries.serialize import series_from_json, series_to_csv, series_to_json_text
@@ -339,6 +340,22 @@ def test_dir_pow_binomial_support():
     expected = {1: 1, 2: 3, 4: 3, 8: 1}
     for n in range(1, 17):
         assert p3[n] == Polynomial.const(expected.get(n, 0))
+
+
+@pytest.mark.parametrize("kind", ["scaled-rational", "symbolic"])
+def test_integer_powers_match_a_left_to_right_composition_chain(kind):
+    rng = random.Random(21)
+    if kind == "scaled-rational":
+        a = random_dir_series(rng, 24, lead=Fraction(-2, 3))
+        assert _scaled_integers(a.coeffs) is not None
+    else:
+        a = dir_from_fn(12, lambda n: phi + n if n % 2 else beta * Fraction(1, n))
+    chain = dir_x(a.trunc)
+    for k in range(10):
+        assert dir_pow_int(a, k) == chain, k
+        if k:
+            assert repeated_squaring(a, k) == chain, k
+        chain = dir_mul(chain, a)
 
 
 @pytest.mark.parametrize(
