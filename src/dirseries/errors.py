@@ -18,7 +18,8 @@ class NotADivisor(DirAlgebraError):
 
 
 class NonUnitLeadingCoefficient(DirAlgebraError):
-    """Inversion needs a nonzero rational constant at index 1."""
+    """Inversion, and a group element's first series, need a nonzero
+    rational coefficient at the first index."""
 
 
 class LeadingCoefficientNotZero(DirAlgebraError):

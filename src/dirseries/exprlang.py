@@ -211,7 +211,7 @@ def _parse_arg(scanner: Scanner) -> tuple[str, Arg]:
     ch = scanner.peek()
     if ch == '"':
         return "string", _take_string(scanner)
-    if ch == "-" or ch.isdigit():
+    if ch == "-" or (ch.isascii() and ch.isdigit()):
         sign = 1
         if ch == "-":
             scanner.expect("-")

@@ -20,26 +20,24 @@ live on rows and columns 1..N and are supported on the divisibility order;
 C = floor(log2 N); ``riordan_ord`` is indexed 0..N on both sides.  Raw
 products (``matmul``) are exact whenever the inner index range of the left
 factor covers every index that can contribute, which holds for all the
-products used here.  Built matrices are immutable.
+products used here.  Built matrices are immutable, and two are equal
+when their index ranges and entries are; ``kind`` names the family in the
+JSON output and is not compared.
 ``rd_action`` is the shared action ``series.log_power_sum`` over a^(psi),
 which ``transforms`` also evaluates for the reconstruction and inverse relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import factorial
 from typing import Callable, Iterable
 
-from .errors import (
-    NonUnitLeadingCoefficient,
-    ShapeMismatch,
-    SingularDiagonal,
-)
+from .errors import ShapeMismatch, SingularDiagonal
 from .intfactor import s_max
-from .poly import ONE, PSI, ZERO, Polynomial, Symbol, log_n_poly, powers, sum_of_products
+from .poly import PSI, ZERO, Polynomial, Symbol, log_n_poly, powers, sum_of_products
 from .series import (
     DirSeries,
     OrdSeries,
@@ -56,7 +54,7 @@ from .series import (
 
 @dataclass(frozen=True)
 class DirMatrix:
-    kind: str
+    kind: str = field(compare=False)
     row_lo: int
     row_hi: int
     col_lo: int
@@ -80,16 +78,6 @@ class DirMatrix:
         get = self.entries.get
         return [get((n, k), ZERO) for n in range(self.row_lo, self.row_hi + 1)]
 
-    def __eq__(self, other: object) -> bool:
-        # equality is entrywise; the kind tag is bookkeeping
-        if not isinstance(other, DirMatrix):
-            return NotImplemented
-        return (
-            (self.row_lo, self.row_hi, self.col_lo, self.col_hi)
-            == (other.row_lo, other.row_hi, other.col_lo, other.col_hi)
-            and self.entries == other.entries
-        )
-
 
 def _clean(entries: dict[tuple[int, int], Polynomial]) -> dict:
     return {key: val for key, val in entries.items() if not val.is_zero()}
@@ -102,7 +90,7 @@ def identity_matrix(size: int) -> DirMatrix:
 def diagonal_log_matrix(size: int) -> DirMatrix:
     """Diagonal matrix whose (n, n) entry is the formal logarithm of n."""
     entries = {(n, n): log_n_poly(n) for n in range(2, size + 1)}
-    return DirMatrix("product", 1, size, 1, size, _clean(entries))
+    return DirMatrix("product", 1, size, 1, size, entries)
 
 
 def _lattice(kind: str, size: int, column: Callable[[int], DirSeries]) -> DirMatrix:
@@ -152,22 +140,10 @@ def _column_entries(columns: Iterable[Series]) -> dict[tuple[int, int], Polynomi
     }
 
 
-def _require_rd_bases(b: DirSeries, a: DirSeries) -> None:
-    if a[1] != ONE:
-        raise NonUnitLeadingCoefficient(
-            f"matrix --kind rd needs coefficient 1 at index 1 of the second series, got {a[1]}"
-        )
-    lead = b[1]
-    if not lead.is_constant() or lead.constant_value() == 0:
-        raise NonUnitLeadingCoefficient(
-            "matrix --kind rd needs a nonzero rational coefficient at index 1"
-            f" of the first series, got {lead}"
-        )
-
-
 def build_rd(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
     """Group-family matrix: column k is x^k o b o a^(log k)."""
-    _require_rd_bases(b, a)
+    require_lead(a, 1, "matrix --kind rd", "second")
+    require_lead(b, None, "matrix --kind rd", "first")
     power = dir_pow_param(a.truncated(size))
 
     def column(k: int) -> DirSeries:

@@ -628,14 +628,14 @@ class Scanner:
 
     def take_uint(self) -> int:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        text, start = self.text, self.pos
+        while self.pos < len(text) and text[self.pos].isascii() and text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number", start)
         _charge_digits(self.pos - start)
         try:
-            return int(self.text[start : self.pos])
+            return int(text[start : self.pos])
         except ValueError:  # more digits than ``sys.get_int_max_str_digits``
             raise self.error("number too long", start) from None
 
@@ -729,7 +729,7 @@ def _parse_atom(toks: Scanner) -> Polynomial:
         inner = _parse_sum(toks)
         toks.close()
         return inner
-    if ch.isdigit():
+    if ch.isascii() and ch.isdigit():
         return Polynomial.const(toks.take_rational())
     if ch.isalpha():
         start = toks.pos

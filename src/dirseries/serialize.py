@@ -83,11 +83,7 @@ def matrix_to_csv(m: DirMatrix) -> str:
 
 
 def matrix_to_json(m: DirMatrix) -> dict[str, Any]:
-    entries = {
-        f"{n},{k}": v.to_text()
-        for (n, k), v in sorted(m.entries.items())
-        if not v.is_zero()
-    }
+    entries = {f"{n},{k}": v.to_text() for (n, k), v in sorted(m.entries.items())}
     return {
         "kind": m.kind,
         "rows": [m.row_lo, m.row_hi],

@@ -165,16 +165,24 @@ class OrdSeries(Series):
     kind = "ord"
 
 
-def require_lead(a: Series, value: int, op: str) -> None:
-    """Raise unless the coefficient at the first index of ``a`` is ``value``
-    (0 or 1); the message names the operation ``op`` that needs it, and
-    calls the coefficient of an ordinary series its constant term."""
+def require_lead(a: Series, value: int | None, op: str, which: str = "") -> None:
+    """Raise unless the coefficient at the first index of ``a`` is what the
+    operation ``op`` needs: 0 for ``value`` 0 (else ``LeadingCoefficientNotZero``),
+    1 for ``value`` 1 (else ``LeadingCoefficientNotOne``) and a nonzero rational
+    for ``value`` None (else ``NonUnitLeadingCoefficient``).  The message names
+    ``op``, calls the coefficient of an ordinary series its constant term and,
+    with ``which`` ("first" or "second"), names the series of a pair."""
     lead = a[a.first]
     where = f"index {a.first}" if a.first else "index 0, the constant term"
+    where += f" of the {which} series" if which else ""
     if value == 0 and not lead.is_zero():
         raise LeadingCoefficientNotZero(f"{op} needs coefficient 0 at {where}, got {lead}")
     if value == 1 and lead != ONE:
         raise LeadingCoefficientNotOne(f"{op} needs coefficient 1 at {where}, got {lead}")
+    if value is None and (not lead.is_constant() or lead.constant_value() == 0):
+        raise NonUnitLeadingCoefficient(
+            f"{op} needs a nonzero rational coefficient at {where}, got {lead}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +298,11 @@ def dir_inverse(a: DirSeries, op: str = "dinv") -> DirSeries:
     inverted in scaled integers by ``_inverse_scaled``, any other series
     in ``Polynomial`` arithmetic.  The lead must be a nonzero rational;
     the error names the operation ``op`` that needs the inverse."""
-    lead = a[1]
-    if not lead.is_constant() or lead.constant_value() == 0:
-        raise NonUnitLeadingCoefficient(
-            f"{op} needs a nonzero rational coefficient at index 1, got {lead}"
-        )
+    require_lead(a, None, op)
     scaled = _scaled_integers(a.coeffs)
     if scaled is not None:
         return DirSeries(a.trunc, tuple(constant_polys(_inverse_scaled(*scaled))))
-    out = _inverse_polys(a.coeffs, Polynomial.const(1 / lead.constant_value()))
+    out = _inverse_polys(a.coeffs, Polynomial.const(1 / a[1].constant_value()))
     return DirSeries(a.trunc, tuple(out))
 
 

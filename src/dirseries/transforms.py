@@ -252,8 +252,8 @@ def abel_check(
         k, f_k, _, _, a_beta, _, _ = own if d == 1 else _family_terms(family, n // d)
         w = f_n // (f_d * f_k)  # exact: the product of C(m, j) over the p^m exactly dividing n
         a_phi = a_phi * w
-        while len(neg_logs) <= k:
-            neg_logs.append(neg_logs[-1] * neg_logs[1])
+        if len(neg_logs) <= k:
+            neg_logs[1:] = powers(neg_logs[1], k)
         pairs[1].append((a_phi, a_beta))
         pairs[2].append((b_phi * w, a_beta))
         pairs[3].append((phi_log * w, log_powers[k]))

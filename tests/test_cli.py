@@ -315,13 +315,16 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
         (["matrix", "--kind", "rd", "-e", "geom2", "-e2", "zeta", "-N", "3"], None,
          "matrix --kind rd needs a nonzero rational coefficient at index 1"
          " of the first series, got 0"),
+        (["matrix", "--kind", "rd", "-e", "geom2", "-e2", "geom2", "-N", "3"], None,
+         "matrix --kind rd needs coefficient 1 at index 1 of the second series, got 0"),
         (["matrix", "--kind", "riordan", "-e", "onepx", "-e2", "expx", "-N", "4"], None,
          "matrix --kind riordan needs coefficient 0 at index 0, the constant term, got 1"),
         (["series", "-e", 'lift(load("{path}"))', "-N", "8"],
          '{"kind": "ord", "trunc": 4, "coeffs": {"0": "2", "1": "1"}}',
          "lift needs coefficient 1 at index 0, the constant term, got 2"),
     ],
-    ids=["dexp", "dinv", "dpow_int", "column", "rd-second", "rd-first", "riordan", "lift"],
+    ids=["dexp", "dinv", "dpow_int", "column", "rd-second", "rd-first", "rd-both", "riordan",
+         "lift"],
 )
 def test_precondition_error_names_operation_and_value(tmp_path, capsys, argv, file_text, message):
     path = tmp_path / "input.json"
@@ -671,19 +674,25 @@ def test_traced_run_finds_every_traced_name():
         "layers.install(recorder, layers.new_counters())\n"
         "commands = [['series', '-e', 'dinv(zeta)', '-N', '8'],\n"
         "            ['series', '-e', 'dpow_int(zeta,3)', '-N', '8'],\n"
-        "            ['verify', '--suite', 'abel', '-N', '8']]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            ['verify', '--suite', 'abel', '-N', '8'],\n"
+        "            ['matrix', '--kind', 'rd', '-e', 'zeta', '-e2', 'eps', '-N', '8', '--json'],\n"
+        "            ['series', '-e', 'dinv(geom2)', '-N', '4']]\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
         "    codes = [cli.main(command) for command in commands]\n"
         "counts = layers.span_counts(recorder.names, recorder.name)\n"
-        "print(json.dumps([codes, sorted(name for name, n in counts.items() if n)]))\n"
+        "spans = sorted(name for name, n in counts.items() if n)\n"
+        "print(json.dumps([codes, err.getvalue(), spans]))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-    codes, spans = json.loads(done.stdout)
-    assert codes == [0, 0, 0]
+    codes, err, spans = json.loads(done.stdout)
+    assert codes == [0, 0, 0, 0, 2]
+    assert err == "error: dinv needs a nonzero rational coefficient at index 1, got 0\n"
     wanted = {"series.dir_inverse", "exprlang.parse_expr", "exprlang.eval_expr", "serialize.emit",
-              "series.dir_pow_int", "verify.suite.abel", "transforms.abel_check"}
+              "series.dir_pow_int", "verify.suite.abel", "transforms.abel_check",
+              "matrices.build_rd"}
     assert wanted <= set(spans)
 
 

@@ -75,7 +75,8 @@ def test_parse_errors():
         parse_expr("dlog(zeta) trailing")
     with pytest.raises(ExprSyntaxError):
         parse_expr('load("unterminated)')
-    for text in ("zeta()", "dinv()"):
+    # a number is ASCII digits: U+0663 ARABIC-INDIC DIGIT THREE is no argument
+    for text in ("zeta()", "dinv()", "dpow_int(zeta,\u0663)"):
         with pytest.raises(ExprSyntaxError, match="expected an argument"):
             parse_expr(text)
 

@@ -4,7 +4,14 @@ from math import factorial
 
 import pytest
 
-from dirseries.errors import ShapeMismatch, SingularDiagonal, TruncationTooSmall
+from dirseries.errors import (
+    LeadingCoefficientNotOne,
+    LeadingCoefficientNotZero,
+    NonUnitLeadingCoefficient,
+    ShapeMismatch,
+    SingularDiagonal,
+    TruncationTooSmall,
+)
 from dirseries.intfactor import factorize
 from dirseries.matrices import (
     DirMatrix,
@@ -36,6 +43,7 @@ from dirseries.series import (
     ord_mul,
     ord_one,
     ord_x,
+    require_lead,
     series_substitute_symbol,
     star_derivative,
 )
@@ -349,6 +357,45 @@ def test_rd_inverse_singular():
     bad = build_mult(geom2_series(8) + dir_x(8) * 0, 8)
     with pytest.raises(SingularDiagonal):
         rd_inverse(bad)
+
+
+PHI_LEAD_ORD = ord_from_fn(4, lambda n: Polynomial.symbol(PHI) if n == 0 else 1)
+ONE_LEAD_ORD = ord_from_fn(4, lambda n: 1)
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (lambda: require_lead(zeta_series(4), 0, "op"), LeadingCoefficientNotZero,
+         "op needs coefficient 0 at index 1, got 1"),
+        (lambda: require_lead(ONE_LEAD_ORD, 0, "op"), LeadingCoefficientNotZero,
+         "op needs coefficient 0 at index 0, the constant term, got 1"),
+        (lambda: require_lead(zeta_series(4) * 2, 1, "op"), LeadingCoefficientNotOne,
+         "op needs coefficient 1 at index 1, got 2"),
+        (lambda: require_lead(PHI_LEAD_ORD, 1, "op"), LeadingCoefficientNotOne,
+         "op needs coefficient 1 at index 0, the constant term, got phi"),
+        (lambda: require_lead(geom2_series(4), None, "op"), NonUnitLeadingCoefficient,
+         "op needs a nonzero rational coefficient at index 1, got 0"),
+        (lambda: require_lead(PHI_LEAD_ORD, None, "op"), NonUnitLeadingCoefficient,
+         "op needs a nonzero rational coefficient at index 0, the constant term, got phi"),
+        (lambda: build_rd(zeta_series(4), zeta_series(4) * 2, 4), LeadingCoefficientNotOne,
+         "matrix --kind rd needs coefficient 1 at index 1 of the second series, got 2"),
+        (lambda: build_rd(geom2_series(4), geom2_series(4), 4), LeadingCoefficientNotOne,
+         "matrix --kind rd needs coefficient 1 at index 1 of the second series, got 0"),
+        (lambda: build_rd(geom2_series(4), zeta_series(4), 4), NonUnitLeadingCoefficient,
+         "matrix --kind rd needs a nonzero rational coefficient at index 1"
+         " of the first series, got 0"),
+    ],
+    ids=["zero-dir", "zero-ord", "one-dir", "one-ord", "unit-dir", "unit-ord",
+         "rd-second", "rd-both", "rd-first"],
+)
+def test_each_lead_condition_raises_its_one_class(check, error, message):
+    # one condition, one class: "coefficient 1" is LeadingCoefficientNotOne for a
+    # group element's second series too
+    with pytest.raises(error) as caught:
+        check()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_star_derivative_conjugation():

@@ -232,6 +232,19 @@ def test_parse_errors_carry_offsets():
 
 
 @pytest.mark.parametrize(
+    "text, message, offset",
+    [("\u0663*phi", "expected a term", 0), ("phi^\u00b2", "expected a number", 4),
+     ("1/\u0663", "expected a number", 2), ("2\u0663", "trailing input", 1)],
+    ids=["arabic-indic-three", "superscript-two", "denominator", "trailing"],
+)
+def test_numbers_are_ascii_digits_only(text, message, offset):
+    # str.isdigit() holds for every Unicode digit, and int() reads them; a number is 0-9 only
+    with pytest.raises(PolynomialSyntaxError, match=message) as err:
+        parse_polynomial(text)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
     "text, offset",
     [("phi^" + "9" * 5000, 4), ("9" * 5000, 0), ("-" + "9" * 5000, 1), ("9" * 5000 + "*phi", 0),
      ("1/" + "9" * 5000, 2)],
