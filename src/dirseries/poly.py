@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial, isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -54,6 +54,7 @@ Monomial = tuple[tuple[Symbol, int], ...]
 Scalar = Union[int, Fraction]
 
 _UNIT_MONO: Monomial = ()
+_exponent = itemgetter(1)  # of a (symbol, exponent) pair
 
 # the largest index of a symbol L<p> or a<k>, the largest the package
 # prints: ``log_n_poly`` and ``bell --symbolic`` stop at SERIES_CAP
@@ -105,12 +106,11 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _term_key(mono: Monomial) -> tuple:
-    return (_mono_degree(mono), mono)
+def _term_key(term: tuple[Monomial, Scalar]) -> tuple:
+    """The printing order of a (monomial, coefficient) pair: by total
+    degree, then by monomial."""
+    mono = term[0]
+    return sum(map(_exponent, mono)), mono
 
 
 # -- work meter --------------------------------------------------------------
@@ -442,29 +442,38 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
     def to_text(self) -> str:
-        """Canonical text form (graded, then lexicographic term order)."""
+        """Canonical text form (graded, then lexicographic term order).
+        Each term is written in one pass from the integers of its
+        coefficient, its numerator and denominator (1 for an ``int``): the
+        sign, the magnitude and ``/den``, with no ``Fraction`` arithmetic.
+        Under a budget, each coefficient is charged for its digits, about 3
+        per 10 of the bits ``_term_sizes`` counts, before ``str`` writes them."""
         terms = self._terms
         if not terms:
             return "0"
-        if METER.budget is not None:  # before ``str`` writes a long number
-            for c in terms.values():  # about 3 digits to 10 bits
-                _charge_digits(_term_sizes(c)[3] * 3 // 10)
-        if len(terms) == 1 and _UNIT_MONO in terms:
-            return str(terms[_UNIT_MONO])
+        items = terms.items()
+        if len(terms) > 1:
+            items = sorted(items, key=_term_key)
+        metered = METER.budget is not None
         parts: list[str] = []
-        for mono, coeff in sorted(terms.items(), key=lambda kv: _term_key(kv[0])):
-            body = "*".join(s if e == 1 else f"{s}^{e}" for s, e in mono)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
+        for mono, coeff in items:
+            num, den = coeff.as_integer_ratio()
+            if metered:
+                bits = num.bit_length() + (den.bit_length() if type(coeff) is not int else 0)
+                _charge_digits(bits * 3 // 10)
+            negative = num < 0
+            if negative:
+                num = -num
+            mag = str(num) if den == 1 else f"{num}/{den}"
+            if not mono:
+                text = mag
             else:
-                text = f"{mag}*{body}"
-            if not parts:
-                parts.append(text if coeff > 0 else f"-{text}")
+                body = "*".join([s if e == 1 else f"{s}^{e}" for s, e in mono])
+                text = body if num == 1 and den == 1 else f"{mag}*{body}"
+            if parts:
+                parts.append(f"- {text}" if negative else f"+ {text}")
             else:
-                parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+                parts.append(f"-{text}" if negative else text)
         return " ".join(parts)
 
 

@@ -75,10 +75,13 @@ def series_to_csv(s: Series) -> str:
 
 
 def matrix_to_csv(m: DirMatrix) -> str:
+    """One line per row; a cell absent from the entries is written as 0."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    get = m.entries.get
+    cols = range(m.col_lo, m.col_hi + 1)
     for n in range(m.row_lo, m.row_hi + 1):
-        writer.writerow([v.to_text() for v in m.row(n)])
+        writer.writerow(["0" if (v := get((n, k))) is None else v.to_text() for k in cols])
     return out.getvalue()
 
 

@@ -36,7 +36,8 @@ integral results ``int``, and the ``Polynomial`` coefficients otherwise by
 ``_convolve_polys``, which gathers the pairs of nonzero coefficients at
 each index and sums them once.  ``dir_apply_series`` keeps every power
 A^(m) as an ``int`` list from ``_convolve`` and sums the powers in one
-``int`` row per monomial of the ordinary series, dividing once at the end.
+``int`` row per monomial of the ordinary series, over each power's nonzero
+support only, dividing once at the end.
 ``dir_inverse`` runs one forward-accumulating recurrence: on integers
 scaled by powers of A_1 for such a series (``_inverse_scaled``), and on
 the ``Polynomial`` coefficients otherwise (``_inverse_polys``), a constant
@@ -48,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, compress
 from math import factorial, lcm
 from operator import add
 from typing import Callable, ClassVar, Sequence
@@ -145,6 +147,12 @@ class Series:
     def __neg__(self):
         return self * -1
 
+    @cached_property
+    def nonzero(self) -> list[tuple[int, Polynomial]]:
+        """The pairs (n, c_n) of the nonzero coefficients, found once per
+        series: a factor used in many products is scanned once."""
+        return _nonzero(self.coeffs, self.first)
+
     def truncated(self, n: int):
         if n > self.trunc:
             raise TruncationTooSmall(f"series has trunc {self.trunc}, need {n}")
@@ -229,16 +237,19 @@ def dirichlet_convolve(
 def _convolve(xs: Sequence[int], ys: Sequence[int], trunc: int) -> list[int]:
     """The divisor-indexed convolution of two ``int`` lists up to
     ``trunc``.  A slice update per nonzero x_d adds x_d * y_q at every
-    index d*q, charging the meter as ``_charge_call`` says."""
+    index d*q.  With q0 the first index of a nonzero y_q, an x_d with
+    d > trunc // q0 meets none, so the updates stop there: in the power
+    ladder, whose y is a series with y_1 = 0, every d past trunc / 2 is
+    skipped.  Each update that runs is charged as ``_charge_call`` says."""
     ybits = _charge_call(trunc, ys)
     acc = [0] * trunc
-    for d in range(1, trunc + 1):
+    q0 = next(compress(range(1, trunc + 1), ys), trunc + 1)
+    for d in compress(range(1, trunc // q0 + 1), xs):
         x = xs[d - 1]
-        if x:
-            n = trunc // d
-            if ybits:
-                METER.charge(int_units(n, x.bit_length(), ybits[n - 1]))
-            acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[:n]))
+        n = trunc // d
+        if ybits:
+            METER.charge(int_units(n, x.bit_length(), ybits[n - 1]))
+        acc[d - 1 :: d] = map(add, acc[d - 1 :: d], map(x.__mul__, ys[:n]))
     return acc
 
 
@@ -409,7 +420,10 @@ def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int
     A^(m) is an ``int`` list from ``_convolve``.  With F the common
     denominator of f_1..f_top, every monomial mu of f gets one integer
     row, which accumulates f_m[mu] * F * den^(top-m) * A^(m)[n]; the rows
-    are divided by F * den^top once, at the end."""
+    are divided by F * den^top once, at the end.  A^(m) vanishes at every
+    n with fewer than m prime factors, so each power's nonzero support is
+    found once and the rows are added to there only; the meter still
+    charges each row addition as ``trunc`` products."""
     trunc = len(numerators)
     terms = [f[m].terms for m in range(top + 1)]
     fden = lcm(1, *(c.denominator for t in terms[1:] for c in t.values()))
@@ -417,13 +431,16 @@ def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int
     ladder = powers(numerators, top, lambda x, y: _convolve(x, y, trunc))
     for m, power in enumerate(ladder, start=1):
         weight = fden * den ** (top - m)
-        bits = sum(map(int.bit_length, power)) if METER.budget is not None else 0
+        support = list(compress(range(trunc), power))
+        values = list(filter(None, power))
+        bits = sum(map(int.bit_length, values)) if METER.budget is not None else 0
         for mono, c in terms[m].items():
             w = c.numerator * (weight // c.denominator)
             if bits:
                 METER.charge(int_units(trunc, w.bit_length(), bits))
             row = rows.setdefault(mono, [0] * trunc)
-            row[:] = map(add, row, map(w.__mul__, power))
+            for n, v in zip(support, map(w.__mul__, values)):
+                row[n] += v
     total = fden * den**top
     monos = list(rows)
     coeffs = [
@@ -540,12 +557,17 @@ def ord_x(trunc: int) -> OrdSeries:
 def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
     """The Cauchy product: the pair of each nonzero a_i and b_j with
     i + j <= n is gathered at index i + j, and each index is summed once by
-    ``sum_of_products``; metered like ``_convolve_polys``."""
+    ``sum_of_products``; metered like ``_convolve_polys``.  The nonzero
+    coefficients come from ``Series.nonzero``, so a factor of many
+    products, like the a of a Riordan array's columns b * a^k, is scanned
+    once."""
     n = min(a.trunc, b.trunc)
     _charge_call(n + 1)
     pairs: list[list] = [[] for _ in range(n + 1)]
-    nonzero_b = _nonzero(b.coeffs[: n + 1], 0)
-    for i, ai in _nonzero(a.coeffs[: n + 1], 0):
+    nonzero_b = b.nonzero
+    for i, ai in a.nonzero:
+        if i > n:
+            break
         for j, bj in nonzero_b:
             if i + j > n:
                 break

@@ -6,7 +6,9 @@ unchanged.  The commands cover every ``matrix --kind`` (``rd`` and
 Lagrange families with symbolic and rational beta, the inverse on its
 rational and symbolic paths, ``bell`` tables of both families, numeric
 and symbolic, the composition power, logarithm, product and lift of those
-files, and the ``thm2``, ``thm3``, ``abel`` and ``log`` verify suites.
+files, the power, logarithm and exponential of rational series on their
+scaled-integer path, and the ``thm2``, ``thm3``, ``abel`` and ``log``
+verify suites.
 
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and copy each printed
@@ -20,6 +22,7 @@ import hashlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,9 @@ import pytest
 from dirseries.cli import main
 
 # small series files for load(): composition series b (lead 2) and a
-# (lead 1), ordinary series c (constant term 1) and d (zero constant term)
+# (lead 1), ordinary series c (constant term 1) and d (zero constant term),
+# and the rational composition series r (lead 1, some zeros)
+RATIONAL = {1: Fraction(1)} | {n: Fraction((7 * n) % 11 - 5, n % 4 + 1) for n in range(2, 201)}
 SERIES_FILES = {
     "b": {"kind": "dir", "trunc": 12, "coeffs": {
         "1": "2", "2": "a1", "3": "a2 + 1/3", "4": "a1^2 - 1", "5": "-a3",
@@ -39,10 +44,12 @@ SERIES_FILES = {
         "0": "1", "1": "a1", "2": "a2", "3": "1/2", "5": "-a1*a2"}},
     "d": {"kind": "ord", "trunc": 6, "coeffs": {
         "1": "1", "2": "a3", "3": "-a1", "4": "2/3"}},
+    "r": {"kind": "dir", "trunc": 200, "coeffs": {
+        str(n): str(v) for n, v in RATIONAL.items() if v}},
 }
 
-# (argv, sha256 of stdout); every command exits 0, and {b}, {a}, {c}, {d}
-# stand for load() of the files above
+# (argv, sha256 of stdout); every command exits 0, and {b}, {a}, {c}, {d},
+# {r} stand for load() of the files above
 GOLDEN = {
     "matrix-mult-csv": (
         ["matrix", "--kind", "mult", "-e", "eps", "-N", "16", "--csv"],
@@ -139,6 +146,18 @@ GOLDEN = {
     "verify-abel": (
         ["verify", "--suite", "abel", "-N", "64"],
         "2c240be54573d38963001cbdc8c44addb312b2d3085f18d08efd893c3c2496a8",
+    ),
+    "dpow-param-rational-csv": (
+        ["series", "-e", "dpow_param({r})", "-N", "200", "--csv"],
+        "33776f27f2d9c08277aebf60dab5e1e72111d53d89fd4799dab74a5ba7170575",
+    ),
+    "dlog-rational": (
+        ["series", "-e", "dlog({r})", "-N", "200"],
+        "8a6b33d3ce461f7a47594c96bc74917c2a9ae57be9a22ea4eff36fc023254cf9",
+    ),
+    "dexp-geom2": (
+        ["series", "-e", "dexp(geom2)", "-N", "512"],
+        "159f845af08d675ededff2585c140c462f189ccc2e5ac4fcf6b0ea1a5b0154cc",
     ),
     "verify-log": (
         ["verify", "--suite", "log"],

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import dirseries.series
 from dirseries.errors import (
     LeadingCoefficientNotOne,
     LeadingCoefficientNotZero,
@@ -87,6 +88,27 @@ def test_rows_and_columns_read_every_entry_and_refuse_outside_the_range():
             m.row(bad)
         with pytest.raises(IndexError):
             m.column(bad)
+
+
+def test_riordan_scans_its_fixed_factor_once(monkeypatch):
+    # column k + 1 is column k times a: each product scans its new left
+    # factor, and a, the right factor of every product, is scanned once
+    scans = []
+    pristine = dirseries.series._nonzero
+
+    def counted(values, start=1):
+        scans.append(len(values))
+        return pristine(values, start)
+
+    monkeypatch.setattr(dirseries.series, "_nonzero", counted)
+    rng = random.Random(6)
+    b, a = random_ord_series(rng, 12), random_ord_series(rng, 12, const=0)
+    m = build_riordan_ord(b, a, 12)
+    assert scans == [13] * 13  # b, a, then b * a^k for 0 < k < 12
+    column = b
+    for k in range(13):
+        assert m.column(k) == list(column.coeffs)
+        column = ord_mul(column, a)
 
 
 def test_build_mult_of_x_is_identity():

@@ -373,6 +373,77 @@ def test_long_numbers_are_charged_before_they_are_converted():
     assert time.perf_counter() - start < 5
 
 
+def _reference_text(p: Polynomial) -> str:
+    """Canonical text written with the ``Fraction`` operators: ``abs``,
+    ``==`` and ``>`` on each coefficient and ``str`` of its magnitude."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    if len(terms) == 1 and () in terms:
+        return str(terms[()])
+    parts = []
+    for mono, coeff in sorted(terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0])):
+        body = "*".join(s if e == 1 else f"{s}^{e}" for s, e in mono)
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not parts:
+            parts.append(text if coeff > 0 else f"-{text}")
+        else:
+            parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(parts)
+
+
+def _random_coefficient(rng):
+    """An ``int``, a ``Fraction`` or a ``Fraction`` with denominator 1, of
+    either sign, with magnitude 1 among them and long numbers."""
+    value = rng.choice((1, 1, 2, 7, 12, 10**25 + 3)) * rng.choice((1, -1))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return value
+    if kind == 1:
+        return Fraction(value, rng.choice((2, 3, 10, 10**20 + 1)))
+    return Fraction(value)  # as mixed int and Fraction arithmetic leaves it
+
+
+def _random_terms(rng) -> dict:
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        symbols = rng.sample((PHI, BETA, PSI, "L2", "L13", "a1", "a12"), rng.randint(0, 3))
+        mono = tuple(sorted((s, rng.randint(1, 3)) for s in symbols))
+        terms[mono] = _random_coefficient(rng)
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_text_matches_the_fraction_operator_formatter(seed):
+    # the terms are stored as drawn, so a Fraction with denominator 1 stays one
+    rng = random.Random(seed)
+    polys = [_wrap(_random_terms(rng)) for _ in range(300)]
+    polys += [_wrap({(): c}) for c in (5, -5, 1, -1, Fraction(-3, 4), Fraction(7), Fraction(-1))]
+    polys += [Polynomial.zero(), _wrap({((PHI, 1),): Fraction(-1), ((BETA, 2),): Fraction(1)})]
+    for p in polys:
+        assert p.to_text() == _reference_text(p)
+        assert parse_polynomial(p.to_text()) == p
+
+
+@pytest.mark.parametrize(
+    "terms, units",
+    [({(): 7**2000}, 2835),
+     ({(): Fraction(-(7**1500), 3**900)}, 2859),
+     ({((PHI, 1),): 7**2000, ((BETA, 2),): Fraction(5**1200, 11**400), (): Fraction(-(3**800))},
+      4544),
+     ({((PHI, 1),): 7**300, (): Fraction(-1, 3)}, 0)],
+    ids=["int", "fraction", "mixed", "short"],
+)
+def test_printing_charges_the_digits_of_long_numbers(terms, units):
+    assert _metered_units(_wrap(terms).to_text) == units
+
+
 def _reference_sum_of_products(pairs) -> dict:
     """The terms of the sum of p * q over ``pairs``, from exponent maps."""
     out: dict = {}

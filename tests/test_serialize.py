@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from dirseries.errors import DirAlgebraError, SeriesFormatError
-from dirseries.matrices import build_column, build_mult
+from dirseries.matrices import DirMatrix, build_column, build_mult
+from dirseries.poly import ZERO, parse_polynomial
 from dirseries.randgen import random_dir_series, random_ord_series
 from dirseries.serialize import (
     matrix_to_csv,
@@ -117,6 +118,16 @@ def test_matrix_csv_and_json():
     assert obj["rows"] == [1, 6] and obj["cols"] == [0, 2]
     assert obj["entries"]["4,2"] == "1"
     json.dumps(obj)  # serializable
+
+
+def test_matrix_csv_cells_are_the_entry_texts():
+    # a cell absent from the entries prints as "0", the text of ZERO
+    cells = {(1, 0): "-1/2 + phi", (2, 2): "-7/3", (3, 1): "3 + a1*beta^2", (2, 1): "0"}
+    entries = {key: parse_polynomial(text) for key, text in cells.items()}
+    assert entries[2, 1] is ZERO
+    m = DirMatrix("product", 1, 3, 0, 2, entries)
+    want = "".join(",".join(v.to_text() for v in m.row(n)) + "\n" for n in (1, 2, 3))
+    assert matrix_to_csv(m) == want == "-1/2 + phi,0,0\n0,0,-7/3\n0,3 + a1*beta^2,0\n"
 
 
 def test_matrix_csv_row_major_order():

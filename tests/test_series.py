@@ -4,6 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, lcm
 
 import pytest
@@ -31,6 +32,7 @@ from dirseries.poly import (
     Polynomial,
     binom_poly,
     constant_values,
+    int_units,
     log_n_poly,
     parse_polynomial,
     repeated_squaring,
@@ -149,6 +151,45 @@ def test_convolve_constant_with_symbolic_matches_polynomial_divisor_sum():
         got = dirichlet_convolve(x, y, 45)
         assert got == want
         assert [p.to_text() for p in got] == [p.to_text() for p in want]
+
+
+def zero_head(rng, length, zeros):
+    """``zeros`` zeros, then integers in -5..5 with zeros among them."""
+    return [0] * zeros + [rng.randint(-5, 5) for _ in range(length - zeros)]
+
+
+@pytest.mark.parametrize(
+    "x_zeros, y_zeros", [(0, 1), (0, 2), (0, 63), (3, 0), (3, 1)],
+    ids=["ys-from-2", "ys-from-3", "ys-zero", "xs-from-4", "both-heads"],
+)
+def test_convolve_past_zero_heads_matches_divisor_sum(x_zeros, y_zeros):
+    # only x_d with d <= trunc // q0 meets a nonzero y_q, q0 the first index
+    # of a nonzero y; the kernel stops there
+    rng = random.Random(x_zeros * 100 + y_zeros)
+    xs, ys = zero_head(rng, 63, x_zeros), zero_head(rng, 63, y_zeros)
+    for trunc in (1, 2, 3, 4, 10, 31, 32, 62, 63):
+        assert _convolve(xs, ys, trunc) == divisor_sum(xs, ys, trunc, 0), trunc
+        assert _convolve(ys, xs, trunc) == divisor_sum(ys, xs, trunc, 0), trunc
+
+
+@pytest.mark.parametrize("y_zeros", (0, 1, 2, 40))
+def test_convolve_charges_only_the_slice_updates_that_run(y_zeros):
+    # each nonzero x_d with d <= trunc // q0 costs one slice update; the
+    # x_d past it, which meet no nonzero y_q, cost nothing
+    trunc = 40
+    xs = [3 ** (d % 7) * (-1) ** d for d in range(1, trunc + 1)]
+    ys = [0] * y_zeros + [5**q for q in range(y_zeros + 1, trunc + 1)]
+    ybits = list(accumulate(map(int.bit_length, ys)))
+    want = CALL_UNITS + INDEX_UNITS * trunc + sum(
+        int_units(trunc // d, xs[d - 1].bit_length(), ybits[trunc // d - 1])
+        for d in range(1, trunc // (y_zeros + 1) + 1)
+    )
+    try:
+        METER.reset(10**18)
+        _convolve(xs, ys, trunc)
+        assert METER.spent == want
+    finally:
+        METER.reset()
 
 
 def test_wide_denominators_stay_on_the_polynomial_path():
