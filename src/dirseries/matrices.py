@@ -131,13 +131,10 @@ def build_mixed(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
 
 def _column_entries(columns: Iterable[Series]) -> dict[tuple[int, int], Polynomial]:
     """The nonzero entries (n, m) of the matrix whose column m is the m-th
-    series of ``columns``, its rows numbered from the series' first index."""
-    return {
-        (n, m): v
-        for m, col in enumerate(columns)
-        for n, v in enumerate(col.coeffs, start=col.first)
-        if not v.is_zero()
-    }
+    series of ``columns``, its rows numbered from the series' first index.
+    They are read from ``Series.nonzero``, which a column that is also the
+    next product's factor then does not scan again."""
+    return {(n, m): v for m, col in enumerate(columns) for n, v in col.nonzero}
 
 
 def build_rd(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:

@@ -11,8 +11,9 @@ powers of a series instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .intfactor import divisors, s_max
 from .poly import Polynomial, Scalar, as_poly
@@ -108,15 +109,8 @@ def bell_B(n: int, m: int, values: Sequence[Polynomial | Scalar]) -> Polynomial:
     attached to part size k; at least n values are required."""
     if len(values) < n:
         raise ValueError(f"need {n} values, got {len(values)}")
-    total = 0
-    for vec in partitions_into_parts(n, m):
-        weight, term = factorial(m), 1
-        for k, mult in enumerate(vec, start=1):
-            if mult:
-                weight //= factorial(mult)
-                term = term * values[k - 1] ** mult
-        total = total + term * weight
-    return as_poly(total)
+    parts = partitions_into_parts(n, m)
+    return _bell_sum(m, ({k: j for k, j in enumerate(vec, 1) if j} for vec in parts), values, 1)
 
 
 def bell_btilde(n: int, m: int, values: Sequence[Polynomial | Scalar]) -> Polynomial:
@@ -130,14 +124,22 @@ def bell_btilde(n: int, m: int, values: Sequence[Polynomial | Scalar]) -> Polyno
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     if len(values) < n - 1:
         raise ValueError(f"need {n - 1} values, got {len(values)}")
+    return _bell_sum(m, map(Counter, multiplicative_partitions(n, m)), values, 2)
+
+
+def _bell_sum(m: int, multiplicities: Iterable[dict], values: Sequence, first: int) -> Polynomial:
+    """The sum over the maps {k: m_k} of m!/(prod of m_k!) * prod of
+    values[k - first]**m_k.  Each power is computed once per (k, m_k) in
+    the call, from the value as it is."""
+    table: dict[tuple[int, int], Polynomial | Scalar] = {}
     total = 0
-    for factors in multiplicative_partitions(n, m):
-        mults: dict[int, int] = {}
-        for k in factors:
-            mults[k] = mults.get(k, 0) + 1
+    for mults in multiplicities:
         weight, term = factorial(m), 1
         for k, mult in mults.items():
             weight //= factorial(mult)
-            term = term * values[k - 2] ** mult
+            power = table.get((k, mult))
+            if power is None:
+                power = table[k, mult] = values[k - first] ** mult
+            term = term * power
         total = total + term * weight
     return as_poly(total)

@@ -30,10 +30,11 @@ so that dividing by their result stays exact.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial, isqrt
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     ArgumentOutOfRange,
@@ -96,6 +97,19 @@ def _scalar(value: Scalar) -> Scalar:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials.  A factor of one (symbol, exponent)
+    pair is inserted into the other at ``bisect_left(mono, (symbol,))``,
+    the first pair whose symbol is not below it, adding the exponents on a
+    match; the other pairs are the factors' own tuples.  Only two factors
+    of several pairs each are merged in a dict and sorted."""
+    if len(m1) == 1:
+        m1, m2 = m2, m1
+    if len(m2) == 1:
+        ((sym, e),) = m2
+        i = bisect_left(m1, (sym,))
+        if i < len(m1) and m1[i][0] == sym:
+            return m1[:i] + ((sym, m1[i][1] + e),) + m1[i + 1 :]
+        return m1[:i] + m2 + m1[i:]
     if not m1:
         return m2
     if not m2:
@@ -172,9 +186,8 @@ def _factor_bits(bits: int) -> int:
 
 def _sizes(p: Polynomial) -> tuple[int, int, int, int, int]:
     """Of the terms of ``p``, counted once: their number and symbols, and
-    their ``Fraction``s, bits and ``_factor_bits``."""
-    if p._sizes is not None:
-        return p._sizes
+    their ``Fraction``s, bits and ``_factor_bits``, stored on ``p``: a
+    caller reads ``p._sizes or _sizes(p)``."""
     terms = p._terms
     if len(terms) == 1:  # the most common operand: no passes over the terms
         ((mono, c),) = terms.items()
@@ -227,12 +240,23 @@ def _add_product(out: dict[Monomial, Scalar], p: Polynomial, q: Polynomial) -> N
     if len(terms1) == 1 and _UNIT_MONO in terms1:  # keep a constant factor second
         p, q, terms1, terms2 = q, p, terms2, terms1
     if METER.budget is not None:
-        _charge(_products_units(_sizes(p), _sizes(q)))
+        _charge(_products_units(p._sizes or _sizes(p), q._sizes or _sizes(q)))
     get = out.get
     for m2, c2 in terms2.items():  # one pass for a constant factor
         unit = c2 == 1
+        key = None
+        if len(m2) == 1:  # one pair: inserted into each m1 as ``_mono_mul`` does
+            ((sym, e),) = m2
+            key = (sym,)
         for m1, c1 in terms1.items():
-            mono = _mono_mul(m1, m2) if m2 else m1
+            if key is None:
+                mono = _mono_mul(m1, m2) if m2 else m1
+            else:
+                i = bisect_left(m1, key)
+                if i < len(m1) and m1[i][0] == sym:
+                    mono = m1[:i] + ((sym, m1[i][1] + e),) + m1[i + 1 :]
+                else:
+                    mono = m1[:i] + m2 + m1[i:]
             c = c1 if unit else c1 * c2
             acc = get(mono)
             if acc is None:
@@ -357,7 +381,7 @@ class Polynomial:
             if c == 1:
                 return self
             if self._terms and METER.budget is not None:
-                _charge(_products_units(_sizes(self), _term_sizes(c)))
+                _charge(_products_units(self._sizes or _sizes(self), _term_sizes(c)))
             return _wrap({m: v * c for m, v in self._terms.items()})
         if not self._terms or not other._terms:
             return _ZERO
@@ -378,20 +402,9 @@ class Polynomial:
     # -- structural helpers ------------------------------------------------
 
     def substitute(self, sym: Symbol, replacement: "Polynomial | Scalar") -> "Polynomial":
-        """Replace every occurrence of ``sym``, expanding the result."""
-        replacement = as_poly(replacement)
-        top = max((e for mono in self._terms for s, e in mono if s == sym), default=0)
-        if not top:
-            return self
-        ladder = [_ONE, *powers(replacement, top)]
-        out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self._terms.items():
-            exps = dict(mono)
-            e = exps.pop(sym, 0)
-            if e:
-                mono = tuple(sorted(exps.items()))
-            _add_product(out, _wrap({mono: coeff}), ladder[e])
-        return _wrap(out)
+        """Replace every occurrence of ``sym``, expanding the result: the
+        ``substitute_symbol`` of this one polynomial."""
+        return substitute_symbol((self,), sym, replacement)[0]
 
     def divide_by_symbol(self, sym: Symbol) -> "Polynomial":
         """Exact division by ``sym``; every term must contain it."""
@@ -538,6 +551,35 @@ def powers(a, top: int, product: Callable = mul) -> Iterator:
         if m > 1:
             power = product(power, a)
         yield power
+
+
+def substitute_symbol(
+    polys: Sequence[Polynomial], sym: Symbol, replacement: Polynomial | Scalar
+) -> list[Polynomial]:
+    """Each of ``polys`` with ``sym`` replaced by ``replacement``, expanded.
+    The ladder 1, r, r^2, ... up to the largest exponent of ``sym`` among
+    them is built once by ``powers``; each term, with ``sym`` removed from
+    its monomial by bisection, is multiplied by the rung of its exponent.
+    A polynomial without ``sym`` is returned as it is, unmetered."""
+    tops = [max((e for mono in p._terms for s, e in mono if s == sym), default=0) for p in polys]
+    if not any(tops):
+        return list(polys)
+    ladder = [_ONE, *powers(as_poly(replacement), max(tops))]
+    key = (sym,)
+    out = []
+    for p, top in zip(polys, tops):
+        if top:
+            terms: dict[Monomial, Scalar] = {}
+            for mono, coeff in p._terms.items():
+                i = bisect_left(mono, key)
+                e = 0
+                if i < len(mono) and mono[i][0] == sym:
+                    e = mono[i][1]
+                    mono = mono[:i] + mono[i + 1 :]
+                _add_product(terms, _wrap({mono: coeff}), ladder[e])
+            p = _wrap(terms)
+        out.append(p)
+    return out
 
 
 def repeated_squaring(a, k: int):

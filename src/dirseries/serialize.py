@@ -75,13 +75,21 @@ def series_to_csv(s: Series) -> str:
 
 
 def matrix_to_csv(m: DirMatrix) -> str:
-    """One line per row; a cell absent from the entries is written as 0."""
+    """One line per row; a cell absent from the entries is written as 0.
+    The entries are grouped by row once, and each row is written from a
+    fresh row of "0" cells filled at its entries' columns, one row at a
+    time."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    get = m.entries.get
-    cols = range(m.col_lo, m.col_hi + 1)
+    by_row: dict[int, list] = {}
+    for (n, k), v in m.entries.items():
+        by_row.setdefault(n, []).append((k, v))
+    width = m.col_hi - m.col_lo + 1
     for n in range(m.row_lo, m.row_hi + 1):
-        writer.writerow(["0" if (v := get((n, k))) is None else v.to_text() for k in cols])
+        row = ["0"] * width
+        for k, v in by_row.get(n, ()):
+            row[k - m.col_lo] = v.to_text()
+        writer.writerow(row)
     return out.getvalue()
 
 

@@ -81,6 +81,7 @@ from .poly import (
     log_n_poly,
     powers,
     repeated_squaring,
+    substitute_symbol,
     sum_of_products,
 )
 
@@ -256,7 +257,7 @@ def _convolve(xs: Sequence[int], ys: Sequence[int], trunc: int) -> list[int]:
 def _convolve_polys(xs: Sequence[Polynomial], ys: Sequence[Polynomial], trunc: int) -> list:
     """``_convolve`` over ``Polynomial``s: the pair of each nonzero x_d and
     y_q with d*q <= trunc is gathered at index d*q, and each index is
-    summed once by ``sum_of_products``."""
+    summed once by ``_sums``."""
     _charge_call(trunc)
     pairs: list[list] = [[] for _ in range(trunc)]
     nonzero_y = _nonzero(ys[:trunc])
@@ -265,7 +266,12 @@ def _convolve_polys(xs: Sequence[Polynomial], ys: Sequence[Polynomial], trunc: i
             if d * q > trunc:
                 break
             pairs[d * q - 1].append((x, y))
-    return list(map(sum_of_products, pairs))
+    return _sums(pairs)
+
+
+def _sums(pairs: list[list]) -> list[Polynomial]:
+    """The ``sum_of_products`` of each list of pairs; ZERO for an empty one."""
+    return [sum_of_products(p) if p else ZERO for p in pairs]
 
 
 def _nonzero(values: Sequence, start: int = 1) -> list[tuple[int, Polynomial]]:
@@ -486,9 +492,10 @@ def star_derivative(a: DirSeries) -> DirSeries:
 
 def series_substitute_symbol(a: Series, sym: Symbol, r: Coeff) -> Series:
     """Replace ``sym`` by ``r`` in every coefficient of a series of either
-    kind; the result has the kind of ``a``."""
-    r = as_poly(r)
-    return type(a)(a.trunc, tuple(c.substitute(sym, r) for c in a.coeffs))
+    kind; the result has the kind of ``a``.  One ``substitute_symbol`` call
+    builds the powers of ``r`` once for the whole series, and keeps a
+    coefficient without ``sym`` as it is."""
+    return type(a)(a.trunc, tuple(substitute_symbol(a.coeffs, sym, r)))
 
 
 def log_power_sum(
@@ -498,14 +505,14 @@ def log_power_sum(
     the shorter of ``c`` (c_1, c_2, ...) and ``family``: the action of the
     basic group matrix when ``family`` is a^(psi).  Each nonzero c_d is paired
     with each nonzero coefficient j of its column at index d*j, and each
-    index is summed once by ``sum_of_products``."""
+    index is summed once by ``_sums``."""
     trunc = min(len(c), family.trunc)
     pairs: list[list] = [[] for _ in range(trunc)]
     for d, cd in _nonzero(c[:trunc]):
         column = series_substitute_symbol(family.truncated(trunc // d), sym, log_n_poly(d) * scale)
         for j, v in _nonzero(column.coeffs):
             pairs[d * j - 1].append((cd, v))
-    return DirSeries(trunc, tuple(map(sum_of_products, pairs)))
+    return DirSeries(trunc, tuple(_sums(pairs)))
 
 
 def twist_int(a: DirSeries, k: int) -> DirSeries:
@@ -557,7 +564,7 @@ def ord_x(trunc: int) -> OrdSeries:
 def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
     """The Cauchy product: the pair of each nonzero a_i and b_j with
     i + j <= n is gathered at index i + j, and each index is summed once by
-    ``sum_of_products``; metered like ``_convolve_polys``.  The nonzero
+    ``_sums``; metered like ``_convolve_polys``.  The nonzero
     coefficients come from ``Series.nonzero``, so a factor of many
     products, like the a of a Riordan array's columns b * a^k, is scanned
     once."""
@@ -572,7 +579,7 @@ def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
             if i + j > n:
                 break
             pairs[i + j].append((ai, bj))
-    return OrdSeries(n, tuple(map(sum_of_products, pairs)))
+    return OrdSeries(n, tuple(_sums(pairs)))
 
 
 def ord_log(a: OrdSeries) -> OrdSeries:

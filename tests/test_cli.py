@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -187,6 +188,39 @@ def test_bell_budget_counts_the_work_of_the_table(capsys, monkeypatch, rows, col
     monkeypatch.setattr(dirseries.cli, "WORK_CAP", units - 1)
     refused = f"error: the work passed the budget of {units - 1} units\n"
     assert run_cli(capsys, *argv) == (2, "", refused)
+
+
+def symbolic_series_text(trunc: int, seed: int) -> dict:
+    """A composition series file with lead 1 and, at every other index, up
+    to three terms in phi, beta and L2 with exponents 0..2."""
+    rng = random.Random(seed)
+    coeffs = {"1": "1"}
+    for n in range(2, trunc + 1):
+        terms = "".join(
+            f" {rng.choice('+-')} {rng.randint(1, 3)}/{rng.randint(1, 3)}"
+            f"*phi^{rng.randint(0, 2)}*beta^{rng.randint(0, 2)}*L2^{rng.randint(0, 2)}"
+            for _ in range(rng.randint(0, 3))
+        )
+        if c := parse_polynomial("0" + terms):
+            coeffs[str(n)] = c.to_text()
+    return {"kind": "dir", "trunc": trunc, "coeffs": coeffs}
+
+
+@pytest.mark.parametrize(
+    "argv, units",
+    [(("bell", "--tilde", "-N", "200", "-M", "4", "--symbolic"), 497_870),
+     (("series", "-e", "lagrange_ord(onepx,beta)", "-N", "20"), 2_584_050),
+     (("series", "-e", 'dpow_param(load("{path}"))', "-N", "200"), 9_181_562)],
+    ids=["bell-tilde-symbolic", "lagrange-ord-beta", "dpow-param-symbolic"],
+)
+def test_symbolic_products_keep_their_prices(tmp_path, capsys, monkeypatch, argv, units):
+    # units recorded before the monomial product took its one-symbol path:
+    # the meter prices each product from its operands' sizes, not from the
+    # way their monomials are merged
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(symbolic_series_text(200, 24)))
+    argv = [arg.format(path=path) for arg in argv]
+    assert units_of(capsys, monkeypatch, *argv)[0] == units
 
 
 def test_main_resets_the_meter(capsys, monkeypatch):

@@ -31,7 +31,8 @@ from dirseries.cli import main
 
 # small series files for load(): composition series b (lead 2) and a
 # (lead 1), ordinary series c (constant term 1) and d (zero constant term),
-# and the rational composition series r (lead 1, some zeros)
+# the rational composition series r (lead 1, some zeros) and the ordinary
+# series x
 RATIONAL = {1: Fraction(1)} | {n: Fraction((7 * n) % 11 - 5, n % 4 + 1) for n in range(2, 201)}
 SERIES_FILES = {
     "b": {"kind": "dir", "trunc": 12, "coeffs": {
@@ -46,10 +47,11 @@ SERIES_FILES = {
         "1": "1", "2": "a3", "3": "-a1", "4": "2/3"}},
     "r": {"kind": "dir", "trunc": 200, "coeffs": {
         str(n): str(v) for n, v in RATIONAL.items() if v}},
+    "x": {"kind": "ord", "trunc": 60, "coeffs": {"1": "1"}},
 }
 
 # (argv, sha256 of stdout); every command exits 0, and {b}, {a}, {c}, {d},
-# {r} stand for load() of the files above
+# {r}, {x} stand for load() of the files above
 GOLDEN = {
     "matrix-mult-csv": (
         ["matrix", "--kind", "mult", "-e", "eps", "-N", "16", "--csv"],
@@ -74,6 +76,14 @@ GOLDEN = {
     "matrix-riordan-json": (
         ["matrix", "--kind", "riordan", "-e", "expx", "-e2", "{d}", "-N", "6", "--json"],
         "cedf74deb90359b2290bd1e3132600cc4e5b0f8a74253ff065b411a7a9b08b64",
+    ),
+    "matrix-rd-csv": (
+        ["matrix", "--kind", "rd", "-e", "zeta", "-e2", "eps", "-N", "60", "--csv"],
+        "3aa52765bcd8e1783bd533e9372dcc17ffd7f49f0acac7c35d5d010edf4023e7",
+    ),
+    "matrix-riordan-sparse": (
+        ["matrix", "--kind", "riordan", "-e", "onepx", "-e2", "{x}", "-N", "60"],
+        "5b70a864fa1ae7ce679c2fbd405fab4596f5b4b43f8b0473c57f839d66b64dcb",
     ),
     "matrix-riordan-symbolic-csv": (
         ["matrix", "--kind", "riordan", "-e", "{c}", "-e2", "{d}", "-N", "6", "--csv"],

@@ -91,8 +91,9 @@ def test_rows_and_columns_read_every_entry_and_refuse_outside_the_range():
 
 
 def test_riordan_scans_its_fixed_factor_once(monkeypatch):
-    # column k + 1 is column k times a: each product scans its new left
-    # factor, and a, the right factor of every product, is scanned once
+    # column k + 1 is column k times a: each column is scanned once, and
+    # the matrix entries and the next product both read that scan; a, the
+    # right factor of every product, is scanned once
     scans = []
     pristine = dirseries.series._nonzero
 
@@ -104,7 +105,7 @@ def test_riordan_scans_its_fixed_factor_once(monkeypatch):
     rng = random.Random(6)
     b, a = random_ord_series(rng, 12), random_ord_series(rng, 12, const=0)
     m = build_riordan_ord(b, a, 12)
-    assert scans == [13] * 13  # b, a, then b * a^k for 0 < k < 12
+    assert scans == [13] * 14  # b, a, then b * a^k for 0 < k <= 12
     column = b
     for k in range(13):
         assert m.column(k) == list(column.coeffs)

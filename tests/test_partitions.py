@@ -206,3 +206,26 @@ def test_bell_oracles_return_the_same_polynomials_for_any_values(kind, want):
     got += [bell_btilde(n, m, values) for n in range(2, 13) for m in range(1, 4)]
     assert all(type(p) is Polynomial for p in got)
     assert hashlib.sha256("\n".join(p.to_text() for p in got).encode()).hexdigest() == want
+
+
+class CountedPower(int):
+    """An integer value that records each power taken of it."""
+
+    taken: list = []
+
+    def __pow__(self, mult):
+        CountedPower.taken.append((int(self), mult))
+        return int(self) ** mult
+
+
+@pytest.mark.parametrize("kind", ["B", "btilde"])
+def test_bell_oracles_take_each_power_once_per_call(kind):
+    # a call takes values[k] ** m_k once per (k, m_k) over all its terms,
+    # and gives what the uncounted values give
+    values = [CountedPower(k + 2) for k in range(48)]
+    for n, m in [(12, 3), (24, 3), (24, 2), (16, 4), (48, 3)]:
+        CountedPower.taken = []
+        bell = bell_B if kind == "B" else bell_btilde
+        got = bell(n, m, values)
+        assert got == bell(n, m, [int(v) for v in values])
+        assert CountedPower.taken and len(CountedPower.taken) == len(set(CountedPower.taken))

@@ -16,6 +16,7 @@ from dirseries.poly import (
     PSI,
     SYMBOL_INDEX_CAP,
     Polynomial,
+    _mono_mul,
     _wrap,
     as_poly,
     binom_poly,
@@ -77,6 +78,66 @@ def test_substitute_without_the_symbol_returns_the_polynomial_unmetered():
     p, r = phi**3 * 7**400 + beta * L2, phi + beta
     assert p.substitute(PSI, r) is p
     assert _metered_units(lambda: p.substitute(PSI, r)) == 0
+
+
+def dict_merge(m1, m2):
+    """The monomial product by a dict merge and a sort: the reference."""
+    merged = dict(m1)
+    for s, e in m2:
+        merged[s] = merged.get(s, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+MONO_SYMBOLS = ("L11", "L2", "L3", "a1", "a10", "a2", "beta", "phi", "psi")
+THREE = (("L2", 1), ("a1", 2), ("phi", 3))
+
+
+def random_monomial(rng, size):
+    return tuple((s, rng.randint(1, 4)) for s in sorted(rng.sample(MONO_SYMBOLS, size)))
+
+
+@pytest.mark.parametrize(
+    "m1, m2",
+    [((), ()), ((), (("phi", 2),)), ((("phi", 2),), ()), ((("phi", 2),), (("phi", 3),)),
+     ((("beta", 1),), (("phi", 3),)), ((("phi", 1),), (("beta", 1),)),
+     (THREE, (("L2", 4),)), (THREE, (("a1", 1),)), (THREE, (("phi", 1),)),
+     (THREE, (("L11", 1),)), (THREE, (("L3", 1),)), (THREE, (("beta", 1),)),
+     (THREE, (("psi", 1),)), ((("a1", 1),), THREE), (THREE, THREE),
+     (THREE, (("L3", 1), ("psi", 2)))],
+    ids=["empty", "empty-one", "one-empty", "one-one-shared", "one-one-before",
+         "one-one-after", "shared-first", "shared-middle", "shared-last", "before-all",
+         "disjoint-second", "disjoint-third", "after-all", "one-many", "many-many-shared",
+         "many-many-disjoint"],
+)
+def test_monomial_product_cases(m1, m2):
+    got = _mono_mul(m1, m2)
+    assert got == dict_merge(m1, m2)
+    if len(m1) == 1 or len(m2) == 1:  # the factors' pairs are kept, not copied
+        shared = set(dict(m1)) & set(dict(m2))
+        kept = [pair for pair in got if pair[0] not in shared]
+        assert all(any(pair is old for old in m1 + m2) for pair in kept)
+
+
+@pytest.mark.parametrize("sizes", [(0, 1), (1, 1), (1, 4), (4, 1), (2, 3), (5, 5)])
+def test_monomial_products_match_a_dict_merge(sizes):
+    # seeded monomials of the given numbers of pairs, multiplied alone and
+    # as terms of polynomials, whose products sum the merged terms
+    rng = random.Random(str(sizes))
+    for _ in range(200):
+        m1, m2 = random_monomial(rng, sizes[0]), random_monomial(rng, sizes[1])
+        assert _mono_mul(m1, m2) == dict_merge(m1, m2)
+        assert _mono_mul(m2, m1) == dict_merge(m1, m2)
+    for _ in range(50):
+        p = Polynomial({random_monomial(rng, rng.choice(sizes)): rng.randint(-3, 3)
+                        for _ in range(4)})
+        q = Polynomial({random_monomial(rng, rng.choice(sizes)): Fraction(rng.randint(-3, 3), 2)
+                        for _ in range(4)})
+        want: dict = {}
+        for n1, c1 in p.terms.items():
+            for n2, c2 in q.terms.items():
+                mono = dict_merge(n1, n2)
+                want[mono] = want.get(mono, 0) + c1 * c2
+        assert (p * q).terms == {mono: c for mono, c in want.items() if c}
 
 
 @pytest.mark.parametrize("k", range(10))

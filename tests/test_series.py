@@ -747,6 +747,30 @@ def test_dir_pow_param_specializes_to_int_power():
     assert series_substitute_symbol(dir_pow_param(a), PSI, log_n_poly(1)) == dir_x(64)
 
 
+def test_series_substitution_builds_one_ladder(monkeypatch):
+    # the powers of the replacement are built once for the whole series,
+    # not once per coefficient, and give each coefficient's own substitution
+    a = random_dir_series(random.Random(24), 48)
+    p = dir_pow_param(a)
+    want = [c.substitute(PSI, log_n_poly(6)) for c in p.coeffs]
+    calls = []
+    powers = dirseries.poly.powers
+
+    def spy(base, top, *args):
+        calls.append(top)
+        return powers(base, top, *args)
+
+    monkeypatch.setattr(dirseries.poly, "powers", spy)
+    got = series_substitute_symbol(p, PSI, log_n_poly(6))
+    assert list(got.coeffs) == want
+    assert calls == [max(max((e for s, e in m if s == PSI), default=0) for c in p.coeffs
+                             for m in c.terms)]
+    calls.clear()
+    assert series_substitute_symbol(got, PSI, 2).coeffs == got.coeffs
+    assert calls == []  # no coefficient carries psi: each is kept as it is
+    assert all(x is y for x, y in zip(series_substitute_symbol(a, PSI, 2).coeffs, a.coeffs))
+
+
 def test_dir_pow_param_requires_unit_lead():
     with pytest.raises(LeadingCoefficientNotOne):
         dir_pow_param(geom2_series(8))
