@@ -34,9 +34,13 @@ malformed expressions or series files, precondition violations).  Every
 usage error is a ``DirAlgebraError`` or an ``OSError``, printed by
 ``main`` as one ``error:`` line on stderr without a traceback.
 
-Each command starts a fresh interpreter, so the handlers of ``matrix``,
+Each command starts a fresh interpreter, so each handler imports the
+layers only it runs: ``coeff``, ``series`` and ``matrix`` import
+``exprlang`` (which loads ``serialize`` and ``transforms``), ``series``
+and ``matrix`` take their writers from ``serialize``, and ``matrix``,
 ``factorizations`` and ``verify`` import ``matrices``, ``partitions`` and
-``verify`` inside themselves, and no other command pays for them.
+``verify``.  No other command pays for them; ``bell`` runs on ``poly``
+and ``series`` alone.
 """
 
 from __future__ import annotations
@@ -46,14 +50,7 @@ import json
 import sys
 
 from .errors import DirAlgebraError
-from .exprlang import _expect_kind, eval_expr, parse_expr
 from .poly import METER, ONE, ZERO, Polynomial, coeff_symbol, powers
-from .serialize import (
-    matrix_to_csv,
-    matrix_to_json_text,
-    series_to_csv,
-    series_to_json_text,
-)
 from .series import SERIES_CAP, DirSeries, OrdSeries
 
 MATRIX_CAP = 500
@@ -115,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeff(args) -> int:
+    from .exprlang import eval_expr, parse_expr
     if args.index > SERIES_CAP:
         raise DirAlgebraError(f"coefficient index must be at most {SERIES_CAP}")
     series = eval_expr(parse_expr(args.expr), max(args.index, 1))
@@ -127,6 +125,8 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .exprlang import eval_expr, parse_expr
+    from .serialize import series_to_csv, series_to_json_text
     if not 1 <= args.trunc <= SERIES_CAP:
         raise DirAlgebraError(f"series truncation must be in 1..{SERIES_CAP}")
     series = eval_expr(parse_expr(args.expr), args.trunc)
@@ -138,7 +138,9 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    from .exprlang import _expect_kind, eval_expr, parse_expr
     from .matrices import build_column, build_mult, build_rd, build_riordan_ord
+    from .serialize import matrix_to_csv, matrix_to_json_text
     if not 1 <= args.size <= MATRIX_CAP:
         raise DirAlgebraError(f"matrix size must be in 1..{MATRIX_CAP}")
     if args.kind in ("rd", "riordan") and not args.expr2:
@@ -184,7 +186,8 @@ def _cmd_bell(args) -> int:
         columns.append([c.to_text() for c in power.coeffs[1:]])
     columns += [["0"] * len(values)] * (args.cols - len(columns))
     rows = zip(range(low, args.rows + 1), *columns)
-    print("\n".join(",".join(map(str, row)) for row in rows))
+    # a table without rows (``--tilde -N 1``) prints nothing
+    sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in rows))
     return 0
 
 

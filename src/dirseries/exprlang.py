@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -71,16 +70,14 @@ from .transforms import (
 Arg = "Call | Fraction | str"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     """AST node: a builtin or function application."""
 
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class _Builtin:
+class _Builtin(NamedTuple):
     """A row of ``_BUILTINS``: the argument shapes (see ``_ACCEPTS``), and
     ``run(trunc, *arguments)``, which evaluates a call at ``trunc`` with
     its series arguments evaluated at ``arg_trunc(trunc)``."""

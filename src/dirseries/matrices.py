@@ -20,16 +20,16 @@ live on rows and columns 1..N and are supported on the divisibility order;
 C = floor(log2 N); ``riordan_ord`` is indexed 0..N on both sides.  Raw
 products (``matmul``) are exact whenever the inner index range of the left
 factor covers every index that can contribute, which holds for all the
-products used here.  Built matrices are immutable, and two are equal
-when their index ranges and entries are; ``kind`` names the family in the
-JSON output and is not compared.
+products used here.  The fields of a built matrix cannot be assigned,
+and two matrices are equal when their index ranges and entries are;
+``kind`` only names the family in the JSON output, so ``__eq__`` does not
+read it.
 ``rd_action`` is the shared action ``series.log_power_sum`` over a^(psi),
 which ``transforms`` also evaluates for the reconstruction and inverse relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import factorial
@@ -52,14 +52,28 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
 class DirMatrix:
-    kind: str = field(compare=False)
-    row_lo: int
-    row_hi: int
-    col_lo: int
-    col_hi: int
-    entries: dict[tuple[int, int], Polynomial]
+    def __init__(self, kind: str, row_lo: int, row_hi: int, col_lo: int, col_hi: int,
+                 entries: dict[tuple[int, int], Polynomial]):
+        vars(self).update(kind=kind, row_lo=row_lo, row_hi=row_hi, col_lo=col_lo,
+                          col_hi=col_hi, entries=entries)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign or delete {name}: a matrix is immutable")
+
+    __delattr__ = __setattr__
+
+    def _compared(self) -> tuple:
+        return self.row_lo, self.row_hi, self.col_lo, self.col_hi, self.entries
+
+    def __eq__(self, other):
+        if type(other) is not DirMatrix:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"DirMatrix({fields})"
 
     def entry(self, n: int, k: int) -> Polynomial:
         if not (self.row_lo <= n <= self.row_hi and self.col_lo <= k <= self.col_hi):

@@ -3,13 +3,13 @@
 Series JSON: ``{"kind": "dir"|"ord", "trunc": N, "coeffs": {"<index>":
 "<polynomial text>"}}`` with zero coefficients omitted.  Matrix JSON uses
 an ``"entries"`` map keyed ``"n,k"``.  CSV emits polynomial text cells in
-canonical order, so outputs are stable byte-for-byte.
+canonical order, so outputs are stable byte-for-byte.  No cell (polynomial
+text, an index or ``0``) holds a comma, a quote or a line break, so no
+cell is ever quoted and each line is its cells joined by commas.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import TYPE_CHECKING, Any
 
@@ -67,30 +67,26 @@ def series_to_json_text(s: Series) -> str:
 
 
 def series_to_csv(s: Series) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", "coefficient"])
-    writer.writerows((n, v.to_text()) for n, v in enumerate(s.coeffs, s.first))
-    return out.getvalue()
+    lines = [f"{n},{v.to_text()}\n" for n, v in enumerate(s.coeffs, s.first)]
+    return "index,coefficient\n" + "".join(lines)
 
 
 def matrix_to_csv(m: DirMatrix) -> str:
     """One line per row; a cell absent from the entries is written as 0.
-    The entries are grouped by row once, and each row is written from a
+    The entries are grouped by row once, and each line is joined from a
     fresh row of "0" cells filled at its entries' columns, one row at a
     time."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     by_row: dict[int, list] = {}
     for (n, k), v in m.entries.items():
         by_row.setdefault(n, []).append((k, v))
     width = m.col_hi - m.col_lo + 1
+    lines = []
     for n in range(m.row_lo, m.row_hi + 1):
         row = ["0"] * width
         for k, v in by_row.get(n, ()):
             row[k - m.col_lo] = v.to_text()
-        writer.writerow(row)
-    return out.getvalue()
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
 
 
 def matrix_to_json(m: DirMatrix) -> dict[str, Any]:

@@ -6,13 +6,13 @@ multiplies by Dirichlet composition,
 
     (a o b)_n = sum over divisors d of n of a_d * b_{n/d},
 
-whose identity is the series x.  Both subclass the one frozen dataclass
-``Series``, which holds the truncation and the coefficients and defines
-indexing, the arithmetic operators and ``truncated`` once; the two kinds
-differ only in their class constants ``first`` (the first index, 1 or 0)
-and ``kind`` ("dir" or "ord", the tag of the JSON form), and in which
-product ``*`` calls.  Code outside this module reads ``s.first`` and
-``s.kind`` instead of testing the class.  Coefficients are polynomials,
+whose identity is the series x.  Both subclass the one immutable value
+class ``Series``, which holds the truncation and the coefficients and
+defines equality, indexing, the arithmetic operators and ``truncated``
+once; the two kinds differ only in their class constants ``first`` (the
+first index, 1 or 0) and ``kind`` ("dir" or "ord", the tag of the JSON
+form), and in which product ``*`` calls.  Code outside this module reads
+``s.first`` and ``s.kind`` instead of testing the class.  Coefficients are polynomials,
 so one code path serves numeric series, parametric powers (polynomial in
 ``psi``) and fully symbolic tables.
 
@@ -47,7 +47,6 @@ results are identical on every path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress
@@ -99,24 +98,35 @@ TWIST_CAP = 64
 SCALED_DEN_BITS = 64
 
 
-@dataclass(frozen=True)
 class Series:
     """A truncated series of either kind: the coefficients at indices
     ``first``..``trunc``, so ``coeffs[n - first]`` is the coefficient at
-    index n.  Series of different kinds are never equal."""
-
-    trunc: int
-    coeffs: tuple[Polynomial, ...]
+    index n.  Its fields cannot be assigned, and series of different kinds
+    are never equal."""
 
     first: ClassVar[int]  # the first index: 1 for composition, 0 for ordinary
     kind: ClassVar[str]  # "dir" or "ord", the kind tag of the JSON form
 
-    def __post_init__(self):
+    def __init__(self, trunc: int, coeffs: tuple[Polynomial, ...]):
         name = type(self).__name__
-        if self.trunc < self.first:
+        if trunc < self.first:
             raise ValueError(f"{name} needs trunc >= {self.first}")
-        if len(self.coeffs) != self.trunc - self.first + 1:
-            raise ValueError(f"{name} needs one coefficient per index {self.first}..{self.trunc}")
+        if len(coeffs) != trunc - self.first + 1:
+            raise ValueError(f"{name} needs one coefficient per index {self.first}..{trunc}")
+        vars(self).update(trunc=trunc, coeffs=coeffs)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign or delete {name}: a series is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.trunc == other.trunc and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(trunc={self.trunc!r}, coeffs={self.coeffs!r})"
 
     def __getitem__(self, n: int) -> Polynomial:
         if not self.first <= n <= self.trunc:

@@ -30,10 +30,9 @@ import random
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ArgumentOutOfRange
 from .intfactor import (
@@ -121,8 +120,7 @@ _beta = Polynomial.symbol(BETA)
 _psi = Polynomial.symbol(PSI)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ident: str
     n: int
     ok: bool

@@ -157,6 +157,13 @@ def test_bell_tables(capsys):
     assert out.splitlines()[5].startswith("6,1,")
 
 
+@pytest.mark.parametrize("flags", [("--tilde",), ("--tilde", "--symbolic")])
+def test_empty_bell_table_prints_nothing(capsys, flags):
+    # the factorization family starts at row 2, so one row leaves no row
+    code, out, err = run_cli(capsys, "bell", *flags, "-N", "1", "-M", "3")
+    assert (code, out, err) == (0, "", "")
+
+
 @pytest.mark.parametrize("tilde", (False, True))
 @pytest.mark.parametrize("symbolic", (False, True))
 def test_bell_rows_equal_the_enumerations(capsys, tilde, symbolic):
@@ -686,8 +693,21 @@ def test_cli_import_loads_no_command_only_modules():
     # level, every command pays for, so each handler imports its own layers
     env = {**os.environ, "PYTHONPATH": str(Path(dirseries.__file__).parents[1])}
     unwanted = ("dirseries.verify", "dirseries.matrices", "dirseries.partitions",
-                "concurrent.futures", "multiprocessing")
+                "dirseries.exprlang", "dirseries.serialize", "dirseries.transforms",
+                "concurrent.futures", "multiprocessing", "dataclasses", "inspect", "csv")
     code = f"import sys, dirseries.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n"
+
+
+def test_no_layer_imports_dataclasses_or_inspect():
+    # together they load a dozen more modules (ast, dis, tokenize, ...)
+    # into every process, pool workers included
+    env = {**os.environ, "PYTHONPATH": str(Path(dirseries.__file__).parents[1])}
+    code = ("import sys, dirseries.cli, dirseries.verify, dirseries.matrices\n"
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")

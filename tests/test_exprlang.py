@@ -181,3 +181,9 @@ def test_eval_lift_reads_its_argument_to_log2_order(tmp_path):
     assert lifted == eval_expr(parse_expr("lift(onepx)"), 15)
     with pytest.raises(TruncationTooSmall, match="^series has trunc 3, need 4$"):
         eval_expr(parse_expr(f'lift(load("{path}"))'), 16)
+
+
+def test_parses_of_one_text_are_equal():
+    text = 'lagrange_dir(dmul(zeta, dinv(geom2)), -3/4)'
+    assert parse_expr(text) == parse_expr(text.replace(" ", ""))
+    assert parse_expr(text) != parse_expr("lagrange_dir(dmul(zeta,dinv(geom2)),3/4)")

@@ -495,3 +495,19 @@ def test_apply_to_series_checks_the_rows_before_any_work():
 def test_matmul_shape_check():
     with pytest.raises(ShapeMismatch):
         matmul(identity_matrix(8), identity_matrix(9))
+
+
+def test_matrix_equality_ignores_kind_and_fields_cannot_be_assigned():
+    entries = {(1, 1): Polynomial.one(), (2, 1): Polynomial.symbol(PHI)}
+    m = DirMatrix("mult", 1, 2, 1, 2, entries)
+    assert m == DirMatrix("rd", 1, 2, 1, 2, dict(entries))
+    assert m != DirMatrix("mult", 1, 2, 0, 2, entries)
+    assert m != DirMatrix("mult", 1, 2, 1, 2, {(1, 1): Polynomial.one()})
+    assert m != entries
+    with pytest.raises(AttributeError):
+        m.entries = {}
+    with pytest.raises(AttributeError):
+        m.kind = "rd"
+    with pytest.raises(AttributeError):
+        del m.entries
+    assert m.entries == entries and m.kind == "mult"

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 import tracemalloc
@@ -7,7 +9,7 @@ import pytest
 
 from dirseries.errors import DirAlgebraError, SeriesFormatError
 from dirseries.matrices import DirMatrix, build_column, build_mult
-from dirseries.poly import ZERO, parse_polynomial
+from dirseries.poly import ONE, ZERO, Polynomial, coeff_symbol, parse_polynomial
 from dirseries.randgen import random_dir_series, random_ord_series
 from dirseries.serialize import (
     matrix_to_csv,
@@ -17,7 +19,7 @@ from dirseries.serialize import (
     series_to_json,
     series_to_json_text,
 )
-from dirseries.series import SERIES_CAP, dir_from_fn
+from dirseries.series import SERIES_CAP, DirSeries, OrdSeries, dir_from_fn
 
 
 def test_series_json_roundtrip_dir():
@@ -137,3 +139,40 @@ def test_matrix_csv_row_major_order():
     lines = matrix_to_csv(m).splitlines()
     assert len(lines) == 5
     assert lines[0].split(",")[0] == a[1].to_text()
+
+
+def _csv_reference(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _wide_polynomial(rng: random.Random) -> Polynomial:
+    """A seeded sum of up to four terms over phi, beta, psi, L2 and a<k>,
+    with signed integer or fractional coefficients of up to 400 digits."""
+    total = ZERO
+    for _ in range(rng.randint(0, 4)):
+        digits = rng.choice((1, 3, 120, 400))
+        num = rng.randint(10 ** (digits - 1), 10**digits) * rng.choice((-1, 1))
+        term = Polynomial.const(Fraction(num, rng.choice((1, 1, 7, 3**250))))
+        for sym in rng.sample(("phi", "beta", "psi", "L2", coeff_symbol(rng.randint(1, 40))), 2):
+            term = term * Polynomial.symbol(sym) ** rng.randint(0, 3)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csv_text_matches_a_csv_writer(seed):
+    # no cell (polynomial text, an index or 0) needs quoting, so the rows
+    # joined with commas are what a CSV writer writes
+    rng = random.Random(f"csv-{seed}")
+    dir_series = DirSeries(12, tuple(_wide_polynomial(rng) for _ in range(12)))
+    ord_series = OrdSeries(9, (ONE,) + tuple(_wide_polynomial(rng) for _ in range(9)))
+    for s in (dir_series, ord_series):
+        cells = [v.to_text() for v in s.coeffs]
+        want = _csv_reference([("index", "coefficient"), *enumerate(cells, s.first)])
+        assert series_to_csv(s) == want
+    entries = {(n, k): _wide_polynomial(rng) for n in range(1, 7) for k in range(0, 4)
+               if rng.random() < 0.6}
+    m = DirMatrix("column", 1, 6, 0, 3, {key: v for key, v in entries.items() if not v.is_zero()})
+    assert matrix_to_csv(m) == _csv_reference([[v.to_text() for v in m.row(n)] for n in range(1, 7)])

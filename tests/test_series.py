@@ -1016,3 +1016,53 @@ def test_series_kinds_share_one_class(cls, random_series, product):
     assert rows[0] == ["index", "coefficient"]
     assert cls(10, tuple(parse_polynomial(v) for _, v in rows[1:])) == a
     assert [int(n) for n, _ in rows[1:]] == list(range(first, 11))
+
+
+def test_series_equality_reads_kind_trunc_and_coeffs():
+    a = DirSeries(3, (ONE, ZERO, psi))
+    assert a == DirSeries(3, (ONE, ZERO, psi)) and not a != DirSeries(3, (ONE, ZERO, psi))
+    assert a != DirSeries(3, (ONE, ZERO, ONE))
+    assert a != a.truncated(2) and a.truncated(2) == DirSeries(2, (ONE, ZERO))
+    # the same coefficients in the other algebra are another series
+    o = OrdSeries(2, (ONE, ZERO, psi))
+    assert a != o and o != a and not a == o
+    assert a != (3, (ONE, ZERO, psi))
+
+
+@pytest.mark.parametrize(
+    "cls, trunc, coeffs, message",
+    [
+        (DirSeries, 0, (), "^DirSeries needs trunc >= 1$"),
+        (OrdSeries, -1, (), "^OrdSeries needs trunc >= 0$"),
+        (DirSeries, 2, (ONE,), r"^DirSeries needs one coefficient per index 1\.\.2$"),
+        (OrdSeries, 3, (ONE,), r"^OrdSeries needs one coefficient per index 0\.\.3$"),
+    ],
+)
+def test_series_constructor_messages(cls, trunc, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        cls(trunc, coeffs)
+
+
+def test_series_fields_cannot_be_assigned():
+    a = OrdSeries(1, (ONE, ONE))
+    with pytest.raises(AttributeError):
+        a.trunc = 5
+    with pytest.raises(AttributeError):
+        a.coeffs = (ONE,)
+    with pytest.raises(AttributeError):
+        del a.trunc
+    assert (a.trunc, a.coeffs) == (1, (ONE, ONE))
+
+
+def test_series_nonzero_is_computed_once(monkeypatch):
+    calls = []
+    scan = dirseries.series._nonzero
+
+    def counting(coeffs, first):
+        calls.append(first)
+        return scan(coeffs, first)
+
+    monkeypatch.setattr(dirseries.series, "_nonzero", counting)
+    a = DirSeries(4, (ONE, ZERO, psi, ZERO))
+    assert a.nonzero == [(1, ONE), (3, psi)]
+    assert a.nonzero is a.nonzero and calls == [1]

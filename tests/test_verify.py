@@ -1,3 +1,4 @@
+import pickle
 from concurrent.futures import Future
 
 import pytest
@@ -243,3 +244,15 @@ def test_first_mismatch_names_place_and_values():
     dicts = {(2, 1): 3, (1, 4): 1}, {(2, 1): 4}
     assert _first_mismatch(*dicts) == "first mismatch at (1, 4): 1 != absent"
     assert _first_mismatch(3, 4) == "first mismatch at whole value: 3 != 4"
+
+
+def test_check_results_compare_by_value_and_pickle():
+    # the --jobs pool sends records between processes
+    record = CheckResult("abel.identities", 12, False, "first mismatch at 3: 1 != 2")
+    assert record == CheckResult("abel.identities", 12, False, "first mismatch at 3: 1 != 2")
+    assert record != CheckResult("abel.identities", 12, True, "first mismatch at 3: 1 != 2")
+    assert CheckResult("x.y", 3, True) == CheckResult("x.y", 3, True, "")
+    back = pickle.loads(pickle.dumps([record, CheckResult("x.y", 3, True)]))
+    assert back == [record, CheckResult("x.y", 3, True)]
+    assert [type(r) for r in back] == [CheckResult, CheckResult]
+    assert back[0].line() == record.line()
