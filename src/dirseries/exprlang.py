@@ -92,7 +92,7 @@ def _load(trunc: int, path: str) -> Series:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             loaded = series_from_json(_read_json(fh))
-        except ValueError as exc:  # not UTF-8 text, not JSON or not a series
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, not a series
             raise SeriesFormatError(f"{path}: {exc}") from None
     return loaded.truncated(trunc)
 

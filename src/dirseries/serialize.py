@@ -30,12 +30,16 @@ def series_to_json(s: Series) -> dict[str, Any]:
 
 
 def series_from_json(obj: Any) -> Series:
-    """Rebuild a series from its JSON form.  Every coefficient key must be
-    an index of the series, written as a decimal integer, so that no
+    """Rebuild a series from its JSON object of "kind", "trunc" and
+    "coeffs", which may hold no other key.  Every coefficient key must be an
+    index of the series, written as a decimal integer, so that no
     coefficient is dropped; the truncation must be an integer no larger
     than ``SERIES_CAP``, checked before anything is allocated."""
     if not isinstance(obj, dict) or not {"kind", "trunc", "coeffs"} <= obj.keys():
         raise SeriesFormatError('a series is an object with "kind", "trunc" and "coeffs"')
+    unknown = obj.keys() - {"kind", "trunc", "coeffs"}
+    if unknown:
+        raise SeriesFormatError(f"unknown series key {min(unknown)!r}")
     kind, trunc, items = obj["kind"], obj["trunc"], obj["coeffs"]
     series_cls = _SERIES_CLASSES.get(kind) if isinstance(kind, str) else None
     if series_cls is None:

@@ -7,14 +7,14 @@ every suite seeds its own random stream, so runs with ``--jobs`` produce
 byte-identical reports.
 
 ``run_suites`` schedules a whole run at once.  With ``--jobs k`` above 1
-it starts one process pool (at most k workers, and no more than there are
-cores or work items) and submits every work item to it, heaviest first:
-each suite is one item, except ``abel`` and ``binomf``, whose per-n
-checks go in chunks of a few indices.  With ``--jobs 1``, or where
-processes cannot be started, the suites run whole in process.  Each
-process keeps the Abel family terms of the divisors it has met for the
-length of one run, so each term is built once per process, not once per
-divisor pair; the table is emptied when the run returns.
+it starts one process pool (at most k workers, and no more than there
+are cores or work items) and submits every work item to it, heaviest
+first: each suite is one item, except ``abel``, whose per-n checks go in
+chunks of a few indices.  With one worker, or where processes cannot be
+started, each suite runs whole in process, without importing the pool.
+Each process keeps the Abel family terms of the divisors it has met for
+the length of one run, so each term is built once per process, not once
+per divisor pair; the table is emptied when the run returns.
 
 Suites: ``pow`` (composition powers), ``log`` (logarithms and the star
 derivative), ``thm1`` (the multiplicative lift), ``thm2`` (shifted-power
@@ -29,7 +29,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, NamedTuple
@@ -579,7 +578,7 @@ def suite_thm3(bound: int | None = None) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# abel and binomf (per-n, in chunks that a pool can take one at a time)
+# abel (per-n, in chunks that a pool can take one at a time) and binomf
 # ---------------------------------------------------------------------------
 
 # indices per chunk: enough to amortize a round trip to a pool worker
@@ -591,7 +590,7 @@ def _chunks(ns: range) -> list[range]:
 
 
 # the Abel family terms of the proper divisors met so far, shared by the
-# abel parts one process runs: a pool's workers exit with their run, and
+# abel chunks one process runs: a pool's workers exit with their run, and
 # ``run_suites`` and ``suite_abel`` empty it when they return, so it holds
 # at most the indices up to ``VERIFY_CAP`` of one run
 _ABEL_TERMS: dict[int, tuple] = {}
@@ -614,29 +613,10 @@ def _classic_chunk(pairs: list[tuple[int, int]]) -> list[CheckResult]:
     return out
 
 
-def _binomf_chunk(ns: range) -> list[CheckResult]:
-    out = []
-    for n in ns:
-        weights = {d: binom_f(n, d) for d in divisors(n)}
-        out.append(_check("binomf.sum-power", n, (sum(weights.values()), 2 ** s_of(n))))
-        mirrored = {d: weights[n // d] for d in weights}
-        out.append(_check("binomf.symmetry", n, (weights, mirrored)))
-        if not is_prime(n):
-            alt = Polynomial.zero()
-            for d, weight in weights.items():
-                alt = alt + log_n_poly(d) * weight * Fraction((-1) ** s_of(n // d))
-            out.append(_check("binomf.log-alternating", n, (alt, Polynomial.zero())))
-    return out
-
-
 def _abel_parts(bound: int | None) -> list[tuple[Callable, object]]:
     top = bound or 200
     pairs = [(p, m) for p in (2, 3) for m in range(1, 8) if p**m <= max(top, 2**7)]
     return [(_abel_chunk, ns) for ns in _chunks(range(2, top + 1))] + [(_classic_chunk, pairs)]
-
-
-def _binomf_parts(bound: int | None) -> list[tuple[Callable, object]]:
-    return [(_binomf_chunk, ns) for ns in _chunks(range(1, (bound or 500) + 1))]
 
 
 def suite_abel(bound: int | None = None) -> list[CheckResult]:
@@ -647,7 +627,18 @@ def suite_abel(bound: int | None = None) -> list[CheckResult]:
 
 
 def suite_binomf(bound: int | None = None) -> list[CheckResult]:
-    return [rec for fn, arg in _binomf_parts(bound) for rec in fn(arg)]
+    out = []
+    for n in range(1, (bound or 500) + 1):
+        weights = {d: binom_f(n, d) for d in divisors(n)}
+        out.append(_check("binomf.sum-power", n, (sum(weights.values()), 2 ** s_of(n))))
+        mirrored = {d: weights[n // d] for d in weights}
+        out.append(_check("binomf.symmetry", n, (weights, mirrored)))
+        if not is_prime(n):
+            alt = Polynomial.zero()
+            for d, weight in weights.items():
+                alt = alt + log_n_poly(d) * weight * Fraction((-1) ** s_of(n // d))
+            out.append(_check("binomf.log-alternating", n, (alt, Polynomial.zero())))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +754,6 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
 # them); a pool takes the whole suites in this order
 SUITES = ("oracle", "thm2", "abel", "thm3", "binomf", "pow", "log", "thm1")
 
-# the suites a pool takes in chunks, and their parts
-_PER_N = {"abel": _abel_parts, "binomf": _binomf_parts}
-
 
 # a work item is (suite, index, fn, arg): the part at position ``index`` of
 # the suite, whose records are ``fn(arg)``; fn and arg are picklable
@@ -779,14 +767,13 @@ def _whole_suite(args: tuple[str, int | None]) -> list[CheckResult]:
 
 def _pool_items(selected: list[str], bound: int | None) -> list[_Item]:
     """The work items of the selected suites, heaviest first: the suites
-    that run whole, slowest first, then the chunks of the per-n suites,
-    largest n first; each chunk is lighter than any whole suite."""
+    that run whole, slowest first, then the chunks of ``abel``, largest n
+    first; each chunk is lighter than any whole suite."""
     by_cost = sorted(selected, key=SUITES.index)
-    items = [(name, 0, _whole_suite, (name, bound)) for name in by_cost if name not in _PER_N]
-    for name in by_cost:
-        if name in _PER_N:
-            parts = list(enumerate(_PER_N[name](bound)))
-            items.extend((name, i, fn, arg) for i, (fn, arg) in reversed(parts))
+    items = [(name, 0, _whole_suite, (name, bound)) for name in by_cost if name != "abel"]
+    if "abel" in selected:
+        parts = list(enumerate(_abel_parts(bound)))
+        items.extend(("abel", i, fn, arg) for i, (fn, arg) in reversed(parts))
     return items
 
 
@@ -803,28 +790,31 @@ def _run_item(fn: Callable, arg: object) -> tuple[list[CheckResult] | None, str,
     return records, error, time.perf_counter() - start
 
 
-def _outcomes(items: list[_Item], workers: int):
-    """Yield each item with its outcome as it finishes: in a pool of
-    ``workers`` processes when there are several, else in process."""
-    if workers > 1:
-        pool = None
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            futures = {pool.submit(_run_item, *item[2:]): item for item in items}
-        except OSError:  # sandboxed environments may forbid process pools
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-        else:
-            with pool:
-                for future in as_completed(futures):
-                    try:
-                        outcome = future.result()
-                    except Exception as exc:  # noqa: BLE001  a worker died
-                        outcome = None, repr(exc), 0.0
-                    yield futures[future], outcome
-            return
-    for item in items:
-        yield item, _run_item(*item[2:])
+def _pool_outcomes(items: list[_Item], workers: int):
+    """Submit every item to a pool of ``workers`` processes and return an
+    iterator of each item with its outcome as it finishes, or None where
+    processes cannot be started."""
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        futures = {pool.submit(_run_item, *item[2:]): item for item in items}
+    except OSError:  # sandboxed environments may forbid process pools
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        return None
+
+    def finished():
+        with pool:
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except Exception as exc:  # noqa: BLE001  a worker died
+                    outcome = None, repr(exc), 0.0
+                yield futures[future], outcome
+
+    return finished()
 
 
 def _suite_records(name: str, parts: list[tuple]) -> list[CheckResult]:
@@ -851,8 +841,9 @@ def run_suites(
 
     With ``jobs`` > 1, one process pool of at most ``jobs`` workers (and
     no more than there are cores or work items) takes the work items of
-    every selected suite, heaviest first; otherwise each suite runs whole
-    in process.  A suite any part of which raises reports one
+    every selected suite, heaviest first; with one worker, or where the
+    pool cannot start, each suite runs whole in process, in the given
+    order.  A suite any part of which raises reports one
     ``<suite>.exception`` record instead of its other records.
     ``on_suite_done`` receives each suite's name, summed seconds and
     record count as soon as the suite's last part returns."""
@@ -864,13 +855,15 @@ def run_suites(
     items = _pool_items(selected, bound)
     # more workers than cores or items only adds start-up cost
     workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1:
+    outcomes = _pool_outcomes(items, workers) if workers > 1 else None
+    if outcomes is None:
         items = [(name, 0, _whole_suite, (name, bound)) for name in selected]
+        outcomes = ((item, _run_item(*item[2:])) for item in items)
     left = Counter(name for name, *_ in items)
     parts: dict[str, list[tuple]] = {name: [] for name in selected}
     records: list[CheckResult] = []
     try:
-        for (name, index, _, _), outcome in _outcomes(items, workers):
+        for (name, index, _, _), outcome in outcomes:
             parts[name].append((index, *outcome))
             left[name] -= 1
             if not left[name]:
@@ -879,6 +872,6 @@ def run_suites(
                 seconds = sum(part[3] for part in parts[name])
                 on_suite_done(name, seconds, len(suite_records))
     finally:
-        _ABEL_TERMS.clear()  # filled here when the parts ran in this process
+        _ABEL_TERMS.clear()  # filled here when the chunks ran in this process
     records.sort(key=lambda r: (r.ident, r.n))
     return records, all(r.ok for r in records)

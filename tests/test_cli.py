@@ -341,6 +341,24 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
 
 
 @pytest.mark.parametrize(
+    "file_text, reason",
+    [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"kind": "dir", "trunc": 3, "coeffs": {"1": "1"}, "coefs": {"2": "5"}}',
+         "unknown series key 'coefs'"),
+    ],
+    ids=["nested-100000", "unknown-key"],
+)
+def test_unreadable_series_file_is_one_error_line(tmp_path, capsys, file_text, reason):
+    path = tmp_path / "input.json"
+    path.write_text(file_text)
+    code, out, err = run_cli(capsys, "series", "-e", f'load("{path}")', "-N", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {reason}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv, file_text, message",
     [
         (["coeff", "-e", "dexp(zeta)", "-n", "3"], None,
@@ -712,6 +730,24 @@ def test_no_layer_imports_dataclasses_or_inspect():
                           env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[]\n"
+
+
+def test_verify_without_a_pool_loads_no_pool_modules():
+    # the process pool loads about 40 modules; only verify --jobs above 1
+    # needs them
+    env = {**os.environ, "PYTHONPATH": str(Path(dirseries.__file__).parents[1])}
+    code = ("import contextlib, io, sys\n"
+            "import dirseries.verify\n"
+            "pool = ('concurrent.futures', 'multiprocessing')\n"
+            "imported = [m for m in pool if m in sys.modules]\n"
+            "from dirseries import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(['verify', '--suite', 'pow', '--jobs', '1'])\n"
+            "print(status, imported, [m for m in pool if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "0 [] []\n"
 
 
 def test_traced_run_finds_every_traced_name():

@@ -83,9 +83,10 @@ def test_series_json_rejects_keys_outside_range(kind, keys):
         {"kind": "dir", "trunc": "x", "coeffs": {}},
         {"kind": "dir", "trunc": 4, "coeffs": []},
         {"kind": "dir", "trunc": SERIES_CAP + 1, "coeffs": {"1": "1"}},
+        {"kind": "dir", "trunc": 3, "coeffs": {"1": "1"}, "coefs": {"2": "5"}},
     ],
     ids=["no-trunc", "list", "coeff-not-text", "trunc-not-int", "coeffs-list",
-         "trunc-over-cap"],
+         "trunc-over-cap", "unknown-key"],
 )
 def test_series_json_rejects_malformed_objects(obj):
     with pytest.raises(SeriesFormatError):

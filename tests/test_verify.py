@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 from concurrent.futures import Future
 
@@ -41,7 +42,8 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-    monkeypatch.setattr(dirseries.verify, "ProcessPoolExecutor", FakePool)
+    # verify imports the pool where it starts one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
     return started
 
@@ -70,11 +72,12 @@ def test_record_line_format():
     [(64, 4, 10, [4]), (64, 4, 3, [3]), (3, 4, 10, [3]), (64, None, 10, []), (1, 4, 10, [])],
 )
 def test_jobs_clamped_to_cores_and_items(monkeypatch, fake_pool, jobs, cpus, items, workers):
-    # binomf to 8 * items is ``items`` chunks of 8 indices
+    # abel to 8 * items - 7 is ``items`` - 1 chunks of 8 indices from n = 2
+    # and the chunk of the classical identities
     monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: cpus)
-    records, ok = run_suites(["binomf"], bound=8 * items, jobs=jobs)
+    records, ok = run_suites(["abel"], bound=8 * items - 7, jobs=jobs)
     assert fake_pool == workers
-    assert (records, ok) == run_suites(["binomf"], bound=8 * items)
+    assert (records, ok) == run_suites(["abel"], bound=8 * items - 7)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -206,9 +209,32 @@ def test_refused_pool_runs_in_process(monkeypatch):
     def refuse(max_workers):
         raise OSError("no processes here")
 
-    monkeypatch.setattr(dirseries.verify, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
     assert run_suites(["binomf"], bound=40, jobs=2) == run_suites(["binomf"], bound=40)
+
+
+def test_pool_refused_at_submit_runs_each_suite_whole(monkeypatch):
+    shutdowns = []
+
+    class RefusingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, *args):
+            raise OSError("no processes here")
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusingPool)
+    monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
+    timings = []
+    got = run_suites(["binomf", "abel"], bound=40, jobs=2,
+                     on_suite_done=lambda name, seconds, records: timings.append(name))
+    assert shutdowns == [True]
+    assert got == run_suites(["binomf", "abel"], bound=40, jobs=1)
+    assert timings == ["binomf", "abel"]  # whole suites, in the given order
 
 
 def test_corrupted_kernel_is_reported_not_raised():
