@@ -10,8 +10,9 @@ byte-identical reports.
 it starts one process pool (at most k workers, and no more than there
 are cores or work items) and submits every work item to it, heaviest
 first: each suite is one item, except ``abel``, whose per-n checks go in
-chunks of a few indices.  With one worker, or where processes cannot be
-started, each suite runs whole in process, without importing the pool.
+chunks of a few indices.  With one worker each suite runs whole in
+process, without importing the pool; where processes cannot be started,
+the suites also run whole in process.
 Each process keeps the Abel family terms of the divisors it has met for
 the length of one run, so each term is built once per process, not once
 per divisor pair; the table is emptied when the run returns.

@@ -206,12 +206,17 @@ def test_divisibility_failure_names_the_first_n(monkeypatch):
 
 
 def test_refused_pool_runs_in_process(monkeypatch):
+    refused = []
+
     def refuse(max_workers):
+        refused.append(max_workers)
         raise OSError("no processes here")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
-    assert run_suites(["binomf"], bound=40, jobs=2) == run_suites(["binomf"], bound=40)
+    names = ["binomf", "abel"]  # more than one work item, so a pool is asked for
+    assert run_suites(names, bound=40, jobs=2) == run_suites(names, bound=40)
+    assert refused == [2]
 
 
 def test_pool_refused_at_submit_runs_each_suite_whole(monkeypatch):
