@@ -93,10 +93,6 @@ class DirMatrix:
         return [get((n, k), ZERO) for n in range(self.row_lo, self.row_hi + 1)]
 
 
-def _clean(entries: dict[tuple[int, int], Polynomial]) -> dict:
-    return {key: val for key, val in entries.items() if not val.is_zero()}
-
-
 def identity_matrix(size: int) -> DirMatrix:
     return build_mult(dir_x(size), size)
 
@@ -185,10 +181,8 @@ def matmul(left: DirMatrix, right: DirMatrix) -> DirMatrix:
     for (n, j), v in left.entries.items():
         for k, w in by_row.get(j, ()):
             pairs.setdefault((n, k), []).append((v, w))
-    out = {key: sum_of_products(p) for key, p in pairs.items()}
-    return DirMatrix(
-        "product", left.row_lo, left.row_hi, right.col_lo, right.col_hi, _clean(out)
-    )
+    out = {key: val for key, p in pairs.items() if (val := sum_of_products(p))}
+    return DirMatrix("product", left.row_lo, left.row_hi, right.col_lo, right.col_hi, out)
 
 
 def apply_to_series(m: DirMatrix, b: DirSeries) -> DirSeries:
@@ -247,8 +241,9 @@ def rd_inverse(m: DirMatrix) -> DirMatrix:
                 for j in range(k, n, k)
                 if n % j == 0 and (v := m.entries.get((n, j))) and (w := out.get((j, k)))
             )
-            out[(n, k)] = acc * (Fraction(-1) / diag[n])
-    return DirMatrix("inverse", 1, size, 1, size, _clean(out))
+            if acc:  # a missing entry reads as zero below and in the matrix
+                out[(n, k)] = acc * (Fraction(-1) / diag[n])
+    return DirMatrix("inverse", 1, size, 1, size, out)
 
 
 def exp_conjugate(m: DirMatrix) -> DirMatrix:

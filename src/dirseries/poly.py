@@ -112,8 +112,6 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m1[:i] + m2 + m1[i:]
     if not m1:
         return m2
-    if not m2:
-        return m1
     merged = dict(m1)
     for s, e in m2:
         merged[s] = merged.get(s, 0) + e

@@ -197,7 +197,9 @@ def _abel_terms(t: int) -> tuple:
     A(X,t) = X*(X + log t)^(s(t)-1) is f(t) times the coefficient at t of
     the shifted exponential family, and B(X,t) = (X + log t)^s(t); both are
     1 at t = 1, and both come from one power.  The polynomials share their
-    monomials, which keeps a table of them about 40% smaller."""
+    monomials, which keeps a table of them 15-18% smaller (tracemalloc of
+    the table for n = 2..N: 1.38 against 1.63 MB at N = 600, 2.54 against
+    3.08 MB at N = 1000)."""
     if t == 1:
         return 0, 1, ONE, ONE, ONE, ZERO, [ONE, ZERO]
     s, log_t = s_of(t), log_n_poly(t)

@@ -13,9 +13,10 @@ first: each suite is one item, except ``abel``, whose per-n checks go in
 chunks of a few indices.  With one worker each suite runs whole in
 process, without importing the pool; where processes cannot be started,
 the suites also run whole in process.
-Each process keeps the Abel family terms of the divisors it has met for
-the length of one run, so each term is built once per process, not once
-per divisor pair; the table is emptied when the run returns.
+The Abel family terms of the divisors met so far are kept in a table, so
+each term is built once per process, not once per divisor pair: an
+in-process ``abel`` suite keeps its table for the call, and a pool worker
+keeps its table for the worker's life, which ends with the run.
 
 Suites: ``pow`` (composition powers), ``log`` (logarithms and the star
 derivative), ``thm1`` (the multiplicative lift), ``thm2`` (shifted-power
@@ -590,25 +591,25 @@ def _chunks(ns: range) -> list[range]:
     return [ns[i : i + _CHUNK] for i in range(0, len(ns), _CHUNK)]
 
 
-# the Abel family terms of the proper divisors met so far, shared by the
-# abel chunks one process runs: a pool's workers exit with their run, and
-# ``run_suites`` and ``suite_abel`` empty it when they return, so it holds
-# at most the indices up to ``VERIFY_CAP`` of one run
+# the Abel family terms of the proper divisors met so far in a pool
+# worker, shared by the abel chunks it runs; it lives as long as the
+# worker, which exits with its run.  An in-process ``suite_abel`` passes
+# its own table instead.
 _ABEL_TERMS: dict[int, tuple] = {}
 
 
-def _abel_chunk(ns: range) -> list[CheckResult]:
-    return [_check("abel.identities", n, abel_check(n, _ABEL_TERMS)) for n in ns]
+def _abel_chunk(ns: range, family: dict = _ABEL_TERMS) -> list[CheckResult]:
+    return [_check("abel.identities", n, abel_check(n, family)) for n in ns]
 
 
-def _classic_chunk(pairs: list[tuple[int, int]]) -> list[CheckResult]:
+def _classic_chunk(pairs: list[tuple[int, int]], family: dict = _ABEL_TERMS) -> list[CheckResult]:
     """The classical identities, and the divisor-indexed sides at p**m
     against the classical ones: at n = p**m the divisor weights are the
     binomials C(m, k) and log p**k is k * log p."""
     out = []
     for p, m in pairs:
         left, right = classic_abel_check(p, m)
-        general_left, general_right = abel_check(p**m, _ABEL_TERMS)
+        general_left, general_right = abel_check(p**m, family)
         sides = (left, right), (general_left, left), (general_right, right)
         out.append(_check(f"abel.classic.p={p}", p**m, *sides))
     return out
@@ -621,10 +622,8 @@ def _abel_parts(bound: int | None) -> list[tuple[Callable, object]]:
 
 
 def suite_abel(bound: int | None = None) -> list[CheckResult]:
-    try:
-        return [rec for fn, arg in _abel_parts(bound) for rec in fn(arg)]
-    finally:
-        _ABEL_TERMS.clear()
+    family: dict[int, tuple] = {}  # one table for the parts of this call
+    return [rec for fn, arg in _abel_parts(bound) for rec in fn(arg, family)]
 
 
 def suite_binomf(bound: int | None = None) -> list[CheckResult]:
@@ -863,16 +862,13 @@ def run_suites(
     left = Counter(name for name, *_ in items)
     parts: dict[str, list[tuple]] = {name: [] for name in selected}
     records: list[CheckResult] = []
-    try:
-        for (name, index, _, _), outcome in outcomes:
-            parts[name].append((index, *outcome))
-            left[name] -= 1
-            if not left[name]:
-                suite_records = _suite_records(name, parts[name])
-                records.extend(suite_records)
-                seconds = sum(part[3] for part in parts[name])
-                on_suite_done(name, seconds, len(suite_records))
-    finally:
-        _ABEL_TERMS.clear()  # filled here when the chunks ran in this process
+    for (name, index, _, _), outcome in outcomes:
+        parts[name].append((index, *outcome))
+        left[name] -= 1
+        if not left[name]:
+            suite_records = _suite_records(name, parts[name])
+            records.extend(suite_records)
+            seconds = sum(part[3] for part in parts[name])
+            on_suite_done(name, seconds, len(suite_records))
     records.sort(key=lambda r: (r.ident, r.n))
     return records, all(r.ok for r in records)

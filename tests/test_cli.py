@@ -277,8 +277,8 @@ def test_expr_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, file_text",
-    [
+    "argv, file_text, message",
+    [(*row, None) for row in [
         (["coeff", "-e", "expx", "-n", "-1"], None),
         (["factorizations", "-n", "0", "-m", "2"], None),
         (["series", "-e", 'load("{path}")', "-N", "4"], "not json"),
@@ -320,6 +320,13 @@ def test_expr_error_exit_code(capsys):
         (["series", "-e", 'load("{path}")', "-N", "3"], "[" * 100_000 + "]" * 100_000),
         (["series", "-e", 'load("{path}")', "-N", "3"],
          '{"kind": "dir", "trunc": 3, "coeffs": {"1": "1"}, "coefs": {"2": "5"}}'),
+    ]] + [
+        (["matrix", "--kind", "mult", "-e", "zeta", "-N", "0"], None,
+         "matrix size must be in 1..500"),
+        (["matrix", "--kind", "mult", "-e", "zeta", "-N", "501"], None,
+         "matrix size must be in 1..500"),
+        (["coeff", "-e", "", "-n", "1"], None, "expected a name (at offset 0)"),
+        (["series", "-e", ",zeta", "-N", "3"], None, "expected a name (at offset 0)"),
     ],
     ids=["ord-index", "factorizations", "load-not-json", "load-key-range",
          "verify-negative", "verify-zero", "load-not-a-series", "load-trunc-over-cap",
@@ -330,9 +337,10 @@ def test_expr_error_exit_code(capsys):
          "empty-call-of-unary", "factorizations-n-10^32", "factorizations-n-10^18",
          "factorizations-n-over-cap", "verify-jobs-zero", "verify-jobs-negative",
          "expr-nested-2000", "coefficient-nested-300", "bell-2000-6", "bell-500-500",
-         "bell-symbolic-60-6", "load-nested-100000", "load-unknown-key"],
+         "bell-symbolic-60-6", "load-nested-100000", "load-unknown-key", "matrix-size-zero",
+         "matrix-size-over-cap", "expr-empty", "expr-without-name"],
 )
-def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text, message):
     path = tmp_path / "input.json"
     if file_text is not None:
         path.write_text(file_text)
@@ -343,6 +351,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, file_text):
     assert "FAIL" not in out
     if file_text is not None:
         assert str(path) in err
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

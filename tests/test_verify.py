@@ -1,6 +1,7 @@
 import concurrent.futures
 import pickle
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -21,7 +22,8 @@ from dirseries.verify import (
 def fake_pool(monkeypatch):
     """Replace the process pool by one that records its requested size and
     runs each submitted call in process, so it starts no worker; the
-    machine has 2 cores.  Returns the list of requested sizes."""
+    machine has 2 cores.  Yields the list of requested sizes, then empties
+    the worker's Abel table, as a worker's exit would."""
     started = []
 
     class FakePool:
@@ -45,7 +47,8 @@ def fake_pool(monkeypatch):
     # verify imports the pool where it starts one, so patch it at its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
-    return started
+    yield started
+    dirseries.verify._ABEL_TERMS.clear()
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -103,34 +106,61 @@ def test_raising_part_gives_one_exception_record(monkeypatch, fake_pool, jobs):
     assert sorted(timings) == [("abel", 1), ("binomf", len(binomf))]
 
 
+def test_dead_worker_gives_one_exception_record(monkeypatch, fake_pool):
+    died = BrokenProcessPool("a worker died")
+    abel_parts = (dirseries.verify._abel_chunk, dirseries.verify._classic_chunk)
+
+    class DyingPool(concurrent.futures.ProcessPoolExecutor):  # the fake pool
+        def submit(self, fn, *args):
+            if args[0] not in abel_parts:
+                return super().submit(fn, *args)
+            future = Future()
+            future.set_exception(died)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
+    binomf, _ = run_suites(["binomf"], bound=40)
+    records, ok = run_suites(["abel", "binomf"], bound=40, jobs=2)
+    assert fake_pool == [2]
+    assert not ok
+    assert [r for r in records if r.ident.startswith("abel")] == [
+        CheckResult("abel.exception", 0, False, repr(died))
+    ]
+    assert [r for r in records if not r.ident.startswith("abel")] == binomf
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("raising", [False, True])
 def test_abel_table_is_emptied_when_the_run_returns(monkeypatch, fake_pool, jobs, raising):
-    table = dirseries.verify._ABEL_TERMS
+    # in process the parts share a table of the call, dropped with it, and
+    # the worker's table stays empty; the parts that the pool's worker runs
+    # share the worker's table
+    worker_table = dirseries.verify._ABEL_TERMS
     pristine = dirseries.verify.abel_check
-    sizes = []
+    tables = []
 
     def spy(n, family=None):
-        assert family is table
         if raising and n == 35:
             raise ValueError(f"n={n}")
-        sizes.append(len(family))
+        tables.append(family)
         return pristine(n, family)
 
     monkeypatch.setattr(dirseries.verify, "abel_check", spy)
     records, ok = run_suites(["abel"], 40, jobs)
     assert ok is not raising
     assert fake_pool == ([2] if jobs > 1 else [])
-    assert max(sizes) > 0  # the run's parts shared the table
-    assert not table
-    # a suite called on its own empties the table too
-    sizes.clear()
+    assert tables[0] and all(family is tables[0] for family in tables)
+    assert (tables[0] is worker_table) == (jobs > 1) == bool(worker_table)
+    # a suite called on its own has a table of its own too
+    tables.clear()
+    filled = dict(worker_table)
     if raising:
         with pytest.raises(ValueError):
             dirseries.verify.suite_abel(40)
     else:
         assert all(r.ok for r in dirseries.verify.suite_abel(40))
-    assert max(sizes) > 0 and not table
+    assert tables[0] and all(family is tables[0] for family in tables)
+    assert tables[0] is not worker_table and worker_table == filled
 
 
 def test_classic_abel_cross_checks_the_divisor_sides(monkeypatch):
