@@ -58,20 +58,20 @@ class SeriesFormatError(DirAlgebraError, ValueError):
     polynomial text."""
 
 
-class PolynomialSyntaxError(DirAlgebraError):
-    """Malformed polynomial text; carries the byte offset of the problem."""
+class _OffsetError(DirAlgebraError):
+    """Malformed text; carries the byte offset of the problem as ``offset``."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
 
 
-class ExprSyntaxError(DirAlgebraError):
-    """Malformed CLI expression; carries the byte offset of the problem."""
+class PolynomialSyntaxError(_OffsetError):
+    """Malformed polynomial text."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
+
+class ExprSyntaxError(_OffsetError):
+    """Malformed CLI expression."""
 
 
 class UnknownFunction(DirAlgebraError):

@@ -110,7 +110,7 @@ def _lattice(kind: str, size: int, column: Callable[[int], DirSeries]) -> DirMat
         (j * k, k): v
         for k in range(1, size + 1)
         for j, v in enumerate(column(k).coeffs, start=1)
-        if not v.is_zero()
+        if v
     }
     return DirMatrix(kind, 1, size, 1, size, entries)
 
@@ -141,10 +141,10 @@ def build_mixed(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:
 
 def _column_entries(columns: Iterable[Series]) -> dict[tuple[int, int], Polynomial]:
     """The nonzero entries (n, m) of the matrix whose column m is the m-th
-    series of ``columns``, its rows numbered from the series' first index.
-    They are read from ``Series.nonzero``, which a column that is also the
-    next product's factor then does not scan again."""
-    return {(n, m): v for m, col in enumerate(columns) for n, v in col.nonzero}
+    series of ``columns``, its rows numbered from the series' first index."""
+    return {
+        (n, m): v for m, col in enumerate(columns) for n, v in enumerate(col.coeffs, col.first) if v
+    }
 
 
 def build_rd(b: DirSeries, a: DirSeries, size: int) -> DirMatrix:

@@ -16,7 +16,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .intfactor import divisors, s_max
-from .poly import Polynomial, Scalar, as_poly
+from .poly import ONE, Polynomial, Scalar, as_poly
 
 
 def partitions_into_parts(n: int, m: int) -> list[tuple[int, ...]]:
@@ -119,7 +119,7 @@ def bell_btilde(n: int, m: int, values: Sequence[Polynomial | Scalar]) -> Polyno
     ``values[k-2]`` is the value attached to factor k, so n-1 values cover
     factors 2..n.  By convention n=1, m=0 gives 1."""
     if n == 1 and m == 0:
-        return Polynomial.one()
+        return ONE
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     if len(values) < n - 1:

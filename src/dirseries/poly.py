@@ -273,7 +273,7 @@ def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomia
     out: dict[Monomial, Scalar] = {}
     for p, q in pairs:
         _add_product(out, p, q)
-    return _wrap(out) if out else _ZERO
+    return _wrap(out) if out else ZERO
 
 
 def _charge_digits(digits: int) -> None:
@@ -301,20 +301,12 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "Polynomial":
-        return _ONE
-
-    @staticmethod
     def const(value: Scalar) -> "Polynomial":
         c = _scalar(value)
         if not c:
-            return _ZERO
+            return ZERO
         if c == 1:
-            return _ONE
+            return ONE
         return Polynomial({_UNIT_MONO: c})
 
     @staticmethod
@@ -326,9 +318,6 @@ class Polynomial:
     @property
     def terms(self) -> dict[Monomial, Scalar]:
         return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and _UNIT_MONO in self._terms)
@@ -353,7 +342,7 @@ class Polynomial:
         if not other._terms:
             return self
         out = dict(self._terms)  # unmetered: a C-speed copy of terms charged as made
-        _add_product(out, other, _ONE)
+        _add_product(out, other, ONE)
         return _wrap(out)
 
     __radd__ = __add__
@@ -375,14 +364,14 @@ class Polynomial:
                 return NotImplemented
             c = _scalar(other)
             if not c:
-                return _ZERO
+                return ZERO
             if c == 1:
                 return self
             if self._terms and METER.budget is not None:
                 _charge(_products_units(self._sizes or _sizes(self), _term_sizes(c)))
             return _wrap({m: v * c for m, v in self._terms.items()})
         if not self._terms or not other._terms:
-            return _ZERO
+            return ZERO
         # fast path: one side constant
         if other.is_constant():
             return self * other._terms[_UNIT_MONO]
@@ -395,7 +384,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        return repeated_squaring(self, exponent) if exponent else _ONE
+        return repeated_squaring(self, exponent) if exponent else ONE
 
     # -- structural helpers ------------------------------------------------
 
@@ -405,22 +394,23 @@ class Polynomial:
         return substitute_symbol((self,), sym, replacement)[0]
 
     def divide_by_symbol(self, sym: Symbol) -> "Polynomial":
-        """Exact division by ``sym``; every term must contain it."""
+        """Exact division by ``sym``; every term must contain it.  The pair
+        of ``sym`` is found by bisection, as in ``substitute_symbol``, and
+        sliced out or its exponent lowered."""
+        key = (sym,)
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
-            exps = dict(mono)
-            e = exps.get(sym, 0)
-            if e == 0:
+            i = bisect_left(mono, key)
+            if i == len(mono) or mono[i][0] != sym:
                 raise NotDivisible(f"term {mono} has no factor {sym}")
-            if e == 1:
-                del exps[sym]
-            else:
-                exps[sym] = e - 1
-            out[tuple(sorted(exps.items()))] = coeff
+            e = mono[i][1]
+            rest = ((sym, e - 1),) if e > 1 else ()
+            out[mono[:i] + rest + mono[i + 1 :]] = coeff
         return _wrap(out)
 
     def eval_at(self, assignment: Mapping[Symbol, Scalar]) -> Fraction:
-        """Exact rational value; every occurring symbol must be assigned."""
+        """Exact rational value; every occurring symbol must be assigned
+        an ``int`` or a ``Fraction``, read through ``_scalar``."""
         missing = self.symbols() - set(assignment)
         if missing:
             raise MissingSymbol(f"no value for {sorted(missing)}")
@@ -428,7 +418,7 @@ class Polynomial:
         for mono, coeff in self._terms.items():
             v = coeff
             for s, e in mono:
-                v *= Fraction(assignment[s]) ** e
+                v *= _scalar(assignment[s]) ** e
             total += v
         return total
 
@@ -495,11 +485,8 @@ def _wrap(terms: dict[Monomial, Scalar]) -> Polynomial:
     return p
 
 
-_ZERO = _wrap({})
-_ONE = _wrap({_UNIT_MONO: 1})
-
-ZERO = _ZERO
-ONE = _ONE
+ZERO = _wrap({})
+ONE = _wrap({_UNIT_MONO: 1})
 
 
 def as_poly(value: Polynomial | Scalar) -> Polynomial:
@@ -526,7 +513,7 @@ def constant_values(polys: Iterable[Polynomial]) -> list[Scalar] | None:
 def constant_polys(values: Iterable[Scalar]) -> list[Polynomial]:
     """Constant polynomials with the given ``int`` or ``Fraction`` values,
     which are stored as they are."""
-    return [_wrap({_UNIT_MONO: v}) if v else _ZERO for v in values]
+    return [_wrap({_UNIT_MONO: v}) if v else ZERO for v in values]
 
 
 def shared_monomials(polys: Iterable[Polynomial]) -> list[Polynomial]:
@@ -562,7 +549,7 @@ def substitute_symbol(
     tops = [max((e for mono in p._terms for s, e in mono if s == sym), default=0) for p in polys]
     if not any(tops):
         return list(polys)
-    ladder = [_ONE, *powers(as_poly(replacement), max(tops))]
+    ladder = [ONE, *powers(as_poly(replacement), max(tops))]
     key = (sym,)
     out = []
     for p, top in zip(polys, tops):
@@ -598,7 +585,7 @@ def binom_poly(sym: Symbol, m: int) -> Polynomial:
     if m < 0:
         raise ValueError("binom_poly needs m >= 0")
     s = Polynomial.symbol(sym)
-    out = _ONE
+    out = ONE
     for i in range(m):
         out = out * (s - i)
     return out * Fraction(1, factorial(m))
@@ -609,7 +596,7 @@ def rising_poly(sym: Symbol, m: int) -> Polynomial:
     if m < 0:
         raise ValueError("rising_poly needs m >= 0")
     s = Polynomial.symbol(sym)
-    out = _ONE
+    out = ONE
     for i in range(m):
         out = out * (s + i)
     return out

@@ -25,7 +25,7 @@ _SERIES_CLASSES = {cls.kind: cls for cls in (DirSeries, OrdSeries)}
 
 
 def series_to_json(s: Series) -> dict[str, Any]:
-    coeffs = {str(n): v.to_text() for n, v in enumerate(s.coeffs, s.first) if not v.is_zero()}
+    coeffs = {str(n): v.to_text() for n, v in enumerate(s.coeffs, s.first) if v}
     return {"kind": s.kind, "trunc": s.trunc, "coeffs": coeffs}
 
 

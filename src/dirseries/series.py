@@ -48,7 +48,6 @@ results are identical on every path.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, compress
 from math import factorial, lcm
 from operator import add
@@ -101,8 +100,8 @@ SCALED_DEN_BITS = 64
 class Series:
     """A truncated series of either kind: the coefficients at indices
     ``first``..``trunc``, so ``coeffs[n - first]`` is the coefficient at
-    index n.  Its fields cannot be assigned, and series of different kinds
-    are never equal."""
+    index n.  Its fields ``trunc`` and ``coeffs`` are its only state and
+    cannot be assigned; series of different kinds are never equal."""
 
     first: ClassVar[int]  # the first index: 1 for composition, 0 for ordinary
     kind: ClassVar[str]  # "dir" or "ord", the kind tag of the JSON form
@@ -158,12 +157,6 @@ class Series:
     def __neg__(self):
         return self * -1
 
-    @cached_property
-    def nonzero(self) -> list[tuple[int, Polynomial]]:
-        """The pairs (n, c_n) of the nonzero coefficients, found once per
-        series: a factor used in many products is scanned once."""
-        return _nonzero(self.coeffs, self.first)
-
     def truncated(self, n: int):
         if n > self.trunc:
             raise TruncationTooSmall(f"series has trunc {self.trunc}, need {n}")
@@ -194,7 +187,7 @@ def require_lead(a: Series, value: int | None, op: str, which: str = "") -> None
     lead = a[a.first]
     where = f"index {a.first}" if a.first else "index 0, the constant term"
     where += f" of the {which} series" if which else ""
-    if value == 0 and not lead.is_zero():
+    if value == 0 and lead:
         raise LeadingCoefficientNotZero(f"{op} needs coefficient 0 at {where}, got {lead}")
     if value == 1 and lead != ONE:
         raise LeadingCoefficientNotOne(f"{op} needs coefficient 1 at {where}, got {lead}")
@@ -426,7 +419,7 @@ def dir_apply_series(f: OrdSeries, a: DirSeries) -> DirSeries:
     out = DirSeries(a.trunc, (f[0],) + (ZERO,) * (a.trunc - 1))  # x * f_0
     for m, power in enumerate(powers(a, top), start=1):
         fm = f[m]
-        if not fm.is_zero():
+        if fm:
             out = out + power * fm
     return out
 
@@ -574,17 +567,13 @@ def ord_x(trunc: int) -> OrdSeries:
 def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
     """The Cauchy product: the pair of each nonzero a_i and b_j with
     i + j <= n is gathered at index i + j, and each index is summed once by
-    ``_sums``; metered like ``_convolve_polys``.  The nonzero
-    coefficients come from ``Series.nonzero``, so a factor of many
-    products, like the a of a Riordan array's columns b * a^k, is scanned
-    once."""
+    ``_sums``; metered like ``_convolve_polys``.  Each factor's nonzero
+    coefficients are found by one ``_nonzero`` scan."""
     n = min(a.trunc, b.trunc)
     _charge_call(n + 1)
     pairs: list[list] = [[] for _ in range(n + 1)]
-    nonzero_b = b.nonzero
-    for i, ai in a.nonzero:
-        if i > n:
-            break
+    nonzero_b = _nonzero(b.coeffs, 0)
+    for i, ai in _nonzero(a.coeffs[: n + 1], 0):
         for j, bj in nonzero_b:
             if i + j > n:
                 break

@@ -270,7 +270,7 @@ def classic_abel_check(p: int, m: int) -> tuple[dict[int, Polynomial], dict[int,
     ``abel_check(n)`` builds from divisors."""
     if not is_prime(p) or m < 1:
         raise ValueError("needs a prime p and m >= 1")
-    a = Polynomial.symbol(f"L{p}")
+    a = log_n_poly(p)
 
     def A(sym_poly: Polynomial, k: int) -> Polynomial:
         return ONE if k == 0 else sym_poly * (sym_poly + a * k) ** (k - 1)
@@ -314,12 +314,11 @@ def inverse_pair_check(
 
     Both right sides are ``log_power_sum``s.
     """
-    beta_val = Fraction(beta)
     lifted = lift_multiplicative(a, trunc)
     power = series_substitute_symbol(lifted, PSI, _phi)  # carries phi
-    fam = _lagrange(lifted, beta_val, log_n_poly)
-    want_f = log_power_sum(power.coeffs, fam, PHI, beta_val)
-    want_b = log_power_sum(fam.coeffs, lifted, PSI, -beta_val)
+    fam = _lagrange(lifted, beta, log_n_poly)
+    want_f = log_power_sum(power.coeffs, fam, PHI, beta)
+    want_b = log_power_sum(fam.coeffs, lifted, PSI, -beta)
     ns = range(2, trunc + 1)
     forward = ({("forward", n): fam[n] for n in ns}, {("forward", n): want_f[n] for n in ns})
     backward = ({("backward", n): power[n] for n in ns}, {("backward", n): want_b[n] for n in ns})

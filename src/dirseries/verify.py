@@ -66,8 +66,10 @@ from .matrices import (
 from .partitions import bell_B, bell_btilde, ordered_factorizations
 from .poly import (
     BETA,
+    ONE,
     PHI,
     PSI,
+    ZERO,
     Polynomial,
     binom_poly,
     log_n_poly,
@@ -147,7 +149,7 @@ def _first_mismatch(got, want) -> str:
         left = dict(enumerate(got.coeffs, got.first))
         right = dict(enumerate(want.coeffs, want.first))
     elif isinstance(got, DirMatrix) and isinstance(want, DirMatrix):
-        left, right, absent = got.entries, want.entries, Polynomial.zero()
+        left, right, absent = got.entries, want.entries, ZERO
     elif isinstance(got, dict) and isinstance(want, dict):
         left, right = got, want
     if left is not None:
@@ -298,7 +300,7 @@ def suite_log(bound: int | None = None) -> list[CheckResult]:
     rows, sums = {}, {}
     for n in range(2, small + 1):
         rows[n] = row_polynomial(conj, n, PHI)
-        sums[n] = Polynomial.zero()
+        sums[n] = ZERO
         for m in range(1, s_max(n) + 1):
             term = bell_btilde(n, m, values)
             sums[n] = sums[n] + term * _phi**m * Fraction(factorial(n), factorial(m))
@@ -314,7 +316,7 @@ def suite_log(bound: int | None = None) -> list[CheckResult]:
 def _zeta_power_coeff(n: int) -> Polynomial:
     """[x^n] of zeta^(psi): the product of rising(psi, m) / m! over the
     prime powers p^m exactly dividing n."""
-    out = Polynomial.one()
+    out = ONE
     for _, m in factorize(n):
         out = out * rising_poly(PSI, m) * Fraction(1, factorial(m))
     return out
@@ -396,7 +398,7 @@ def suite_thm2(bound: int | None = None) -> list[CheckResult]:
     # psi divides a coefficient exactly when it vanishes at psi = 0
     p = dir_pow_param(random_dir_series(rng, size))
     at_zero = {n: p[n].substitute(PSI, 0) for n in range(2, size + 1)}
-    zeros = dict.fromkeys(at_zero, Polynomial.zero())
+    zeros = dict.fromkeys(at_zero, ZERO)
     out.append(_check("thm2.divisibility", size, (at_zero, zeros)))
 
     bases = {
@@ -562,13 +564,13 @@ def suite_thm3(bound: int | None = None) -> list[CheckResult]:
         for mcol in range(1, small + 1):
             for j in range(1, small // mcol + 1):
                 val = series[j].substitute(PSI, log_n_poly(j * mcol))
-                if not val.is_zero():
+                if val:
                     stacked[(j * mcol, mcol)] = val
         rows: dict[tuple[int, int], Polynomial] = {}
         for n in range(1, small + 1):
             spec = series_substitute_symbol(series, PSI, log_n_poly(n))
             for k, val in enumerate(build_mult(spec, small).row(n), start=1):
-                if not val.is_zero():
+                if val:
                     rows[(n, k)] = val
         pairs.append((rows, stacked))
     out.append(_check("thm3.row-scaffolding", small, *pairs))
@@ -634,10 +636,10 @@ def suite_binomf(bound: int | None = None) -> list[CheckResult]:
         mirrored = {d: weights[n // d] for d in weights}
         out.append(_check("binomf.symmetry", n, (weights, mirrored)))
         if not is_prime(n):
-            alt = Polynomial.zero()
+            alt = ZERO
             for d, weight in weights.items():
                 alt = alt + log_n_poly(d) * weight * Fraction((-1) ** s_of(n // d))
-            out.append(_check("binomf.log-alternating", n, (alt, Polynomial.zero())))
+            out.append(_check("binomf.log-alternating", n, (alt, ZERO)))
     return out
 
 
@@ -712,10 +714,10 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
 
     lhs, rhs = {}, {}
     for n in range(2, span + 1):
-        lhs[n] = Polynomial.zero()
+        lhs[n] = ZERO
         for m in range(1, s_of(n) + 1):
             lhs[n] = lhs[n] + binom_poly(PHI, m) * bell_btilde(n, m, [1] * (n - 1))
-        rhs[n] = Polynomial.one()
+        rhs[n] = ONE
         for _, s in factorize(n):
             rhs[n] = rhs[n] * binom_poly(PHI, s).substitute(PHI, _phi + (s - 1))
     out.append(_check("oracle.btilde-binomial", span, (lhs, rhs)))

@@ -31,8 +31,10 @@ from dirseries.matrices import (
 from dirseries.partitions import bell_btilde, ordered_factorizations
 from dirseries.poly import (
     BETA,
+    ONE,
     PHI,
     PSI,
+    ZERO,
     Polynomial,
     binom_poly,
     coeff_symbol,
@@ -126,7 +128,7 @@ def test_criterion_02_golden_column_symbolic():
         for n in range(2, 17):
             assert m.entry(n, 1) == sym(n)
         for n in (2, 3, 5, 7, 11, 13):
-            assert all(m.entry(n, c).is_zero() for c in range(2, m.col_hi + 1))
+            assert all(not m.entry(n, c) for c in range(2, m.col_hi + 1))
 
 
 def test_criterion_03_golden_riordan_rows():
@@ -183,7 +185,7 @@ def test_criterion_06_lift():
             assert dir_mul(la, lb) == lc  # symbolic power parameter
         p = dir_pow_param(zeta(120))
         for n in range(1, 121):
-            want = Polynomial.one()
+            want = ONE
             for _, m in factorize(n):
                 want = want * rising_poly(PSI, m) * Fraction(1, factorial(m))
             assert p[n] == want
@@ -264,10 +266,10 @@ def test_criterion_11_btilde_oracle():
                     len(ordered_factorizations(n, m))
                 )
         for n in range(2, 121):
-            lhs = Polynomial.zero()
+            lhs = ZERO
             for m in range(1, s_of(n) + 1):
                 lhs = lhs + binom_poly(PHI, m) * bell_btilde(n, m, [1] * (n - 1))
-            rhs = Polynomial.one()
+            rhs = ONE
             for _, s in factorize(n):
                 rhs = rhs * binom_poly(PHI, s).substitute(PHI, phi + (s - 1))
             assert lhs == rhs, f"binomial identity at n={n}"
@@ -279,12 +281,12 @@ def test_criterion_12_binom_f_identities():
             ds = divisors(n)
             assert sum(binom_f(n, d) for d in ds) == 2 ** s_of(n)
             if not is_prime(n):
-                alt = Polynomial.zero()
+                alt = ZERO
                 for d in ds:
                     alt = alt + log_n_poly(d) * binom_f(n, d) * Fraction(
                         (-1) ** s_of(n // d)
                     )
-                assert alt.is_zero(), f"alternating identity at n={n}"
+                assert not alt, f"alternating identity at n={n}"
 
 
 def test_criterion_13_expansion_roundtrip():
@@ -309,7 +311,7 @@ def test_criterion_14_cli_contract(capsys):
                 def corrupted(a, b, trunc, _idx=index, _orig=pristine):
                     out = _orig(a, b, trunc)
                     if trunc >= _idx:
-                        out[_idx - 1] = out[_idx - 1] + Polynomial.one()
+                        out[_idx - 1] = out[_idx - 1] + ONE
                     return out
 
                 dirseries.series.dirichlet_convolve = corrupted

@@ -87,6 +87,19 @@ def test_series_json_reingest(tmp_path, capsys):
     assert out2.strip() == out.strip()  # byte-exact round trip
 
 
+def test_load_without_the_digit_limit(tmp_path, capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 has no sys.set_int_max_str_digits: the CLI
+    # leaves the limit alone and load() reads its file by plain json.load
+    monkeypatch.chdir(tmp_path)
+    series = {"kind": "dir", "trunc": 4, "coeffs": {"1": "1", "3": "-1/3*phi + 2"}}
+    (tmp_path / "f.json").write_text(json.dumps(series))
+    argv = ["series", "-e", 'load("f.json")', "-N", "3"]
+    with_limit = run_cli(capsys, *argv)
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run_cli(capsys, *argv) == with_limit
+    assert with_limit[0] == 0 and json.loads(with_limit[1])["coeffs"]["3"] == "2 - 1/3*phi"
+
+
 def test_series_csv(capsys):
     code, out, _ = run_cli(capsys, "series", "-e", "zeta", "-N", "3", "--csv")
     assert code == 0

@@ -14,7 +14,7 @@ from dirseries.intfactor import (
     s_of,
     s_upto,
 )
-from dirseries.poly import Polynomial, log_n_poly
+from dirseries.poly import ZERO, log_n_poly
 
 
 def test_factorize():
@@ -62,10 +62,10 @@ def test_binom_f_identities():
         for d in ds:
             assert binom_f(n, d) == binom_f(n, n // d)
         if not is_prime(n):
-            alt = Polynomial.zero()
+            alt = ZERO
             for d in ds:
                 alt = alt + log_n_poly(d) * binom_f(n, d) * Fraction((-1) ** s_of(n // d))
-            assert alt == Polynomial.zero(), f"alternating identity failed at n={n}"
+            assert alt == ZERO, f"alternating identity failed at n={n}"
 
 
 def test_mobius_sieve():

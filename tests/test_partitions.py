@@ -13,7 +13,15 @@ from dirseries.partitions import (
     ordered_factorizations,
     partitions_into_parts,
 )
-from dirseries.poly import PHI, Polynomial, binom_poly, coeff_symbol, parse_polynomial
+from dirseries.poly import (
+    ONE,
+    PHI,
+    ZERO,
+    Polynomial,
+    binom_poly,
+    coeff_symbol,
+    parse_polynomial,
+)
 
 
 def brute_ordered_factorizations(n, m):
@@ -138,7 +146,7 @@ def test_bell_btilde_symbolic():
     a = [Polynomial.symbol(coeff_symbol(k)) for k in range(2, 17)]
     assert bell_btilde(16, 3, a) == a[0] ** 2 * a[2] * 3
     assert bell_btilde(12, 2, a) == a[0] * a[4] * 2 + a[2] * a[1] * 2
-    assert bell_btilde(1, 0, a) == Polynomial.one()
+    assert bell_btilde(1, 0, a) == ONE
 
 
 def test_bell_btilde_counts_match_ordered_factorizations():
@@ -153,10 +161,10 @@ def test_btilde_binomial_identity():
     # C(phi + s_i - 1, s_i) over the prime multiplicities of n
     phi = Polynomial.symbol(PHI)
     for n in range(2, 121):
-        lhs = Polynomial.zero()
+        lhs = ZERO
         for m in range(1, s_of(n) + 1):
             lhs = lhs + binom_poly(PHI, m) * bell_btilde(n, m, [1] * (n - 1))
-        rhs = Polynomial.one()
+        rhs = ONE
         for _, s in factorize(n):
             shifted = binom_poly(PHI, s).substitute(PHI, phi + (s - 1))
             rhs = rhs * shifted

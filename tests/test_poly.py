@@ -11,10 +11,12 @@ from dirseries.intfactor import factorize
 from dirseries.poly import (
     BETA,
     METER,
+    ONE,
     PHI,
     POWER_CAP,
     PSI,
     SYMBOL_INDEX_CAP,
+    ZERO,
     Polynomial,
     _mono_mul,
     _wrap,
@@ -41,7 +43,7 @@ L5 = Polynomial.symbol("L5")
 
 
 def random_poly(rng, symbols=(PHI, BETA, "L2"), max_terms=4, max_deg=3):
-    out = Polynomial.zero()
+    out = ZERO
     for _ in range(rng.randint(0, max_terms)):
         term = Polynomial.const(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
         for s in symbols:
@@ -51,7 +53,7 @@ def random_poly(rng, symbols=(PHI, BETA, "L2"), max_terms=4, max_deg=3):
 
 
 def test_add_inverse_and_collection():
-    assert phi + (-phi) == Polynomial.zero()
+    assert phi + (-phi) == ZERO
     assert (L2 + L3) + L2 == L2 * 2 + L3
     half = Fraction(1, 2)
     assert phi**2 * half + phi * half == phi**2 * half + phi * half
@@ -70,8 +72,8 @@ def test_substitute_examples():
     psi = Polynomial.symbol(PSI)
     assert (psi**2).substitute(PSI, phi + beta * L2) == (phi + beta * L2) ** 2
     c2 = binom_poly(PHI, 2)
-    assert c2.substitute(PHI, Polynomial.const(2)) == Polynomial.one()
-    assert (psi * random_poly(random.Random(1))).substitute(PSI, 0) == Polynomial.zero()
+    assert c2.substitute(PHI, Polynomial.const(2)) == ONE
+    assert (psi * random_poly(random.Random(1))).substitute(PSI, 0) == ZERO
 
 
 def test_substitute_without_the_symbol_returns_the_polynomial_unmetered():
@@ -143,7 +145,7 @@ def test_monomial_products_match_a_dict_merge(sizes):
 @pytest.mark.parametrize("k", range(10))
 def test_powers_match_a_left_to_right_product_chain(k):
     p = phi * Fraction(2, 3) + beta * L2 - 1
-    chain = Polynomial.one()
+    chain = ONE
     for _ in range(k):
         chain = chain * p
     assert p**k == chain
@@ -167,7 +169,7 @@ def test_divide_roundtrip():
 
 def test_eval():
     assert (phi**2 + phi).eval_at({PHI: 3}) == 12
-    assert Polynomial.zero().eval_at({}) == 0
+    assert ZERO.eval_at({}) == 0
     # binomial-coefficient oracle
     assert binom_poly(PHI, 3).eval_at({PHI: 5}) == comb(5, 3)
     with pytest.raises(MissingSymbol):
@@ -196,16 +198,16 @@ def test_ring_axioms_structural():
 def test_constant_values_and_polys():
     values = [Fraction(0), Fraction(1), Fraction(-7, 3)]
     polys = constant_polys(values)
-    assert polys == [Polynomial.zero(), Polynomial.one(), Polynomial.const(Fraction(-7, 3))]
+    assert polys == [ZERO, ONE, Polynomial.const(Fraction(-7, 3))]
     assert [p.to_text() for p in polys] == ["0", "1", "-7/3"]
     assert constant_values(polys) == values
     assert constant_values([]) == []
-    assert constant_values([Polynomial.one(), phi + 1, Polynomial.one()]) is None
+    assert constant_values([ONE, phi + 1, ONE]) is None
     assert constant_values([phi]) is None
 
 
 def test_binom_poly():
-    assert binom_poly(PHI, 0) == Polynomial.one()
+    assert binom_poly(PHI, 0) == ONE
     assert binom_poly(PHI, 2) == (phi**2 - phi) * Fraction(1, 2)
     assert binom_poly(PHI, 3).eval_at({PHI: 6}) == 20
     for t in range(3, 9):
@@ -213,20 +215,20 @@ def test_binom_poly():
 
 
 def test_rising_poly():
-    assert rising_poly(PHI, 0) == Polynomial.one()
+    assert rising_poly(PHI, 0) == ONE
     assert rising_poly(PHI, 2) == phi**2 + phi
     assert rising_poly(PHI, 3).eval_at({PHI: 2}) == 24
 
 
 def test_log_n_poly():
-    assert log_n_poly(1) == Polynomial.zero()
+    assert log_n_poly(1) == ZERO
     assert log_n_poly(12) == L2 * 2 + L3
     assert log_n_poly(30) == L2 + L3 + L5
 
 
 def test_log_n_poly_matches_sum_of_prime_logs():
     for n in range(1, 10001):
-        want = Polynomial.zero()
+        want = ZERO
         for p, m in factorize(n):
             want = want + m * Polynomial.symbol(f"L{p}")
         got = log_n_poly(n)
@@ -278,7 +280,7 @@ def test_parse_forms():
     assert parse_polynomial("2*L2 + L3") == L2 * 2 + L3
     assert parse_polynomial("1/2*phi^2") == phi**2 * Fraction(1, 2)
     assert parse_polynomial("-(phi - 1)") == -phi + 1
-    assert parse_polynomial("0") == Polynomial.zero()
+    assert parse_polynomial("0") == ZERO
     assert parse_polynomial("phi*(phi+1)") == phi**2 + phi
 
 
@@ -349,7 +351,7 @@ def test_powers_up_to_the_cap_parse():
     assert parse_polynomial(f"2^{POWER_CAP}") == Polynomial.const(2**POWER_CAP)
     assert parse_polynomial("(1+phi)^99") == (phi + 1) ** 99
     assert parse_polynomial("(1+phi+beta)^26") == (phi + beta + 1) ** 26
-    assert parse_polynomial(f"0^{POWER_CAP}") == Polynomial.zero()
+    assert parse_polynomial(f"0^{POWER_CAP}") == ZERO
 
 
 @pytest.mark.parametrize(
@@ -404,7 +406,7 @@ def test_steps_skip_the_meter_without_a_budget():
 def test_steps_charge_every_coefficient_not_the_first():
     # 1 + C*phi begins with the small constant 1, and the long C is charged
     # all the same: in products, in products by a scalar and in sums
-    one = Polynomial.one()
+    one = ONE
     big, small, c = one + 7**40000 * phi, one + phi, 7**40000
     assert _metered_units(lambda: big * big) > 100 * _metered_units(lambda: small * small)
     assert _metered_units(lambda: big * c) > 100 * _metered_units(lambda: small * c)
@@ -486,7 +488,7 @@ def test_text_matches_the_fraction_operator_formatter(seed):
     rng = random.Random(seed)
     polys = [_wrap(_random_terms(rng)) for _ in range(300)]
     polys += [_wrap({(): c}) for c in (5, -5, 1, -1, Fraction(-3, 4), Fraction(7), Fraction(-1))]
-    polys += [Polynomial.zero(), _wrap({((PHI, 1),): Fraction(-1), ((BETA, 2),): Fraction(1)})]
+    polys += [ZERO, _wrap({((PHI, 1),): Fraction(-1), ((BETA, 2),): Fraction(1)})]
     for p in polys:
         assert p.to_text() == _reference_text(p)
         assert parse_polynomial(p.to_text()) == p
@@ -523,18 +525,18 @@ def _reference_sum_of_products(pairs) -> dict:
 def test_sum_of_products_matches_a_term_dict_reference(seed):
     rng = random.Random(seed)
     polys = [random_polynomial(rng) for _ in range(8)]
-    polys += [Polynomial.zero(), Polynomial.one(), Polynomial.const(Fraction(-5, 3)),
+    polys += [ZERO, ONE, Polynomial.const(Fraction(-5, 3)),
               Polynomial.const(7), phi * 2 - beta * 2]
     pairs = [(rng.choice(polys), rng.choice(polys)) for _ in range(12)]
     x, y = polys[0], polys[1]
     pairs += [(x, y), (-x, y), (y, x * Fraction(-1, 2)), (x * Fraction(1, 2), y)]  # cancel
-    for chosen in (pairs, pairs[-4:], [], [(Polynomial.zero(), x)], [(x, Polynomial.one())]):
+    for chosen in (pairs, pairs[-4:], [], [(ZERO, x)], [(x, ONE)]):
         got = sum_of_products(chosen)
         want = Polynomial(_reference_sum_of_products(chosen))
         assert got == want
         assert got.terms == want.terms
         assert got.to_text() == want.to_text()
-    assert sum_of_products(pairs[-4:]).is_zero()
+    assert not sum_of_products(pairs[-4:])
 
 
 def _sum_of_terms(count: int) -> Polynomial:
@@ -572,8 +574,8 @@ def test_integral_coefficients_are_stored_as_int():
 
 def test_constant_value_and_eval_at_are_fractions():
     three = Polynomial.const(3)
-    for value in (three.constant_value(), Polynomial.zero().constant_value(),
-                  three.eval_at({}), (phi * 2 + 1).eval_at({PHI: 2}), Polynomial.zero().eval_at({})):
+    for value in (three.constant_value(), ZERO.constant_value(),
+                  three.eval_at({}), (phi * 2 + 1).eval_at({PHI: 2}), ZERO.eval_at({})):
         assert type(value) is Fraction
     inverse = 1 / three.constant_value()
     assert (type(inverse), inverse) == (Fraction, Fraction(1, 3))
@@ -653,7 +655,7 @@ def test_floats_do_not_enter_exact_arithmetic():
         lambda: as_poly(0.1),
         lambda: series * 0.1,
         lambda: 0.5 * series,
-        lambda: Polynomial.one() * 0.1,
+        lambda: ONE * 0.1,
         lambda: Polynomial({(): 0.5}),
         lambda: dir_from_fn(2, lambda n: 1.0),
     ):
@@ -661,3 +663,12 @@ def test_floats_do_not_enter_exact_arithmetic():
             make()
     assert Polynomial.const(Fraction(1, 10)).to_text() == "1/10"
     assert (series * Fraction(1, 2))[3] == Polynomial.const(Fraction(3, 2))
+
+
+@pytest.mark.parametrize("value", [0.1, "1/3"], ids=["float", "str"])
+def test_eval_at_takes_only_exact_values(value):
+    # Fraction(value) read 0.1 as a binary fraction and "1/3" as 1/3
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        (phi * 3).eval_at({PHI: value})
+    assert (phi * 3).eval_at({PHI: Fraction(1, 3)}) == 1
+    assert (phi * 3).eval_at({PHI: True}) == 3

@@ -175,5 +175,5 @@ def test_csv_text_matches_a_csv_writer(seed):
         assert series_to_csv(s) == want
     entries = {(n, k): _wide_polynomial(rng) for n in range(1, 7) for k in range(0, 4)
                if rng.random() < 0.6}
-    m = DirMatrix("column", 1, 6, 0, 3, {key: v for key, v in entries.items() if not v.is_zero()})
+    m = DirMatrix("column", 1, 6, 0, 3, {key: v for key, v in entries.items() if v})
     assert matrix_to_csv(m) == _csv_reference([[v.to_text() for v in m.row(n)] for n in range(1, 7)])

@@ -6,10 +6,12 @@ from math import factorial
 import pytest
 
 import dirseries.transforms
-from dirseries.errors import LeadingCoefficientNotOne
-from dirseries.intfactor import f_of, factorize, is_prime, s_of
+from dirseries.errors import LeadingCoefficientNotOne, ShapeMismatch
+from dirseries.intfactor import divisors, f_of, factorize, is_prime, s_of
 from dirseries.matrices import (
+    apply_to_series,
     build_column,
+    build_mult,
     build_rd,
     exp_conjugate,
     identity_matrix,
@@ -18,7 +20,18 @@ from dirseries.matrices import (
     rd_inverse,
     row_polynomial,
 )
-from dirseries.poly import BETA, PHI, PSI, Polynomial, coeff_symbol, log_n_poly, rising_poly
+from dirseries.partitions import bell_B, multiplicative_partitions, ordered_factorizations
+from dirseries.poly import (
+    BETA,
+    ONE,
+    PHI,
+    PSI,
+    Polynomial,
+    binom_poly,
+    coeff_symbol,
+    log_n_poly,
+    rising_poly,
+)
 from dirseries.randgen import random_dir_series, random_ord_series
 from dirseries.series import (
     dir_from_fn,
@@ -33,6 +46,7 @@ from dirseries.series import (
     ord_log,
     ord_mul,
     ord_pow_param,
+    perfect_power_embed,
     series_substitute_symbol,
 )
 from dirseries.transforms import (
@@ -69,7 +83,7 @@ def one_plus_x_ord(n):
 
 
 def zeta_param_closed(n):
-    out = Polynomial.one()
+    out = ONE
     for _, m in factorize(n):
         out = out * rising_poly(PSI, m) * Fraction(1, factorial(m))
     return out
@@ -111,7 +125,7 @@ def test_log_eps_powers_counting():
             if s_of(n) == m:
                 assert power[n] == Polynomial.const(Fraction(factorial(m), f_of(n)))
             else:
-                assert power[n].is_zero()
+                assert not power[n]
 
 
 # -- the multiplicative lift -----------------------------------------------------
@@ -179,7 +193,7 @@ def test_lift_log_support():
         if len(f) == 1:
             assert lg[n] == ord_lg[f[0][1]]
         else:
-            assert lg[n].is_zero()
+            assert not lg[n]
 
 
 def test_lift_requires_unit_constant():
@@ -204,7 +218,7 @@ def test_lagrange_dir_eps_closed_form():
             phi * (phi + log_n_poly(n)) ** (s_of(n) - 1) * Fraction(1, f_of(n))
         )
         assert fam[n] == expected, f"mismatch at {n}"
-    assert fam[1] == Polynomial.one()
+    assert fam[1] == ONE
 
 
 def test_lagrange_dir_middle_member():
@@ -237,7 +251,7 @@ def test_lagrange_ord_binomial():
         for i in range(1, n):
             expected = expected * (phi + beta * n - i)
         assert fam[n] == expected
-    assert fam[0] == Polynomial.one()
+    assert fam[0] == ONE
 
 
 def test_lagrange_ord_exponential():
@@ -399,6 +413,12 @@ def test_inverse_pair_random_beta():
     assert_relations_hold(inverse_pair_check(a, Fraction(-2, 3), 32), 32)
 
 
+@pytest.mark.parametrize("beta", [0.1, "1/3"], ids=["float", "str"])
+def test_inverse_pair_takes_only_an_exact_beta(beta):
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        inverse_pair_check(expx_ord(8), beta, 6)
+
+
 # -- expansion over log-indexed powers -------------------------------------------------
 
 
@@ -474,3 +494,45 @@ def test_inverse_pair_forward_family_is_lagrange_dir_of_the_lifted_base():
     base = series_substitute_symbol(lift_multiplicative(a, 40), PSI, 1)
     family = lagrange_dir(base, Fraction(-2, 3))
     assert got == {("forward", n): family[n] for n in range(2, 41)}
+
+
+NEGATIVE_PARTS = "need n >= 1 and m >= 0, got n=0, m=1"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: phi.constant_value(), ValueError, "not a constant polynomial: phi"),
+        (lambda: phi**-1, ValueError, "negative polynomial powers are not defined"),
+        (lambda: binom_poly(PHI, -1), ValueError, "binom_poly needs m >= 0"),
+        (lambda: rising_poly(PHI, -1), ValueError, "rising_poly needs m >= 0"),
+        (lambda: log_n_poly(0), ValueError, "log_n_poly needs n >= 1"),
+        # rows without an error pin the value's text
+        (lambda: 3 - phi, None, "3 - phi"),
+        (lambda: Polynomial.const(True).terms, None, "{(): 1}"),
+        (lambda: (phi == object(), phi.__eq__(object())), None, "(False, NotImplemented)"),
+        (lambda: factorize(0), ValueError, "factorize needs n >= 1, got 0"),
+        (lambda: divisors(0), ValueError, "divisors needs n >= 1, got 0"),
+        (lambda: multiplicative_partitions(0, 1), ValueError, NEGATIVE_PARTS),
+        (lambda: ordered_factorizations(0, 1), ValueError, NEGATIVE_PARTS),
+        (lambda: bell_B(4, 2, [1, 1]), ValueError, "need 4 values, got 2"),
+        (lambda: perfect_power_embed(expx_ord(4), 1), ValueError,
+         "perfect_power_embed needs m >= 2"),
+        (lambda: build_mult(dir_x(3), 3).entry(4, 1), IndexError,
+         "(4,1) outside matrix index range"),
+        (lambda: apply_to_series(build_mult(dir_x(3), 3), dir_x(4)), ShapeMismatch,
+         "matrix columns 1..3 vs series 1..4"),
+        (lambda: classic_abel_check(4, 1), ValueError, "needs a prime p and m >= 1"),
+    ],
+    ids=["constant_value", "negative-power", "binom_poly", "rising_poly", "log_n_poly",
+         "rsub", "const-bool", "eq-other", "factorize", "divisors", "multiplicative_partitions",
+         "ordered_factorizations", "bell_B-values", "perfect_power_embed", "entry",
+         "apply_to_series", "classic_abel_check"],
+)
+def test_library_preconditions(call, error, message):
+    if error is None:
+        assert str(call()) == message
+    else:
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message

@@ -8,7 +8,7 @@ import pytest
 import dirseries.series
 import dirseries.verify
 from dirseries.matrices import build_mult
-from dirseries.poly import Polynomial
+from dirseries.poly import ONE
 from dirseries.series import dir_from_fn, ord_from_fn
 from dirseries.verify import (
     SUITES,
@@ -278,7 +278,7 @@ def test_corrupted_kernel_is_reported_not_raised():
     def corrupted(a, b, trunc):
         out = pristine(a, b, trunc)
         if trunc >= 4:
-            out[3] = out[3] + Polynomial.one()
+            out[3] = out[3] + ONE
         return out
 
     dirseries.series.dirichlet_convolve = corrupted
