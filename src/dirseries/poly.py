@@ -307,7 +307,7 @@ class Polynomial:
             return ZERO
         if c == 1:
             return ONE
-        return Polynomial({_UNIT_MONO: c})
+        return _wrap({_UNIT_MONO: c})
 
     @staticmethod
     def symbol(name: Symbol) -> "Polynomial":
@@ -567,17 +567,18 @@ def substitute_symbol(
     return out
 
 
-def repeated_squaring(a, k: int):
-    """a**k for k >= 1 by ``*``, from the first factor: at most two
-    products per binary digit of k."""
+def repeated_squaring(a, k: int, product: Callable = mul):
+    """a**k for k >= 1 by ``product``, from the first factor: at most two
+    products per binary digit of k.  By default ``product`` is ``*``;
+    ``dir_pow_int`` passes ``_convolve`` to power a scaled ``int`` list."""
     out = None
     while True:
         if k & 1:
-            out = a if out is None else out * a
+            out = a if out is None else product(out, a)
         k >>= 1
         if not k:
             return out
-        a = a * a
+        a = product(a, a)
 
 
 def binom_poly(sym: Symbol, m: int) -> Polynomial:

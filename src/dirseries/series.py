@@ -37,7 +37,10 @@ integral results ``int``, and the ``Polynomial`` coefficients otherwise by
 each index and sums them once.  ``dir_apply_series`` keeps every power
 A^(m) as an ``int`` list from ``_convolve`` and sums the powers in one
 ``int`` row per monomial of the ordinary series, over each power's nonzero
-support only, dividing once at the end.
+support only, dividing once at the end, row by row.  ``dir_pow_int``
+keeps A^(k) an ``int`` list from the first squaring on, composed by
+``_convolve``, while k times the bits of d is at most ``SCALED_DEN_BITS``
+(so d^k fits too), and divides by d^k once at the end.
 ``dir_inverse`` runs one forward-accumulating recurrence: on integers
 scaled by powers of A_1 for such a series (``_inverse_scaled``), and on
 the ``Polynomial`` coefficients otherwise (``_inverse_polys``), a constant
@@ -71,6 +74,7 @@ from .poly import (
     Polynomial,
     Scalar,
     Symbol,
+    _wrap,
     as_poly,
     binom_poly,
     constant_polys,
@@ -92,8 +96,8 @@ SERIES_CAP = 10_000
 # about k * log2(n) bits, so at N = 10000 its text grows with k
 TWIST_CAP = 64
 
-# the largest common denominator, in bits, of an input that
-# ``dirichlet_convolve`` scales to integers
+# the largest common denominator, in bits, of an input that the kernels
+# scale to integers, and of the k-th power of it in ``dir_pow_int``
 SCALED_DEN_BITS = 64
 
 
@@ -216,8 +220,8 @@ def dirichlet_convolve(
 ) -> list[Polynomial]:
     """Divisor-indexed convolution kernel of ``dir_mul``, and so of every
     composition product of two series; the power ladder of
-    ``dir_apply_series`` convolves its ``int`` lists with
-    ``_convolve`` directly.
+    ``dir_apply_series`` and the scaled power of ``dir_pow_int`` convolve
+    their ``int`` lists with ``_convolve`` directly.
 
     When both inputs are constant up to ``trunc`` and each has a common
     denominator of at most ``SCALED_DEN_BITS`` bits, they are scaled to
@@ -382,10 +386,34 @@ def _inverse_scaled(numerators: list[int], den: int) -> list[Fraction]:
 
 def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
     """k-fold composition power; k = 0 gives x, negative k inverts first.
-    Binary powering by ``repeated_squaring``, whose ``*`` composes."""
+    Binary powering by ``repeated_squaring``.  A constant a = A / d whose
+    power's denominator d^k has at most ``SCALED_DEN_BITS`` bits, judged
+    as k times the bits of d without computing d^k (d = 1 always
+    qualifies), is powered in scaled integers: the ``int`` list A is
+    composed by ``_convolve`` from the first squaring on, and A^(k) is
+    divided by d^k once, at the end.  Any other series is powered by
+    ``*``, which composes."""
     if k < 0:
         return dir_pow_int(dir_inverse(a, "dpow_int"), -k)
-    return repeated_squaring(a, k) if k else dir_x(a.trunc)
+    if not k:
+        return dir_x(a.trunc)
+    scaled = _scaled_integers(a.coeffs)
+    if scaled is None or (scaled[1] > 1 and k * scaled[1].bit_length() > SCALED_DEN_BITS):
+        return repeated_squaring(a, k)
+    numerators, den = scaled
+    trunc = a.trunc
+    power = repeated_squaring(numerators, k, lambda x, y: _convolve(x, y, trunc))
+    if den > 1:
+        total = den**k
+        power = (_over(v, total) if v else 0 for v in power)
+    return DirSeries(trunc, tuple(constant_polys(power)))
+
+
+def _over(v: int, den: int) -> Scalar:
+    """v / den as a coefficient stores it: an ``int`` when integral, else
+    a ``Fraction``."""
+    q = Fraction(v, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:
@@ -432,7 +460,9 @@ def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int
     are divided by F * den^top once, at the end.  A^(m) vanishes at every
     n with fewer than m prime factors, so each power's nonzero support is
     found once and the rows are added to there only; the meter still
-    charges each row addition as ``trunc`` products."""
+    charges each row addition as ``trunc`` products.  The output is built
+    row by row: each row is popped, its nonzero entries are divided into
+    the term dicts of their indices, and it is freed before the next."""
     trunc = len(numerators)
     terms = [f[m].terms for m in range(top + 1)]
     fden = lcm(1, *(c.denominator for t in terms[1:] for c in t.values()))
@@ -451,11 +481,12 @@ def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int
             for n, v in zip(support, map(w.__mul__, values)):
                 row[n] += v
     total = fden * den**top
-    monos = list(rows)
-    coeffs = [
-        Polynomial({mono: Fraction(v, total) for mono, v in zip(monos, col) if v})
-        for col in zip(*rows.values())
-    ] or [ZERO] * trunc
+    out: list[dict] = [{} for _ in range(trunc)]
+    for mono in list(rows):
+        row = rows.pop(mono)
+        for n in compress(range(trunc), row):
+            out[n][mono] = _over(row[n], total)
+    coeffs = [_wrap(cell) if cell else ZERO for cell in out]
     coeffs[0] = coeffs[0] + f[0]  # x * f_0
     return DirSeries(trunc, tuple(coeffs))
 
@@ -465,14 +496,20 @@ def dir_pow_param(a: DirSeries) -> DirSeries:
     of (1 + (a - x))^psi under composition.  Needs leading coefficient 1."""
     require_lead(a, 1, "dpow_param")
     f = ord_from_fn(s_max(a.trunc), lambda m: binom_poly(PSI, m) if m else 1)
-    return dir_apply_series(f, a - dir_x(a.trunc))
+    return dir_apply_series(f, _without_lead(a))
 
 
 def dir_log(a: DirSeries) -> DirSeries:
     """Composition logarithm: the alternating sum of (a - x)^(m) / m."""
     require_lead(a, 1, "dlog")
     f = ord_from_fn(s_max(a.trunc), lambda m: Fraction((-1) ** (m + 1), m) if m else 0)
-    return dir_apply_series(f, a - dir_x(a.trunc))
+    return dir_apply_series(f, _without_lead(a))
+
+
+def _without_lead(a: DirSeries) -> DirSeries:
+    """a - x for a with coefficient 1 at index 1: the coefficients of ``a``
+    with ZERO in place of that 1, no other coefficient built again."""
+    return DirSeries(a.trunc, (ZERO,) + a.coeffs[1:])
 
 
 def dir_exp_param(b: DirSeries) -> DirSeries:

@@ -7,8 +7,9 @@ Lagrange families with symbolic and rational beta, the inverse on its
 rational and symbolic paths, ``bell`` tables of both families, numeric
 and symbolic, the composition power, logarithm, product and lift of those
 files, the power, logarithm and exponential of rational series on their
-scaled-integer path, and the ``thm2``, ``thm3``, ``abel`` and ``log``
-verify suites.
+scaled-integer path, the integer composition power of rational series
+on both sides of the denominator guard and their product, and the
+``thm2``, ``thm3``, ``abel`` and ``log`` verify suites.
 
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and copy each printed
@@ -168,6 +169,34 @@ GOLDEN = {
     "dexp-geom2": (
         ["series", "-e", "dexp(geom2)", "-N", "512"],
         "159f845af08d675ededff2585c140c462f189ccc2e5ac4fcf6b0ea1a5b0154cc",
+    ),
+    # r has common denominator d = 12: its powers up to 16 run in scaled
+    # integers, and 12^20 (72 bits) is past the guard; the inverse of r has
+    # a 20-bit denominator, so its cube is scaled too
+    "dpow-int-rational-4": (
+        ["series", "-e", "dpow_int({r},4)", "-N", "200"],
+        "cbc9df02be378a151ab03a98a13476aed4adda34fcced36ae4364fa05d97e813",
+    ),
+    "dpow-int-rational-7": (
+        ["series", "-e", "dpow_int({r},7)", "-N", "200"],
+        "f42daa53f5e309b7b0681fd3b660ee5a676c80a41ed3ac36ed363dac88dd694d",
+    ),
+    "dpow-int-rational-negative-3": (
+        ["series", "-e", "dpow_int({r},-3)", "-N", "200"],
+        "c43015d97f1a69625a08af4a841efbaf662e3de91abd1f41b49406c705892245",
+    ),
+    "dpow-int-rational-20": (
+        ["series", "-e", "dpow_int({r},20)", "-N", "200"],
+        "ac87fe9cdc43a709397610602958585b6b3811f38ba86c2b4d057864b6d4ad3d",
+    ),
+    "dmul-rational-zeta": (
+        ["series", "-e", "dmul({r},zeta)", "-N", "200"],
+        "ac8d41ac7a14d9922765a003dafae5065a3a4dd42d885e4bf8048baaecb50dfd",
+    ),
+    # the common denominator of 1/n^3 passes 64 bits by N = 64
+    "dpow-int-twist": (
+        ["series", "-e", "dpow_int(twist(zeta,-3),3)", "-N", "64"],
+        "e196eb53dea58dce9fe76e3519f5cbd8bcd0389dd8c82973266a0e23740b64ff",
     ),
     "verify-log": (
         ["verify", "--suite", "log"],

@@ -284,6 +284,27 @@ def test_parse_forms():
     assert parse_polynomial("phi*(phi+1)") == phi**2 + phi
 
 
+@pytest.mark.parametrize(
+    "text, value, kind",
+    [("-0", 0, None), ("0/7", 0, None), ("4/2", 2, int), ("-6/4", Fraction(-3, 2), Fraction),
+     ("007", 7, int), ("9" * 5000, 10**5000 - 1, int)],
+    ids=["minus-zero", "zero-over-7", "4-over-2", "minus-6-over-4", "leading-zeros",
+         "5000-digits"],
+)
+def test_parsed_constants_keep_their_values_and_types(text, value, kind):
+    # ``Polynomial.const`` wraps the scalar it normalised once: zero is the
+    # empty polynomial, an integral value an ``int``, any other a ``Fraction``
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        terms = parse_polynomial(text).terms
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert [(mono, type(c), c) for mono, c in terms.items()] == (
+        [((), kind, value)] if kind else []
+    )
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(PolynomialSyntaxError) as err:
         parse_polynomial("phi + gamma")

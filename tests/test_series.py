@@ -497,15 +497,16 @@ def test_symbolic_kernels_pair_only_nonzero_coefficients(monkeypatch):
 
 
 def test_dir_pow_int_has_no_budget_as_a_library_call(monkeypatch):
-    # a library call runs without a budget at any k; the compositions are
-    # stubbed, and binary powering makes about two per binary digit of k
+    # a library call runs without a budget at any k; the compositions of
+    # the scaled power are stubbed, and binary powering makes about two per
+    # binary digit of k
     calls = []
 
-    def stub(a, b):
-        calls.append(a.trunc)
-        return a
+    def stub(xs, ys, trunc):
+        calls.append(trunc)
+        return xs
 
-    monkeypatch.setattr(dirseries.series, "dir_mul", stub)
+    monkeypatch.setattr(dirseries.series, "_convolve", stub)
     k = 2**100_000 - 1
     assert METER.budget is None
     assert dir_pow_int(dir_from_fn(16, lambda n: 1), k).trunc == 16
@@ -516,13 +517,13 @@ def test_dir_pow_int_composes_log_k_times(monkeypatch):
     # binary powering: k = 1000 needs at most 2 * 10 + 1 compositions, and
     # zeta^(k) has coefficient C(k + 2, 3) at index 8
     calls = []
-    pristine = dirseries.series.dirichlet_convolve
+    pristine = dirseries.series._convolve
 
-    def counted(a, b, trunc):
+    def counted(xs, ys, trunc):
         calls.append(trunc)
-        return pristine(a, b, trunc)
+        return pristine(xs, ys, trunc)
 
-    monkeypatch.setattr(dirseries.series, "dirichlet_convolve", counted)
+    monkeypatch.setattr(dirseries.series, "_convolve", counted)
     k = 1000
     power = dir_pow_int(dir_from_fn(16, lambda n: 1), k)
     assert len(calls) <= 2 * k.bit_length() + 1
@@ -533,13 +534,13 @@ def test_dir_pow_int_composes_log_k_times(monkeypatch):
 def test_dir_pow_int_matches_repeated_divisor_sums(monkeypatch):
     # binary powering starts from the first factor, never from x
     calls = []
-    pristine = dirseries.series.dirichlet_convolve
+    pristine = dirseries.series._convolve
 
-    def counted(a, b, trunc):
+    def counted(xs, ys, trunc):
         calls.append(trunc)
-        return pristine(a, b, trunc)
+        return pristine(xs, ys, trunc)
 
-    monkeypatch.setattr(dirseries.series, "dirichlet_convolve", counted)
+    monkeypatch.setattr(dirseries.series, "_convolve", counted)
     rng = random.Random(12)
     a = random_values(rng, 64, Fraction(-2, 3))
     inv = inverse_by_definition(a, Fraction(-3, 2), Fraction(0))
@@ -717,6 +718,20 @@ def test_integral_kernel_output_is_stored_as_int():
     halves = dirichlet_convolve(consts([Fraction(v, 2) for v in a]), consts(b), 40)
     assert all(p is ZERO for p, v in zip(halves, values) if not v)
     assert halves == consts([Fraction(v, 2) for v in values])
+
+
+def test_scaled_output_coefficients_are_stored_normalised():
+    # the scaled ladder and the scaled integer power wrap their term dicts
+    # without ``_scalar``: each coefficient is an ``int`` when integral and
+    # otherwise a ``Fraction`` with denominator > 1
+    a = dir_from_fn(120, lambda n: 1 if n == 1 else Fraction((7 * n) % 11 - 5, n % 3 + 1))
+    assert _scaled_integers(a.coeffs)[1] == 6
+    outputs = (dir_exp_param(geom2_series(256)), dir_log(a), dir_pow_param(a), dir_pow_int(a, 3))
+    for name, out in zip(("dexp", "dlog", "dpow_param", "dpow_int"), outputs):
+        values = [c for p in out.coeffs for c in p.terms.values()]
+        assert any(type(c) is int for c in values), name
+        assert any(type(c) is Fraction for c in values), name
+        assert all(type(c) is int or c.denominator > 1 for c in values), name
 
 
 # -- parametric powers ----------------------------------------------------------
