@@ -36,11 +36,15 @@ usage error is a ``DirAlgebraError`` or an ``OSError``, printed by
 
 Each command starts a fresh interpreter, so each handler imports the
 layers only it runs: ``coeff``, ``series`` and ``matrix`` import
-``exprlang`` (which loads ``serialize`` and ``transforms``), ``series``
-and ``matrix`` take their writers from ``serialize``, and ``matrix``,
-``factorizations`` and ``verify`` import ``matrices``, ``partitions`` and
-``verify``.  No other command pays for them; ``bell`` runs on ``poly``
-and ``series`` alone.
+``exprlang`` (which loads ``serialize`` and ``transforms``), ``series``,
+``matrix`` and ``bell`` take their writers from ``serialize``, and
+``matrix``, ``factorizations`` and ``verify`` import ``matrices``,
+``partitions`` and ``verify``.  No other command pays for them; ``bell``
+runs on ``poly``, ``series`` and ``serialize`` alone.
+
+``series`` and ``matrix`` charge the text of their whole output before
+they write its first byte, and write it in chunks with the budget lifted,
+so a command refused for its output prints nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import json
 import sys
 
 from .errors import DirAlgebraError
-from .poly import METER, ONE, ZERO, Polynomial, coeff_symbol, powers
+from .poly import METER, ONE, ZERO, Polynomial, coeff_symbol, powers, text_units
 from .series import SERIES_CAP, DirSeries, OrdSeries
 
 MATRIX_CAP = 500
@@ -124,16 +128,22 @@ def _cmd_coeff(args) -> int:
     return 0
 
 
+def _write_priced(polys, writer, obj) -> None:
+    """Charge the text of all ``polys``, then let ``writer`` write ``obj``
+    to stdout with the budget lifted: a command refused for its output
+    prints nothing, and ``METER.spent`` keeps the units."""
+    METER.charge(text_units(polys))
+    METER.budget = None
+    writer(obj, sys.stdout.write)
+
+
 def _cmd_series(args) -> int:
     from .exprlang import eval_expr, parse_expr
     from .serialize import series_to_csv, series_to_json_text
     if not 1 <= args.trunc <= SERIES_CAP:
         raise DirAlgebraError(f"series truncation must be in 1..{SERIES_CAP}")
     series = eval_expr(parse_expr(args.expr), args.trunc)
-    if args.csv:
-        sys.stdout.write(series_to_csv(series))
-    else:
-        print(series_to_json_text(series))
+    _write_priced(series.coeffs, series_to_csv if args.csv else series_to_json_text, series)
     return 0
 
 
@@ -160,14 +170,13 @@ def _cmd_matrix(args) -> int:
         build = build_rd if args.kind == "rd" else build_riordan_ord
         matrix = build(first, second, args.size)
 
-    if args.json:
-        print(matrix_to_json_text(matrix))
-    else:
-        sys.stdout.write(matrix_to_csv(matrix))
+    writer = matrix_to_json_text if args.json else matrix_to_csv
+    _write_priced(matrix.entries.values(), writer, matrix)
     return 0
 
 
 def _cmd_bell(args) -> int:
+    from .serialize import write_chunked
     if not 1 <= args.rows <= SERIES_CAP or not 1 <= args.cols <= SERIES_CAP:
         raise DirAlgebraError(f"bell needs 1 <= N <= {SERIES_CAP} and 1 <= M <= {SERIES_CAP}")
     # cell (n, m) is [x^n] g^m for g = sum of v_k x^k: from k = 2 under
@@ -187,7 +196,7 @@ def _cmd_bell(args) -> int:
     columns += [["0"] * len(values)] * (args.cols - len(columns))
     rows = zip(range(low, args.rows + 1), *columns)
     # a table without rows (``--tilde -N 1``) prints nothing
-    sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in rows))
+    write_chunked((",".join(map(str, row)) + "\n" for row in rows), sys.stdout.write)
     return 0
 
 

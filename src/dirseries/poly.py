@@ -145,6 +145,7 @@ _MONO_UNITS = 30  # ... plus this per symbol of the two
 _FRACTION_UNITS = 150  # one product or sum of two small ``Fraction``s
 _SHORT_TEXT = 300  # a number costs little to convert up to this many digits ...
 _TEXT_DIGITS = 1000  # ... and past it a unit per this many squared digits
+_TEXT_BITS = _SHORT_TEXT * 10 // 3  # a number of up to this many bits costs nothing to print
 
 
 class WorkMeter:
@@ -235,13 +236,17 @@ def _add_product(out: dict[Monomial, Scalar], p: Polynomial, q: Polynomial) -> N
     cancel: the one multiply-accumulate of every product and sum.  The
     meter is charged once, before any work."""
     terms1, terms2 = p._terms, q._terms
-    if len(terms1) == 1 and _UNIT_MONO in terms1:  # keep a constant factor second
+    n1, n2 = len(terms1), len(terms2)
+    # the factor of fewer terms runs the outer loop (a constant one on a
+    # tie), so a one-term factor sets up its insertion and scale once
+    if n1 < n2 or (n1 == n2 == 1 and _UNIT_MONO in terms1):
         p, q, terms1, terms2 = q, p, terms2, terms1
     if METER.budget is not None:
         _charge(_products_units(p._sizes or _sizes(p), q._sizes or _sizes(q)))
     get = out.get
-    for m2, c2 in terms2.items():  # one pass for a constant factor
+    for m2, c2 in terms2.items():  # one pass for a one-term factor
         unit = c2 == 1
+        left = type(c2) is not int  # a ``Fraction`` on the left runs its own operator
         key = None
         if len(m2) == 1:  # one pair: inserted into each m1 as ``_mono_mul`` does
             ((sym, e),) = m2
@@ -255,12 +260,12 @@ def _add_product(out: dict[Monomial, Scalar], p: Polynomial, q: Polynomial) -> N
                     mono = m1[:i] + ((sym, m1[i][1] + e),) + m1[i + 1 :]
                 else:
                     mono = m1[:i] + m2 + m1[i:]
-            c = c1 if unit else c1 * c2
+            c = c1 if unit else (c2 * c1 if left else c1 * c2)
             acc = get(mono)
             if acc is None:
                 out[mono] = c
             else:
-                acc += c
+                acc = c + acc if type(acc) is int else acc + c
                 if acc:
                     out[mono] = acc
                 else:
@@ -276,11 +281,33 @@ def sum_of_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomia
     return _wrap(out) if out else ZERO
 
 
+def _digits_units(digits: int) -> int:
+    """Units of converting a number of ``digits`` decimal digits between
+    text and ``int``, in time quadratic in its digits past ``_SHORT_TEXT``."""
+    return digits * digits // _TEXT_DIGITS if digits > _SHORT_TEXT else 0
+
+
 def _charge_digits(digits: int) -> None:
-    """Charge for a long number of ``digits`` decimal digits before it is
-    converted between text and ``int``, in time quadratic in its digits."""
+    """Charge for a number of ``digits`` decimal digits before it is read."""
     if digits > _SHORT_TEXT and METER.budget is not None:
-        _charge(digits * digits // _TEXT_DIGITS)
+        _charge(_digits_units(digits))
+
+
+def text_units(polys: Iterable[Polynomial]) -> int:
+    """The units ``to_text`` charges for writing each of ``polys``: a
+    coefficient's digits, about 3 per 10 of the bits ``_term_sizes``
+    counts, cost ``_digits_units``.  The bits of each coefficient are
+    tested inline; only a number past ``_TEXT_BITS`` is priced by a call."""
+    units = 0
+    for p in polys:
+        for c in p._terms.values():
+            if type(c) is int:
+                bits = c.bit_length()
+            else:
+                bits = c.numerator.bit_length() + c.denominator.bit_length()
+            if bits > _TEXT_BITS:
+                units += _digits_units(bits * 3 // 10)
+    return units
 
 
 class Polynomial:
@@ -447,21 +474,19 @@ class Polynomial:
         Each term is written in one pass from the integers of its
         coefficient, its numerator and denominator (1 for an ``int``): the
         sign, the magnitude and ``/den``, with no ``Fraction`` arithmetic.
-        Under a budget, each coefficient is charged for its digits, about 3
-        per 10 of the bits ``_term_sizes`` counts, before ``str`` writes them."""
+        Under a budget, the ``text_units`` of the polynomial are charged
+        before ``str`` writes any number."""
         terms = self._terms
         if not terms:
             return "0"
+        if METER.budget is not None:
+            _charge(text_units((self,)))
         items = terms.items()
         if len(terms) > 1:
             items = sorted(items, key=_term_key)
-        metered = METER.budget is not None
         parts: list[str] = []
         for mono, coeff in items:
             num, den = coeff.as_integer_ratio()
-            if metered:
-                bits = num.bit_length() + (den.bit_length() if type(coeff) is not int else 0)
-                _charge_digits(bits * 3 // 10)
             negative = num < 0
             if negative:
                 num = -num

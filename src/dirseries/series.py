@@ -239,7 +239,7 @@ def dirichlet_convolve(
     den = da * db
     if den == 1:
         return constant_polys(acc)
-    return constant_polys(Fraction(v, den) if v else 0 for v in acc)
+    return constant_polys(_over(v, den) if v else 0 for v in acc)
 
 
 def _convolve(xs: Sequence[int], ys: Sequence[int], trunc: int) -> list[int]:
@@ -370,18 +370,19 @@ def _inverse_polys(a: Sequence[Polynomial], inv_lead: Polynomial) -> list[Polyno
     return out
 
 
-def _inverse_scaled(numerators: list[int], den: int) -> list[Fraction]:
-    """The inverse of a = A / den with A integral, as rationals.  With
+def _inverse_scaled(numerators: list[int], den: int) -> list[Scalar]:
+    """The inverse of a = A / den with A integral, as rationals (an
+    integral value as an ``int``, by ``_over``).  With
     L = A_1 and s(n) the number of prime factors of n (``s_upto``),
     B_n = b_n * L^(s(n)+1) / den is an integer, and B solves the integer
     recurrence B_n = -sum over d | n, d > 1 of W_d * B_{n/d} with weights
     W_d = A_d * L^(s(d)-1): the unit-lead ``_inverse_recurrence``.  The
-    only ``Fraction`` per index is b_n = den * B_n / L^(s(n)+1)."""
+    only division per index is b_n = den * B_n / L^(s(n)+1)."""
     s = s_upto(len(numerators))
     lead_powers = [1, *powers(numerators[0], max(s) + 1)]
     weights = [1] + [x * lead_powers[k - 1] for x, k in zip(numerators[1:], s[2:])]
     out = _inverse_recurrence(weights)
-    return [Fraction(den * bn, lead_powers[k + 1]) for bn, k in zip(out, s[1:])]
+    return [_over(den * bn, lead_powers[k + 1]) for bn, k in zip(out, s[1:])]
 
 
 def dir_pow_int(a: DirSeries, k: int) -> DirSeries:

@@ -26,7 +26,9 @@ from dirseries.poly import (
     WorkMeter,
     coeff_symbol,
     parse_polynomial,
+    text_units,
 )
+from dirseries.serialize import CHUNK
 from dirseries.series import TWIST_CAP
 from dirseries.verify import SUITES
 
@@ -527,6 +529,46 @@ def test_work_past_the_budget_is_refused(tmp_path, capsys, monkeypatch, argv, fi
     refused_below_the_cap(capsys, monkeypatch, *(a.replace("{path}", str(path)) for a in argv))
 
 
+def printed_polys(out: str, argv) -> list[Polynomial]:
+    """The polynomials of a series or matrix as the CLI printed them."""
+    if "--csv" in argv:
+        lines = out.splitlines()
+        if argv[0] == "series":
+            return [parse_polynomial(line.split(",")[1]) for line in lines[1:]]
+        return [parse_polynomial(cell) for line in lines for cell in line.split(",")]
+    obj = json.loads(out)
+    return [parse_polynomial(text) for text in (obj.get("coeffs") or obj["entries"]).values()]
+
+
+@pytest.mark.parametrize(
+    "argv, late",
+    [(("series", "-e", "load({path})", "-N", "2000"), 999),
+     (("series", "-e", "load({path})", "-N", "2000", "--csv"), 2000),
+     (("matrix", "--kind", "mult", "-e", "load({path})", "-N", "500", "--json"), 499),
+     (("matrix", "--kind", "mult", "-e", "load({path})", "-N", "500", "--csv"), 500)],
+    ids=["series-json", "series-csv", "matrix-json", "matrix-csv"],
+)
+def test_output_refused_at_its_price_prints_nothing(tmp_path, capsys, monkeypatch, argv, late):
+    # the whole output text is charged before its first byte: at a budget
+    # of the evaluation's units, short of the text's, the command prints
+    # nothing, though more than a chunk of text comes before coefficient
+    # ``late``, the only one with numbers of over 300 digits
+    big = 7**1500  # 1268 digits
+    coeffs = {str(n): str(10**40 + n) for n in range(1, 2001)}
+    coeffs[str(late)] = f"-1/{big}*phi + {big}"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "dir", "trunc": 2000, "coeffs": coeffs}))
+    argv = [a.replace("{path}", json.dumps(str(path))) for a in argv]
+    units, out = units_of(capsys, monkeypatch, *argv)
+    price = text_units(printed_polys(out, argv))
+    assert price > 0 and len(out) > CHUNK
+    monkeypatch.setattr(dirseries.cli, "WORK_CAP", units)
+    assert run_cli(capsys, *argv) == (0, out, "")
+    monkeypatch.setattr(dirseries.cli, "WORK_CAP", units - price)
+    refused = f"error: the work passed the budget of {units - price} units\n"
+    assert run_cli(capsys, *argv) == (2, "", refused)
+
+
 def test_long_loaded_number_is_refused_before_it_is_read(tmp_path, capsys, monkeypatch):
     # int() of n digits takes time quadratic in n: a 10^6-digit coefficient
     # was parsed and printed for about 30 s before its text was charged
@@ -775,27 +817,30 @@ def test_traced_run_finds_every_traced_name():
         "recorder = layers.Recorder()\n"
         "layers.install(recorder, layers.new_counters())\n"
         "commands = [['series', '-e', 'dinv(zeta)', '-N', '8'],\n"
-        "            ['series', '-e', 'dpow_int(zeta,3)', '-N', '8'],\n"
+        "            ['series', '-e', 'dpow_int(zeta,3)', '-N', '8', '--csv'],\n"
         "            ['verify', '--suite', 'abel', '-N', '8'],\n"
         "            ['matrix', '--kind', 'rd', '-e', 'zeta', '-e2', 'eps', '-N', '8', '--json'],\n"
+        "            ['matrix', '--kind', 'mult', '-e', 'zeta', '-N', '8', '--csv'],\n"
         "            ['series', '-e', 'dinv(geom2)', '-N', '4']]\n"
         "err = io.StringIO()\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
         "    codes = [cli.main(command) for command in commands]\n"
         "counts = layers.span_counts(recorder.names, recorder.name)\n"
-        "spans = sorted(name for name, n in counts.items() if n)\n"
-        "print(json.dumps([codes, err.getvalue(), spans]))\n"
+        "print(json.dumps([codes, err.getvalue(), {k: n for k, n in counts.items() if n}]))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-    codes, err, spans = json.loads(done.stdout)
-    assert codes == [0, 0, 0, 0, 2]
+    codes, err, counts = json.loads(done.stdout)
+    assert codes == [0, 0, 0, 0, 0, 2]
     assert err == "error: dinv needs a nonzero rational coefficient at index 1, got 0\n"
     wanted = {"series.dir_inverse", "exprlang.parse_expr", "exprlang.eval_expr", "serialize.emit",
               "series.dir_pow_int", "verify.suite.abel", "transforms.abel_check",
               "matrices.build_rd"}
-    assert wanted <= set(spans)
+    assert wanted <= set(counts)
+    # all four writers ran, series and matrices as JSON and as CSV, each
+    # once per printing command: the span times rendering and writing
+    assert counts["serialize.emit"] == 4
 
 
 def test_verify_bound_at_the_cap_runs(capsys):

@@ -131,7 +131,8 @@ BUILTIN_CASES = {
 def test_every_builtin_evaluates_to_its_library_call(tmp_path, name):
     assert sorted(BUILTIN_CASES) == sorted(_BUILTINS)  # a new builtin needs a case
     path = tmp_path / "eps.json"
-    path.write_text(series_to_json_text(eps(40)))
+    with path.open("w") as fh:
+        series_to_json_text(eps(40), fh.write)
     text, want = BUILTIN_CASES[name]
     ast = parse_expr(text.replace("{path}", str(path)))
     assert ast.name == name
@@ -166,7 +167,8 @@ def test_eval_load_roundtrip(tmp_path):
     rng = random.Random(80)
     a = random_dir_series(rng, 16)
     path = tmp_path / "series.json"
-    path.write_text(series_to_json_text(a))
+    with path.open("w") as fh:
+        series_to_json_text(a, fh.write)
     loaded = eval_expr(parse_expr(f'load("{path}")'), 16)
     assert loaded == a
 

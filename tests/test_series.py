@@ -251,6 +251,20 @@ def test_dir_inverse_zeta_is_mobius():
         assert inv[n] == Polynomial.const(mu[n]), f"mu mismatch at {n}"
 
 
+def test_integral_values_of_the_scaled_kernels_are_stored_as_int():
+    # a coefficient with an integral value is stored as an ``int``, also
+    # when the scaled inverse or convolution divides to get it
+    def stored(series):
+        return [c for v in series.coeffs for c in v.terms.values()]
+
+    mobius = stored(dir_inverse(zeta_series(8)))
+    assert mobius == [1, -1, -1, -1, 1, -1] and all(type(c) is int for c in mobius)
+    halves = dir_from_fn(8, lambda n: Fraction(1, 2))
+    product = dir_mul(halves, halves)
+    assert [product[n] for n in (6, 8)] == [ONE, ONE]
+    assert [type(c) for n in (6, 8) for c in product[n].terms.values()] == [int, int]
+
+
 def test_dir_inverse_roundtrip():
     rng = random.Random(3)
     for _ in range(3):
@@ -1024,10 +1038,14 @@ def test_series_kinds_share_one_class(cls, random_series, product):
     with pytest.raises(TypeError):
         a - other
 
-    text = series_to_json_text(a)
+    out = io.StringIO()
+    series_to_json_text(a, out.write)
+    text = out.getvalue()
     assert json.loads(text)["kind"] == cls.kind
     assert series_from_json(json.loads(text)) == a
-    rows = list(csv.reader(io.StringIO(series_to_csv(a))))
+    out = io.StringIO()
+    series_to_csv(a, out.write)
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
     assert rows[0] == ["index", "coefficient"]
     assert cls(10, tuple(parse_polynomial(v) for _, v in rows[1:])) == a
     assert [int(n) for n, _ in rows[1:]] == list(range(first, 11))
