@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .errors import PolynomialSyntaxError, SeriesFormatError
-from .poly import ZERO, parse_polynomial
+from .poly import METER, ZERO, Polynomial, parse_polynomial
 from .series import SERIES_CAP, DirSeries, OrdSeries, Series
 
 if TYPE_CHECKING:  # a series command never loads ``matrices``
@@ -41,7 +41,12 @@ def series_from_json(obj: Any) -> Series:
     "coeffs", which may hold no other key.  Every coefficient key must be an
     index of the series, written as a decimal integer, so that no
     coefficient is dropped; the truncation must be an integer no larger
-    than ``SERIES_CAP``, checked before anything is allocated."""
+    than ``SERIES_CAP``, checked before anything is allocated.  Each
+    distinct coefficient text is parsed once, and equal coefficients share
+    its immutable polynomial; the units of that parse are charged again at
+    each later occurrence, so ``METER`` counts and refuses as if every key
+    were parsed.  A text that fails to parse is not remembered: the error
+    names its first key in the file's order."""
     if not isinstance(obj, dict) or not {"kind", "trunc", "coeffs"} <= obj.keys():
         raise SeriesFormatError('a series is an object with "kind", "trunc" and "coeffs"')
     unknown = obj.keys() - {"kind", "trunc", "coeffs"}
@@ -59,6 +64,7 @@ def series_from_json(obj: Any) -> Series:
     if not isinstance(items, dict):
         raise SeriesFormatError('"coeffs" must be an object')
     coeffs = [ZERO] * (trunc - lo + 1)
+    parsed: dict[str, tuple[Polynomial, int]] = {}  # text -> (its polynomial, the units it cost)
     for key, text in items.items():
         key = str(key)
         n = int(key) if key.isdecimal() else -1
@@ -66,10 +72,18 @@ def series_from_json(obj: Any) -> Series:
             raise SeriesFormatError(f"coefficient key {key!r} is not an index in {lo}..{trunc}")
         if not isinstance(text, str):
             raise SeriesFormatError(f"coefficient {key} is {text!r}, not polynomial text")
-        try:
-            coeffs[n - lo] = parse_polynomial(text)
-        except PolynomialSyntaxError as exc:
-            raise SeriesFormatError(f"coefficient {key}: {exc}") from None
+        seen = parsed.get(text)
+        if seen is not None:
+            p, units = seen
+            METER.charge(units)
+        else:
+            spent = METER.spent
+            try:
+                p = parse_polynomial(text)
+            except PolynomialSyntaxError as exc:
+                raise SeriesFormatError(f"coefficient {key}: {exc}") from None
+            parsed[text] = p, METER.spent - spent
+        coeffs[n - lo] = p
     return series_cls(trunc, tuple(coeffs))
 
 

@@ -3,8 +3,10 @@
 Every test prints a PASS/FAIL line (run with ``pytest -s`` or check the
 captured output); a FAIL line is followed by the assertion failure."""
 
+import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -39,10 +41,13 @@ from dirseries.poly import (
     binom_poly,
     coeff_symbol,
     log_n_poly,
+    parse_polynomial,
     rising_poly,
 )
 from dirseries.randgen import random_dir_series, random_ord_series
+from dirseries.serialize import series_from_json
 from dirseries.series import (
+    DirSeries,
     dir_exp_param,
     dir_from_fn,
     dir_inverse,
@@ -322,3 +327,44 @@ def test_criterion_14_cli_contract(capsys):
             dirseries.series.dirichlet_convolve = pristine
         assert cli_main(["verify", "--suite", "oracle", "-N", "64"]) == 0
         capsys.readouterr()
+
+
+
+def rational_series_text(seed: int, trunc: int = 10_000) -> str:
+    """A composition series file with 1 at index 1 and p/q elsewhere, p in
+    -4..4 and q in 1..3: 18 distinct texts at about 8900 keys."""
+    rng = random.Random(seed)
+    coeffs = {"1": "1"}
+    for n in range(2, trunc + 1):
+        if c := Fraction(rng.randint(-4, 4), rng.randint(1, 3)):
+            coeffs[str(n)] = str(c)
+    return json.dumps({"kind": "dir", "trunc": trunc, "coeffs": coeffs})
+
+
+def test_criterion_15_equal_loaded_texts_share_one_polynomial():
+    with Criterion(15, "a loaded series holds one polynomial per distinct text"):
+        obj = json.loads(rational_series_text(31))
+        texts = obj["coeffs"]
+        s = series_from_json(obj)
+        assert s == DirSeries(10_000, tuple(
+            parse_polynomial(texts.get(str(n), "0")) for n in range(1, 10_001)
+        ))
+        assert len({id(c) for c in s.coeffs if c}) == len(set(texts.values())) == 18
+
+
+def test_criterion_16_loaded_series_heap():
+    # the heap a loaded series keeps once its JSON object is dropped: 2.37 MB
+    # when each key built its own polynomial, dict and ``Fraction``, 0.08 MB
+    # (the tuple of 10000 references) when equal texts share one polynomial
+    with Criterion(16, "a loaded 10000-index rational series holds under 0.5 MB"):
+        text = rational_series_text(31)
+        tracemalloc.start()
+        try:
+            obj = json.loads(text)
+            s = series_from_json(obj)
+            del obj
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.trunc == 10_000
+        assert held < 500_000

@@ -247,6 +247,16 @@ def test_symbolic_products_keep_their_prices(tmp_path, capsys, monkeypatch, argv
     assert units_of(capsys, monkeypatch, *argv)[0] == units
 
 
+def test_a_repeated_symbolic_text_is_charged_at_each_occurrence(tmp_path, capsys, monkeypatch):
+    # units recorded when each of the 500 equal texts was parsed on its
+    # own: a text parsed once per load still charges its units at every key
+    coeffs = {"1": "1", **{str(n): "a1*phi - 1/2" for n in range(2, 502)}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"kind": "dir", "trunc": 501, "coeffs": coeffs}))
+    argv = ("series", "-e", f'dpow_param(load("{path}"))', "-N", "501")
+    assert units_of(capsys, monkeypatch, *argv)[0] == 21_864_591
+
+
 def test_main_resets_the_meter(capsys, monkeypatch):
     # each command starts from zero units, and library calls after it run
     # without a budget; the benchmark's traced run calls main repeatedly
@@ -732,6 +742,17 @@ def test_bad_loaded_coefficient_names_file_and_key(tmp_path, capsys, text, messa
     code, out, err = run_cli(capsys, "series", "-e", f'dinv(load("{path}"))', "-N", "3")
     assert (code, out) == (2, "")
     assert err == f"error: {path}: coefficient 3: {message}\n"
+
+
+def test_a_bad_text_repeated_is_named_at_its_first_key_in_file_order(tmp_path, capsys):
+    # a text that fails to parse is not remembered: its first key in the
+    # file's order is named, after a good text was read twice
+    coeffs = {"1": "1", "2": "phi", "7": "phi + 1/0", "4": "phi", "3": "phi + 1/0", "5": "phi + 1/0"}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "dir", "trunc": 9, "coeffs": coeffs}))
+    code, out, err = run_cli(capsys, "series", "-e", f'dinv(load("{path}"))', "-N", "9")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: coefficient 7: zero denominator (at offset 9)\n"
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from dirseries.errors import DirAlgebraError, SeriesFormatError
+from dirseries.errors import ArgumentOutOfRange, DirAlgebraError, SeriesFormatError
 from dirseries.matrices import DirMatrix, build_column, build_mult
-from dirseries.poly import ONE, ZERO, Polynomial, coeff_symbol, parse_polynomial
+from dirseries.poly import METER, ONE, ZERO, Polynomial, coeff_symbol, parse_polynomial
 from dirseries.randgen import random_dir_series, random_ord_series
 from dirseries.serialize import (
     CHUNK,
@@ -124,6 +124,28 @@ def test_series_json_trunc_over_cap_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # 3M coefficient slots alone would take 24 MB
+
+
+def test_a_repeated_text_is_charged_at_each_occurrence():
+    # a text is parsed once per load, but each of its keys pays the units
+    # of its parse, so the meter counts and refuses as if each were parsed
+    big = "7" * 400  # past the 300 digits a number is read for free
+    obj = {"kind": "dir", "trunc": 50, "coeffs": {str(n): big for n in range(1, 51)}}
+    try:
+        METER.reset(10**9)
+        want = (parse_polynomial(big),) * 50
+        once = METER.spent
+        METER.reset(10**9)
+        assert series_from_json(obj).coeffs == want
+        assert METER.spent == 50 * once == 50 * 160
+        METER.reset(50 * once)
+        series_from_json(obj)
+        METER.reset(50 * once - 1)  # refused at the last occurrence
+        with pytest.raises(ArgumentOutOfRange):
+            series_from_json(obj)
+        assert METER.spent == 50 * once
+    finally:
+        METER.reset()
 
 
 def test_series_csv():
