@@ -7,15 +7,15 @@ every suite seeds its own random stream, so runs with ``--jobs`` produce
 byte-identical reports.
 
 ``run_suites`` schedules a whole run at once.  With ``--jobs k`` above 1
-it starts one process pool (at most k workers, and no more than there
-are cores or work items) and submits every work item to it, heaviest
-first: each suite is one item, except ``abel``, whose per-n checks go in
-chunks of a few indices.  With one worker each suite runs whole in
-process, without importing the pool; where processes cannot be started,
-the suites also run whole in process.
+it forks at most k workers (no more than there are cores or work items),
+which inherit the work items and take them over pipes, heaviest first:
+each suite is one item, except ``abel``, whose per-n checks go in chunks
+of a few indices; every worker is reaped before the run returns.  With
+one worker, or where ``os.fork`` is missing or fails, each suite runs
+whole in process.
 The Abel family terms of the divisors met so far are kept in a table, so
 each term is built once per process, not once per divisor pair: an
-in-process ``abel`` suite keeps its table for the call, and a pool worker
+in-process ``abel`` suite keeps its table for the call, and a worker
 keeps its table for the worker's life, which ends with the run.
 
 Suites: ``pow`` (composition powers), ``log`` (logarithms and the star
@@ -27,8 +27,10 @@ analogs), ``binomf`` (the f-weighted binomial identities), ``oracle``
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import select
 import time
 from collections import Counter
 from fractions import Fraction
@@ -593,7 +595,7 @@ def _chunks(ns: range) -> list[range]:
     return [ns[i : i + _CHUNK] for i in range(0, len(ns), _CHUNK)]
 
 
-# the Abel family terms of the proper divisors met so far in a pool
+# the Abel family terms of the proper divisors met so far in a forked
 # worker, shared by the abel chunks it runs; it lives as long as the
 # worker, which exits with its run.  An in-process ``suite_abel`` passes
 # its own table instead.
@@ -753,12 +755,12 @@ def suite_oracle(bound: int | None = None) -> list[CheckResult]:
 
 # the suites from the slowest to the fastest at the default bounds, as
 # timed in process (oracle and thm2 take about half of the run between
-# them); a pool takes the whole suites in this order
+# them); the workers take the whole suites in this order
 SUITES = ("oracle", "thm2", "abel", "thm3", "binomf", "pow", "log", "thm1")
 
 
 # a work item is (suite, index, fn, arg): the part at position ``index`` of
-# the suite, whose records are ``fn(arg)``; fn and arg are picklable
+# the suite, whose records are ``fn(arg)``; forked workers inherit them
 _Item = tuple[str, int, Callable, object]
 
 
@@ -792,29 +794,95 @@ def _run_item(fn: Callable, arg: object) -> tuple[list[CheckResult] | None, str,
     return records, error, time.perf_counter() - start
 
 
-def _pool_outcomes(items: list[_Item], workers: int):
-    """Submit every item to a pool of ``workers`` processes and return an
-    iterator of each item with its outcome as it finishes, or None where
-    processes cannot be started."""
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    pool = None
+def _serve(items: list[_Item], tasks: int, results: int, inherited: list[int]) -> None:
+    """A forked worker: close the ``inherited`` pipe ends, then for each
+    position read from ``tasks`` write ``[position, records or null, error,
+    seconds]`` as one JSON line to ``results``.  It leaves through
+    ``os._exit``, so the parent's exit hooks and buffers stay the parent's."""
+    code = 1
     try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        futures = {pool.submit(_run_item, *item[2:]): item for item in items}
-    except OSError:  # sandboxed environments may forbid process pools
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for fd in inherited:
+            os.close(fd)
+        with open(tasks) as inbox, open(results, "w") as outbox:
+            for line in inbox:
+                index = int(line)
+                print(json.dumps([index, *_run_item(*items[index][2:])]), file=outbox, flush=True)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pool_outcomes(items: list[_Item], workers: int):
+    """Fork ``workers`` processes, which inherit ``items``, and return an
+    iterator of each item with its outcome as it finishes, or None where
+    processes cannot be started.  A worker is sent the position of its
+    next item as its last outcome arrives; an item whose worker dies, or
+    that no worker is left to run, gets an error outcome.  Every worker is
+    reaped before the iterator ends or is closed.  (``verify`` starts no
+    thread, so forking is safe.)"""
+    if not hasattr(os, "fork"):
         return None
+    pool: dict = {}  # result pipe -> [pid, task pipe, position of its item or None]
+
+    def stop() -> None:
+        for pipe, (pid, task, _) in pool.items():
+            os.close(task)
+            pipe.close()
+            os.waitpid(pid, 0)
+
+    fresh: list[int] = []  # the pipe ends of the worker being started
+    try:
+        for _ in range(workers):
+            fresh = list(os.pipe())
+            fresh += os.pipe()
+            task_r, task_w, result_r, result_w = fresh
+            pid = os.fork()
+            if not pid:
+                held = [fd for pipe, (_, task, _) in pool.items() for fd in (pipe.fileno(), task)]
+                _serve(items, task_r, result_w, [*held, task_w, result_r])
+            os.close(task_r)
+            os.close(result_w)
+            fresh = []
+            pool[open(result_r, "rb")] = [pid, task_w, None]
+    except OSError:  # sandboxed environments may forbid new processes
+        for fd in fresh:
+            os.close(fd)
+        stop()
+        return None
+    todo = iter(range(len(items)))
+
+    def give(worker: list) -> None:
+        worker[2] = next(todo, None)
+        if worker[2] is not None:
+            try:
+                os.write(worker[1], b"%d\n" % worker[2])
+            except BrokenPipeError:  # it died; its result pipe ends unanswered
+                pass
 
     def finished():
-        with pool:
-            for future in as_completed(futures):
-                try:
-                    outcome = future.result()
-                except Exception as exc:  # noqa: BLE001  a worker died
-                    outcome = None, repr(exc), 0.0
-                yield futures[future], outcome
+        died = ""
+        try:
+            for worker in pool.values():
+                give(worker)
+            while busy := [pipe for pipe, worker in pool.items() if worker[2] is not None]:
+                for pipe in select.select(busy, [], [])[0]:
+                    line, (pid, task, position) = pipe.readline(), pool[pipe]
+                    if line.endswith(b"\n"):
+                        _, records, error, seconds = json.loads(line)
+                        records = records and [CheckResult(*record) for record in records]
+                        give(pool[pipe])
+                        yield items[position], (records, error, seconds)
+                        continue
+                    del pool[pipe]
+                    pipe.close()
+                    os.close(task)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    died = f"a verify worker ended with exit code {code}"
+                    yield items[position], (None, died, 0.0)
+            for position in todo:  # every worker died
+                yield items[position], (None, died, 0.0)
+        finally:
+            stop()
 
     return finished()
 
@@ -841,12 +909,13 @@ def run_suites(
 ) -> tuple[list[CheckResult], bool]:
     """Run the named suites (or all of them) and return ordered records.
 
-    With ``jobs`` > 1, one process pool of at most ``jobs`` workers (and
-    no more than there are cores or work items) takes the work items of
-    every selected suite, heaviest first; with one worker, or where the
-    pool cannot start, each suite runs whole in process, in the given
-    order.  A suite any part of which raises reports one
-    ``<suite>.exception`` record instead of its other records.
+    With ``jobs`` > 1, at most ``jobs`` forked workers (and no more than
+    there are cores or work items) take the work items of every selected
+    suite, heaviest first, and are reaped before the call returns or
+    raises; with one worker, or where processes cannot be forked, each
+    suite runs whole in process, in the given order.  A suite any part of
+    which raises reports one ``<suite>.exception`` record instead of its
+    other records.
     ``on_suite_done`` receives each suite's name, summed seconds and
     record count as soon as the suite's last part returns."""
     selected = list(SUITES) if names == ["all"] else names
@@ -864,13 +933,16 @@ def run_suites(
     left = Counter(name for name, *_ in items)
     parts: dict[str, list[tuple]] = {name: [] for name in selected}
     records: list[CheckResult] = []
-    for (name, index, _, _), outcome in outcomes:
-        parts[name].append((index, *outcome))
-        left[name] -= 1
-        if not left[name]:
-            suite_records = _suite_records(name, parts[name])
-            records.extend(suite_records)
-            seconds = sum(part[3] for part in parts[name])
-            on_suite_done(name, seconds, len(suite_records))
+    try:
+        for (name, index, _, _), outcome in outcomes:
+            parts[name].append((index, *outcome))
+            left[name] -= 1
+            if not left[name]:
+                suite_records = _suite_records(name, parts[name])
+                records.extend(suite_records)
+                seconds = sum(part[3] for part in parts[name])
+                on_suite_done(name, seconds, len(suite_records))
+    finally:
+        outcomes.close()  # reaps the workers, also when on_suite_done raises
     records.sort(key=lambda r: (r.ident, r.n))
     return records, all(r.ok for r in records)

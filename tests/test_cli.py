@@ -808,21 +808,47 @@ def test_no_layer_imports_dataclasses_or_inspect():
 
 
 def test_verify_without_a_pool_loads_no_pool_modules():
-    # the process pool loads about 40 modules; only verify --jobs above 1
-    # needs them
+    # concurrent.futures' process pool loads about 40 modules; verify's
+    # workers are forked over pipes, so no --jobs needs them
     env = {**os.environ, "PYTHONPATH": str(Path(dirseries.__file__).parents[1])}
     code = ("import contextlib, io, sys\n"
             "import dirseries.verify\n"
             "pool = ('concurrent.futures', 'multiprocessing')\n"
             "imported = [m for m in pool if m in sys.modules]\n"
             "from dirseries import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    status = cli.main(['verify', '--suite', 'pow', '--jobs', '1'])\n"
-            "print(status, imported, [m for m in pool if m in sys.modules])")
+            "for jobs in ('1', '2'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = cli.main(['verify', '--suite', 'all', '-N', '16', '--jobs', jobs])\n"
+            "    print(status, imported, [m for m in pool if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "0 [] []\n"
+    assert done.stdout == "0 [] []\n0 [] []\n"
+
+
+def test_verify_workers_never_take_the_exit_path(tmp_path):
+    # an exit hook like the benchmark's peak-RSS report runs once, in the
+    # parent, and text the parent buffered before forking is written once
+    env = {**os.environ, "PYTHONPATH": str(Path(dirseries.__file__).parents[1])}
+    marker = tmp_path / "exits"
+    code = ("import atexit, sys\n"
+            "def mark():\n"
+            f"    with open({str(marker)!r}, 'a') as fh:\n"
+            "        fh.write('exit\\n')\n"
+            "atexit.register(mark)\n"
+            "print('buffered before the run')\n"
+            "from dirseries import cli\n"
+            "sys.exit(cli.main(['verify', '--suite', 'all', '-N', '16', '--jobs', sys.argv[1]]))")
+    outs = []
+    for jobs in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", code, jobs], capture_output=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert marker.read_text() == "exit\n"
+        marker.unlink()
+        outs.append(done.stdout)
+    assert outs[0].startswith(b"buffered before the run\nPASS ")
+    assert outs[1] == outs[0]
 
 
 def test_traced_run_finds_every_traced_name():

@@ -1,7 +1,6 @@
-import concurrent.futures
+import json
+import os
 import pickle
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -18,37 +17,33 @@ from dirseries.verify import (
 )
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
-def fake_pool(monkeypatch):
-    """Replace the process pool by one that records its requested size and
-    runs each submitted call in process, so it starts no worker; the
-    machine has 2 cores.  Yields the list of requested sizes, then empties
-    the worker's Abel table, as a worker's exit would."""
+def forks(monkeypatch):
+    """Record the pid of every worker that ``run_suites`` forks, on a
+    machine of 2 cores; after the test no child process may be left."""
     started = []
+    fork = os.fork
 
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def counting_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    # verify imports the pool where it starts one, so patch it at its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
     yield started
-    dirseries.verify._ABEL_TERMS.clear()
+    assert_no_child_left()
+
+
+def pools(forked):
+    """The sizes of the worker pools started, as each test starts at most one."""
+    return [len(forked)] if forked else []
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -74,21 +69,21 @@ def test_record_line_format():
     "jobs, cpus, items, workers",
     [(64, 4, 10, [4]), (64, 4, 3, [3]), (3, 4, 10, [3]), (64, None, 10, []), (1, 4, 10, [])],
 )
-def test_jobs_clamped_to_cores_and_items(monkeypatch, fake_pool, jobs, cpus, items, workers):
+def test_jobs_clamped_to_cores_and_items(monkeypatch, forks, jobs, cpus, items, workers):
     # abel to 8 * items - 7 is ``items`` - 1 chunks of 8 indices from n = 2
     # and the chunk of the classical identities
     monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: cpus)
     records, ok = run_suites(["abel"], bound=8 * items - 7, jobs=jobs)
-    assert fake_pool == workers
+    assert pools(forks) == workers
     assert (records, ok) == run_suites(["abel"], bound=8 * items - 7)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_raising_part_gives_one_exception_record(monkeypatch, fake_pool, jobs):
+def test_raising_part_gives_one_exception_record(monkeypatch, forks, jobs):
     pristine = dirseries.verify.abel_check
 
     def broken(n, family=None):
-        if n in (17, 35):  # in two chunks; the pool takes the later one first
+        if n in (17, 35):  # in two chunks; the workers take the later one first
             raise ValueError(f"n={n}")
         return pristine(n, family)
 
@@ -96,7 +91,7 @@ def test_raising_part_gives_one_exception_record(monkeypatch, fake_pool, jobs):
     timings = []
     records, ok = run_suites(["abel", "binomf"], bound=40, jobs=jobs,
                              on_suite_done=lambda *args: timings.append(args[::2]))
-    assert fake_pool == ([2] if jobs > 1 else [])
+    assert pools(forks) == ([2] if jobs > 1 else [])
     assert not ok
     assert [r for r in records if r.ident.startswith("abel")] == [
         CheckResult("abel.exception", 0, False, "ValueError('n=17')")
@@ -106,61 +101,101 @@ def test_raising_part_gives_one_exception_record(monkeypatch, fake_pool, jobs):
     assert sorted(timings) == [("abel", 1), ("binomf", len(binomf))]
 
 
-def test_dead_worker_gives_one_exception_record(monkeypatch, fake_pool):
-    died = BrokenProcessPool("a worker died")
-    abel_parts = (dirseries.verify._abel_chunk, dirseries.verify._classic_chunk)
+def dying_abel_check(monkeypatch, at: int) -> None:
+    """Make the worker that checks abel at n = ``at`` die with exit code 3;
+    in the test's own process the check raises instead."""
+    pristine, parent = dirseries.verify.abel_check, os.getpid()
 
-    class DyingPool(concurrent.futures.ProcessPoolExecutor):  # the fake pool
-        def submit(self, fn, *args):
-            if args[0] not in abel_parts:
-                return super().submit(fn, *args)
-            future = Future()
-            future.set_exception(died)
-            return future
+    def dying(n, family=None):
+        if n == at:
+            if os.getpid() == parent:
+                raise AssertionError("a worker's part ran in process")
+            os._exit(3)
+        return pristine(n, family)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
-    binomf, _ = run_suites(["binomf"], bound=40)
-    records, ok = run_suites(["abel", "binomf"], bound=40, jobs=2)
-    assert fake_pool == [2]
+    monkeypatch.setattr(dirseries.verify, "abel_check", dying)
+
+
+def test_dead_worker_gives_one_exception_record(monkeypatch, forks):
+    others, _ = run_suites(["binomf", "pow"], bound=40)
+    dying_abel_check(monkeypatch, at=17)
+    records, ok = run_suites(["abel", "binomf", "pow"], bound=40, jobs=2)
+    assert pools(forks) == [2]
     assert not ok
     assert [r for r in records if r.ident.startswith("abel")] == [
-        CheckResult("abel.exception", 0, False, repr(died))
+        CheckResult("abel.exception", 0, False, "a verify worker ended with exit code 3")
     ]
-    assert [r for r in records if not r.ident.startswith("abel")] == binomf
+    assert [r for r in records if not r.ident.startswith("abel")] == others
+
+
+def test_every_part_left_after_the_workers_die_is_an_error(monkeypatch, forks):
+    # each worker dies on its first part; the parts left are not lost
+    dying_abel_check(monkeypatch, at=40)
+    pristine = dirseries.verify.suite_binomf
+    parent = os.getpid()
+    monkeypatch.setattr(dirseries.verify, "suite_binomf",
+                        lambda bound: pristine(bound) if os.getpid() == parent else os._exit(3))
+    timings = []
+    records, ok = run_suites(["binomf", "abel"], bound=40, jobs=2,
+                             on_suite_done=lambda name, *_: timings.append(name))
+    assert pools(forks) == [2]
+    assert records == [
+        CheckResult(f"{name}.exception", 0, False, "a verify worker ended with exit code 3")
+        for name in ("abel", "binomf")
+    ]
+    assert sorted(timings) == ["abel", "binomf"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("raising", [False, True])
-def test_abel_table_is_emptied_when_the_run_returns(monkeypatch, fake_pool, jobs, raising):
+def test_abel_table_is_emptied_when_the_run_returns(monkeypatch, tmp_path, forks, jobs, raising):
     # in process the parts share a table of the call, dropped with it, and
-    # the worker's table stays empty; the parts that the pool's worker runs
-    # share the worker's table
+    # the module's table stays empty; the parts that a worker runs share
+    # the worker's table, which ends with the worker, so the parent's
+    # table stays empty too.  The spy logs from whichever process runs it.
     worker_table = dirseries.verify._ABEL_TERMS
     pristine = dirseries.verify.abel_check
-    tables = []
+    log = tmp_path / "tables"
 
     def spy(n, family=None):
         if raising and n == 35:
             raise ValueError(f"n={n}")
-        tables.append(family)
-        return pristine(n, family)
+        out = pristine(n, family)
+        shared = family is dirseries.verify._ABEL_TERMS
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {id(family)} {shared:d} {len(family)}\n")
+        return out
+
+    def tables():
+        """Per process that ran the spy: its tables' ids, whether they were
+        the module's table, and the largest size met."""
+        seen = {}
+        for line in log.read_text().splitlines():
+            pid, table, shared, size = map(int, line.split())
+            ids, flags, largest = seen.get(pid, (set(), set(), 0))
+            seen[pid] = ids | {table}, flags | {shared}, max(largest, size)
+        log.unlink()
+        return seen
 
     monkeypatch.setattr(dirseries.verify, "abel_check", spy)
     records, ok = run_suites(["abel"], 40, jobs)
     assert ok is not raising
-    assert fake_pool == ([2] if jobs > 1 else [])
-    assert tables[0] and all(family is tables[0] for family in tables)
-    assert (tables[0] is worker_table) == (jobs > 1) == bool(worker_table)
+    assert pools(forks) == ([2] if jobs > 1 else [])
+    seen = tables()
+    assert set(seen) == (set(forks) if jobs > 1 else {os.getpid()})
+    for ids, flags, largest in seen.values():
+        assert len(ids) == 1 and largest  # one filled table per process
+        assert flags == {jobs > 1}
+    assert not worker_table
     # a suite called on its own has a table of its own too
-    tables.clear()
-    filled = dict(worker_table)
     if raising:
         with pytest.raises(ValueError):
             dirseries.verify.suite_abel(40)
     else:
         assert all(r.ok for r in dirseries.verify.suite_abel(40))
-    assert tables[0] and all(family is tables[0] for family in tables)
-    assert tables[0] is not worker_table and worker_table == filled
+    ((ids, flags, largest),) = tables().values()
+    assert len(ids) == 1 and largest and flags == {False}
+    assert not worker_table
 
 
 def test_classic_abel_cross_checks_the_divisor_sides(monkeypatch):
@@ -236,40 +271,65 @@ def test_divisibility_failure_names_the_first_n(monkeypatch):
 
 
 def test_refused_pool_runs_in_process(monkeypatch):
+    # os.fork raising, or missing where a platform has none
     refused = []
 
-    def refuse(max_workers):
-        refused.append(max_workers)
+    def refuse():
+        refused.append(True)
         raise OSError("no processes here")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
-    names = ["binomf", "abel"]  # more than one work item, so a pool is asked for
-    assert run_suites(names, bound=40, jobs=2) == run_suites(names, bound=40)
-    assert refused == [2]
+    names = ["binomf", "abel"]  # more than one work item, so workers are asked for
+    in_process = run_suites(names, bound=40)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run_suites(names, bound=40, jobs=2) == in_process
+    assert refused == [True]
+    monkeypatch.delattr(os, "fork")
+    assert run_suites(names, bound=40, jobs=2) == in_process
+    assert_no_child_left()
 
 
-def test_pool_refused_at_submit_runs_each_suite_whole(monkeypatch):
-    shutdowns = []
+def test_pool_refused_at_submit_runs_each_suite_whole(monkeypatch, forks):
+    # the first worker starts, the second is refused: the first is reaped
+    # (checked by the fixture) and no part goes to it
+    counting_fork = os.fork
 
-    class RefusingPool:
-        def __init__(self, max_workers):
-            pass
-
-        def submit(self, fn, *args):
+    def refuse_second():
+        if forks:
             raise OSError("no processes here")
+        return counting_fork()
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            shutdowns.append(cancel_futures)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusingPool)
-    monkeypatch.setattr(dirseries.verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", refuse_second)
     timings = []
     got = run_suites(["binomf", "abel"], bound=40, jobs=2,
                      on_suite_done=lambda name, seconds, records: timings.append(name))
-    assert shutdowns == [True]
+    assert pools(forks) == [1]
     assert got == run_suites(["binomf", "abel"], bound=40, jobs=1)
     assert timings == ["binomf", "abel"]  # whole suites, in the given order
+
+
+@pytest.mark.parametrize("run", ["normal", "raising-part", "dead-worker", "raising-callback"])
+def test_no_worker_outlives_the_run(monkeypatch, forks, run):
+    pristine = dirseries.verify.abel_check
+    if run == "raising-part":
+        monkeypatch.setattr(dirseries.verify, "abel_check",
+                            lambda n, family=None: 1 / 0 if n == 17 else pristine(n, family))
+    if run == "dead-worker":
+        dying_abel_check(monkeypatch, at=17)
+
+    def done(name, seconds, count):
+        if run == "raising-callback":
+            raise KeyError(name)
+
+    names = ["abel", "binomf", "pow"]
+    if run == "raising-callback":
+        with pytest.raises(KeyError):
+            run_suites(names, bound=40, jobs=2, on_suite_done=done)
+    else:
+        records, ok = run_suites(names, bound=40, jobs=2, on_suite_done=done)
+        assert ok is (run == "normal")
+    assert pools(forks) == [2]
+    assert_no_child_left()
 
 
 def test_corrupted_kernel_is_reported_not_raised():
@@ -308,7 +368,7 @@ def test_first_mismatch_names_place_and_values():
 
 
 def test_check_results_compare_by_value_and_pickle():
-    # the --jobs pool sends records between processes
+    # the --jobs workers send records to the parent as JSON arrays
     record = CheckResult("abel.identities", 12, False, "first mismatch at 3: 1 != 2")
     assert record == CheckResult("abel.identities", 12, False, "first mismatch at 3: 1 != 2")
     assert record != CheckResult("abel.identities", 12, True, "first mismatch at 3: 1 != 2")
@@ -317,3 +377,4 @@ def test_check_results_compare_by_value_and_pickle():
     assert back == [record, CheckResult("x.y", 3, True)]
     assert [type(r) for r in back] == [CheckResult, CheckResult]
     assert back[0].line() == record.line()
+    assert CheckResult(*json.loads(json.dumps(record))) == record
