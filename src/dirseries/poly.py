@@ -16,7 +16,11 @@ A monomial is a tuple of (symbol, exponent) pairs sorted by symbol name
 with all exponents >= 1; the empty tuple is the unit monomial.  A
 polynomial maps monomials to nonzero rational coefficients; the empty map
 is zero.  Equality is structural, and the printer emits terms in a fixed
-graded-lexicographic order, so printed forms are canonical.
+graded-lexicographic order, so printed forms are canonical.  The
+polynomials of one result may share their monomial tuples and the pairs in
+them: a kernel that builds many coefficients passes each through
+``pooled`` with a pool local to the call, so an equal monomial across them
+is one tuple.  Tuples are immutable, so no caller can tell.
 
 A coefficient that enters a polynomial as an integral value is stored as
 an ``int``, any other as a ``Fraction``, so products and sums of integral
@@ -243,6 +247,12 @@ def _add_product(out: dict[Monomial, Scalar], p: Polynomial, q: Polynomial) -> N
         p, q, terms1, terms2 = q, p, terms2, terms1
     if METER.budget is not None:
         _charge(_products_units(p._sizes or _sizes(p), q._sizes or _sizes(q)))
+    _add_terms(out, terms1, terms2)
+
+
+def _add_terms(out: dict[Monomial, Scalar], terms1: dict, terms2: dict) -> None:
+    """Add the product of two term dicts into ``out``, unmetered, with
+    ``terms2`` in the outer loop: the arithmetic of ``_add_product``."""
     get = out.get
     for m2, c2 in terms2.items():  # one pass for a one-term factor
         unit = c2 == 1
@@ -541,16 +551,32 @@ def constant_polys(values: Iterable[Scalar]) -> list[Polynomial]:
     return [_wrap({_UNIT_MONO: v}) if v else ZERO for v in values]
 
 
+def pooled(p: Polynomial, pool: dict) -> Polynomial:
+    """``p`` with each monomial taken from ``pool``, a dict local to the
+    call that builds a result: the first equal monomial pooled through it,
+    whose (symbol, exponent) pairs are pooled too.  The stored ``_sizes``
+    of ``p`` are carried over; a polynomial without terms is ``p`` itself."""
+    if not p._terms:
+        return p
+    get = pool.get
+    terms = {}
+    for m, c in p._terms.items():
+        mono = get(m)
+        if mono is None:
+            mono = tuple([pool.setdefault(pair, pair) for pair in m])
+            pool[mono] = mono
+        terms[mono] = c
+    q = _wrap(terms)
+    q._sizes = p._sizes
+    return q
+
+
 def shared_monomials(polys: Iterable[Polynomial]) -> list[Polynomial]:
-    """The polynomials with each monomial, and each (symbol, exponent) pair
-    in one, stored once across all of them: a table that keeps related
-    polynomials for long then holds one copy of each, not one per term."""
+    """The polynomials ``pooled`` through one pool: a table that keeps
+    related polynomials for long then holds one copy of each monomial, not
+    one per term."""
     pool: dict = {}
-
-    def one(key):
-        return pool.setdefault(key, key)
-
-    return [_wrap({one(tuple(map(one, m))): c for m, c in p._terms.items()}) for p in polys]
+    return [pooled(p, pool) for p in polys]
 
 
 def powers(a, top: int, product: Callable = mul) -> Iterator:
@@ -569,8 +595,11 @@ def substitute_symbol(
     """Each of ``polys`` with ``sym`` replaced by ``replacement``, expanded.
     The ladder 1, r, r^2, ... up to the largest exponent of ``sym`` among
     them is built once by ``powers``; each term, with ``sym`` removed from
-    its monomial by bisection, is multiplied by the rung of its exponent.
-    A polynomial without ``sym`` is returned as it is, unmetered."""
+    its monomial by bisection, is multiplied by the rung of its exponent,
+    charged the units ``_add_product`` would charge, from the term's own
+    sizes and the rung's stored ones, without wrapping the term in a
+    polynomial.  A polynomial without ``sym`` is returned as it is,
+    unmetered."""
     tops = [max((e for mono in p._terms for s, e in mono if s == sym), default=0) for p in polys]
     if not any(tops):
         return list(polys)
@@ -586,7 +615,15 @@ def substitute_symbol(
                 if i < len(mono) and mono[i][0] == sym:
                     e = mono[i][1]
                     mono = mono[:i] + mono[i + 1 :]
-                _add_product(terms, _wrap({mono: coeff}), ladder[e])
+                rung = ladder[e]
+                if METER.budget is not None:  # the units ``_add_product`` charges
+                    rung_sizes = rung._sizes or _sizes(rung)
+                    _charge(_products_units(_term_sizes(coeff, len(mono)), rung_sizes))
+                # the term times its rung, in the loop order ``_add_product`` picks
+                if len(rung._terms) > 1 or not mono:
+                    _add_terms(terms, rung._terms, {mono: coeff})
+                else:
+                    _add_terms(terms, {mono: coeff}, rung._terms)
             p = _wrap(terms)
         out.append(p)
     return out

@@ -33,14 +33,18 @@ cost more than the ``Fraction`` work they save, so such inputs keep the
 ``Fraction`` or ``Polynomial`` loops.  ``dirichlet_convolve`` convolves
 scaled ``int`` inputs by the slice updates of ``_convolve``, keeping
 integral results ``int``, and the ``Polynomial`` coefficients otherwise by
-``_convolve_polys``, which gathers the pairs of nonzero coefficients at
-each index and sums them once.  ``dir_apply_series`` keeps every power
-A^(m) as an ``int`` list from ``_convolve`` and sums the powers in one
-``int`` row per monomial of the ordinary series, over each power's nonzero
-support only, dividing once at the end, row by row.  ``dir_pow_int``
-keeps A^(k) an ``int`` list from the first squaring on, composed by
-``_convolve``, while k times the bits of d is at most ``SCALED_DEN_BITS``
-(so d^k fits too), and divides by d^k once at the end.
+``_convolve_polys``, which gathers at each index the index of the first
+factor of each pair of nonzero coefficients, one shared ``int`` per
+product, and sums the pairs of one index at a time; ``ord_mul`` and
+``log_power_sum`` gather the same way, and ``_sums`` pools the monomials
+of their sums, so a result keeps each repeated monomial once.
+``dir_apply_series`` keeps every power A^(m) as an ``int`` list from
+``_convolve`` and sums the powers in one ``int`` row per monomial of the
+ordinary series, over each power's nonzero support only, dividing once at
+the end, row by row.  ``dir_pow_int`` keeps A^(k) an ``int`` list from
+the first squaring on, composed by ``_convolve``, while k times the bits
+of d is at most ``SCALED_DEN_BITS`` (so d^k fits too), and divides by d^k
+once at the end.
 ``dir_inverse`` runs one forward-accumulating recurrence: on integers
 scaled by powers of A_1 for such a series (``_inverse_scaled``), and on
 the ``Polynomial`` coefficients otherwise (``_inverse_polys``), a constant
@@ -81,6 +85,7 @@ from .poly import (
     constant_values,
     int_units,
     log_n_poly,
+    pooled,
     powers,
     repeated_squaring,
     substitute_symbol,
@@ -262,23 +267,32 @@ def _convolve(xs: Sequence[int], ys: Sequence[int], trunc: int) -> list[int]:
 
 
 def _convolve_polys(xs: Sequence[Polynomial], ys: Sequence[Polynomial], trunc: int) -> list:
-    """``_convolve`` over ``Polynomial``s: the pair of each nonzero x_d and
-    y_q with d*q <= trunc is gathered at index d*q, and each index is
-    summed once by ``_sums``."""
+    """``_convolve`` over ``Polynomial``s: for each nonzero x_d and y_q
+    with d*q <= trunc, d is gathered at index d*q, and each index is
+    summed once by ``_sums`` over its pairs (x_d, y_q)."""
     _charge_call(trunc)
-    pairs: list[list] = [[] for _ in range(trunc)]
-    nonzero_y = _nonzero(ys[:trunc])
-    for d, x in _nonzero(xs[:trunc]):
-        for q, y in nonzero_y:
+    firsts: list[list] = [[] for _ in range(trunc)]
+    nonzero_y = [q for q, _ in _nonzero(ys[:trunc])]
+    for d, _ in _nonzero(xs[:trunc]):
+        for q in nonzero_y:
             if d * q > trunc:
                 break
-            pairs[d * q - 1].append((x, y))
-    return _sums(pairs)
+            firsts[d * q - 1].append(d)
+    return _sums(firsts, lambda n, d: (xs[d - 1], ys[n // d - 1]))
 
 
-def _sums(pairs: list[list]) -> list[Polynomial]:
-    """The ``sum_of_products`` of each list of pairs; ZERO for an empty one."""
-    return [sum_of_products(p) if p else ZERO for p in pairs]
+def _sums(firsts: list[list], pair: Callable[[int, int], tuple], first: int = 1) -> list:
+    """The ``sum_of_products`` at each index n, counted from ``first``, of
+    the pairs ``pair(n, i)`` for the first-factor indices i listed in
+    ``firsts[n - first]``; ZERO for an empty list.  The pairs of an index
+    are built only while it is summed, its list is dropped then, and the
+    sums are ``pooled`` through one pool."""
+    pool: dict = {}
+    out = []
+    for n, ids in enumerate(firsts, first):
+        firsts[n - first] = None
+        out.append(pooled(sum_of_products([pair(n, i) for i in ids]), pool) if ids else ZERO)
+    return out
 
 
 def _nonzero(values: Sequence, start: int = 1) -> list[tuple[int, Polynomial]]:
@@ -544,16 +558,20 @@ def log_power_sum(
 ) -> DirSeries:
     """The sum over d of c_d * family|_{sym = scale*log d}(x^d), exact up to
     the shorter of ``c`` (c_1, c_2, ...) and ``family``: the action of the
-    basic group matrix when ``family`` is a^(psi).  Each nonzero c_d is paired
-    with each nonzero coefficient j of its column at index d*j, and each
-    index is summed once by ``_sums``."""
+    basic group matrix when ``family`` is a^(psi).  For each nonzero c_d
+    and each nonzero coefficient j of its column, d is gathered at index
+    d*j, and each index is summed once by ``_sums`` over its pairs of c_d
+    and the column's coefficient."""
     trunc = min(len(c), family.trunc)
-    pairs: list[list] = [[] for _ in range(trunc)]
-    for d, cd in _nonzero(c[:trunc]):
+    firsts: list[list] = [[] for _ in range(trunc)]
+    columns = {}  # the coefficients of family|_{sym = scale*log d}, by d
+    for d, _ in _nonzero(c[:trunc]):
         column = series_substitute_symbol(family.truncated(trunc // d), sym, log_n_poly(d) * scale)
-        for j, v in _nonzero(column.coeffs):
-            pairs[d * j - 1].append((cd, v))
-    return DirSeries(trunc, tuple(_sums(pairs)))
+        columns[d] = column.coeffs
+        for j, _ in _nonzero(column.coeffs):
+            firsts[d * j - 1].append(d)
+    coeffs = _sums(firsts, lambda n, d: (c[d - 1], columns[d][n // d - 1]))
+    return DirSeries(trunc, tuple(coeffs))
 
 
 def twist_int(a: DirSeries, k: int) -> DirSeries:
@@ -603,20 +621,21 @@ def ord_x(trunc: int) -> OrdSeries:
 
 
 def ord_mul(a: OrdSeries, b: OrdSeries) -> OrdSeries:
-    """The Cauchy product: the pair of each nonzero a_i and b_j with
-    i + j <= n is gathered at index i + j, and each index is summed once by
-    ``_sums``; metered like ``_convolve_polys``.  Each factor's nonzero
-    coefficients are found by one ``_nonzero`` scan."""
+    """The Cauchy product: for each nonzero a_i and b_j with i + j <= n, i
+    is gathered at index i + j, and each index is summed once by ``_sums``
+    over its pairs (a_i, b_j); metered like ``_convolve_polys``.  Each
+    factor's nonzero coefficients are found by one ``_nonzero`` scan."""
     n = min(a.trunc, b.trunc)
     _charge_call(n + 1)
-    pairs: list[list] = [[] for _ in range(n + 1)]
-    nonzero_b = _nonzero(b.coeffs, 0)
-    for i, ai in _nonzero(a.coeffs[: n + 1], 0):
-        for j, bj in nonzero_b:
+    firsts: list[list] = [[] for _ in range(n + 1)]
+    nonzero_b = [j for j, _ in _nonzero(b.coeffs, 0)]
+    for i, _ in _nonzero(a.coeffs[: n + 1], 0):
+        for j in nonzero_b:
             if i + j > n:
                 break
-            pairs[i + j].append((ai, bj))
-    return OrdSeries(n, tuple(_sums(pairs)))
+            firsts[i + j].append(i)
+    ac, bc = a.coeffs, b.coeffs
+    return OrdSeries(n, tuple(_sums(firsts, lambda k, i: (ac[i], bc[k - i]), 0)))
 
 
 def ord_log(a: OrdSeries) -> OrdSeries:

@@ -55,6 +55,7 @@ from .poly import (
     Scalar,
     as_poly,
     log_n_poly,
+    pooled,
     powers,
     shared_monomials,
     sum_of_products,
@@ -167,11 +168,12 @@ def _lagrange(p: Series, beta, shift) -> Series:
     power."""
     b = _beta if beta is None else as_poly(beta)
     out = [ONE]
+    pool: dict = {}  # the coefficients share their equal monomials
     for n in range(p.first + 1, p.trunc + 1):
         # every term of [x^n] of the parametric power carries psi, so the
         # quotient is exact; a failure here is a structural bug
         q = p[n].divide_by_symbol(PSI)
-        out.append(_phi * q.substitute(PSI, _phi + b * shift(n)))
+        out.append(pooled(_phi * q.substitute(PSI, _phi + b * shift(n)), pool))
     return type(p)(p.trunc, tuple(out))
 
 

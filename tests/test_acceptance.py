@@ -3,12 +3,15 @@
 Every test prints a PASS/FAIL line (run with ``pytest -s`` or check the
 captured output); a FAIL line is followed by the assertion failure."""
 
+import gc
 import json
 import random
 import time
 import tracemalloc
 from fractions import Fraction
 from math import factorial
+
+import pytest
 
 import dirseries.series
 from dirseries.cli import main as cli_main
@@ -38,13 +41,14 @@ from dirseries.poly import (
     PSI,
     ZERO,
     Polynomial,
+    WorkMeter,
     binom_poly,
     coeff_symbol,
     log_n_poly,
     parse_polynomial,
     rising_poly,
 )
-from dirseries.randgen import random_dir_series, random_ord_series
+from dirseries.randgen import random_dir_series, random_ord_series, random_polynomial
 from dirseries.serialize import series_from_json
 from dirseries.series import (
     DirSeries,
@@ -67,7 +71,9 @@ from dirseries.transforms import (
     expand_over_basis,
     lagrange_dir,
     lagrange_middle_member,
+    lagrange_ord,
     lift_multiplicative,
+    onepx,
     reconstruct_from_expansion,
     zeta,
 )
@@ -368,3 +374,95 @@ def test_criterion_16_loaded_series_heap():
             tracemalloc.stop()
         assert s.trunc == 10_000
         assert held < 500_000
+
+
+def traced(step):
+    """The result of ``step()``, the heap it holds once it has returned and
+    cyclic garbage is collected, and the peak heap while it ran, by
+    tracemalloc.  A full collection first empties the free lists, so that
+    every object ``step`` makes is traced."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = step()
+        _, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_criterion_17_a_result_keeps_each_monomial_once():
+    # before the pool: 1199 monomial tuples for 290 monomials, 2578 for 301
+    # and 377 for 165 in these three results
+    with Criterion(17, "equal monomials across a symbolic result are one tuple"):
+        rng = random.Random("acceptance-17")
+        a, b = (
+            dir_from_fn(64, lambda n: 1 if n == 1 else random_polynomial(rng)) for _ in range(2)
+        )
+        for result in (lagrange_dir(eps(200)), lagrange_ord(onepx(24)), dir_mul(a, b)):
+            monomials = [m for c in result.coeffs for m in c.terms]
+            assert len({id(m) for m in monomials}) == len(set(monomials))
+
+
+def test_criterion_18_lagrange_heap():
+    # the heap lagrange_dir(eps(1000)) holds: 3.14 MB with one tuple per
+    # term, 1.02 MB with the result's monomials and pairs pooled
+    with Criterion(18, "lagrange_dir(eps(1000)) holds under 2 MB"):
+        e = eps(1000)
+        family, held, _ = traced(lambda: lagrange_dir(e))
+        assert family.trunc == 1000
+        assert held < 2_000_000
+
+
+def test_criterion_19_composition_peak():
+    # composing g o g for g = a2 x^2 + ... + a2000 x^2000, as ``bell --tilde
+    # --symbolic`` does: a peak of 1.93 MB while a tuple was gathered per
+    # product, 1.28 MB with one int per product
+    with Criterion(19, "the first composition of bell's g peaks under 1.6 MB"):
+        g = DirSeries(2000, (ZERO, *(sym(k) for k in range(2, 2001))))
+        square, _, peak = traced(lambda: dir_mul(g, g))
+        assert square[4] == sym(2) ** 2
+        assert peak < 1_600_000
+
+
+@pytest.mark.parametrize(
+    "argv, units",
+    [(("bell", "--tilde", "-N", "2000", "-M", "6", "--symbolic"), 12_266_480),
+     (("series", "-e", "lagrange_dir(eps,beta)", "-N", "1000"), 19_504_533)],
+    ids=["bell-tilde-symbolic", "lagrange-dir-beta"],
+)
+def test_criterion_20_pooled_results_keep_their_prices(capsys, monkeypatch, argv, units):
+    # units recorded when each term kept its own monomial tuple: pooling
+    # and gathering change no product and so no charge
+    with Criterion(20, f"{argv[0]} is charged the units it was before pooling"):
+        spent = []
+        reset = WorkMeter.reset
+
+        def recorded(self, budget=None):
+            spent.append(self.spent)
+            reset(self, budget)
+
+        monkeypatch.setattr(WorkMeter, "reset", recorded)
+        assert cli_main(list(argv)) == 0
+        capsys.readouterr()
+        assert spent[-1] == units
+
+
+def test_criterion_21_abel_table_heap():
+    # the table suite_abel keeps for N = 600, the family terms of the proper
+    # divisors: 1,375,999 bytes both before and after ``shared_monomials``
+    # became one pool through ``pooled``
+    def table():
+        family = {}
+        for n in range(2, 601):
+            abel_check(n, family)
+        return family
+
+    with Criterion(21, "the Abel table at N = 600 holds at most 1.38 MB"):
+        table()  # the prime sieve of ``intfactor`` grows untraced
+        family, held, _ = traced(table)
+        assert len(family) == 300
+        assert held <= 1_380_000
+

@@ -8,8 +8,11 @@ rational and symbolic paths, ``bell`` tables of both families, numeric
 and symbolic, the composition power, logarithm, product and lift of those
 files, the power, logarithm and exponential of rational series on their
 scaled-integer path, the integer composition power of rational series
-on both sides of the denominator guard and their product, and the
-``thm2``, ``thm3``, ``abel`` and ``log`` verify suites.
+on both sides of the denominator guard and their product, the
+``thm2``, ``thm3``, ``abel`` and ``log`` verify suites, and, at sizes where
+each result pools its monomials over many indices, the symbolic Lagrange
+families, a symbolic factorization table and the ``rd`` matrix and
+parametric power of a symbolic file.
 
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and copy each printed
@@ -22,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -32,9 +36,28 @@ from dirseries.cli import main
 
 # small series files for load(): composition series b (lead 2) and a
 # (lead 1), ordinary series c (constant term 1) and d (zero constant term),
-# the rational composition series r (lead 1, some zeros) and the ordinary
-# series x
+# the rational composition series r (lead 1, some zeros), the ordinary
+# series x and the symbolic composition series s (lead 1)
 RATIONAL = {1: Fraction(1)} | {n: Fraction((7 * n) % 11 - 5, n % 4 + 1) for n in range(2, 201)}
+
+
+def symbolic_coeffs(trunc: int, seed: str) -> dict[str, str]:
+    """Coefficient texts 1..trunc: 1 at index 1, elsewhere up to three
+    terms in phi, beta and L2 with exponents 0..2, as in the benchmark's
+    symbolic input; equal monomials recur across the indices."""
+    rng = random.Random(seed)
+    coeffs = {"1": "1"}
+    for n in range(2, trunc + 1):
+        terms = [
+            f"{rng.choice('+-')} {rng.randint(1, 4)}/{rng.randint(1, 3)}"
+            f"*phi^{rng.randint(0, 2)}*beta^{rng.randint(0, 2)}*L2^{rng.randint(0, 2)}"
+            for _ in range(rng.randint(0, 3))
+        ]
+        if terms:
+            coeffs[str(n)] = "0 " + " ".join(terms)
+    return coeffs
+
+
 SERIES_FILES = {
     "b": {"kind": "dir", "trunc": 12, "coeffs": {
         "1": "2", "2": "a1", "3": "a2 + 1/3", "4": "a1^2 - 1", "5": "-a3",
@@ -49,10 +72,11 @@ SERIES_FILES = {
     "r": {"kind": "dir", "trunc": 200, "coeffs": {
         str(n): str(v) for n, v in RATIONAL.items() if v}},
     "x": {"kind": "ord", "trunc": 60, "coeffs": {"1": "1"}},
+    "s": {"kind": "dir", "trunc": 200, "coeffs": symbolic_coeffs(200, "golden-symbolic")},
 }
 
 # (argv, sha256 of stdout); every command exits 0, and {b}, {a}, {c}, {d},
-# {r}, {x} stand for load() of the files above
+# {r}, {x}, {s} stand for load() of the files above
 GOLDEN = {
     "matrix-mult-csv": (
         ["matrix", "--kind", "mult", "-e", "eps", "-N", "16", "--csv"],
@@ -201,6 +225,28 @@ GOLDEN = {
     "verify-log": (
         ["verify", "--suite", "log"],
         "639b072a95e1e09f57f4021cd76f9394f2fe98827ffb5fd6ca17322604c7eaa7",
+    ),
+    # results whose monomials are pooled and whose products are gathered
+    # over many indices
+    "lagrange-dir-beta-300": (
+        ["series", "-e", "lagrange_dir(eps,beta)", "-N", "300"],
+        "dfe20c8274f90db0f2e13ebb93f1ec75a02f1c1843d8dcdf03646a1ab967b469",
+    ),
+    "lagrange-ord-beta-20": (
+        ["series", "-e", "lagrange_ord(onepx,beta)", "-N", "20"],
+        "bcbffd07fd7b5bd17d5f95349d81e7c3378338852eabebda65779826cc80b0bc",
+    ),
+    "bell-tilde-symbolic-400": (
+        ["bell", "--tilde", "-N", "400", "-M", "5", "--symbolic"],
+        "29d7f2bd3d7ae381f078bba6771c3c6041247053193e2a648fc2d4cea125324c",
+    ),
+    "matrix-rd-symbolic-60": (
+        ["matrix", "--kind", "rd", "-e", "{s}", "-e2", "eps", "-N", "60"],
+        "a80802306325d9013ccbab25bd65b3f9b6b83837839f99d63c24ac3d4d8a28c9",
+    ),
+    "dpow-param-symbolic-200": (
+        ["series", "-e", "dpow_param({s})", "-N", "200"],
+        "75942b375534e3a938840019f903fdc4fe10411550dbee69ca2f10e3f914bc05",
     ),
 }
 
