@@ -547,8 +547,20 @@ def constant_values(polys: Iterable[Polynomial]) -> list[Scalar] | None:
 
 def constant_polys(values: Iterable[Scalar]) -> list[Polynomial]:
     """Constant polynomials with the given ``int`` or ``Fraction`` values,
-    which are stored as they are."""
-    return [_wrap({_UNIT_MONO: v}) if v else ZERO for v in values]
+    which are stored as they are.  Equal values of one type (the meter
+    sizes an ``int`` and an equal ``Fraction`` apart) share one polynomial,
+    through a dict local to the call that keys a ``Fraction`` by its
+    integer ratio, whose hash is cheaper than its own.  Nothing mutates a
+    polynomial, so the sharing changes no result and no charge."""
+    shared: dict = {}
+    out = []
+    for v in values:
+        key = v if type(v) is int else v.as_integer_ratio()
+        p = shared.get(key)
+        if p is None:
+            p = shared[key] = _wrap({_UNIT_MONO: v}) if v else ZERO
+        out.append(p)
+    return out
 
 
 def pooled(p: Polynomial, pool: dict) -> Polynomial:

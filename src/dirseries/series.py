@@ -49,7 +49,9 @@ once at the end.
 scaled by powers of A_1 for such a series (``_inverse_scaled``), and on
 the ``Polynomial`` coefficients otherwise (``_inverse_polys``), a constant
 series past the guard included.  Coefficients stay ``Polynomial`` and
-results are identical on every path.
+results are identical on every path.  An int kernel divides each distinct
+value of its result once (``_reduced``), and equal scalars and constant
+coefficients share one object, which nothing mutates.
 """
 
 from __future__ import annotations
@@ -242,9 +244,7 @@ def dirichlet_convolve(
     (xs, da), (ys, db) = scaled_a, scaled_b
     acc = _convolve(xs, ys, trunc)
     den = da * db
-    if den == 1:
-        return constant_polys(acc)
-    return constant_polys(_over(v, den) if v else 0 for v in acc)
+    return constant_polys(acc if den == 1 else _reduced(acc, lambda v: _over(v, den)))
 
 
 def _convolve(xs: Sequence[int], ys: Sequence[int], trunc: int) -> list[int]:
@@ -390,13 +390,13 @@ def _inverse_scaled(numerators: list[int], den: int) -> list[Scalar]:
     L = A_1 and s(n) the number of prime factors of n (``s_upto``),
     B_n = b_n * L^(s(n)+1) / den is an integer, and B solves the integer
     recurrence B_n = -sum over d | n, d > 1 of W_d * B_{n/d} with weights
-    W_d = A_d * L^(s(d)-1): the unit-lead ``_inverse_recurrence``.  The
-    only division per index is b_n = den * B_n / L^(s(n)+1)."""
+    W_d = A_d * L^(s(d)-1): the unit-lead ``_inverse_recurrence``.  Each
+    distinct (B_n, s(n)) is divided once: b_n = den * B_n / L^(s(n)+1)."""
     s = s_upto(len(numerators))
     lead_powers = [1, *powers(numerators[0], max(s) + 1)]
     weights = [1] + [x * lead_powers[k - 1] for x, k in zip(numerators[1:], s[2:])]
     out = _inverse_recurrence(weights)
-    return [_over(den * bn, lead_powers[k + 1]) for bn, k in zip(out, s[1:])]
+    return _reduced(list(zip(out, s[1:])), lambda bk: _over(den * bk[0], lead_powers[bk[1] + 1]))
 
 
 def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
@@ -420,7 +420,7 @@ def dir_pow_int(a: DirSeries, k: int) -> DirSeries:
     power = repeated_squaring(numerators, k, lambda x, y: _convolve(x, y, trunc))
     if den > 1:
         total = den**k
-        power = (_over(v, total) if v else 0 for v in power)
+        power = _reduced(power, lambda v: _over(v, total))
     return DirSeries(trunc, tuple(constant_polys(power)))
 
 
@@ -429,6 +429,15 @@ def _over(v: int, den: int) -> Scalar:
     a ``Fraction``."""
     q = Fraction(v, den)
     return q.numerator if q.denominator == 1 else q
+
+
+def _reduced(keys: Sequence, reduce: Callable[..., Scalar]) -> list[Scalar]:
+    """``reduce(k)`` for each of ``keys``, a scaled numerator or a pair
+    that also fixes its denominator: each distinct key is reduced once (one
+    gcd), through a dict local to the call, and its occurrences share the
+    one scalar."""
+    memo = {k: reduce(k) for k in dict.fromkeys(keys)}
+    return list(map(memo.__getitem__, keys))
 
 
 def dir_subst_xk(a: DirSeries, k: int) -> DirSeries:
@@ -475,9 +484,11 @@ def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int
     are divided by F * den^top once, at the end.  A^(m) vanishes at every
     n with fewer than m prime factors, so each power's nonzero support is
     found once and the rows are added to there only; the meter still
-    charges each row addition as ``trunc`` products.  The output is built
-    row by row: each row is popped, its nonzero entries are divided into
-    the term dicts of their indices, and it is freed before the next."""
+    charges each row addition as ``trunc`` products.  Each row is divided
+    in place by ``_reduced``, equal values across the rows being one
+    object; the row of a constant f (``dir_log``) goes to ``constant_polys``,
+    and other output is built from the last index down, popping each
+    row's last entry, so the rows shrink as the output grows."""
     trunc = len(numerators)
     terms = [f[m].terms for m in range(top + 1)]
     fden = lcm(1, *(c.denominator for t in terms[1:] for c in t.values()))
@@ -496,12 +507,29 @@ def _apply_series_scaled(f: OrdSeries, numerators: list[int], den: int, top: int
             for n, v in zip(support, map(w.__mul__, values)):
                 row[n] += v
     total = fden * den**top
-    out: list[dict] = [{} for _ in range(trunc)]
-    for mono in list(rows):
-        row = rows.pop(mono)
-        for n in compress(range(trunc), row):
-            out[n][mono] = _over(row[n], total)
-    coeffs = [_wrap(cell) if cell else ZERO for cell in out]
+    shared: dict = {}  # each value of the rows once, by the int or its integer ratio
+
+    def over(v: int) -> Scalar:  # v / total, one object per value
+        q = _over(v, total)
+        return shared.setdefault(q if type(q) is int else q.as_integer_ratio(), q)
+
+    for row in rows.values():
+        row[:] = _reduced(row, over)
+    zero = over(0)  # the one 0 of every row
+    shared.clear()  # its ratio keys would sit on the assembly's peak
+    if list(rows) == [()]:  # f has only the unit monomial
+        coeffs = constant_polys(rows.pop(()))
+    else:
+        pops = [(mono, row.pop) for mono, row in rows.items()]
+        coeffs = []
+        for _ in range(trunc):  # from the last index: the rows shrink as the output grows
+            cell = {}
+            for mono, pop in pops:
+                v = pop()
+                if v is not zero:
+                    cell[mono] = v
+            coeffs.append(_wrap(cell) if cell else ZERO)
+        coeffs.reverse()
     coeffs[0] = coeffs[0] + f[0]  # x * f_0
     return DirSeries(trunc, tuple(coeffs))
 

@@ -14,6 +14,7 @@ from math import factorial
 import pytest
 
 import dirseries.series
+from dirseries.cli import _write_priced as cli_write_priced
 from dirseries.cli import main as cli_main
 from dirseries.intfactor import (
     binom_f,
@@ -36,12 +37,14 @@ from dirseries.matrices import (
 from dirseries.partitions import bell_btilde, ordered_factorizations
 from dirseries.poly import (
     BETA,
+    METER,
     ONE,
     PHI,
     PSI,
     ZERO,
     Polynomial,
     WorkMeter,
+    _sizes,
     binom_poly,
     coeff_symbol,
     log_n_poly,
@@ -49,7 +52,7 @@ from dirseries.poly import (
     rising_poly,
 )
 from dirseries.randgen import random_dir_series, random_ord_series, random_polynomial
-from dirseries.serialize import series_from_json
+from dirseries.serialize import series_from_json, series_to_json_text
 from dirseries.series import (
     DirSeries,
     dir_exp_param,
@@ -57,6 +60,7 @@ from dirseries.series import (
     dir_inverse,
     dir_log,
     dir_mul,
+    dir_pow_int,
     dir_pow_param,
     dir_x,
     ord_from_fn,
@@ -69,6 +73,7 @@ from dirseries.transforms import (
     eps,
     eps_param,
     expand_over_basis,
+    geom2,
     lagrange_dir,
     lagrange_middle_member,
     lagrange_ord,
@@ -466,3 +471,91 @@ def test_criterion_21_abel_table_heap():
         assert len(family) == 300
         assert held <= 1_380_000
 
+
+
+def test_criterion_22_numeric_results_share_equal_values():
+    # before the sharing, one polynomial per index of each result, and
+    # one ``Fraction`` per term: 9,766 of them for 321 values in dexp(geom2)
+    with Criterion(22, "a numeric result holds each distinct value once"):
+        r = series_from_json(json.loads(rational_series_text(31)))
+        for result in (dir_inverse(r), dir_log(r), dir_pow_int(r, 4), dir_mul(r, zeta(10_000))):
+            values = {frozenset(c.terms.items()) for c in result.coeffs}
+            assert len({id(c) for c in result.coeffs}) == len(values)
+        for result in (dir_pow_param(r), dir_exp_param(geom2(10_000))):
+            scalars = [v for c in result.coeffs for v in c.terms.values()]
+            assert len({id(v) for v in scalars}) == len(set(scalars))
+
+
+@pytest.mark.parametrize(
+    "build, peak_bound, held_bound",
+    [(dir_pow_param, 4_800_000, 4_000_000),
+     (lambda r: dir_exp_param(geom2(10_000)), 4_000_000, 3_200_000)],
+    ids=["dpow_param", "dexp-geom2"],
+)
+def test_criterion_23_numeric_result_heap(build, peak_bound, held_bound):
+    # peak and held heap above the input at N = 10000: dir_pow_param 5.36
+    # and 4.47 MB, dir_exp_param(geom2) 4.77 and 3.41 MB while every index
+    # had its own term dict and every term its own ``Fraction``; 4.27 and
+    # 3.69 MB, 3.30 and 2.94 MB with equal values shared
+    with Criterion(23, "the parametric power and exponential at N = 10000 stay in their heap"):
+        r = series_from_json(json.loads(rational_series_text(31)))
+        build(r)  # the prime sieve of ``intfactor`` grows untraced
+        result, held, peak = traced(lambda: build(r))
+        assert result.trunc == 10_000
+        assert peak < peak_bound
+        assert held < held_bound
+
+
+NUMERIC_COMMANDS = {
+    "dinv": (["series", "-e", "dinv({f})", "-N", "10000"], 2_734_812),
+    "dlog": (["series", "-e", "dlog({f})", "-N", "10000"], 22_688_408),
+    "dpow_param": (["series", "-e", "dpow_param({f})", "-N", "10000", "--csv"], 34_564_196),
+    "dpow_int4": (["series", "-e", "dpow_int({f},4)", "-N", "10000"], 5_690_231),
+    "dmul_zeta": (["series", "-e", "dmul({f},zeta)", "-N", "10000"], 2_814_384),
+    "dexp_geom2": (["series", "-e", "dexp(geom2)", "-N", "10000"], 22_839_795),
+}
+
+
+@pytest.mark.parametrize("name", NUMERIC_COMMANDS)
+def test_criterion_24_numeric_commands_keep_their_prices(name, capsys, monkeypatch, tmp_path):
+    # units recorded while every index built its own coefficient: sharing
+    # equal values changes no product and so no charge
+    with Criterion(24, f"{name} is charged the units it was before the sharing"):
+        path = tmp_path / "r.json"
+        path.write_text(rational_series_text(31))
+        argv, units = NUMERIC_COMMANDS[name]
+        spent = []
+        reset = WorkMeter.reset
+
+        def recorded(self, budget=None):
+            spent.append(self.spent)
+            reset(self, budget)
+
+        monkeypatch.setattr(WorkMeter, "reset", recorded)
+        assert cli_main([a.replace("{f}", f'load("{path}")') for a in argv]) == 0
+        capsys.readouterr()
+        assert spent[-1] == units
+
+
+def test_criterion_25_shared_coefficients_are_never_mutated(capsys):
+    with Criterion(25, "the shared coefficients of an inverse stay as they were"):
+        r = series_from_json(json.loads(rational_series_text(31, 2000)))
+        inverse = dir_inverse(r)
+        shared = {id(c): c for c in inverse.coeffs}.values()
+        assert len(shared) < len(inverse.coeffs)  # equal values share
+        before = [(c._terms, dict(c._terms), _sizes(c)) for c in shared]
+        a = dir_from_fn(2000, lambda n: 1 if n == 1 else phi * n)
+        try:
+            METER.reset(10**12)  # a budget: the meter sizes every operand
+            dir_mul(inverse, inverse)
+            dir_mul(a, inverse)
+            series_substitute_symbol(inverse, PHI, Fraction(1, 3))
+            series_substitute_symbol(dir_mul(a, inverse), PHI, Fraction(1, 3))
+            [c.to_text() for c in inverse.coeffs]
+            cli_write_priced(inverse.coeffs, series_to_json_text, inverse)
+        finally:
+            METER.reset()
+        capsys.readouterr()
+        for c, (terms, items, sizes) in zip(shared, before):
+            assert c._terms is terms and c._terms == items
+            assert c._sizes == sizes == _sizes(Polynomial(items))

@@ -12,7 +12,10 @@ on both sides of the denominator guard and their product, the
 ``thm2``, ``thm3``, ``abel`` and ``log`` verify suites, and, at sizes where
 each result pools its monomials over many indices, the symbolic Lagrange
 families, a symbolic factorization table and the ``rd`` matrix and
-parametric power of a symbolic file.
+parametric power of a symbolic file, and numeric results whose equal
+values are shared: the exponential of all ones, the parametric power of
+a file of repeated values, an inverse whose lead is 2 and the logarithm of
+a 3000-index rational file.
 
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and copy each printed
@@ -36,9 +39,21 @@ from dirseries.cli import main
 
 # small series files for load(): composition series b (lead 2) and a
 # (lead 1), ordinary series c (constant term 1) and d (zero constant term),
-# the rational composition series r (lead 1, some zeros), the ordinary
+# the rational composition series r (lead 1, some zeros) and its
+# continuation q to index 3000, the rational composition series h (lead
+# 2) and p (lead 1, a value per number of prime factors), the ordinary
 # series x and the symbolic composition series s (lead 1)
-RATIONAL = {1: Fraction(1)} | {n: Fraction((7 * n) % 11 - 5, n % 4 + 1) for n in range(2, 201)}
+RATIONAL = {1: Fraction(1)} | {n: Fraction((7 * n) % 11 - 5, n % 4 + 1) for n in range(2, 3001)}
+
+
+def prime_factor_count(n: int) -> int:
+    """The number of prime factors of n, with multiplicity."""
+    count, p = 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count + (n > 1)
 
 
 def symbolic_coeffs(trunc: int, seed: str) -> dict[str, str]:
@@ -70,13 +85,19 @@ SERIES_FILES = {
     "d": {"kind": "ord", "trunc": 6, "coeffs": {
         "1": "1", "2": "a3", "3": "-a1", "4": "2/3"}},
     "r": {"kind": "dir", "trunc": 200, "coeffs": {
+        str(n): str(v) for n, v in RATIONAL.items() if v and n <= 200}},
+    "q": {"kind": "dir", "trunc": 3000, "coeffs": {
         str(n): str(v) for n, v in RATIONAL.items() if v}},
+    "h": {"kind": "dir", "trunc": 1000, "coeffs": {"1": "2"} | {
+        str(n): str(v) for n, v in RATIONAL.items() if v and 1 < n <= 1000}},
+    "p": {"kind": "dir", "trunc": 2000, "coeffs": {"1": "1"} | {
+        str(n): str(Fraction((-1) ** n, prime_factor_count(n) + 1)) for n in range(2, 2001)}},
     "x": {"kind": "ord", "trunc": 60, "coeffs": {"1": "1"}},
     "s": {"kind": "dir", "trunc": 200, "coeffs": symbolic_coeffs(200, "golden-symbolic")},
 }
 
 # (argv, sha256 of stdout); every command exits 0, and {b}, {a}, {c}, {d},
-# {r}, {x}, {s} stand for load() of the files above
+# {r}, {q}, {h}, {p}, {x}, {s} stand for load() of the files above
 GOLDEN = {
     "matrix-mult-csv": (
         ["matrix", "--kind", "mult", "-e", "eps", "-N", "16", "--csv"],
@@ -247,6 +268,25 @@ GOLDEN = {
     "dpow-param-symbolic-200": (
         ["series", "-e", "dpow_param({s})", "-N", "200"],
         "75942b375534e3a938840019f903fdc4fe10411550dbee69ca2f10e3f914bc05",
+    ),
+    # numeric results whose equal values are shared: the exponential of
+    # all ones, the parametric power of repeated values, the inverse with
+    # denominators 2^(s(n)+1) and the logarithm of the rational series
+    "dexp-geom2-2000": (
+        ["series", "-e", "dexp(geom2)", "-N", "2000"],
+        "58b28453b22b12f16ade3e088fa0a5dd4c05acfec27b6872276b3aa7a3bb687c",
+    ),
+    "dpow-param-repeated-csv": (
+        ["series", "-e", "dpow_param({p})", "-N", "2000", "--csv"],
+        "d614d2013f2aa53b48d787773a5cd6214e9cc15e8f6f97549a5ee6327469b43e",
+    ),
+    "dinv-rational-lead-2": (
+        ["series", "-e", "dinv({h})", "-N", "1000"],
+        "c7ffd5809cadeadfa8eef0b5f1ef6d49717588244c0224322625f02c1c51d300",
+    ),
+    "dlog-rational-3000": (
+        ["series", "-e", "dlog({q})", "-N", "3000"],
+        "a6e5871c7aa1415fb9b9c222f558e545dca6775caa451d3b84387b969b39db6d",
     ),
 }
 

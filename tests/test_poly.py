@@ -206,6 +206,16 @@ def test_constant_values_and_polys():
     assert constant_values([phi]) is None
 
 
+def test_constant_polys_share_equal_values_of_one_type():
+    # 2 == Fraction(2, 1) and both hash alike, but the meter sizes an int
+    # and a Fraction differently, so only the two ints share a polynomial
+    two, two_fraction, two_again = constant_polys([2, Fraction(2, 1), 2])
+    assert two is two_again and two_fraction is not two
+    assert type(two.terms[()]) is int and type(two_fraction.terms[()]) is Fraction
+    zeros = constant_polys([0, Fraction(0), 0])
+    assert all(z is ZERO for z in zeros)
+
+
 def test_binom_poly():
     assert binom_poly(PHI, 0) == ONE
     assert binom_poly(PHI, 2) == (phi**2 - phi) * Fraction(1, 2)
